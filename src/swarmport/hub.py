@@ -13,7 +13,7 @@ from typing import Callable
 
 from .errors import EmptyLog, IoFailure, UnknownVehicle
 from .grid import GridMap, NodeId
-from .planner import AllPairsCosts, floyd_warshall
+from .planner import hop_distances
 from .radar import TargetEstimate
 from .rfnet import Message, MessageKind, assign_channel
 
@@ -82,13 +82,16 @@ class Hub:
 
     def __init__(self, grid: GridMap) -> None:
         self.grid = grid
-        self.costs: AllPairsCosts = floyd_warshall(grid)
         self.vehicles: dict[int, _VehicleInfo] = {}
         self.jobs: list[Job] = []
         self.assignments: dict[int, int] = {}
         self.completed: dict[int, int] = {}
         self.orders: dict[int, _Order] = {}
         self.log: list[TelemetryRecord] = []
+        # Newest record per vehicle, keyed in order of first appearance.
+        self.latest: dict[int, TelemetryRecord] = {}
+        # Hop counts from each pickup node seen so far (BFS over ``grid``).
+        self._hops: dict[NodeId, dict[NodeId, int]] = {}
         self.outbox: list[tuple[int, Message]] = []
         # Optional veto on (vehicle_id, job) pairings, e.g. the sim engine
         # rejecting pairs whose route cannot exist.
@@ -123,12 +126,15 @@ class Hub:
         for job in self.jobs:
             if job.job_id in self.assignments or job.release_tick > current_tick:
                 continue
-            best: tuple[float, int] | None = None
+            hops = self._hops.get(job.pickup_node)
+            if hops is None:
+                hops = self._hops[job.pickup_node] = hop_distances(self.grid, job.pickup_node)
+            best: tuple[int, int] | None = None
             for vid, info in self.vehicles.items():
                 if info.mission != AVAILABLE:
                     continue
-                d = self.costs.cost(info.node, job.pickup_node)
-                if math.isinf(d):
+                d = hops.get(info.node)
+                if d is None:
                     continue
                 if self.dispatch_filter is not None and not self.dispatch_filter(vid, job):
                     continue
@@ -182,14 +188,11 @@ class Hub:
         self.orders.pop(vehicle_id, None)
 
     def fleet_view(self) -> FleetView:
-        latest: dict[int, TelemetryRecord] = {}
-        for rec in self.log:
-            latest[rec.vehicle_id] = rec
         queue = [j for j in self.jobs if j.job_id not in self.assignments]
-        return FleetView(latest=latest, job_queue=queue, assignments=dict(self.assignments))
+        return FleetView(latest=dict(self.latest), job_queue=queue, assignments=dict(self.assignments))
 
 
-def ingest_telemetry(hub: Hub, message: Message, tick: int) -> FleetView:
+def ingest_telemetry(hub: Hub, message: Message, tick: int) -> TelemetryRecord:
     """Decode a TELEMETRY message into the fleet log with derived polar pose."""
     if message.kind != MessageKind.TELEMETRY:
         raise ValueError(f"expected TELEMETRY, got {message.kind!r}")
@@ -212,7 +215,8 @@ def ingest_telemetry(hub: Hub, message: Message, tick: int) -> FleetView:
         state=info.state,
     )
     hub.log.append(rec)
-    return hub.fleet_view()
+    hub.latest[rec.vehicle_id] = rec
+    return rec
 
 
 def associate_radar(

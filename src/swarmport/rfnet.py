@@ -8,6 +8,7 @@ from a seeded generator.
 
 from __future__ import annotations
 
+import binascii
 import random
 import struct
 from dataclasses import dataclass, field
@@ -63,15 +64,7 @@ def assign_channel(vehicle_id: int) -> Channel:
 
 def crc16_ccitt_false(data: bytes) -> int:
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection."""
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 def _payload_bytes(message: Message) -> bytes:
@@ -88,7 +81,20 @@ def _payload_bytes(message: Message) -> bytes:
 
 def encode(message: Message) -> bytes:
     """Serialize to the fixed wire layout; deterministic bytes."""
-    payload = _payload_bytes(message)
+    try:
+        payload = _payload_bytes(message)
+    except struct.error:
+        if message.kind == MessageKind.ASSIGN_DESTINATION:
+            fields = {"dest[0]": message.dest[0], "dest[1]": message.dest[1]}
+        else:
+            names = ("x_mm", "y_mm", "speed_mm_s", "heading_cdeg")
+            fields = {name: getattr(message, name) for name in names}
+        name, value = next(
+            (k, v) for k, v in fields.items() if not (isinstance(v, int) and 0 <= v <= 0xFFFF)
+        )
+        raise PayloadTooLarge(
+            f"{message.kind.name} field {name} = {value!r} does not fit in 16 bits"
+        ) from None
     if len(payload) > MAX_PAYLOAD:
         raise PayloadTooLarge(f"payload {len(payload)} bytes exceeds {MAX_PAYLOAD}")
     body = bytes([VERSION, message.kind, message.vehicle_id, len(payload)]) + payload

@@ -71,6 +71,8 @@ GC_INTERVAL_TICKS = 50
 RENDER_EVERY_SWEEPS = 10
 HOP_MARGIN_S = 1.0
 START_DEFICIT_S = 0.4
+# Telemetry carries positions as unsigned 16-bit millimetres.
+MAX_TERRAIN_M = 0xFFFF / 1000.0
 
 
 # ----------------------------------------------------------------- scenario
@@ -298,6 +300,12 @@ def build_scenario_grid(scenario: Scenario) -> GridMap:
 def validate_scenario(scenario: Scenario) -> None:
     """Field-level checks; raises ScenarioInvalid naming the bad field."""
     grid = build_scenario_grid(scenario)
+    for label in ("width_m", "height_m"):
+        extent = getattr(scenario.terrain, label)
+        if extent > MAX_TERRAIN_M:
+            raise ScenarioInvalid(
+                f"terrain.{label}: {extent} m exceeds the {MAX_TERRAIN_M} m that telemetry can encode"
+            )
     for b in scenario.terrain.blocked:
         if not grid.contains(b):
             raise ScenarioInvalid(f"terrain.blocked: node {tuple(b)} outside grid")

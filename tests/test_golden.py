@@ -1,0 +1,77 @@
+"""Golden artifact hashes: a scenario plus a seed fixes every byte written.
+
+The hashes below are the sha256 of every file that `run` writes for four
+scenarios.  A change that alters any artifact byte fails here; a change that
+means to alter them must re-record the hashes and say why.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+from test_acceptance import crossing_scenario
+
+from swarmport.sim import MediumConfig, default_scenario, run
+
+SCENARIOS = {
+    "default": default_scenario,
+    "default_loss30_seed7": lambda: dataclasses.replace(
+        default_scenario(), medium=MediumConfig(loss_probability=0.3, seed=7)
+    ),
+    "crossing_3": lambda: crossing_scenario(3),
+    "crossing_11": lambda: crossing_scenario(11),
+}
+
+GOLDEN = {
+    "default": {
+        "capture.bin": "d1ad5c70e0782b36e612c52dc676f1966ffd3d639308ab5c9b8da0683ecaab7d",
+        "frames/sweep_0001.svg": "73ad399bba81da293fb81a1491e92330032f3af05138e9c90508211faf1c5c6d",
+        "frames/sweep_0010.svg": "e823d0de0ecf7535acc42fe1cea7f92d4a4d2049f23a461329675750aa338bd1",
+        "frames/sweep_0020.svg": "96d1cbc4d0084adc8768d976143080f00d78ae2b75e5c597808c688bddc06205",
+        "scan_stream.txt": "f9e70c55f542626a73e8ac9a84fbdbddf5af289b6be4b560d626a00e499475b2",
+        "summary.json": "577f48dc4a19889c5e266e0413e56cf30ff169dea37385984add50b89cec88ab",
+        "summary.txt": "c25426577521da3b1b49fdf34db6ef9fe3667e6dd7768f17358ba74ad4080025",
+        "telemetry.csv": "a43b585d42b01127d06d5c4abe853c71285f61b02fa1b5d823024e875ce4604f",
+    },
+    "default_loss30_seed7": {
+        "capture.bin": "926a704677ba8d4861ca71dc9ec1e6044e947264bc35fc37515edd9b13565d6c",
+        "frames/sweep_0001.svg": "50494e75fcbcae5d18b766f9434079b6f6edc003eb9f35d32add8ac1019436ae",
+        "frames/sweep_0010.svg": "3263abf8db881ffb7423eec2364032ea7428cae30c3bd155002f50e62e7e772d",
+        "frames/sweep_0020.svg": "218f750481fdb76bd74b86c7e1a66768c106ce0353b489d099f07f49f0df7ea2",
+        "scan_stream.txt": "f24f1b08010c5390571d57f0052efba8928ee719564275ef2a5cb70510e429dd",
+        "summary.json": "79db90237f4e905857ca3b682863d111314e334051bc9f6ff405e04f8359f806",
+        "summary.txt": "0fcc1077bde52e4ec2a703b01e6a0371c99c8e42d234387ce5b10ff1ed586d30",
+        "telemetry.csv": "279f51ae6fa8b7e9d7bf899708a853624110daf3309f65936490cf0eaab7e0ee",
+    },
+    "crossing_3": {
+        "capture.bin": "9602ad0e4c0b81da0d71783391a5aab3d1e3c415933c1568545626febdafd910",
+        "frames/sweep_0001.svg": "a1ee1f889eda5fd4c25a6bf9bc8ddfe1f137631aad8db9d2a55960427706679f",
+        "frames/sweep_0010.svg": "b0510482a4652c0a5347c976fa15bab5dd7c47a327f3d7bfcd66c1f409952c03",
+        "scan_stream.txt": "a39ca48bd5f1c6c530939535e4f0f70602efe324a7dfc5663e54c8fb07e7c084",
+        "summary.json": "fbd47cf363a27511c187cfe06744a133f2a3b79f312b88e63904de2433f9efc4",
+        "summary.txt": "d86eb18d3b86f6404e794882f2328e7804ff59e991433e1c7ce8e3fd57bafb7c",
+        "telemetry.csv": "05f9956096dd66259a7188ccb750a6dfe7c1f459410dc6f6e0289d33b1e0d521",
+    },
+    "crossing_11": {
+        "capture.bin": "0be1e75ce9c48f801d70f6bf673eccda5f588c48ffcda7250898c465d70c029c",
+        "frames/sweep_0001.svg": "0c996c5365694360843dc3e190669a03920cc415bdbccd6df6aa2dbfa097ac5d",
+        "scan_stream.txt": "3eb1808f8fe8f098ecd2c5d950bf886d2d1c68cd4f84f37adb2f9c5a2f2eac20",
+        "summary.json": "39a552d7b309a52723edf4f19e7df0a9cf3dfbada0fbc61a6b93c30708fca9a5",
+        "summary.txt": "7cee71d8a33669c6be15ae75cae636576f5c894dcb1dd5040cd6517e7139b964",
+        "telemetry.csv": "50ec79da180b07b8c84945f09b7a9a2f07bd78619806ee348a4de668e9b3a913",
+    },
+}
+
+
+def artifact_hashes(out_dir):
+    return {
+        p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.rglob("*"))
+        if p.is_file()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_artifacts_match_golden_hashes(name, tmp_path):
+    run(SCENARIOS[name](), tmp_path)
+    assert artifact_hashes(tmp_path) == GOLDEN[name]

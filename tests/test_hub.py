@@ -58,8 +58,7 @@ def target_at(x, y):
 
 def test_ingest_derives_polar_pose():
     hub = make_hub()
-    view = ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), tick=5)
-    rec = view.latest[0]
+    rec = ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), tick=5)
     assert rec.dist_from_origin_m == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert rec.angle_from_origin_deg == pytest.approx(45.0, abs=1e-9)
     assert rec.tick == 5
@@ -67,7 +66,7 @@ def test_ingest_derives_polar_pose():
 
 def test_ingest_origin_pose_is_zero_zero():
     hub = make_hub()
-    rec = ingest_telemetry(hub, telemetry_msg(0, 0.0, 0.0), tick=0).latest[0]
+    rec = ingest_telemetry(hub, telemetry_msg(0, 0.0, 0.0), tick=0)
     assert rec.dist_from_origin_m == 0.0
     assert rec.angle_from_origin_deg == 0.0
 
@@ -77,7 +76,7 @@ def test_ingest_matches_independent_recomputation():
     rng = random.Random(5)
     for tick in range(50):
         x, y = rng.uniform(0, 2), rng.uniform(0, 2)
-        rec = ingest_telemetry(hub, telemetry_msg(0, x, y), tick).latest[0]
+        rec = ingest_telemetry(hub, telemetry_msg(0, x, y), tick)
         assert abs(rec.dist_from_origin_m - math.hypot(rec.x_m, rec.y_m)) <= 1e-9
         want_angle = math.degrees(math.atan2(rec.y_m, rec.x_m)) % 360.0
         assert abs(rec.angle_from_origin_deg - want_angle) <= 1e-9
@@ -102,6 +101,17 @@ def test_ingest_appends_to_log():
     assert [r.tick for r in hub.log] == [1, 2]
 
 
+def test_ingest_returns_record_and_latest_keeps_first_appearance_order():
+    hub = make_hub(vehicles=((0, NodeId(0, 0)), (1, NodeId(8, 8))))
+    ingest_telemetry(hub, telemetry_msg(1, 1.5, 1.5), 0)
+    ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.5), 1)
+    rec = ingest_telemetry(hub, telemetry_msg(1, 1.25, 1.5), 2)
+    assert rec is hub.log[-1]
+    view = hub.fleet_view()
+    assert list(view.latest) == [1, 0]
+    assert view.latest[1] is rec
+
+
 # ---------------------------------------------------------------- dispatch
 
 
@@ -116,6 +126,28 @@ def test_single_idle_vehicle_gets_the_job():
     assert channel == 0
     assert msg.kind == MessageKind.ASSIGN_DESTINATION
     assert msg.dest == NodeId(1, 0)  # reposition to pickup first
+
+
+def test_walled_in_vehicle_is_never_dispatched():
+    # vehicle 0 is two hops from the pickup by Manhattan distance but sealed
+    # into the corner; vehicle 1 is far but reachable
+    blocked = {NodeId(1, 0), NodeId(0, 1)}
+    hub = Hub(build_grid(2.0, 2.0, 0.25, blocked))
+    hub.register_vehicle(0, NodeId(0, 0))
+    hub.register_vehicle(1, NodeId(8, 8))
+    hub.add_job(Job(0, NodeId(2, 0), NodeId(5, 0)))
+    assert [vid for vid, _ in hub.dispatch(0)] == [1]
+
+
+def test_detour_counts_hops_not_straight_line_distance():
+    # a wall at x = 3 (open only at y = 8) puts vehicle 0 eighteen hops from
+    # the pickup; vehicle 1 is four hops away on the far side
+    blocked = {NodeId(3, y) for y in range(8)}
+    hub = Hub(build_grid(2.0, 2.0, 0.25, blocked))
+    hub.register_vehicle(0, NodeId(2, 0))
+    hub.register_vehicle(1, NodeId(8, 0))
+    hub.add_job(Job(0, NodeId(4, 0), NodeId(6, 6)))
+    assert [vid for vid, _ in hub.dispatch(0)] == [1]
 
 
 def test_nearest_idle_vehicle_wins():
@@ -219,21 +251,24 @@ def test_one_active_job_per_vehicle():
 
 def test_target_at_exact_pose_matches():
     hub = make_hub()
-    view = ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    view = hub.fleet_view()
     result = associate_radar(hub, [target_at(1.0, 1.0)], view)
     assert result == {0: 0}
 
 
 def test_distant_target_stays_unmatched():
     hub = make_hub()
-    view = ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    view = hub.fleet_view()
     result = associate_radar(hub, [target_at(1.0, 2.0)], view)
     assert result == {0: UNMATCHED}
 
 
 def test_gate_admits_just_inside_rejects_just_outside():
     hub = make_hub()
-    view = ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    view = hub.fleet_view()
     assert associate_radar(hub, [target_at(1.29, 1.0)], view) == {0: 0}
     assert associate_radar(hub, [target_at(1.3125, 1.0)], view) == {0: UNMATCHED}
 
@@ -265,7 +300,8 @@ def min_sum_oracle(targets, poses, gate):
 def test_unambiguous_pairs_match_min_sum_oracle():
     hub = make_hub(vehicles=((0, NodeId(0, 0)), (1, NodeId(8, 8))))
     ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.5), 0)
-    view = ingest_telemetry(hub, telemetry_msg(1, 1.5, 1.5), 0)
+    ingest_telemetry(hub, telemetry_msg(1, 1.5, 1.5), 0)
+    view = hub.fleet_view()
     targets = [target_at(1.45, 1.5), target_at(0.55, 0.5)]
     got = associate_radar(hub, targets, view)
     poses = {vid: (r.x_m, r.y_m) for vid, r in view.latest.items()}
@@ -276,7 +312,8 @@ def test_unambiguous_pairs_match_min_sum_oracle():
 
 def test_never_matches_one_vehicle_twice():
     hub = make_hub()
-    view = ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    view = hub.fleet_view()
     targets = [target_at(1.01, 1.0), target_at(0.99, 1.0)]
     result = associate_radar(hub, targets, view)
     matched = [v for v in result.values() if v != UNMATCHED]
@@ -288,11 +325,9 @@ def test_random_scenes_never_double_match():
     rng = random.Random(17)
     for _ in range(30):
         hub = make_hub(vehicles=tuple((i, NodeId(i, 0)) for i in range(3)))
-        view = None
         for vid in range(3):
-            view = ingest_telemetry(
-                hub, telemetry_msg(vid, rng.uniform(0, 2), rng.uniform(0, 2)), 0
-            )
+            ingest_telemetry(hub, telemetry_msg(vid, rng.uniform(0, 2), rng.uniform(0, 2)), 0)
+        view = hub.fleet_view()
         targets = [target_at(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(4)]
         result = associate_radar(hub, targets, view)
         matched = [v for v in result.values() if v != UNMATCHED]

@@ -1,6 +1,5 @@
 """Wire framing, CRC, channel assignment, and the lossy broadcast medium."""
 
-import binascii
 import struct
 
 import pytest
@@ -36,7 +35,21 @@ from swarmport.rfnet import (
 # -------------------------------------------------------------------- crc
 
 
+def bitwise_crc16_ccitt_false(data):
+    """Reference CRC-16/CCITT-FALSE, one bit at a time: poly 0x1021, init 0xFFFF."""
+    crc = 0xFFFF
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
+            else:
+                crc = (crc << 1) & 0xFFFF
+    return crc
+
+
 def test_crc_check_vector():
+    assert bitwise_crc16_ccitt_false(b"123456789") == 0x29B1
     assert crc16_ccitt_false(b"123456789") == 0x29B1
 
 
@@ -45,8 +58,8 @@ def test_crc_empty_input_is_init_value():
 
 
 @given(st.binary(max_size=64))
-def test_crc_matches_stdlib_oracle(data):
-    assert crc16_ccitt_false(data) == binascii.crc_hqx(data, 0xFFFF)
+def test_crc_matches_bitwise_oracle(data):
+    assert crc16_ccitt_false(data) == bitwise_crc16_ccitt_false(data)
 
 
 # ------------------------------------------------------------------ codec
@@ -61,7 +74,7 @@ def test_ack_frame_layout():
     assert frame[2] == MessageKind.ACK
     assert frame[3] == 5
     assert frame[4] == 0
-    assert struct.unpack(">H", frame[5:])[0] == binascii.crc_hqx(frame[1:5], 0xFFFF)
+    assert struct.unpack(">H", frame[5:])[0] == bitwise_crc16_ccitt_false(frame[1:5])
 
 
 def test_assign_frame_carries_node_as_two_u16():
@@ -110,6 +123,18 @@ def test_assign_round_trips(vid, ix, iy):
 def test_assign_requires_destination():
     with pytest.raises(PayloadTooLarge):
         encode(Message(MessageKind.ASSIGN_DESTINATION, 1))
+
+
+def test_position_beyond_u16_millimetres_names_the_field():
+    # a vehicle 68 m east on a 70 m x 2 m terrain
+    msg = Message(MessageKind.TELEMETRY, 0, x_mm=68_000, y_mm=0)
+    with pytest.raises(PayloadTooLarge, match="x_mm = 68000"):
+        encode(msg)
+
+
+def test_destination_beyond_u16_names_the_field():
+    with pytest.raises(PayloadTooLarge, match=r"dest\[1\] = 70000"):
+        encode(Message(MessageKind.ASSIGN_DESTINATION, 1, dest=NodeId(3, 70_000)))
 
 
 # ------------------------------------------------------- decode error order

@@ -114,6 +114,20 @@ def test_timestep_stability_guard():
     validate_scenario(replace_scenario(default_scenario(), sim=SimConfig(dt_s=0.1)))
 
 
+@pytest.mark.parametrize("label", ["width_m", "height_m"])
+def test_terrain_beyond_telemetry_reach_rejected(label):
+    # 70 m does not fit the u16 millimetre position fields
+    extents = {"width_m": 2.0, "height_m": 2.0, label: 70.0}
+    scenario = replace_scenario(
+        default_scenario(),
+        terrain=TerrainConfig(spacing_m=2.0, **extents),
+        vehicles=(VehicleSpec(0, NodeId(0, 0)),),
+        jobs=(),
+    )
+    with pytest.raises(ScenarioInvalid, match=f"terrain.{label}"):
+        validate_scenario(scenario)
+
+
 def test_loss_probability_must_leave_headroom():
     scenario = replace_scenario(default_scenario(), medium=MediumConfig(loss_probability=1.0))
     with pytest.raises(ScenarioInvalid):
@@ -298,6 +312,20 @@ def test_lossy_medium_still_completes():
     sim = Simulation(scenario)
     sim.run_loop()
     assert sim.completed_jobs == 1
+
+
+def test_grid_beyond_all_pairs_guard_runs_to_completion():
+    # 41 x 41 = 1,681 nodes, above floyd_warshall's 1,000-node guard
+    scenario = Scenario(
+        terrain=TerrainConfig(width_m=10.0, height_m=10.0, spacing_m=0.25),
+        vehicles=(VehicleSpec(0, NodeId(0, 0)),),
+        jobs=(Job(0, NodeId(3, 2), NodeId(6, 5)),),
+        sim=SimConfig(dt_s=0.05, max_ticks=100_000),
+    )
+    sim = Simulation(scenario)
+    sim.run_loop()
+    assert sim.completed_jobs == 1
+    assert sim.tick_count < scenario.sim.max_ticks
 
 
 def test_job_queue_drains_released_jobs():
