@@ -15,7 +15,7 @@ from dataclasses import replace
 from .errors import IoFailure, NoPath, ScenarioInvalid, SwarmportError
 from .grid import NodeId
 from .planner import astar, bellman_ford, dijkstra, floyd_warshall
-from .radar import Disc, SweepConfig, WorldModel, detect_targets, encode_frame, render_frame, sweep
+from .radar import Disc, WorldModel, detect_targets, encode_frame, render_frame, sweep
 from .sim import (
     Scenario,
     build_scenario_grid,
@@ -91,12 +91,7 @@ def cmd_plan(scenario: Scenario, src: NodeId, dst: NodeId, algorithm: str) -> in
 
 def cmd_scan(scenario: Scenario, out_dir: str) -> int:
     grid = build_scenario_grid(scenario)
-    cfg = SweepConfig(
-        origin=scenario.sensor.origin,
-        step_deg=scenario.sensor.step_deg,
-        beam_halfwidth_deg=scenario.sensor.beam_halfwidth_deg,
-        max_range_m=scenario.sensor.max_range_m,
-    )
+    cfg = scenario.sensor
     world = WorldModel(
         [
             Disc(grid.node_to_position(v.home_node), v.params.body_radius_m)

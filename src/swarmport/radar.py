@@ -27,7 +27,6 @@ class SweepConfig:
     step_deg: float = 1.0
     beam_halfwidth_deg: float = 0.0
     max_range_m: float = 4.0
-    speed_of_sound_m_s: float = 343.0
 
     def __post_init__(self) -> None:
         if not 0 < self.step_deg <= 15:
@@ -36,8 +35,6 @@ class SweepConfig:
             raise ValueError(f"beam_halfwidth_deg must be in [0, 15], got {self.beam_halfwidth_deg}")
         if self.max_range_m <= 0:
             raise ValueError("max_range_m must be positive")
-        if self.speed_of_sound_m_s <= 0:
-            raise NonPositiveSpeed(f"speed of sound must be positive, got {self.speed_of_sound_m_s}")
 
 
 @dataclass

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
-from typing import Any
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from .errors import (
     DecodeError,
@@ -20,7 +21,6 @@ from .errors import (
     NoPath,
     NodeOutOfRange,
     NonPositiveDimension,
-    NonPositiveSpeed,
     ScenarioInvalid,
     SpacingTooLarge,
 )
@@ -38,6 +38,7 @@ from .planner import (
     INF_TICK,
     PathMemory,
     ReservationTable,
+    TimedPath,
     astar,
     commit,
     hop_distances,
@@ -87,14 +88,6 @@ class TerrainConfig:
 
 
 @dataclass(frozen=True)
-class SensorConfig:
-    origin: Position = Position(1.0, 1.0)
-    step_deg: float = 1.0
-    beam_halfwidth_deg: float = 0.0
-    max_range_m: float = 4.0
-
-
-@dataclass(frozen=True)
 class VehicleSpec:
     vehicle_id: int
     home_node: NodeId
@@ -118,7 +111,7 @@ class SimConfig:
 @dataclass(frozen=True)
 class Scenario:
     terrain: TerrainConfig = field(default_factory=TerrainConfig)
-    sensor: SensorConfig = field(default_factory=SensorConfig)
+    sensor: SweepConfig = field(default_factory=SweepConfig)
     vehicles: tuple[VehicleSpec, ...] = ()
     jobs: tuple[Job, ...] = ()
     medium: MediumConfig = field(default_factory=MediumConfig)
@@ -129,7 +122,6 @@ def default_scenario() -> Scenario:
     """Desk-scale prototype: 2x2 m, two corner vehicles, center sensor mast."""
     return Scenario(
         terrain=TerrainConfig(blocked=(NodeId(4, 4),)),
-        sensor=SensorConfig(),
         vehicles=(
             VehicleSpec(0, NodeId(0, 0)),
             VehicleSpec(1, NodeId(8, 0)),
@@ -138,8 +130,6 @@ def default_scenario() -> Scenario:
             Job(0, NodeId(1, 2), NodeId(7, 2)),
             Job(1, NodeId(7, 6), NodeId(1, 6)),
         ),
-        medium=MediumConfig(),
-        sim=SimConfig(),
     )
 
 
@@ -159,134 +149,93 @@ def _node(value: Any, where: str) -> NodeId:
     return NodeId(value[0], value[1])
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    """Parse a scenario document; unknown fields anywhere are rejected."""
+@cache
+def _schema(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, type, required) for each field of a config dataclass."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
+
+
+def _value(tp: Any, value: Any, where: str) -> Any:
+    """Check one document value against its field type and convert it."""
+    if tp is float or tp is int:
+        if isinstance(value, bool) or not isinstance(value, int if tp is int else (int, float)):
+            raise ScenarioInvalid(f"{where}: expected {tp.__name__}, got {value!r}")
+        return value
+    if tp is NodeId:
+        return _node(value, where)
+    if tp is Position:
+        if (
+            not isinstance(value, (list, tuple))
+            or len(value) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        ):
+            raise ScenarioInvalid(f"{where}: expected [x, y] number pair, got {value!r}")
+        return Position(float(value[0]), float(value[1]))
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ScenarioInvalid(f"{where}: expected a list, got {value!r}")
+        item = get_args(tp)[0]
+        return tuple(_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    return _parse(tp, value, where)  # a nested config dataclass
+
+
+def _parse(cls: type, data: Any, where: str) -> Any:
+    """Build config dataclass ``cls`` from a document object.
+
+    The dataclass fields are the schema: unknown keys are rejected, a field
+    without a default is required, and an absent field takes its default.
+    A ``ValueError`` from the dataclass's own checks names ``where``, joined
+    with a dot when the message starts with one of its field names.
+    """
+    label = where or "top level"
     if not isinstance(data, dict):
-        raise ScenarioInvalid("top level: expected an object")
-    _check_keys(data, {"terrain", "sensor", "vehicles", "jobs", "medium", "sim"}, "top level")
+        raise ScenarioInvalid(f"{label}: expected an object, got {data!r}")
+    schema = _schema(cls)
+    _check_keys(data, {name for name, _, _ in schema}, label)
+    kwargs = {}
+    for name, tp, required in schema:
+        path = f"{where}.{name}" if where else name
+        if name in data:
+            kwargs[name] = _value(tp, data[name], path)
+        elif required:
+            raise ScenarioInvalid(f"{path}: required field missing")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        joint = "." if str(exc).split(" ", 1)[0] in kwargs else ": "
+        raise ScenarioInvalid(f"{label}{joint}{exc}") from exc
 
-    t = data.get("terrain", {})
-    _check_keys(t, {"width_m", "height_m", "spacing_m", "blocked"}, "terrain")
-    terrain = TerrainConfig(
-        width_m=t.get("width_m", 2.0),
-        height_m=t.get("height_m", 2.0),
-        spacing_m=t.get("spacing_m", 0.25),
-        blocked=tuple(_node(b, "terrain.blocked") for b in t.get("blocked", [])),
-    )
 
-    s = data.get("sensor", {})
-    _check_keys(s, {"origin", "step_deg", "beam_halfwidth_deg", "max_range_m"}, "sensor")
-    origin = s.get("origin", [1.0, 1.0])
-    if not isinstance(origin, (list, tuple)) or len(origin) != 2:
-        raise ScenarioInvalid(f"sensor.origin: expected [x, y], got {origin!r}")
-    sensor = SensorConfig(
-        origin=Position(float(origin[0]), float(origin[1])),
-        step_deg=s.get("step_deg", 1.0),
-        beam_halfwidth_deg=s.get("beam_halfwidth_deg", 0.0),
-        max_range_m=s.get("max_range_m", 4.0),
-    )
-
-    vehicles = []
-    for i, v in enumerate(data.get("vehicles", [])):
-        where = f"vehicles[{i}]"
-        _check_keys(v, {"vehicle_id", "home_node", "params"}, where)
-        if "vehicle_id" not in v or "home_node" not in v:
-            raise ScenarioInvalid(f"{where}: vehicle_id and home_node are required")
-        p = v.get("params", {})
-        param_names = {f.name for f in fields(VehicleParams)}
-        _check_keys(p, param_names, f"{where}.params")
-        try:
-            params = VehicleParams(**p)
-        except ValueError as exc:
-            raise ScenarioInvalid(f"{where}.params: {exc}") from exc
-        vehicles.append(VehicleSpec(v["vehicle_id"], _node(v["home_node"], where), params))
-
-    jobs = []
-    for i, j in enumerate(data.get("jobs", [])):
-        where = f"jobs[{i}]"
-        _check_keys(j, {"job_id", "pickup_node", "destination_node", "release_tick"}, where)
-        for req in ("job_id", "pickup_node", "destination_node"):
-            if req not in j:
-                raise ScenarioInvalid(f"{where}: {req} is required")
-        try:
-            jobs.append(
-                Job(
-                    j["job_id"],
-                    _node(j["pickup_node"], where),
-                    _node(j["destination_node"], where),
-                    j.get("release_tick", 0),
-                )
-            )
-        except ValueError as exc:
-            raise ScenarioInvalid(f"{where}: {exc}") from exc
-
-    m = data.get("medium", {})
-    _check_keys(m, {"loss_probability", "latency_ticks", "seed"}, "medium")
-    medium = MediumConfig(
-        loss_probability=m.get("loss_probability", 0.0),
-        latency_ticks=m.get("latency_ticks", 0),
-        seed=m.get("seed", 42),
-    )
-
-    c = data.get("sim", {})
-    _check_keys(c, {"dt_s", "max_ticks", "telemetry_interval"}, "sim")
-    sim = SimConfig(
-        dt_s=c.get("dt_s", 0.01),
-        max_ticks=c.get("max_ticks", 1_000_000),
-        telemetry_interval=c.get("telemetry_interval", 10),
-    )
-
-    scenario = Scenario(terrain, sensor, tuple(vehicles), tuple(jobs), medium, sim)
+def scenario_from_dict(data: Any) -> Scenario:
+    """Parse and validate a scenario document; every rejection names its field."""
+    scenario = _parse(Scenario, data, "")
     validate_scenario(scenario)
     return scenario
 
 
+def _to_doc(value: Any) -> Any:
+    if isinstance(value, VehicleParams):
+        # Only the overrides, so a document shows what differs from stock.
+        stock = VehicleParams()
+        return {
+            f.name: getattr(value, f.name)
+            for f in fields(value)
+            if getattr(value, f.name) != getattr(stock, f.name)
+        }
+    if is_dataclass(value):
+        return {f.name: _to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_doc(v) for v in value]
+    return value
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "terrain": {
-            "width_m": scenario.terrain.width_m,
-            "height_m": scenario.terrain.height_m,
-            "spacing_m": scenario.terrain.spacing_m,
-            "blocked": [list(b) for b in scenario.terrain.blocked],
-        },
-        "sensor": {
-            "origin": list(scenario.sensor.origin),
-            "step_deg": scenario.sensor.step_deg,
-            "beam_halfwidth_deg": scenario.sensor.beam_halfwidth_deg,
-            "max_range_m": scenario.sensor.max_range_m,
-        },
-        "vehicles": [
-            {
-                "vehicle_id": v.vehicle_id,
-                "home_node": list(v.home_node),
-                "params": {
-                    f.name: getattr(v.params, f.name)
-                    for f in fields(VehicleParams)
-                    if getattr(v.params, f.name) != getattr(VehicleParams(), f.name)
-                },
-            }
-            for v in scenario.vehicles
-        ],
-        "jobs": [
-            {
-                "job_id": j.job_id,
-                "pickup_node": list(j.pickup_node),
-                "destination_node": list(j.destination_node),
-                "release_tick": j.release_tick,
-            }
-            for j in scenario.jobs
-        ],
-        "medium": {
-            "loss_probability": scenario.medium.loss_probability,
-            "latency_ticks": scenario.medium.latency_ticks,
-            "seed": scenario.medium.seed,
-        },
-        "sim": {
-            "dt_s": scenario.sim.dt_s,
-            "max_ticks": scenario.sim.max_ticks,
-            "telemetry_interval": scenario.sim.telemetry_interval,
-        },
-    }
+    """The scenario as a JSON-ready document that `scenario_from_dict` reads back."""
+    return _to_doc(scenario)
 
 
 def build_scenario_grid(scenario: Scenario) -> GridMap:
@@ -309,16 +258,6 @@ def validate_scenario(scenario: Scenario) -> None:
     for b in scenario.terrain.blocked:
         if not grid.contains(b):
             raise ScenarioInvalid(f"terrain.blocked: node {tuple(b)} outside grid")
-
-    try:
-        SweepConfig(
-            origin=scenario.sensor.origin,
-            step_deg=scenario.sensor.step_deg,
-            beam_halfwidth_deg=scenario.sensor.beam_halfwidth_deg,
-            max_range_m=scenario.sensor.max_range_m,
-        )
-    except (ValueError, NonPositiveSpeed) as exc:
-        raise ScenarioInvalid(f"sensor: {exc}") from exc
 
     if len(scenario.vehicles) > CHANNEL_COUNT:
         raise ScenarioInvalid(
@@ -479,12 +418,7 @@ class Simulation:
             self.hub.add_job(job)
         self.hub.dispatch_filter = self._job_feasible
 
-        self.sensor_cfg = SweepConfig(
-            origin=scenario.sensor.origin,
-            step_deg=scenario.sensor.step_deg,
-            beam_halfwidth_deg=scenario.sensor.beam_halfwidth_deg,
-            max_range_m=scenario.sensor.max_range_m,
-        )
+        self.sensor_cfg = scenario.sensor
         self._sweep_len = max(1, int(math.floor(360.0 / self.sensor_cfg.step_deg + 1e-9)))
         self._radar_idx = 0
         self._radar_dir = 1
@@ -520,16 +454,11 @@ class Simulation:
 
     # -- planning helpers ---------------------------------------------
 
-    def _repark(self, sv: _SimVehicle, now: int) -> None:
-        self.table.release_vehicle(sv.agent.vehicle_id)
-        self.table.reserve(sv.agent.vehicle_id, sv.agent.current_node, now, INF_TICK)
-
     def _routing_grid(self, src: NodeId, dst: NodeId) -> GridMap:
         extra = self.park_spots - {src, dst}
         if not extra:
             return self.grid
-        t = self.scenario.terrain
-        return build_grid(t.width_m, t.height_m, t.spacing_m, self.grid.blocked | extra)
+        return replace(self.grid, blocked=self.grid.blocked | extra)
 
     def _job_feasible(self, vid: int, job: Job) -> bool:
         """Both legs must exist on the park-spot-restricted grid.
@@ -550,59 +479,61 @@ class Simulation:
         self._feasible_cache[key] = ok
         return ok
 
-    def _plan_reposition(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
-        agent = sv.agent
-        vid = agent.vehicle_id
+    def _plan_leg(
+        self, sv: _SimVehicle, now: int, pending: tuple[str, NodeId | None], plan: Callable[[], TimedPath]
+    ) -> TimedPath | None:
+        """Release, plan and commit one leg.
+
+        On NoPath the vehicle reparks where it stands and ``pending`` is
+        retried after NOPATH_RETRY_TICKS; the caller gets None.
+        """
+        vid = sv.agent.vehicle_id
         try:
             self.table.release_vehicle(vid)
-            grid = self._routing_grid(agent.current_node, dest)
-            tp = plan_space_time(grid, self.table, agent.current_node, dest, now, self.ticks_per_hop)
+            tp = plan()
             commit(self.table, vid, tp)
         except NoPath:
-            self._repark(sv, now)
-            sv.pending = ("reposition", dest)
+            self.table.release_vehicle(vid)
+            self.table.reserve(vid, sv.agent.current_node, now, INF_TICK)
+            sv.pending = pending
             sv.retry_at = now + NOPATH_RETRY_TICKS
-            return
-        self.memory.record_node(vid, agent.current_node)
-        agent.begin_reposition(tp)
+            return None
         sv.pending = None
+        return tp
+
+    def _plan_to(self, sv: _SimVehicle, dest: NodeId, now: int) -> TimedPath:
+        src = sv.agent.current_node
+        return plan_space_time(self._routing_grid(src, dest), self.table, src, dest, now, self.ticks_per_hop)
+
+    def _plan_reposition(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
+        tp = self._plan_leg(sv, now, ("reposition", dest), lambda: self._plan_to(sv, dest, now))
+        if tp is not None:
+            self.memory.record_node(sv.agent.vehicle_id, sv.agent.current_node)
+            sv.agent.begin_reposition(tp)
 
     def _plan_cargo(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
-        agent = sv.agent
-        vid = agent.vehicle_id
-        try:
-            self.table.release_vehicle(vid)
-            grid = self._routing_grid(agent.current_node, dest)
-            tp = plan_space_time(grid, self.table, agent.current_node, dest, now, self.ticks_per_hop)
-            commit(self.table, vid, tp)
-        except NoPath:
-            self._repark(sv, now)
-            sv.pending = ("cargo", dest)
-            sv.retry_at = now + NOPATH_RETRY_TICKS
-            agent.queue_ack()
-            return
-        agent.on_destination(dest, tp)
-        sv.pending = None
+        tp = self._plan_leg(sv, now, ("cargo", dest), lambda: self._plan_to(sv, dest, now))
+        if tp is None:
+            sv.agent.queue_ack()
+        else:
+            sv.agent.on_destination(dest, tp)
 
     def _start_retrace(self, sv: _SimVehicle, now: int) -> None:
         agent = sv.agent
-        vid = agent.vehicle_id
-        trail = self.memory.trail(vid)
+        trail = self.memory.trail(agent.vehicle_id)
         sequence = list(reversed(trail))
         horizon = 10 * (self.grid.nx - 1 + self.grid.ny - 1) + len(sequence)
-        try:
-            self.table.release_vehicle(vid)
-            tp = schedule_along(self.table, sequence, now, self.ticks_per_hop, horizon)
-            commit(self.table, vid, tp)
-        except NoPath:
-            self._repark(sv, now)
-            sv.pending = ("retrace", None)
-            sv.retry_at = now + NOPATH_RETRY_TICKS
+        tp = self._plan_leg(
+            sv,
+            now,
+            ("retrace", None),
+            lambda: schedule_along(self.table, sequence, now, self.ticks_per_hop, horizon),
+        )
+        if tp is None:
             return
         sv.outbound_trail = tuple(trail)
         sv.retrace_driven = [agent.current_node]
         agent.unload(self.memory, tp)
-        sv.pending = None
         sv.unload_at = None
 
     def _attempt_pending(self, sv: _SimVehicle, now: int) -> None:

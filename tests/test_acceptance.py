@@ -47,7 +47,6 @@ from swarmport.rfnet import (
 from swarmport.sim import (
     MediumConfig,
     Scenario,
-    SensorConfig,
     SimConfig,
     Simulation,
     TerrainConfig,
@@ -147,7 +146,6 @@ def crossing_scenario(seed):
         if all(leg_ok(h, p) and leg_ok(p, d) for h, p, d in zip(homes, pickups, dests)):
             return Scenario(
                 terrain=TerrainConfig(blocked=tuple(sorted(blocked))),
-                sensor=SensorConfig(),
                 vehicles=tuple(VehicleSpec(i, h) for i, h in enumerate(homes)),
                 jobs=tuple(Job(i, p, d) for i, (p, d) in enumerate(zip(pickups, dests))),
                 medium=MediumConfig(seed=seed),

@@ -197,6 +197,16 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_section_exits_one_without_traceback(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"terrain": 5}))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert "error: terrain" in err
+    assert "Traceback" not in err
+
+
 def test_missing_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,17 +1,21 @@
 """Golden artifact hashes: a scenario plus a seed fixes every byte written.
 
 The hashes below are the sha256 of every file that `run` writes for four
-scenarios.  A change that alters any artifact byte fails here; a change that
-means to alter them must re-record the hashes and say why.
+scenarios, and of the document `swarmport defaults` writes.  Two scenarios
+also run after a round trip through their JSON document, which pins the
+parser to the same artifacts.  A change that alters any artifact byte fails
+here; a change that means to alter them must re-record the hashes and say why.
 """
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 from test_acceptance import crossing_scenario
 
-from swarmport.sim import MediumConfig, default_scenario, run
+from swarmport.cli import EXIT_OK, main
+from swarmport.sim import MediumConfig, default_scenario, run, scenario_from_dict, scenario_to_dict
 
 SCENARIOS = {
     "default": default_scenario,
@@ -21,6 +25,8 @@ SCENARIOS = {
     "crossing_3": lambda: crossing_scenario(3),
     "crossing_11": lambda: crossing_scenario(11),
 }
+
+DEFAULTS_DOCUMENT = "4c7ddac92e5dc8b8784805ecb298a414b9bd8cee1785479c9bd89cbf7538bedb"
 
 GOLDEN = {
     "default": {
@@ -75,3 +81,16 @@ def artifact_hashes(out_dir):
 def test_artifacts_match_golden_hashes(name, tmp_path):
     run(SCENARIOS[name](), tmp_path)
     assert artifact_hashes(tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["default", "default_loss30_seed7"])
+def test_parsed_document_matches_golden_hashes(name, tmp_path):
+    data = json.loads(json.dumps(scenario_to_dict(SCENARIOS[name]())))
+    run(scenario_from_dict(data), tmp_path)
+    assert artifact_hashes(tmp_path) == GOLDEN[name]
+
+
+def test_defaults_document_matches_golden_hash(tmp_path, capsys):
+    path = tmp_path / "default.json"
+    assert main(["defaults", "--out", str(path)]) == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULTS_DOCUMENT

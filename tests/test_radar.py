@@ -115,8 +115,6 @@ def test_config_validation():
         cfg(beam_halfwidth_deg=-1.0)
     with pytest.raises(ValueError):
         cfg(max_range_m=0.0)
-    with pytest.raises(NonPositiveSpeed):
-        cfg(speed_of_sound_m_s=0.0)
 
 
 # ------------------------------------------------------------ time of flight

@@ -186,6 +186,44 @@ def test_malformed_node_rejected():
         scenario_from_dict(data)
 
 
+def edited_default(path, value=None):
+    """The default scenario document with the value at ``path`` replaced, or deleted if None."""
+    data = scenario_to_dict(default_scenario())
+    *parents, last = path
+    target = data
+    for key in parents:
+        target = target[key]
+    if value is None:
+        del target[last]
+    else:
+        target[last] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"terrain": 5}, "terrain"),
+        ({"vehicles": 3}, "vehicles"),
+        ({"vehicles": [5]}, "vehicles[0]"),
+        (edited_default(("vehicles", 0, "params"), 5), "vehicles[0].params"),
+        (edited_default(("terrain", "width_m"), "abc"), "terrain.width_m"),
+        (edited_default(("sensor", "step_deg"), "x"), "sensor.step_deg"),
+        (edited_default(("sensor", "origin"), ["a", 1]), "sensor.origin"),
+        (edited_default(("sim", "dt_s"), "x"), "sim.dt_s"),
+        (edited_default(("medium", "seed"), "x"), "medium.seed"),
+        ({"medium": {"loss_probability": None}}, "medium.loss_probability"),
+        (edited_default(("jobs", 0, "release_tick"), "x"), "jobs[0].release_tick"),
+        (edited_default(("vehicles", 0, "vehicle_id")), "vehicles[0].vehicle_id"),
+        (edited_default(("sensor", "step_deg"), 20), "sensor.step_deg"),
+    ],
+)
+def test_malformed_document_names_the_field(data, field):
+    with pytest.raises(ScenarioInvalid) as info:
+        scenario_from_dict(data)
+    assert str(info.value).startswith(field)
+
+
 def test_build_scenario_grid_applies_blocks():
     grid = build_scenario_grid(default_scenario())
     assert grid.is_blocked(NodeId(4, 4))
