@@ -9,7 +9,7 @@ to deterministic SVG frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import AngleOutOfRange, IoFailure, NonPositiveSpeed
@@ -40,6 +40,9 @@ class SweepConfig:
 @dataclass
 class WorldModel:
     obstacles: list[Disc]
+    # One slot per obstacle: its geometry from the origin of the last echo,
+    # reused while the same disc object is seen from the same origin.
+    _geometry: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -57,21 +60,11 @@ class TargetEstimate:
     sample_count: int
 
 
-def _ray_disc(origin: Position, angle_rad: float, disc: Disc) -> float | None:
-    """Distance from origin to the near boundary of a disc along a ray."""
-    ox, oy = origin
-    cx, cy = disc.center
-    dx, dy = math.cos(angle_rad), math.sin(angle_rad)
-    fx, fy = cx - ox, cy - oy
-    dist_sq = fx * fx + fy * fy
-    if dist_sq <= disc.radius_m * disc.radius_m:
-        return 0.0
-    b = dx * fx + dy * fy
-    discriminant = b * b - (dist_sq - disc.radius_m * disc.radius_m)
-    if discriminant < 0:
-        return None
-    t = b - math.sqrt(discriminant)
-    return t if t >= 0 else None
+def _disc_geometry(disc: Disc, origin: Position) -> tuple:
+    """What the echo needs of a disc seen from origin, whatever the ray."""
+    fx, fy = disc.center.x - origin.x, disc.center.y - origin.y
+    bearing = math.degrees(math.atan2(fy, fx))
+    return disc, origin, bearing, fx, fy, fx * fx + fy * fy, disc.radius_m * disc.radius_m
 
 
 def echo_distance(world: WorldModel, cfg: SweepConfig, angle_deg: float) -> float | None:
@@ -79,17 +72,46 @@ def echo_distance(world: WorldModel, cfg: SweepConfig, angle_deg: float) -> floa
 
     The minimum over the cone is reached on the ray aimed closest to a
     disc's bearing, so the beam is evaluated by clamping the query angle
-    toward each disc instead of sampling the cone.
+    toward each disc instead of sampling the cone.  Each disc's geometry
+    is kept in ``world._geometry`` until the disc or the origin changes,
+    and each distinct ray's cos/sin is computed once per call.
     """
+    origin = cfg.origin
+    half = cfg.beam_halfwidth_deg
+    obstacles = world.obstacles
+    geometry = world._geometry
+    if len(geometry) != len(obstacles):
+        geometry[:] = [None] * len(obstacles)
+    rays: dict[float, tuple[float, float]] = {}
     best: float | None = None
-    for disc in world.obstacles:
+    for i, disc in enumerate(obstacles):
         if disc.radius_m <= 0:
             continue
-        bearing = math.degrees(math.atan2(disc.center.y - cfg.origin.y, disc.center.x - cfg.origin.x))
-        offset = (bearing - angle_deg + 180.0) % 360.0 - 180.0
-        clamped = max(-cfg.beam_halfwidth_deg, min(cfg.beam_halfwidth_deg, offset))
-        hit = _ray_disc(cfg.origin, math.radians(angle_deg + clamped), disc)
-        if hit is not None and hit <= cfg.max_range_m and (best is None or hit < best):
+        geo = geometry[i]
+        if geo is None or geo[0] is not disc or geo[1] is not origin:
+            geo = geometry[i] = _disc_geometry(disc, origin)
+        _, _, bearing, fx, fy, dist_sq, r_sq = geo
+        if dist_sq <= r_sq:
+            hit = 0.0  # the origin is inside the disc
+        else:
+            if half:
+                offset = (bearing - angle_deg + 180.0) % 360.0 - 180.0
+                beam = angle_deg + max(-half, min(half, offset))
+            else:
+                # With a zero half-width the clamp gives -half for every offset.
+                beam = angle_deg + -half
+            ray = rays.get(beam)
+            if ray is None:
+                a = math.radians(beam)
+                ray = rays[beam] = (math.cos(a), math.sin(a))
+            b = ray[0] * fx + ray[1] * fy
+            discriminant = b * b - (dist_sq - r_sq)
+            if discriminant < 0:
+                continue
+            hit = b - math.sqrt(discriminant)
+            if not hit >= 0:
+                continue
+        if hit <= cfg.max_range_m and (best is None or hit < best):
             best = hit
     return best
 

@@ -246,8 +246,11 @@ def build_scenario_grid(scenario: Scenario) -> GridMap:
         raise ScenarioInvalid(f"terrain: {exc}") from exc
 
 
-def validate_scenario(scenario: Scenario) -> None:
-    """Field-level checks; raises ScenarioInvalid naming the bad field."""
+def validate_scenario(scenario: Scenario) -> GridMap:
+    """Field-level checks; raises ScenarioInvalid naming the bad field.
+
+    Returns the scenario's grid, which the checks build anyway.
+    """
     grid = build_scenario_grid(scenario)
     for label in ("width_m", "height_m"):
         extent = getattr(scenario.terrain, label)
@@ -314,6 +317,7 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ScenarioInvalid("sim.max_ticks: must be >= 1")
     if c.telemetry_interval < 1:
         raise ScenarioInvalid("sim.telemetry_interval: must be >= 1")
+    return grid
 
 
 def hop_window_ticks(scenario: Scenario) -> int:
@@ -371,9 +375,8 @@ class Simulation:
     """Mutable world state; ``tick()`` advances it one fixed timestep."""
 
     def __init__(self, scenario: Scenario, *, trace: bool = False, capture: bool = False) -> None:
-        validate_scenario(scenario)
+        self.grid = validate_scenario(scenario)
         self.scenario = scenario
-        self.grid = build_scenario_grid(scenario)
         self.dt = scenario.sim.dt_s
         self.hub = Hub(self.grid)
         self.table = ReservationTable()
@@ -414,11 +417,18 @@ class Simulation:
             self.vehicles[vcfg.vehicle_id] = _SimVehicle(
                 agent=agent, radio=radio, channel=vcfg.vehicle_id, home_node=vcfg.home_node
             )
+        # The vehicles in ascending id: the order of every per-vehicle phase.
+        self.fleet: list[_SimVehicle] = list(self.vehicles.values())
         for job in scenario.jobs:
             self.hub.add_job(job)
         self.hub.dispatch_filter = self._job_feasible
 
         self.sensor_cfg = scenario.sensor
+        # One disc per vehicle, in fleet order, replaced only when the
+        # vehicle moves, so echo_distance keeps the geometry of the others.
+        self.world = WorldModel(
+            [Disc(Position(sv.agent.x, sv.agent.y), sv.agent.params.body_radius_m) for sv in self.fleet]
+        )
         self._sweep_len = max(1, int(math.floor(360.0 / self.sensor_cfg.step_deg + 1e-9)))
         self._radar_idx = 0
         self._radar_dir = 1
@@ -572,7 +582,7 @@ class Simulation:
     # -- tick phases ----------------------------------------------------
 
     def _deliver(self, now: int) -> list[Message]:
-        for sv in self.vehicles.values():
+        for sv in self.fleet:
             for frame in self.medium.poll(sv.radio, now):
                 try:
                     msg = decode(frame)
@@ -592,7 +602,7 @@ class Simulation:
         return inbound
 
     def _hub_phase(self, inbound: list[Message], now: int) -> None:
-        for sv in self.vehicles.values():
+        for sv in self.fleet:
             self.hub.observe(sv.agent.vehicle_id, sv.agent.current_node, sv.agent.state)
         for msg in inbound:
             if msg.kind == MessageKind.ACTIVATE:
@@ -607,8 +617,7 @@ class Simulation:
         self.hub.outbox.clear()
 
     def _vehicle_phase(self, now: int) -> None:
-        for vid in sorted(self.vehicles):
-            sv = self.vehicles[vid]
+        for sv in self.fleet:
             agent = sv.agent
             if sv.pending is not None and now >= sv.retry_at:
                 self._attempt_pending(sv, now)
@@ -648,7 +657,7 @@ class Simulation:
                     job_id=job_id,
                     outbound=sv.outbound_trail,
                     retraced=tuple(sv.retrace_driven),
-                    final_pose=(agent.pose.x, agent.pose.y),
+                    final_pose=(agent.x, agent.y),
                     home_position=(home_xy.x, home_xy.y),
                     complete_tick=now,
                 )
@@ -662,13 +671,13 @@ class Simulation:
 
     def _radar_phase(self, now: int) -> None:
         angle = self._radar_idx * self.sensor_cfg.step_deg
-        world = WorldModel(
-            [
-                Disc(Position(sv.agent.pose.x, sv.agent.pose.y), sv.agent.params.body_radius_m)
-                for sv in self.vehicles.values()
-            ]
-        )
-        dist = echo_distance(world, self.sensor_cfg, angle)
+        discs = self.world.obstacles
+        for i, sv in enumerate(self.fleet):
+            agent = sv.agent
+            center = discs[i].center
+            if agent.x != center.x or agent.y != center.y:
+                discs[i] = Disc(Position(agent.x, agent.y), agent.params.body_radius_m)
+        dist = echo_distance(self.world, self.sensor_cfg, angle)
         self._sweep_samples.append((angle, dist))
         self.frame_lines.append(encode_frame(angle, dist))
         self._radar_idx += self._radar_dir
@@ -686,16 +695,15 @@ class Simulation:
     def _telemetry_phase(self, now: int) -> None:
         if now % self.scenario.sim.telemetry_interval != 0:
             return
-        for vid in sorted(self.vehicles):
-            sv = self.vehicles[vid]
+        for sv in self.fleet:
             self.medium.send(Channel(sv.channel), encode(sv.agent.telemetry()), now)
 
     def _trace_phase(self) -> None:
         poses: list[tuple[float, float]] = []
         occupancy: list[tuple[int, int]] = []
-        for vid in sorted(self.vehicles):
-            agent = self.vehicles[vid].agent
-            poses.append((agent.pose.x, agent.pose.y))
+        for sv in self.fleet:
+            agent = sv.agent
+            poses.append((agent.x, agent.y))
             edge = agent.edge_in_progress()
             src = agent.current_node
             dst = edge[1] if edge is not None else src
@@ -722,7 +730,7 @@ class Simulation:
             return False
         return all(
             sv.agent.state == IDLE and not sv.agent.busy and sv.pending is None
-            for sv in self.vehicles.values()
+            for sv in self.fleet
         )
 
     def run_loop(self) -> None:

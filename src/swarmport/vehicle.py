@@ -136,7 +136,9 @@ class VehicleAgent:
         self.home_node = home_node
         self.dest_node: NodeId | None = None
         self.current_node = home_node
-        self._x, self._y = home_position
+        # Position in metres as plain floats: the engine's per-tick phases
+        # read these instead of building a `pose`.
+        self.x, self.y = home_position
         self._heading = 0.0
         self._omega = 0.0
         self._phase = _REST
@@ -231,7 +233,7 @@ class VehicleAgent:
 
     @property
     def pose(self) -> Pose:
-        return Pose(self._x, self._y, self._heading)
+        return Pose(self.x, self.y, self._heading)
 
     @property
     def wheels(self) -> WheelDynamics:
@@ -250,8 +252,8 @@ class VehicleAgent:
         return Message(
             MessageKind.TELEMETRY,
             self.vehicle_id,
-            x_mm=int(round(self._x * 1000.0)),
-            y_mm=int(round(self._y * 1000.0)),
+            x_mm=int(round(self.x * 1000.0)),
+            y_mm=int(round(self.y * 1000.0)),
             speed_mm_s=int(round(self.speed_m_s * 1000.0)),
             heading_cdeg=int(round(self._heading * 100.0)) % 36000,
         )
@@ -293,7 +295,7 @@ class VehicleAgent:
             return False
         return self.departure_gate(self, self._route[self._hop + 1], self._tick, scheduled)
 
-    def step(self, grid: GridMap, dt_s: float) -> Pose:
+    def step(self, grid: GridMap, dt_s: float) -> None:
         """Advance one tick: housekeeping, then turn / wait / drive."""
         self._tick += 1
 
@@ -308,20 +310,20 @@ class VehicleAgent:
                 self._transition(UNLOADING)
             elif self.state == RETRACING:
                 self._finish_retrace()
-            return self.pose
+            return
 
         if self._phase == _REST and self._aligned_for_hop():
             # Waiting at a node for the departure window.
             if self._may_depart():
                 self._phase = _DRIVE
             else:
-                return self.pose
+                return
 
         if self._phase == _REST:
             self._start_hop()
             if self._phase == _DRIVE and not self._may_depart():
                 self._halt()
-                return self.pose
+                return
 
         if self._phase == _TURN:
             self._spin(dt_s)
@@ -336,19 +338,18 @@ class VehicleAgent:
             else:
                 self._turn_remaining -= yaw_deg
                 self._heading = (self._heading + self._turn_sign * yaw_deg) % 360.0
-            return self.pose
+            return
 
         # Drive straight toward the next waypoint.
         self._spin(dt_s)
         direction = _HEADING_TO_DIR[int(round(self._heading)) % 360]
         step_len = self.params.wheel_radius_m * self._omega * dt_s
-        self._x += direction[0] * step_len
-        self._y += direction[1] * step_len
+        self.x += direction[0] * step_len
+        self.y += direction[1] * step_len
         nxt = self._route[self._hop + 1]
         tx, ty = grid.node_to_position(nxt)
-        if math.hypot(tx - self._x, ty - self._y) <= grid.spacing_m / 10.0:
+        if math.hypot(tx - self.x, ty - self.y) <= grid.spacing_m / 10.0:
             self._arrive(grid, nxt)
-        return self.pose
 
     def _aligned_for_hop(self) -> bool:
         if self._route is None or self._done:
@@ -367,7 +368,7 @@ class VehicleAgent:
         return math.degrees(math.atan2(dy, dx)) % 360.0
 
     def _arrive(self, grid: GridMap, node: NodeId) -> None:
-        self._x, self._y = grid.node_to_position(node)
+        self.x, self.y = grid.node_to_position(node)
         self.current_node = node
         self._hop += 1
         if self.arrival_hook is not None:

@@ -1,6 +1,6 @@
 """Golden artifact hashes: a scenario plus a seed fixes every byte written.
 
-The hashes below are the sha256 of every file that `run` writes for four
+The hashes below are the sha256 of every file that `run` writes for five
 scenarios, and of the document `swarmport defaults` writes.  Two scenarios
 also run after a round trip through their JSON document, which pins the
 parser to the same artifacts.  A change that alters any artifact byte fails
@@ -17,12 +17,21 @@ from test_acceptance import crossing_scenario
 from swarmport.cli import EXIT_OK, main
 from swarmport.sim import MediumConfig, default_scenario, run, scenario_from_dict, scenario_to_dict
 
+
+def crossing_beam_scenario(seed, beam_halfwidth_deg):
+    scenario = crossing_scenario(seed)
+    sensor = dataclasses.replace(scenario.sensor, beam_halfwidth_deg=beam_halfwidth_deg)
+    return dataclasses.replace(scenario, sensor=sensor)
+
+
 SCENARIOS = {
     "default": default_scenario,
     "default_loss30_seed7": lambda: dataclasses.replace(
         default_scenario(), medium=MediumConfig(loss_probability=0.3, seed=7)
     ),
     "crossing_3": lambda: crossing_scenario(3),
+    # The only golden run with a nonzero beam: it pins the clamped-angle echo.
+    "crossing_3_beam5": lambda: crossing_beam_scenario(3, 5.0),
     "crossing_11": lambda: crossing_scenario(11),
 }
 
@@ -54,6 +63,15 @@ GOLDEN = {
         "frames/sweep_0001.svg": "a1ee1f889eda5fd4c25a6bf9bc8ddfe1f137631aad8db9d2a55960427706679f",
         "frames/sweep_0010.svg": "b0510482a4652c0a5347c976fa15bab5dd7c47a327f3d7bfcd66c1f409952c03",
         "scan_stream.txt": "a39ca48bd5f1c6c530939535e4f0f70602efe324a7dfc5663e54c8fb07e7c084",
+        "summary.json": "fbd47cf363a27511c187cfe06744a133f2a3b79f312b88e63904de2433f9efc4",
+        "summary.txt": "d86eb18d3b86f6404e794882f2328e7804ff59e991433e1c7ce8e3fd57bafb7c",
+        "telemetry.csv": "05f9956096dd66259a7188ccb750a6dfe7c1f459410dc6f6e0289d33b1e0d521",
+    },
+    "crossing_3_beam5": {
+        "capture.bin": "9602ad0e4c0b81da0d71783391a5aab3d1e3c415933c1568545626febdafd910",
+        "frames/sweep_0001.svg": "c9e5bd5f245a05bccc36a9052d5150065cb03206631dc010d3b0f4c6dfdf96fd",
+        "frames/sweep_0010.svg": "ecf8797740bada288cbc95f2920299bcab269a8ab1384f83a2a19c77f7b91a43",
+        "scan_stream.txt": "fa3434edaa2363856817e54a221de26971fbb3f6deb9fb0dfb65d25f9d7b9650",
         "summary.json": "fbd47cf363a27511c187cfe06744a133f2a3b79f312b88e63904de2433f9efc4",
         "summary.txt": "d86eb18d3b86f6404e794882f2328e7804ff59e991433e1c7ce8e3fd57bafb7c",
         "telemetry.csv": "05f9956096dd66259a7188ccb750a6dfe7c1f459410dc6f6e0289d33b1e0d521",

@@ -27,6 +27,38 @@ def cfg(**overrides):
     return SweepConfig(origin=CENTER, **overrides)
 
 
+def reference_echo_distance(world, cfg, angle_deg):
+    """The echo formula evaluated afresh per disc and call: the oracle for
+    `echo_distance`, which keeps each disc's geometry across calls."""
+    best = None
+    for disc in world.obstacles:
+        if disc.radius_m <= 0:
+            continue
+        bearing = math.degrees(math.atan2(disc.center.y - cfg.origin.y, disc.center.x - cfg.origin.x))
+        offset = (bearing - angle_deg + 180.0) % 360.0 - 180.0
+        clamped = max(-cfg.beam_halfwidth_deg, min(cfg.beam_halfwidth_deg, offset))
+        hit = reference_ray_disc(cfg.origin, math.radians(angle_deg + clamped), disc)
+        if hit is not None and hit <= cfg.max_range_m and (best is None or hit < best):
+            best = hit
+    return best
+
+
+def reference_ray_disc(origin, angle_rad, disc):
+    ox, oy = origin
+    cx, cy = disc.center
+    dx, dy = math.cos(angle_rad), math.sin(angle_rad)
+    fx, fy = cx - ox, cy - oy
+    dist_sq = fx * fx + fy * fy
+    if dist_sq <= disc.radius_m * disc.radius_m:
+        return 0.0
+    b = dx * fx + dy * fy
+    discriminant = b * b - (dist_sq - disc.radius_m * disc.radius_m)
+    if discriminant < 0:
+        return None
+    t = b - math.sqrt(discriminant)
+    return t if t >= 0 else None
+
+
 def march_oracle(origin, angle_deg, disc, max_range):
     """Step along the ray until inside the disc; None if never."""
     a = math.radians(angle_deg)
@@ -104,6 +136,49 @@ def test_echo_matches_marching_oracle():
             assert got is None
         else:
             assert got == pytest.approx(want, abs=2e-4)
+
+
+coordinate = st.floats(-5.0, 5.0, allow_nan=False)
+far_disc = st.builds(Disc, st.builds(Position, coordinate, coordinate), st.floats(-0.5, 1.0))
+
+
+@st.composite
+def sensing_cases(draw):
+    """An origin, discs around it (some of radius <= 0, some over the origin)
+    and a sweep config with its angles, all multiples of step_deg."""
+    origin = Position(draw(coordinate), draw(coordinate))
+    near = st.floats(-0.3, 0.3, allow_nan=False)
+    over_origin = st.builds(
+        Disc,
+        st.builds(Position, near.map(lambda d: origin.x + d), near.map(lambda d: origin.y + d)),
+        st.floats(0.3, 1.0),
+    )
+    at_origin = st.builds(Disc, st.just(origin), st.floats(-0.5, 1.0))
+    discs = draw(st.lists(st.one_of(far_disc, over_origin, at_origin), max_size=8))
+    step = draw(st.floats(0.05, 15.0))
+    sweep_len = max(1, int(math.floor(360.0 / step + 1e-9)))
+    sweep_cfg = SweepConfig(
+        origin=origin,
+        step_deg=step,
+        beam_halfwidth_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 15.0))),
+        max_range_m=draw(st.floats(0.1, 6.0)),
+    )
+    angles = draw(st.lists(st.integers(0, sweep_len - 1).map(lambda i: i * step), min_size=1, max_size=6))
+    return discs, sweep_cfg, angles
+
+
+@given(sensing_cases(), far_disc, st.data())
+def test_echo_equals_per_disc_reference_exactly(case, replacement, data):
+    discs, c, angles = case
+    world = WorldModel(list(discs))
+    for angle in angles:
+        # repr pins every bit, the sign of a zero included, and None.
+        assert repr(echo_distance(world, c, angle)) == repr(reference_echo_distance(world, c, angle))
+    if discs:
+        # A replaced disc must not be answered from the geometry of the old one.
+        world.obstacles[data.draw(st.integers(0, len(discs) - 1))] = replacement
+    for angle in angles:
+        assert repr(echo_distance(world, c, angle)) == repr(reference_echo_distance(world, c, angle))
 
 
 def test_config_validation():

@@ -4,10 +4,13 @@ import json
 import math
 
 import pytest
+from test_acceptance import crossing_scenario
 
+import swarmport.sim
 from swarmport.errors import ScenarioInvalid
-from swarmport.grid import NodeId
+from swarmport.grid import NodeId, Position
 from swarmport.hub import Job, metrics
+from swarmport.radar import Disc, WorldModel, echo_distance
 from swarmport.sim import (
     MediumConfig,
     Scenario,
@@ -343,6 +346,37 @@ def test_default_scenario_completes_both_jobs():
             for j in range(i + 1, len(poses)):
                 d = math.hypot(poses[i][0] - poses[j][0], poses[i][1] - poses[j][1])
                 assert d >= 0.125
+
+
+def test_radar_and_trace_see_every_move(monkeypatch):
+    """The engine replaces a vehicle's radar disc only when it has moved:
+    after every tick the trace and the newest echo must still match the
+    positions and an echo over a world rebuilt from `pose`."""
+    echoes = []
+
+    def recording_echo(world, cfg, angle_deg):
+        echoes.append((angle_deg, echo_distance(world, cfg, angle_deg)))
+        return echoes[-1][1]
+
+    monkeypatch.setattr(swarmport.sim, "echo_distance", recording_echo)
+    sim = Simulation(crossing_scenario(3), trace=True)
+    agents = [sim.vehicles[vid].agent for vid in sorted(sim.vehicles)]
+    moved = still = 0
+    previous = [(a.pose.x, a.pose.y) for a in agents]
+    while sim.tick_count < sim.scenario.sim.max_ticks and not sim.all_done:
+        sim.tick()
+        poses = [(a.pose.x, a.pose.y) for a in agents]
+        assert sim.pose_trace[-1] == poses
+        world = WorldModel([Disc(Position(x, y), a.params.body_radius_m) for (x, y), a in zip(poses, agents)])
+        angle, dist = echoes[-1]
+        assert repr(dist) == repr(echo_distance(world, sim.sensor_cfg, angle))
+        changed = sum(p != q for p, q in zip(poses, previous))
+        moved += changed
+        still += len(agents) - changed
+        previous = poses
+    assert sim.all_done
+    assert len(echoes) == sim.tick_count
+    assert moved and still  # both the refresh and the reuse were exercised
 
 
 def test_lossy_medium_still_completes():
