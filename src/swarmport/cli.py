@@ -98,8 +98,7 @@ def cmd_scan(scenario: Scenario, out_dir: str) -> int:
             for v in scenario.vehicles
         ]
     )
-    count = max(1, int(math.floor(360.0 / cfg.step_deg + 1e-9)))
-    scan = sweep(world, cfg, 0.0, (count - 1) * cfg.step_deg)
+    scan = sweep(world, cfg, 0.0, (cfg.sweep_len - 1) * cfg.step_deg)
     targets = detect_targets(scan, cfg)
     try:
         os.makedirs(out_dir, exist_ok=True)

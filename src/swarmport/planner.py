@@ -14,7 +14,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .errors import BadInterval, EmptyMemory, GridTooLarge, NoPath
 from .grid import GridMap, NodeId
 
 INF_TICK = math.inf
+
+_S = TypeVar("_S")
 
 
 @dataclass
@@ -279,6 +281,74 @@ class ReservationTable:
         return {node: list(holds) for node, holds in self._holds.items()}
 
 
+def _earliest_schedule(
+    free: Callable[[_S, int], bool],
+    moves: Callable[[_S], Iterable[_S]],
+    parks: Callable[[int], bool],
+    src: _S,
+    dst: _S,
+    max_slots: int,
+) -> list[_S] | None:
+    """Earliest conflict-free schedule from ``src`` to ``dst`` over abstract states.
+
+    ``free(s, k)`` says state ``s`` is free during slot ``k``, ``moves(s)``
+    gives the states one hop from ``s`` in canonical order and ``parks(k)``
+    says ``dst`` stays free from slot ``k`` on.  Each slot the search waits
+    in place or makes one move.  Returns the state at every slot boundary,
+    or None when no schedule arrives within ``max_slots``.  A search that
+    starts at ``dst`` must park at once.
+    """
+    if src == dst:
+        return [src] if parks(0) else None
+
+    reachable: list[set[_S]] = [{src}]
+    arrival_slot = None
+    for k in range(max_slots):
+        nxt: set[_S] = set()
+        for s in reachable[k]:
+            if not free(s, k):
+                continue
+            nxt.add(s)
+            for m in moves(s):
+                if free(m, k):
+                    nxt.add(m)
+        reachable.append(nxt)
+        if dst in nxt and parks(k + 1):
+            arrival_slot = k + 1
+            break
+    if arrival_slot is None:
+        return None
+
+    # Backward feasibility, then a forward walk preferring moves in
+    # canonical order so ties resolve like the plain planners.  Every state
+    # in reachable[k + 1] was free during slot k, so a move into one of
+    # them needs no second check.
+    feasible: list[set[_S]] = [set() for _ in range(arrival_slot + 1)]
+    feasible[arrival_slot] = {dst}
+    for k in range(arrival_slot - 1, -1, -1):
+        nxt = feasible[k + 1]
+        for s in reachable[k]:
+            if not free(s, k):
+                continue
+            if s in nxt or any(m in nxt for m in moves(s)):
+                feasible[k].add(s)
+
+    boundary = [src]
+    cur = src
+    for k in range(arrival_slot):
+        nxt = feasible[k + 1]
+        step = cur
+        for m in moves(cur):
+            if m in nxt:
+                step = m
+                break
+        if step == cur and cur not in nxt:
+            raise NoPath("internal: walk lost feasibility")  # pragma: no cover
+        boundary.append(step)
+        cur = step
+    return boundary
+
+
 def plan_space_time(
     grid: GridMap,
     table: ReservationTable,
@@ -301,60 +371,16 @@ def plan_space_time(
     if h <= 0:
         raise BadInterval(f"ticks_per_hop must be positive, got {h}")
     t0 = start_tick
-
-    def window_free(node: NodeId, k: int) -> bool:
-        return table.is_free(node, t0 + k * h, t0 + (k + 1) * h)
-
-    if src == dst:
-        if not table.free_from(dst, t0):
-            raise NoPath(f"destination {tuple(dst)} reserved past arrival")
-        return TimedPath([TimedStep(src, t0, t0 + h)], h)
-
-    max_slots = 10 * (grid.nx - 1 + grid.ny - 1)
-    reachable: list[set[NodeId]] = [{src}]
-    arrival_slot = None
-    for k in range(max_slots):
-        nxt: set[NodeId] = set()
-        for node in reachable[k]:
-            if not window_free(node, k):
-                continue
-            nxt.add(node)
-            for nb in grid.neighbors(node):
-                if window_free(nb, k):
-                    nxt.add(nb)
-        reachable.append(nxt)
-        if dst in nxt and table.free_from(dst, t0 + (k + 1) * h):
-            arrival_slot = k + 1
-            break
-    if arrival_slot is None:
+    boundary = _earliest_schedule(
+        lambda node, k: table.is_free(node, t0 + k * h, t0 + (k + 1) * h),
+        grid.neighbors,
+        lambda k: table.free_from(dst, t0 + k * h),
+        src,
+        dst,
+        10 * (grid.nx - 1 + grid.ny - 1),
+    )
+    if boundary is None:
         raise NoPath(f"no conflict-free route {tuple(src)} -> {tuple(dst)} within horizon")
-
-    # Backward feasibility, then a forward walk preferring moves in
-    # canonical direction order so ties resolve like the plain planners.
-    feasible: list[set[NodeId]] = [set() for _ in range(arrival_slot + 1)]
-    feasible[arrival_slot] = {dst}
-    for k in range(arrival_slot - 1, -1, -1):
-        nxt = feasible[k + 1]
-        for node in reachable[k]:
-            if not window_free(node, k):
-                continue
-            if node in nxt or any(nb in nxt and window_free(nb, k) for nb in grid.neighbors(node)):
-                feasible[k].add(node)
-
-    boundary = [src]
-    cur = src
-    for k in range(arrival_slot):
-        nxt = feasible[k + 1]
-        step = cur
-        for nb in grid.neighbors(cur):
-            if nb in nxt and window_free(nb, k):
-                step = nb
-                break
-        if step is cur and cur not in nxt:
-            raise NoPath("internal: walk lost feasibility")  # pragma: no cover
-        boundary.append(step)
-        cur = step
-
     return TimedPath(_collapse(boundary, t0, h), h)
 
 
@@ -365,56 +391,28 @@ def schedule_along(
     ticks_per_hop: int,
     max_slots: int,
 ) -> TimedPath:
-    """Time a fixed node sequence through the table, waiting where needed."""
+    """Time a fixed node sequence through the table, waiting where needed.
+
+    The search runs over sequence indices, so a trail that crosses itself
+    still moves only forward along it.
+    """
     if not sequence:
         raise NoPath("empty sequence")
     h = ticks_per_hop
     t0 = start_tick
-
-    def window_free(i: int, k: int) -> bool:
-        return table.is_free(sequence[i], t0 + k * h, t0 + (k + 1) * h)
-
     last = len(sequence) - 1
-    if last == 0:
-        if not table.free_from(sequence[0], t0):
-            raise NoPath("terminal node reserved past arrival")
-        return TimedPath([TimedStep(sequence[0], t0, t0 + h)], h)
-
-    reachable: list[set[int]] = [{0}]
-    arrival_slot = None
-    for k in range(max_slots):
-        nxt: set[int] = set()
-        for i in reachable[k]:
-            if not window_free(i, k):
-                continue
-            nxt.add(i)
-            if i < last and window_free(i + 1, k):
-                nxt.add(i + 1)
-        reachable.append(nxt)
-        if last in nxt and table.free_from(sequence[last], t0 + (k + 1) * h):
-            arrival_slot = k + 1
-            break
-    if arrival_slot is None:
+    successors = [(i + 1,) for i in range(last)] + [()]
+    boundary = _earliest_schedule(
+        lambda i, k: table.is_free(sequence[i], t0 + k * h, t0 + (k + 1) * h),
+        successors.__getitem__,
+        lambda k: table.free_from(sequence[last], t0 + k * h),
+        0,
+        last,
+        max_slots,
+    )
+    if boundary is None:
         raise NoPath("no conflict-free schedule along sequence within horizon")
-
-    feasible: list[set[int]] = [set() for _ in range(arrival_slot + 1)]
-    feasible[arrival_slot] = {last}
-    for k in range(arrival_slot - 1, -1, -1):
-        nxt = feasible[k + 1]
-        for i in reachable[k]:
-            if not window_free(i, k):
-                continue
-            if i in nxt or (i < last and i + 1 in nxt and window_free(i + 1, k)):
-                feasible[k].add(i)
-
-    boundary = [sequence[0]]
-    cur = 0
-    for k in range(arrival_slot):
-        if cur < last and cur + 1 in feasible[k + 1] and window_free(cur + 1, k):
-            cur += 1
-        boundary.append(sequence[cur])
-
-    return TimedPath(_collapse(boundary, t0, h), h)
+    return TimedPath(_collapse([sequence[i] for i in boundary], t0, h), h)
 
 
 def _collapse(boundary: list[NodeId], t0: int, h: int) -> list[TimedStep]:
@@ -463,9 +461,7 @@ class PathMemory:
     def trail(self, vehicle_id: int) -> list[NodeId]:
         return list(self._trails.get(vehicle_id, ()))
 
-    def retrace(self, vehicle_id: int) -> list[NodeId]:
-        """Return the reversed trail and clear it."""
-        trail = self._trails.pop(vehicle_id, None)
-        if not trail:
+    def forget(self, vehicle_id: int) -> None:
+        """Clear the trail once its retrace leg is committed."""
+        if not self._trails.pop(vehicle_id, None):
             raise EmptyMemory(f"no recorded trail for vehicle {vehicle_id}")
-        return list(reversed(trail))

@@ -36,6 +36,11 @@ class SweepConfig:
         if self.max_range_m <= 0:
             raise ValueError("max_range_m must be positive")
 
+    @property
+    def sweep_len(self) -> int:
+        """Samples in one full sweep: whole steps that fit in 360 degrees."""
+        return max(1, int(math.floor(360.0 / self.step_deg + 1e-9)))
+
 
 @dataclass
 class WorldModel:

@@ -429,7 +429,7 @@ class Simulation:
         self.world = WorldModel(
             [Disc(Position(sv.agent.x, sv.agent.y), sv.agent.params.body_radius_m) for sv in self.fleet]
         )
-        self._sweep_len = max(1, int(math.floor(360.0 / self.sensor_cfg.step_deg + 1e-9)))
+        self._sweep_len = self.sensor_cfg.sweep_len
         self._radar_idx = 0
         self._radar_dir = 1
         self._sweep_samples: list[tuple[float, float | None]] = []
@@ -543,7 +543,8 @@ class Simulation:
             return
         sv.outbound_trail = tuple(trail)
         sv.retrace_driven = [agent.current_node]
-        agent.unload(self.memory, tp)
+        agent.unload(tp)
+        self.memory.forget(agent.vehicle_id)
         sv.unload_at = None
 
     def _attempt_pending(self, sv: _SimVehicle, now: int) -> None:

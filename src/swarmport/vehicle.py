@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from .errors import IllegalTransition, TimestepTooLarge
 from .grid import GridMap, NodeId, Position
-from .planner import PathMemory, TimedPath
+from .planner import TimedPath
 from .rfnet import Message, MessageKind
 
 IDLE = "IDLE"
@@ -179,11 +179,10 @@ class VehicleAgent:
         self._begin_route("transit", timed_path)
         self.queue_ack()
 
-    def unload(self, memory: PathMemory, timed_path: TimedPath) -> None:
+    def unload(self, timed_path: TimedPath) -> None:
         """Cargo dropped; retrace the recorded trail back to the terminal."""
         if self.state != UNLOADING:
             raise IllegalTransition(f"unload while {self.state}")
-        memory.retrace(self.vehicle_id)
         self._transition(RETRACING)
         self._begin_route("retrace", timed_path)
 
@@ -269,12 +268,7 @@ class VehicleAgent:
 
     def _start_hop(self) -> None:
         """Face the next waypoint; returns with phase set to turn or drive."""
-        assert self._route is not None
-        nxt = self._route[self._hop + 1]
-        dx = nxt[0] - self.current_node[0]
-        dy = nxt[1] - self.current_node[1]
-        target = math.degrees(math.atan2(dy, dx)) % 360.0
-        diff = (target - self._heading) % 360.0
+        diff = (self._target_heading() - self._heading) % 360.0
         if diff == 0.0:
             self._phase = _DRIVE
         else:
@@ -354,11 +348,7 @@ class VehicleAgent:
     def _aligned_for_hop(self) -> bool:
         if self._route is None or self._done:
             return False
-        nxt = self._route[self._hop + 1]
-        dx = nxt[0] - self.current_node[0]
-        dy = nxt[1] - self.current_node[1]
-        target = math.degrees(math.atan2(dy, dx)) % 360.0
-        return self._heading == target
+        return self._heading == self._target_heading()
 
     def _target_heading(self) -> float:
         assert self._route is not None

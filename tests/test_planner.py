@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmport.errors import BadInterval, EmptyMemory, GridTooLarge, NoPath
-from swarmport.grid import NodeId, build_grid
+from swarmport.grid import GridMap, NodeId, build_grid
 from swarmport.planner import (
     INF_TICK,
     Conflict,
     PathMemory,
     ReservationTable,
+    TimedPath,
+    TimedStep,
+    _check_endpoints,
+    _collapse,
     astar,
     bellman_ford,
     commit,
@@ -61,6 +65,138 @@ def check_is_path(grid, nodes, src, dst):
     for a, b in zip(nodes, nodes[1:]):
         assert b in grid.neighbors(a)
         assert not grid.is_blocked(b)
+
+
+def reference_plan_space_time(
+    grid: GridMap,
+    table: ReservationTable,
+    src: NodeId,
+    dst: NodeId,
+    start_tick: int,
+    ticks_per_hop: int,
+) -> TimedPath:
+    """The space-time search with its own forward, backward and walk passes,
+    kept verbatim as the oracle for `plan_space_time`."""
+    _check_endpoints(grid, src, dst)
+    h = ticks_per_hop
+    if h <= 0:
+        raise BadInterval(f"ticks_per_hop must be positive, got {h}")
+    t0 = start_tick
+
+    def window_free(node: NodeId, k: int) -> bool:
+        return table.is_free(node, t0 + k * h, t0 + (k + 1) * h)
+
+    if src == dst:
+        if not table.free_from(dst, t0):
+            raise NoPath(f"destination {tuple(dst)} reserved past arrival")
+        return TimedPath([TimedStep(src, t0, t0 + h)], h)
+
+    max_slots = 10 * (grid.nx - 1 + grid.ny - 1)
+    reachable: list[set[NodeId]] = [{src}]
+    arrival_slot = None
+    for k in range(max_slots):
+        nxt: set[NodeId] = set()
+        for node in reachable[k]:
+            if not window_free(node, k):
+                continue
+            nxt.add(node)
+            for nb in grid.neighbors(node):
+                if window_free(nb, k):
+                    nxt.add(nb)
+        reachable.append(nxt)
+        if dst in nxt and table.free_from(dst, t0 + (k + 1) * h):
+            arrival_slot = k + 1
+            break
+    if arrival_slot is None:
+        raise NoPath(f"no conflict-free route {tuple(src)} -> {tuple(dst)} within horizon")
+
+    # Backward feasibility, then a forward walk preferring moves in
+    # canonical direction order so ties resolve like the plain planners.
+    feasible: list[set[NodeId]] = [set() for _ in range(arrival_slot + 1)]
+    feasible[arrival_slot] = {dst}
+    for k in range(arrival_slot - 1, -1, -1):
+        nxt = feasible[k + 1]
+        for node in reachable[k]:
+            if not window_free(node, k):
+                continue
+            if node in nxt or any(nb in nxt and window_free(nb, k) for nb in grid.neighbors(node)):
+                feasible[k].add(node)
+
+    boundary = [src]
+    cur = src
+    for k in range(arrival_slot):
+        nxt = feasible[k + 1]
+        step = cur
+        for nb in grid.neighbors(cur):
+            if nb in nxt and window_free(nb, k):
+                step = nb
+                break
+        if step is cur and cur not in nxt:
+            raise NoPath("internal: walk lost feasibility")  # pragma: no cover
+        boundary.append(step)
+        cur = step
+
+    return TimedPath(_collapse(boundary, t0, h), h)
+
+
+def reference_schedule_along(
+    table: ReservationTable,
+    sequence: list[NodeId],
+    start_tick: int,
+    ticks_per_hop: int,
+    max_slots: int,
+) -> TimedPath:
+    """The sequence search with its own forward, backward and walk passes,
+    kept verbatim as the oracle for `schedule_along`."""
+    if not sequence:
+        raise NoPath("empty sequence")
+    h = ticks_per_hop
+    t0 = start_tick
+
+    def window_free(i: int, k: int) -> bool:
+        return table.is_free(sequence[i], t0 + k * h, t0 + (k + 1) * h)
+
+    last = len(sequence) - 1
+    if last == 0:
+        if not table.free_from(sequence[0], t0):
+            raise NoPath("terminal node reserved past arrival")
+        return TimedPath([TimedStep(sequence[0], t0, t0 + h)], h)
+
+    reachable: list[set[int]] = [{0}]
+    arrival_slot = None
+    for k in range(max_slots):
+        nxt: set[int] = set()
+        for i in reachable[k]:
+            if not window_free(i, k):
+                continue
+            nxt.add(i)
+            if i < last and window_free(i + 1, k):
+                nxt.add(i + 1)
+        reachable.append(nxt)
+        if last in nxt and table.free_from(sequence[last], t0 + (k + 1) * h):
+            arrival_slot = k + 1
+            break
+    if arrival_slot is None:
+        raise NoPath("no conflict-free schedule along sequence within horizon")
+
+    feasible: list[set[int]] = [set() for _ in range(arrival_slot + 1)]
+    feasible[arrival_slot] = {last}
+    for k in range(arrival_slot - 1, -1, -1):
+        nxt = feasible[k + 1]
+        for i in reachable[k]:
+            if not window_free(i, k):
+                continue
+            if i in nxt or (i < last and i + 1 in nxt and window_free(i + 1, k)):
+                feasible[k].add(i)
+
+    boundary = [sequence[0]]
+    cur = 0
+    for k in range(arrival_slot):
+        if cur < last and cur + 1 in feasible[k + 1] and window_free(cur + 1, k):
+            cur += 1
+        boundary.append(sequence[cur])
+
+    return TimedPath(_collapse(boundary, t0, h), h)
 
 
 # ---------------------------------------------------------------- search
@@ -395,6 +531,75 @@ def test_schedule_along_gives_up_past_horizon():
         schedule_along(table, [NodeId(0, 0), NodeId(1, 0)], 0, 10, max_slots=30)
 
 
+def test_plan_at_destination_parks_at_once_or_fails():
+    grid = build_grid(2.0, 2.0, 0.25)
+    table = ReservationTable()
+    node = NodeId(3, 3)
+    plan = plan_space_time(grid, table, node, node, 20, 10)
+    assert plan.steps == [TimedStep(node, 20, 30)]
+    table.reserve(9, node, 100, 130)
+    with pytest.raises(NoPath):
+        plan_space_time(grid, table, node, node, 20, 10)
+
+
+def test_schedule_along_single_node_and_self_crossing_trail():
+    table = ReservationTable()
+    node = NodeId(2, 2)
+    plan = schedule_along(table, [node], 20, 10, max_slots=5)
+    assert plan.route == [node]
+    assert plan.steps == [TimedStep(node, 20, 30)]
+    loop = [NodeId(0, 0), NodeId(1, 0), NodeId(1, 1), NodeId(0, 1), NodeId(0, 0), NodeId(1, 0)]
+    plan = schedule_along(table, loop, 0, 10, max_slots=50)
+    assert plan.route == loop
+    assert plan.arrival_tick == 50
+    table.reserve(9, node, 100, 130)
+    with pytest.raises(NoPath):
+        schedule_along(table, [node], 20, 10, max_slots=5)
+
+
+def steps_or_no_path(plan, *args):
+    try:
+        return plan(*args).steps
+    except NoPath:
+        return NoPath
+
+
+@st.composite
+def space_time_cases(draw):
+    """A grid of 2-12 nodes a side with up to 30% blocked, random holds by
+    other vehicles (some open-ended) and a random walk that may revisit."""
+    nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    nodes = [NodeId(ix, iy) for ix in range(nx) for iy in range(ny)]
+    blocked = draw(st.lists(st.sampled_from(nodes), max_size=len(nodes) * 3 // 10, unique=True))
+    grid = build_grid(float(nx - 1), float(ny - 1), 1.0, blocked=blocked)
+    free = [n for n in nodes if not grid.is_blocked(n)]
+    table = ReservationTable()
+    for _ in range(draw(st.integers(0, 40))):
+        start = draw(st.integers(0, 100))
+        end = draw(st.sampled_from([start + draw(st.integers(1, 60))] * 3 + [INF_TICK]))
+        table.reserve(draw(st.integers(1, 4)), draw(st.sampled_from(free)), start, end)
+    src = draw(st.sampled_from(free))
+    dst = src if draw(st.integers(0, 7)) == 0 else draw(st.sampled_from(free))
+    walk = [src]
+    for turn in draw(st.lists(st.integers(0, 3), max_size=12)):
+        options = grid.neighbors(walk[-1])
+        if options:
+            walk.append(options[turn % len(options)])
+    return grid, table, src, dst, walk
+
+
+@given(space_time_cases(), st.integers(0, 40), st.integers(1, 5), st.integers(1, 60))
+@settings(max_examples=200, deadline=None)
+def test_space_time_search_matches_reference(case, t0, h, max_slots):
+    grid, table, src, dst, walk = case
+    assert steps_or_no_path(plan_space_time, grid, table, src, dst, t0, h) == steps_or_no_path(
+        reference_plan_space_time, grid, table, src, dst, t0, h
+    )
+    assert steps_or_no_path(schedule_along, table, walk, t0, h, max_slots) == steps_or_no_path(
+        reference_schedule_along, table, walk, t0, h, max_slots
+    )
+
+
 def test_commit_with_park_holds_destination_forever():
     grid = build_grid(2.0, 2.0, 0.25)
     table = ReservationTable()
@@ -410,14 +615,15 @@ def test_commit_with_park_holds_destination_forever():
 # ------------------------------------------------------------- path memory
 
 
-def test_memory_records_and_retraces():
+def test_memory_records_and_forgets():
     memory = PathMemory()
     for node in [NodeId(0, 0), NodeId(1, 0), NodeId(1, 1)]:
         memory.record_node(7, node)
     assert memory.trail(7) == [NodeId(0, 0), NodeId(1, 0), NodeId(1, 1)]
-    assert memory.retrace(7) == [NodeId(1, 1), NodeId(1, 0), NodeId(0, 0)]
+    memory.forget(7)
+    assert memory.trail(7) == []
     with pytest.raises(EmptyMemory):
-        memory.retrace(7)
+        memory.forget(7)
 
 
 def test_memory_skips_consecutive_duplicates():
@@ -432,4 +638,5 @@ def test_memory_is_per_vehicle():
     memory = PathMemory()
     memory.record_node(0, NodeId(0, 0))
     with pytest.raises(EmptyMemory):
-        memory.retrace(1)
+        memory.forget(1)
+    assert memory.trail(0) == [NodeId(0, 0)]

@@ -149,7 +149,7 @@ def test_destination_while_idle_is_illegal():
 def test_unload_outside_unloading_is_illegal():
     agent = make_agent()
     with pytest.raises(IllegalTransition):
-        agent.unload(PathMemory(), make_path([NodeId(0, 0)]))
+        agent.unload(make_path([NodeId(0, 0)]))
 
 
 def test_reposition_requires_idle():
@@ -311,7 +311,7 @@ def test_transit_unload_retrace_cycle():
     back = memory.trail(0)[::-1]
     assert back == [NodeId(2, 0), NodeId(1, 0), NodeId(0, 0)]
     agent.arrival_hook = None
-    agent.unload(memory, make_path(back))
+    agent.unload(make_path(back))
     assert agent.state == RETRACING
     drive_until(agent, grid, lambda a: a.state == IDLE)
     assert agent.current_node == NodeId(0, 0)
