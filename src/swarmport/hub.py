@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .errors import EmptyLog, IoFailure, UnknownVehicle
+from .errors import EmptyLog, IoFailure, ScenarioInvalid, UnknownVehicle
 from .grid import GridMap, NodeId
 from .planner import hop_distances
 from .radar import TargetEstimate
@@ -21,10 +20,6 @@ UNMATCHED = "UNMATCHED"
 
 ORDER_RETRY_TICKS = 20
 ASSOCIATION_GATE_M = 0.3
-
-AVAILABLE = "AVAILABLE"
-REPOSITIONING = "REPOSITIONING"
-DELIVERING = "DELIVERING"
 
 
 @dataclass(frozen=True)
@@ -53,13 +48,6 @@ class TelemetryRecord:
 
 
 @dataclass
-class FleetView:
-    latest: dict[int, TelemetryRecord]
-    job_queue: list[Job]
-    assignments: dict[int, int]
-
-
-@dataclass
 class _Order:
     kind: str
     job: Job
@@ -71,35 +59,39 @@ class _Order:
 @dataclass
 class _VehicleInfo:
     channel: int
+    home: NodeId
     node: NodeId
     state: str = "IDLE"
-    mission: str = AVAILABLE
-    job: Job | None = None
+    job: Job | None = None  # None exactly while the vehicle is free
 
 
 class Hub:
-    """Dispatches jobs to the nearest free vehicle and logs the fleet."""
+    """Dispatches jobs to the nearest free vehicle and logs the fleet.
 
-    def __init__(self, grid: GridMap) -> None:
+    ``park_spots`` are the nodes where a vehicle may park open-ended (homes,
+    pickups, drop-offs).  No leg passes through one, so a vehicle may serve
+    a job only if both its legs exist without crossing another park spot.
+    """
+
+    def __init__(self, grid: GridMap, park_spots: frozenset[NodeId]) -> None:
         self.grid = grid
+        self.park_spots = park_spots
         self.vehicles: dict[int, _VehicleInfo] = {}
         self.jobs: list[Job] = []
         self.assignments: dict[int, int] = {}
-        self.completed: dict[int, int] = {}
         self.orders: dict[int, _Order] = {}
         self.log: list[TelemetryRecord] = []
         # Newest record per vehicle, keyed in order of first appearance.
         self.latest: dict[int, TelemetryRecord] = {}
-        # Hop counts from each pickup node seen so far (BFS over ``grid``).
-        self._hops: dict[NodeId, dict[NodeId, int]] = {}
+        # Per pickup node, built when dispatch first meets it: hop counts over
+        # the whole grid, and the hop counts that stop at park spots.
+        self._from_pickup: dict[NodeId, tuple[dict[NodeId, int], dict[NodeId, int]]] = {}
+        self._vetted: set[int] = set()
         self.outbox: list[tuple[int, Message]] = []
-        # Optional veto on (vehicle_id, job) pairings, e.g. the sim engine
-        # rejecting pairs whose route cannot exist.
-        self.dispatch_filter: Callable[[int, Job], bool] | None = None
 
     def register_vehicle(self, vehicle_id: int, home_node: NodeId) -> int:
         channel = assign_channel(vehicle_id)
-        self.vehicles[vehicle_id] = _VehicleInfo(channel=channel.index, node=home_node)
+        self.vehicles[vehicle_id] = _VehicleInfo(channel=channel.index, home=home_node, node=home_node)
         return channel.index
 
     def add_job(self, job: Job) -> None:
@@ -120,31 +112,54 @@ class Hub:
         self.outbox.append((info.channel, msg))
         order.last_send = tick
 
+    def _tables(self, job: Job) -> tuple[dict[NodeId, int], dict[NodeId, int]]:
+        """The pickup's two BFS tables; raises for a job nobody can ever serve.
+
+        On an undirected grid the leg home -> pickup (or pickup -> drop-off)
+        exists without crossing another park spot exactly when home (or the
+        drop-off) is in the stop-at-park-spots table.  Each job is checked
+        once, the first time dispatch considers it.
+        """
+        pickup = job.pickup_node
+        tables = self._from_pickup.get(pickup)
+        if tables is None:
+            tables = self._from_pickup[pickup] = (
+                hop_distances(self.grid, pickup),
+                hop_distances(self.grid, pickup, self.park_spots),
+            )
+        if job.job_id not in self._vetted:
+            reach = tables[1]
+            where = f"jobs: job {job.job_id} (pickup {tuple(pickup)}, destination {tuple(job.destination_node)})"
+            if job.destination_node not in reach:
+                raise ScenarioInvalid(f"{where}: no route to the destination avoids the other parking spots")
+            if not any(info.home in reach for info in self.vehicles.values()):
+                raise ScenarioInvalid(f"{where}: no vehicle home reaches the pickup without crossing a parking spot")
+            self._vetted.add(job.job_id)
+        return tables
+
     def dispatch(self, current_tick: int) -> list[tuple[int, Job]]:
-        """Assign released jobs to free vehicles; retransmit stale orders."""
+        """Assign released jobs to free vehicles; retransmit stale orders.
+
+        A job goes to the free vehicle nearest its pickup by hops, lowest id
+        on ties, among those whose home reaches the pickup without crossing
+        another park spot.
+        """
         assigned: list[tuple[int, Job]] = []
         for job in self.jobs:
             if job.job_id in self.assignments or job.release_tick > current_tick:
                 continue
-            hops = self._hops.get(job.pickup_node)
-            if hops is None:
-                hops = self._hops[job.pickup_node] = hop_distances(self.grid, job.pickup_node)
+            hops, reach = self._tables(job)
             best: tuple[int, int] | None = None
             for vid, info in self.vehicles.items():
-                if info.mission != AVAILABLE:
+                if info.job is not None or info.home not in reach:
                     continue
                 d = hops.get(info.node)
-                if d is None:
-                    continue
-                if self.dispatch_filter is not None and not self.dispatch_filter(vid, job):
-                    continue
-                if best is None or (d, vid) < best:
+                if d is not None and (best is None or (d, vid) < best):
                     best = (d, vid)
             if best is None:
                 continue
             vid = best[1]
             info = self.vehicles[vid]
-            info.mission = REPOSITIONING
             info.job = job
             self.assignments[job.job_id] = vid
             order = _Order("reposition", job, job.pickup_node, current_tick)
@@ -163,7 +178,6 @@ class Hub:
             raise UnknownVehicle(f"ACTIVATE from unregistered vehicle {vehicle_id}")
         if info.job is None:
             return
-        info.mission = DELIVERING
         order = self.orders.get(vehicle_id)
         if order is None or order.kind != "cargo":
             order = _Order("cargo", info.job, info.job.destination_node, current_tick)
@@ -179,17 +193,9 @@ class Hub:
         if order is not None:
             order.acked = True
 
-    def on_job_complete(self, vehicle_id: int, current_tick: int) -> None:
-        info = self.vehicles[vehicle_id]
-        if info.job is not None:
-            self.completed[info.job.job_id] = current_tick
-        info.job = None
-        info.mission = AVAILABLE
+    def on_job_complete(self, vehicle_id: int) -> None:
+        self.vehicles[vehicle_id].job = None
         self.orders.pop(vehicle_id, None)
-
-    def fleet_view(self) -> FleetView:
-        queue = [j for j in self.jobs if j.job_id not in self.assignments]
-        return FleetView(latest=dict(self.latest), job_queue=queue, assignments=dict(self.assignments))
 
 
 def ingest_telemetry(hub: Hub, message: Message, tick: int) -> TelemetryRecord:
@@ -220,7 +226,7 @@ def ingest_telemetry(hub: Hub, message: Message, tick: int) -> TelemetryRecord:
 
 
 def associate_radar(
-    hub: Hub, targets: list[TargetEstimate], fleet_view: FleetView
+    targets: list[TargetEstimate], latest: dict[int, TelemetryRecord]
 ) -> dict[int, int | str]:
     """Greedy nearest-neighbor match of radar targets to telemetry poses.
 
@@ -229,7 +235,7 @@ def associate_radar(
     """
     pairs: list[tuple[float, int, int]] = []
     for t_idx, target in enumerate(targets):
-        for vid, rec in fleet_view.latest.items():
+        for vid, rec in latest.items():
             d = math.hypot(target.centroid[0] - rec.x_m, target.centroid[1] - rec.y_m)
             if d <= ASSOCIATION_GATE_M:
                 pairs.append((d, t_idx, vid))

@@ -68,8 +68,11 @@ def _check_endpoints(grid: GridMap, src: NodeId, dst: NodeId) -> None:
         raise NoPath(f"endpoint blocked: {tuple(src)} -> {tuple(dst)}")
 
 
-def hop_distances(grid: GridMap, root: NodeId) -> dict[NodeId, int]:
-    """Breadth-first hop counts from ``root`` to every reachable node."""
+def hop_distances(grid: GridMap, root: NodeId, stops: frozenset[NodeId] = frozenset()) -> dict[NodeId, int]:
+    """Breadth-first hop counts from ``root`` to every reachable node.
+
+    Nodes in ``stops`` other than ``root`` are reached but not expanded.
+    """
     grid.require(root)
     if root in grid.blocked:
         return {}
@@ -81,7 +84,8 @@ def hop_distances(grid: GridMap, root: NodeId) -> dict[NodeId, int]:
         for nb in grid.neighbors(cur):
             if nb not in dist:
                 dist[nb] = d
-                queue.append(nb)
+                if nb not in stops:
+                    queue.append(nb)
     return dist
 
 

@@ -41,7 +41,6 @@ from .planner import (
     TimedPath,
     astar,
     commit,
-    hop_distances,
     plan_space_time,
     schedule_along,
 )
@@ -268,8 +267,8 @@ def validate_scenario(scenario: Scenario) -> GridMap:
         )
     seen_ids: set[int] = set()
     seen_homes: set[NodeId] = set()
-    for v in scenario.vehicles:
-        where = f"vehicles[{v.vehicle_id}]"
+    for i, v in enumerate(scenario.vehicles):
+        where = f"vehicles[{i}]"
         if not 0 <= v.vehicle_id < CHANNEL_COUNT:
             raise ScenarioInvalid(f"{where}: vehicle_id outside 0..{CHANNEL_COUNT - 1}")
         if v.vehicle_id in seen_ids:
@@ -284,8 +283,8 @@ def validate_scenario(scenario: Scenario) -> GridMap:
         seen_homes.add(v.home_node)
 
     seen_jobs: set[int] = set()
-    for j in scenario.jobs:
-        where = f"jobs[{j.job_id}]"
+    for i, j in enumerate(scenario.jobs):
+        where = f"jobs[{i}]"
         if j.job_id in seen_jobs:
             raise ScenarioInvalid(f"{where}: duplicate job_id")
         seen_jobs.add(j.job_id)
@@ -353,7 +352,6 @@ class _SimVehicle:
     radio: Radio
     channel: int
     home_node: NodeId
-    job: Job | None = None
     pending: tuple[str, NodeId | None] | None = None
     retry_at: int = 0
     unload_at: int | None = None
@@ -378,7 +376,6 @@ class Simulation:
         self.grid = validate_scenario(scenario)
         self.scenario = scenario
         self.dt = scenario.sim.dt_s
-        self.hub = Hub(self.grid)
         self.table = ReservationTable()
         self.memory = PathMemory()
         self.medium = Medium(
@@ -397,7 +394,7 @@ class Simulation:
             + [j.pickup_node for j in scenario.jobs]
             + [j.destination_node for j in scenario.jobs]
         )
-        self._feasible_cache: dict[tuple[int, int], bool] = {}
+        self.hub = Hub(self.grid, self.park_spots)
 
         self.vehicles: dict[int, _SimVehicle] = {}
         self.hub_radios: list[Radio] = []
@@ -421,7 +418,6 @@ class Simulation:
         self.fleet: list[_SimVehicle] = list(self.vehicles.values())
         for job in scenario.jobs:
             self.hub.add_job(job)
-        self.hub.dispatch_filter = self._job_feasible
 
         self.sensor_cfg = scenario.sensor
         # One disc per vehicle, in fleet order, replaced only when the
@@ -469,25 +465,6 @@ class Simulation:
         if not extra:
             return self.grid
         return replace(self.grid, blocked=self.grid.blocked | extra)
-
-    def _job_feasible(self, vid: int, job: Job) -> bool:
-        """Both legs must exist on the park-spot-restricted grid.
-
-        A vehicle is only ever offered a job while parked at home, so the
-        reposition leg starts there.
-        """
-        key = (vid, job.job_id)
-        cached = self._feasible_cache.get(key)
-        if cached is not None:
-            return cached
-        home = self.vehicles[vid].home_node
-        g = self._routing_grid(home, job.pickup_node)
-        ok = job.pickup_node in hop_distances(g, home)
-        if ok:
-            g = self._routing_grid(job.pickup_node, job.destination_node)
-            ok = job.destination_node in hop_distances(g, job.pickup_node)
-        self._feasible_cache[key] = ok
-        return ok
 
     def _plan_leg(
         self, sv: _SimVehicle, now: int, pending: tuple[str, NodeId | None], plan: Callable[[], TimedPath]
@@ -649,7 +626,7 @@ class Simulation:
                 sv.unload_at = now + self.unload_ticks
         elif kind == "retrace" and agent.state == IDLE:
             agent.clear_route()
-            job = sv.job or self.hub.vehicles[agent.vehicle_id].job
+            job = self.hub.vehicles[agent.vehicle_id].job
             job_id = job.job_id if job is not None else -1
             home_xy = self.grid.node_to_position(sv.home_node)
             self.job_traces.append(
@@ -663,8 +640,7 @@ class Simulation:
                     complete_tick=now,
                 )
             )
-            self.hub.on_job_complete(agent.vehicle_id, now)
-            sv.job = None
+            self.hub.on_job_complete(agent.vehicle_id)
             sv.outbound_trail = ()
             sv.retrace_driven = []
             self.completed_jobs += 1
@@ -686,7 +662,7 @@ class Simulation:
             scan = Scan(self.sensor_cfg.origin, list(self._sweep_samples), self._radar_dir)
             self.sweep_count += 1
             self.last_targets = detect_targets(scan, self.sensor_cfg)
-            self.last_association = associate_radar(self.hub, self.last_targets, self.hub.fleet_view())
+            self.last_association = associate_radar(self.last_targets, self.hub.latest)
             if self.sweep_count == 1 or self.sweep_count % RENDER_EVERY_SWEEPS == 0:
                 self.renders.append((self.sweep_count, scan))
             self._sweep_samples = []

@@ -207,6 +207,22 @@ def test_malformed_section_exits_one_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_walled_in_job_exits_one_naming_it(tmp_path, capsys):
+    scenario = Scenario(
+        terrain=TerrainConfig(blocked=(NodeId(3, 4), NodeId(5, 4), NodeId(4, 3), NodeId(4, 5))),
+        vehicles=(VehicleSpec(0, NodeId(0, 0)),),
+        jobs=(Job(0, NodeId(4, 4), NodeId(7, 7)),),
+        sim=SimConfig(max_ticks=3_000),
+    )
+    path = tmp_path / "walled.json"
+    path.write_text(json.dumps(scenario_to_dict(scenario)))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: jobs: job 0 (pickup (4, 4), destination (7, 7)): ")
+    assert "Traceback" not in err
+
+
 def test_missing_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -3,16 +3,18 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swarmport.errors import EmptyLog, IoFailure, UnknownVehicle
+from swarmport.errors import EmptyLog, IoFailure, ScenarioInvalid, UnknownVehicle
 from swarmport.grid import NodeId, Position, build_grid
 from swarmport.hub import (
     ASSOCIATION_GATE_M,
     CSV_HEADER,
     UNMATCHED,
-    FleetView,
     Hub,
     Job,
     TelemetryRecord,
@@ -21,12 +23,13 @@ from swarmport.hub import (
     metrics,
     write_csv,
 )
+from swarmport.planner import hop_distances
 from swarmport.radar import TargetEstimate
 from swarmport.rfnet import Message, MessageKind
 
 
 def make_hub(vehicles=((0, NodeId(0, 0)),)):
-    hub = Hub(build_grid(2.0, 2.0, 0.25))
+    hub = Hub(build_grid(2.0, 2.0, 0.25), frozenset())
     for vid, home in vehicles:
         hub.register_vehicle(vid, home)
     return hub
@@ -107,9 +110,8 @@ def test_ingest_returns_record_and_latest_keeps_first_appearance_order():
     ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.5), 1)
     rec = ingest_telemetry(hub, telemetry_msg(1, 1.25, 1.5), 2)
     assert rec is hub.log[-1]
-    view = hub.fleet_view()
-    assert list(view.latest) == [1, 0]
-    assert view.latest[1] is rec
+    assert list(hub.latest) == [1, 0]
+    assert hub.latest[1] is rec
 
 
 # ---------------------------------------------------------------- dispatch
@@ -132,7 +134,7 @@ def test_walled_in_vehicle_is_never_dispatched():
     # vehicle 0 is two hops from the pickup by Manhattan distance but sealed
     # into the corner; vehicle 1 is far but reachable
     blocked = {NodeId(1, 0), NodeId(0, 1)}
-    hub = Hub(build_grid(2.0, 2.0, 0.25, blocked))
+    hub = Hub(build_grid(2.0, 2.0, 0.25, blocked), frozenset())
     hub.register_vehicle(0, NodeId(0, 0))
     hub.register_vehicle(1, NodeId(8, 8))
     hub.add_job(Job(0, NodeId(2, 0), NodeId(5, 0)))
@@ -143,7 +145,7 @@ def test_detour_counts_hops_not_straight_line_distance():
     # a wall at x = 3 (open only at y = 8) puts vehicle 0 eighteen hops from
     # the pickup; vehicle 1 is four hops away on the far side
     blocked = {NodeId(3, y) for y in range(8)}
-    hub = Hub(build_grid(2.0, 2.0, 0.25, blocked))
+    hub = Hub(build_grid(2.0, 2.0, 0.25, blocked), frozenset())
     hub.register_vehicle(0, NodeId(2, 0))
     hub.register_vehicle(1, NodeId(8, 0))
     hub.add_job(Job(0, NodeId(4, 0), NodeId(6, 6)))
@@ -182,11 +184,96 @@ def test_job_not_dispatched_before_release_tick():
     assert hub.dispatch(100) != []
 
 
-def test_dispatch_filter_vetoes_pairing():
-    hub = make_hub(vehicles=((0, NodeId(0, 0)), (1, NodeId(8, 8))))
-    hub.dispatch_filter = lambda vid, job: vid != 0
-    hub.add_job(Job(0, NodeId(1, 0), NodeId(5, 0)))
-    assert hub.dispatch(0)[0][0] == 1
+def test_nearer_vehicle_loses_when_its_leg_crosses_a_park_spot():
+    # vehicle 0 is two hops from job 0's pickup, but its corner's only exit
+    # is job 1's pickup; vehicle 1 is six hops away along open nodes
+    grid = build_grid(2.0, 2.0, 0.25, {NodeId(0, 1)})
+    homes = {0: NodeId(0, 0), 1: NodeId(8, 0)}
+    jobs = (Job(0, NodeId(2, 0), NodeId(2, 5)), Job(1, NodeId(1, 0), NodeId(6, 6), release_tick=999))
+    spots = frozenset(homes.values()) | {n for j in jobs for n in (j.pickup_node, j.destination_node)}
+    winners = []
+    for park_spots in (spots, frozenset()):
+        hub = Hub(grid, park_spots)
+        for vid, home in homes.items():
+            hub.register_vehicle(vid, home)
+        for job in jobs:
+            hub.add_job(job)
+        winners.append([vid for vid, _ in hub.dispatch(0)])
+    assert winners == [[1], [0]]
+
+
+def test_job_nobody_can_serve_raises_when_first_considered():
+    # the pickup's only neighbour is another job's drop-off
+    grid = build_grid(2.0, 2.0, 0.25, {NodeId(0, 1)})
+    jobs = (Job(0, NodeId(0, 0), NodeId(5, 5), release_tick=10), Job(1, NodeId(3, 3), NodeId(1, 0)))
+    spots = frozenset({NodeId(8, 8)}) | {n for j in jobs for n in (j.pickup_node, j.destination_node)}
+    hub = Hub(grid, spots)
+    hub.register_vehicle(0, NodeId(8, 8))
+    for job in jobs:
+        hub.add_job(job)
+    assert [j.job_id for _, j in hub.dispatch(9)] == [1]
+    with pytest.raises(ScenarioInvalid, match=r"^jobs: job 0 \(pickup \(0, 0\), destination \(5, 5\)\)"):
+        hub.dispatch(10)
+
+
+def test_job_no_home_reaches_raises():
+    # the only vehicle's corner opens only onto the park spot (1, 0); the
+    # pickup reaches the drop-off, but no home reaches the pickup
+    grid = build_grid(2.0, 2.0, 0.25, {NodeId(0, 1)})
+    job = Job(0, NodeId(4, 4), NodeId(6, 6))
+    hub = Hub(grid, frozenset({NodeId(0, 0), NodeId(1, 0), NodeId(4, 4), NodeId(6, 6)}))
+    hub.register_vehicle(0, NodeId(0, 0))
+    hub.add_job(job)
+    with pytest.raises(ScenarioInvalid, match=r"^jobs: job 0 .*no vehicle home"):
+        hub.dispatch(0)
+
+
+def reference_job_feasible(grid, park_spots, home, job):
+    """Both legs exist on routing grids that block every other park spot:
+    one BFS per leg and per vehicle, the oracle for the hub's per-pickup
+    stop-at-park-spots table."""
+
+    def routing_grid(src, dst):
+        extra = park_spots - {src, dst}
+        if not extra:
+            return grid
+        return replace(grid, blocked=grid.blocked | extra)
+
+    g = routing_grid(home, job.pickup_node)
+    ok = job.pickup_node in hop_distances(g, home)
+    if ok:
+        g = routing_grid(job.pickup_node, job.destination_node)
+        ok = job.destination_node in hop_distances(g, job.pickup_node)
+    return ok
+
+
+@st.composite
+def feasibility_cases(draw):
+    nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    nodes = draw(st.permutations([NodeId(ix, iy) for ix in range(nx) for iy in range(ny)]))
+    n_spots = draw(st.integers(3, min(12, len(nodes))))
+    spots, rest = nodes[:n_spots], nodes[n_spots:]
+    n_blocked = draw(st.integers(0, min(len(rest), int(0.35 * len(nodes)))))
+    grid = build_grid(nx - 1.0, ny - 1.0, 1.0, rest[:n_blocked])
+    homes = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=4, unique=True))
+    pickup = draw(st.sampled_from(spots))
+    dest = draw(st.sampled_from([s for s in spots if s != pickup]))
+    return grid, frozenset(spots), homes, Job(0, pickup, dest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasibility_cases())
+def test_dispatch_feasibility_matches_reference(case):
+    grid, spots, homes, job = case
+    for home in homes:
+        hub = Hub(grid, spots)
+        hub.register_vehicle(0, home)
+        hub.add_job(job)
+        if reference_job_feasible(grid, spots, home, job):
+            assert hub.dispatch(0) == [(0, job)]
+        else:
+            with pytest.raises(ScenarioInvalid, match=r"^jobs: job 0 "):
+                hub.dispatch(0)
 
 
 def test_unacked_order_retransmits_every_20_ticks():
@@ -233,7 +320,7 @@ def test_job_complete_frees_the_vehicle():
     hub.add_job(Job(0, NodeId(1, 0), NodeId(5, 0)))
     hub.dispatch(0)
     hub.on_activate(0, 10)
-    hub.on_job_complete(0, 500)
+    hub.on_job_complete(0)
     hub.add_job(Job(1, NodeId(2, 0), NodeId(6, 0)))
     assert hub.dispatch(501)[0] == (0, hub.jobs[1])
 
@@ -252,25 +339,22 @@ def test_one_active_job_per_vehicle():
 def test_target_at_exact_pose_matches():
     hub = make_hub()
     ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
-    view = hub.fleet_view()
-    result = associate_radar(hub, [target_at(1.0, 1.0)], view)
+    result = associate_radar([target_at(1.0, 1.0)], hub.latest)
     assert result == {0: 0}
 
 
 def test_distant_target_stays_unmatched():
     hub = make_hub()
     ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
-    view = hub.fleet_view()
-    result = associate_radar(hub, [target_at(1.0, 2.0)], view)
+    result = associate_radar([target_at(1.0, 2.0)], hub.latest)
     assert result == {0: UNMATCHED}
 
 
 def test_gate_admits_just_inside_rejects_just_outside():
     hub = make_hub()
     ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
-    view = hub.fleet_view()
-    assert associate_radar(hub, [target_at(1.29, 1.0)], view) == {0: 0}
-    assert associate_radar(hub, [target_at(1.3125, 1.0)], view) == {0: UNMATCHED}
+    assert associate_radar([target_at(1.29, 1.0)], hub.latest) == {0: 0}
+    assert associate_radar([target_at(1.3125, 1.0)], hub.latest) == {0: UNMATCHED}
 
 
 def min_sum_oracle(targets, poses, gate):
@@ -301,10 +385,9 @@ def test_unambiguous_pairs_match_min_sum_oracle():
     hub = make_hub(vehicles=((0, NodeId(0, 0)), (1, NodeId(8, 8))))
     ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.5), 0)
     ingest_telemetry(hub, telemetry_msg(1, 1.5, 1.5), 0)
-    view = hub.fleet_view()
     targets = [target_at(1.45, 1.5), target_at(0.55, 0.5)]
-    got = associate_radar(hub, targets, view)
-    poses = {vid: (r.x_m, r.y_m) for vid, r in view.latest.items()}
+    got = associate_radar(targets, hub.latest)
+    poses = {vid: (r.x_m, r.y_m) for vid, r in hub.latest.items()}
     want = min_sum_oracle(targets, poses, ASSOCIATION_GATE_M)
     assert got == {0: 1, 1: 0}
     assert {k: v for k, v in got.items() if v != UNMATCHED} == want
@@ -313,9 +396,8 @@ def test_unambiguous_pairs_match_min_sum_oracle():
 def test_never_matches_one_vehicle_twice():
     hub = make_hub()
     ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
-    view = hub.fleet_view()
     targets = [target_at(1.01, 1.0), target_at(0.99, 1.0)]
-    result = associate_radar(hub, targets, view)
+    result = associate_radar(targets, hub.latest)
     matched = [v for v in result.values() if v != UNMATCHED]
     assert matched == [0]
     assert UNMATCHED in result.values()
@@ -327,15 +409,14 @@ def test_random_scenes_never_double_match():
         hub = make_hub(vehicles=tuple((i, NodeId(i, 0)) for i in range(3)))
         for vid in range(3):
             ingest_telemetry(hub, telemetry_msg(vid, rng.uniform(0, 2), rng.uniform(0, 2)), 0)
-        view = hub.fleet_view()
         targets = [target_at(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(4)]
-        result = associate_radar(hub, targets, view)
+        result = associate_radar(targets, hub.latest)
         matched = [v for v in result.values() if v != UNMATCHED]
         assert len(matched) == len(set(matched))
         for t_idx, vid in result.items():
             if vid == UNMATCHED:
                 continue
-            rec = view.latest[vid]
+            rec = hub.latest[vid]
             d = math.hypot(targets[t_idx].centroid[0] - rec.x_m, targets[t_idx].centroid[1] - rec.y_m)
             assert d <= ASSOCIATION_GATE_M
 
@@ -432,7 +513,7 @@ def test_metrics_requires_records():
         metrics([])
 
 
-# ------------------------------------------------------------- fleet view
+# -------------------------------------------------------------------- jobs
 
 
 def test_fleet_view_tracks_queue_and_assignments():
@@ -440,10 +521,8 @@ def test_fleet_view_tracks_queue_and_assignments():
     hub.add_job(Job(0, NodeId(1, 0), NodeId(5, 0)))
     hub.add_job(Job(1, NodeId(2, 0), NodeId(6, 0), release_tick=999))
     hub.dispatch(0)
-    view = hub.fleet_view()
-    assert isinstance(view, FleetView)
-    assert view.assignments == {0: 0}
-    assert [j.job_id for j in view.job_queue] == [1]
+    assert hub.assignments == {0: 0}
+    assert [j.job_id for j in hub.jobs if j.job_id not in hub.assignments] == [1]
 
 
 def test_job_rejects_equal_endpoints():
