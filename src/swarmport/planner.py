@@ -289,6 +289,7 @@ def _earliest_schedule(
     free: Callable[[_S, int], bool],
     moves: Callable[[_S], Iterable[_S]],
     parks: Callable[[int], bool],
+    to_dst: Callable[[_S], int],
     src: _S,
     dst: _S,
     max_slots: int,
@@ -301,41 +302,71 @@ def _earliest_schedule(
     in place or makes one move.  Returns the state at every slot boundary,
     or None when no schedule arrives within ``max_slots``.  A search that
     starts at ``dst`` must park at once.
+
+    ``to_dst(s)`` must be a lower bound on the moves from ``s`` to ``dst``.
+    A forward pass with bound ``B`` keeps a state at slot ``k`` only when
+    ``k + to_dst(s) <= B`` (the A* bound of Hart, Nilsson & Raphael 1968);
+    a pass that does not arrive is repeated with a larger bound, as in
+    Korf's iterative deepening (1985).  Every state of a schedule that
+    arrives by slot ``A`` has ``to_dst(s) <= A - k``, so a pass whose bound
+    reaches the earliest arrival keeps all of them: the arrival slot, the
+    feasible sets and the canonical walk, hence the schedule, are those of
+    the unpruned search.
     """
     if src == dst:
         return [src] if parks(0) else None
-
-    reachable: list[set[_S]] = [{src}]
-    arrival_slot = None
-    for k in range(max_slots):
-        nxt: set[_S] = set()
-        for s in reachable[k]:
-            if not free(s, k):
-                continue
-            nxt.add(s)
-            for m in moves(s):
-                if free(m, k):
-                    nxt.add(m)
-        reachable.append(nxt)
-        if dst in nxt and parks(k + 1):
-            arrival_slot = k + 1
-            break
-    if arrival_slot is None:
+    # Arriving at slot A needs dst free during slot A - 1 and from A on,
+    # that is parks(A - 1); parks is monotone, so bisect its first slot.
+    if max_slots < 1 or not parks(max_slots - 1):
         return None
+    lo, hi = 0, max_slots - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if parks(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    base = max(to_dst(src), lo + 1)
+    if base > max_slots:
+        return None
+    bound, slack = base, 0
+    while True:
+        # live[k]: states at slot boundary k that are free during slot k.
+        live: list[set[_S]] = []
+        arrival_slot = None
+        frontier = {src}
+        for k in range(bound):
+            here = {s for s in frontier if free(s, k)}
+            live.append(here)
+            budget = bound - k - 1
+            frontier = set()
+            for s in here:
+                if to_dst(s) <= budget:
+                    frontier.add(s)
+                for m in moves(s):
+                    if m not in frontier and to_dst(m) <= budget and free(m, k):
+                        frontier.add(m)
+            if dst in frontier and parks(k + 1):
+                arrival_slot = k + 1
+                break
+            if not frontier:
+                break
+        if arrival_slot is not None:
+            break
+        if bound == max_slots:
+            return None
+        slack = 4 * slack + 3
+        bound = min(base + slack, max_slots)
 
     # Backward feasibility, then a forward walk preferring moves in
     # canonical order so ties resolve like the plain planners.  Every state
-    # in reachable[k + 1] was free during slot k, so a move into one of
-    # them needs no second check.
+    # kept at a slot boundary was free during the slot before it, so a move
+    # into one of them needs no second check.
     feasible: list[set[_S]] = [set() for _ in range(arrival_slot + 1)]
     feasible[arrival_slot] = {dst}
     for k in range(arrival_slot - 1, -1, -1):
         nxt = feasible[k + 1]
-        for s in reachable[k]:
-            if not free(s, k):
-                continue
-            if s in nxt or any(m in nxt for m in moves(s)):
-                feasible[k].add(s)
+        feasible[k] = {s for s in live[k] if s in nxt or any(m in nxt for m in moves(s))}
 
     boundary = [src]
     cur = src
@@ -375,14 +406,18 @@ def plan_space_time(
     if h <= 0:
         raise BadInterval(f"ticks_per_hop must be positive, got {h}")
     t0 = start_tick
-    boundary = _earliest_schedule(
-        lambda node, k: table.is_free(node, t0 + k * h, t0 + (k + 1) * h),
-        grid.neighbors,
-        lambda k: table.free_from(dst, t0 + k * h),
-        src,
-        dst,
-        10 * (grid.nx - 1 + grid.ny - 1),
-    )
+    to_dst = hop_distances(grid, dst)
+    boundary = None
+    if src in to_dst:
+        boundary = _earliest_schedule(
+            lambda node, k: table.is_free(node, t0 + k * h, t0 + (k + 1) * h),
+            grid.neighbors,
+            lambda k: table.free_from(dst, t0 + k * h),
+            to_dst.__getitem__,
+            src,
+            dst,
+            10 * (grid.nx - 1 + grid.ny - 1),
+        )
     if boundary is None:
         raise NoPath(f"no conflict-free route {tuple(src)} -> {tuple(dst)} within horizon")
     return TimedPath(_collapse(boundary, t0, h), h)
@@ -410,6 +445,7 @@ def schedule_along(
         lambda i, k: table.is_free(sequence[i], t0 + k * h, t0 + (k + 1) * h),
         successors.__getitem__,
         lambda k: table.free_from(sequence[last], t0 + k * h),
+        lambda i: last - i,
         0,
         last,
         max_slots,

@@ -144,7 +144,7 @@ class Radio:
 
 
 class Medium:
-    """Broadcast radio: each attached radio on a channel hears every send.
+    """Broadcast radio: each attached radio on a channel hears every send but its own.
 
     Loss is decided once per transmission (the whole broadcast drops), and
     latency is a constant tick delay, so a fixed seed replays identically.
@@ -167,7 +167,9 @@ class Medium:
         self._radios.append(radio)
         return radio
 
-    def send(self, channel: Channel, frame: bytes, current_tick: int) -> None:
+    def send(self, sender: Radio, frame: bytes, current_tick: int) -> None:
+        """Broadcast on the sender's channel to every radio but the sender."""
+        channel = sender.channel
         if self.capture is not None:
             self.capture.append((current_tick, channel.index, frame))
         if self.loss_probability > 0.0 and self._rng.random() < self.loss_probability:
@@ -175,7 +177,7 @@ class Medium:
         due = current_tick + self.latency_ticks
         self._seq += 1
         for radio in self._radios:
-            if radio.channel == channel:
+            if radio.channel == channel and radio is not sender:
                 radio.inbox.append((due, self._seq, frame))
 
     def poll(self, radio: Radio, current_tick: int) -> list[bytes]:

@@ -350,7 +350,6 @@ class JobTrace:
 class _SimVehicle:
     agent: VehicleAgent
     radio: Radio
-    channel: int
     home_node: NodeId
     pending: tuple[str, NodeId | None] | None = None
     retry_at: int = 0
@@ -397,7 +396,8 @@ class Simulation:
         self.hub = Hub(self.grid, self.park_spots)
 
         self.vehicles: dict[int, _SimVehicle] = {}
-        self.hub_radios: list[Radio] = []
+        # The hub's radio per vehicle id, on that vehicle's channel.
+        self.hub_radios: dict[int, Radio] = {}
         for vcfg in sorted(scenario.vehicles, key=lambda v: v.vehicle_id):
             agent = VehicleAgent(
                 vcfg.vehicle_id,
@@ -408,11 +408,11 @@ class Simulation:
             agent.departure_gate = self._departure_gate
             agent.arrival_hook = self._on_arrival
             radio = self.medium.attach(Radio(Channel(vcfg.vehicle_id)))
-            self.hub_radios.append(self.medium.attach(Radio(Channel(vcfg.vehicle_id))))
+            self.hub_radios[vcfg.vehicle_id] = self.medium.attach(Radio(Channel(vcfg.vehicle_id)))
             self.hub.register_vehicle(vcfg.vehicle_id, vcfg.home_node)
             self.table.reserve(vcfg.vehicle_id, vcfg.home_node, 0, INF_TICK)
             self.vehicles[vcfg.vehicle_id] = _SimVehicle(
-                agent=agent, radio=radio, channel=vcfg.vehicle_id, home_node=vcfg.home_node
+                agent=agent, radio=radio, home_node=vcfg.home_node
             )
         # The vehicles in ascending id: the order of every per-vehicle phase.
         self.fleet: list[_SimVehicle] = list(self.vehicles.values())
@@ -569,7 +569,7 @@ class Simulation:
                 if msg.kind == MessageKind.ASSIGN_DESTINATION and msg.vehicle_id == sv.agent.vehicle_id:
                     self._handle_assign(sv, NodeId(msg.dest[0], msg.dest[1]), now)
         inbound: list[Message] = []
-        for radio in self.hub_radios:
+        for radio in self.hub_radios.values():
             for frame in self.medium.poll(radio, now):
                 try:
                     msg = decode(frame)
@@ -590,8 +590,8 @@ class Simulation:
             else:
                 ingest_telemetry(self.hub, msg, now)
         self.hub.dispatch(now)
-        for channel_idx, msg in self.hub.outbox:
-            self.medium.send(Channel(channel_idx), encode(msg), now)
+        for _, msg in self.hub.outbox:
+            self.medium.send(self.hub_radios[msg.vehicle_id], encode(msg), now)
         self.hub.outbox.clear()
 
     def _vehicle_phase(self, now: int) -> None:
@@ -609,7 +609,7 @@ class Simulation:
             agent.step(self.grid, self.dt)
             self._post_step(sv, now)
             for msg in agent.outbox:
-                self.medium.send(Channel(sv.channel), encode(msg), now)
+                self.medium.send(sv.radio, encode(msg), now)
             agent.outbox.clear()
 
     def _post_step(self, sv: _SimVehicle, now: int) -> None:
@@ -673,7 +673,7 @@ class Simulation:
         if now % self.scenario.sim.telemetry_interval != 0:
             return
         for sv in self.fleet:
-            self.medium.send(Channel(sv.channel), encode(sv.agent.telemetry()), now)
+            self.medium.send(sv.radio, encode(sv.agent.telemetry()), now)
 
     def _trace_phase(self) -> None:
         poses: list[tuple[float, float]] = []

@@ -333,11 +333,12 @@ def test_c6_codec_identity_crc_vector_and_channel_isolation():
 
     medium = Medium(seed=3)
     radios = [medium.attach(Radio(Channel(i))) for i in range(8)]
+    senders = [Radio(Channel(i)) for i in range(8)]
     sent: dict[int, list[bytes]] = {i: [] for i in range(8)}
     for tick in range(2_000):
         ch = rng.randrange(8)
         frame = encode(random_message(rng))
-        medium.send(Channel(ch), frame, tick)
+        medium.send(senders[ch], frame, tick)
         sent[ch].append(frame)
     for i, radio in enumerate(radios):
         assert medium.poll(radio, 2_000) == sent[i]

@@ -600,6 +600,78 @@ def test_space_time_search_matches_reference(case, t0, h, max_slots):
     )
 
 
+def _column_wall(table, x, ny, end):
+    for y in range(ny):
+        table.reserve(9, NodeId(x, y), 0, end)
+
+
+def _late_destination(table, h):
+    table.reserve(9, NodeId(12, 7), 0, 7 + 200 * h + 3)
+
+
+def _lifting_wall(table, h):
+    _column_wall(table, 7, 15, 7 + 40 * h)
+
+
+def _endless_wall(table, h):
+    _column_wall(table, 7, 15, INF_TICK)
+
+
+@pytest.mark.parametrize("h", [1, 5])
+@pytest.mark.parametrize("hold", [_late_destination, _lifting_wall, _endless_wall])
+def test_long_waits_match_reference(hold, h):
+    """Waits far past the hop distance, which take several deepening passes
+    of the bounded search, against the unpruned reference planners."""
+    grid = build_grid(14.0, 14.0, 1.0)
+    table = ReservationTable()
+    hold(table, h)
+    src, dst = NodeId(2, 7), NodeId(12, 7)
+    got = steps_or_no_path(plan_space_time, grid, table, src, dst, 7, h)
+    assert got == steps_or_no_path(reference_plan_space_time, grid, table, src, dst, 7, h)
+    assert (got is NoPath) == (hold is _endless_wall)
+    row = [NodeId(x, 7) for x in range(2, 13)]
+    for max_slots in (30, 280):
+        assert steps_or_no_path(schedule_along, table, row, 7, h, max_slots) == steps_or_no_path(
+            reference_schedule_along, table, row, 7, h, max_slots
+        )
+
+
+@pytest.mark.parametrize("h", [1, 5])
+def test_other_component_matches_reference(h):
+    grid = build_grid(14.0, 14.0, 1.0, blocked=[NodeId(7, y) for y in range(15)])
+    table = ReservationTable()
+    src, dst = NodeId(2, 7), NodeId(12, 7)
+    with pytest.raises(NoPath, match=r"^no conflict-free route \(2, 7\) -> \(12, 7\) within horizon$"):
+        plan_space_time(grid, table, src, dst, 7, h)
+    assert steps_or_no_path(reference_plan_space_time, grid, table, src, dst, 7, h) is NoPath
+
+
+class CountingTable(ReservationTable):
+    """Counts the free-window probes a search makes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.probes = 0
+
+    def is_free(self, *args, **kwargs) -> bool:
+        self.probes += 1
+        return super().is_free(*args, **kwargs)
+
+
+def test_search_work_is_bounded_by_the_route_not_the_grid():
+    grid = build_grid(40.0, 40.0, 1.0)
+    table = CountingTable()
+    plan = plan_space_time(grid, table, NodeId(10, 20), NodeId(30, 20), 0, 10)
+    assert plan.route == [NodeId(x, 20) for x in range(10, 31)]
+    assert table.probes < 1_000
+
+    table = CountingTable()
+    table.reserve(9, NodeId(30, 20), 50, INF_TICK)
+    with pytest.raises(NoPath, match=r"^no conflict-free route \(10, 20\) -> \(30, 20\) within horizon$"):
+        plan_space_time(grid, table, NodeId(10, 20), NodeId(30, 20), 0, 10)
+    assert table.probes == 0
+
+
 def test_commit_with_park_holds_destination_forever():
     grid = build_grid(2.0, 2.0, 0.25)
     table = ReservationTable()

@@ -234,16 +234,37 @@ def test_only_same_channel_radios_hear_a_send():
     medium = Medium()
     a = medium.attach(Radio(Channel(3)))
     b = medium.attach(Radio(Channel(4)))
-    medium.send(Channel(3), b"frame", 0)
+    medium.send(Radio(Channel(3)), b"frame", 0)
     assert medium.poll(a, 0) == [b"frame"]
     assert medium.poll(b, 0) == []
+
+
+def test_sender_does_not_hear_itself_and_draws_as_before():
+    """The sender's own radio is skipped; capture, loss draws and sequence
+    numbers match a medium where the same frames come from a radio that is
+    not attached, so there is nothing to skip."""
+    skipping = Medium(loss_probability=0.5, seed=11, capture=True)
+    sender = skipping.attach(Radio(Channel(5)))
+    peer = skipping.attach(Radio(Channel(5)))
+    plain = Medium(loss_probability=0.5, seed=11, capture=True)
+    plain_peer = plain.attach(Radio(Channel(5)))
+    outsider = Radio(Channel(5))
+    for tick in range(100):
+        skipping.send(sender, bytes([tick]), tick)
+        plain.send(outsider, bytes([tick]), tick)
+    assert sender.inbox == []
+    assert peer.inbox == plain_peer.inbox
+    assert 20 < len(peer.inbox) < 80
+    assert skipping.capture == plain.capture
+    assert len(skipping.capture) == 100
+    assert skipping._rng.random() == plain._rng.random()
 
 
 def test_poll_returns_frames_in_send_order():
     medium = Medium()
     radio = medium.attach(Radio(Channel(0)))
-    medium.send(Channel(0), b"one", 0)
-    medium.send(Channel(0), b"two", 0)
+    medium.send(Radio(Channel(0)), b"one", 0)
+    medium.send(Radio(Channel(0)), b"two", 0)
     assert medium.poll(radio, 0) == [b"one", b"two"]
     assert medium.poll(radio, 0) == []
 
@@ -251,7 +272,7 @@ def test_poll_returns_frames_in_send_order():
 def test_latency_delays_delivery():
     medium = Medium(latency_ticks=5)
     radio = medium.attach(Radio(Channel(0)))
-    medium.send(Channel(0), b"x", 10)
+    medium.send(Radio(Channel(0)), b"x", 10)
     assert medium.poll(radio, 14) == []
     assert medium.poll(radio, 15) == [b"x"]
 
@@ -262,7 +283,7 @@ def test_loss_pattern_replays_with_same_seed():
         radio = medium.attach(Radio(Channel(0)))
         got = []
         for tick in range(200):
-            medium.send(Channel(0), bytes([tick % 256]), tick)
+            medium.send(Radio(Channel(0)), bytes([tick % 256]), tick)
             got.extend(medium.poll(radio, tick))
         return got
 
@@ -281,8 +302,8 @@ def test_loss_bounds_validated():
 
 def test_capture_records_frames_before_loss():
     medium = Medium(loss_probability=1.0, capture=True)
-    medium.attach(Radio(Channel(2)))
-    medium.send(Channel(2), b"gone", 7)
+    sender = medium.attach(Radio(Channel(2)))
+    medium.send(sender, b"gone", 7)
     assert medium.capture == [(7, 2, b"gone")]
 
 
