@@ -1,8 +1,9 @@
 """Central coordinator: job dispatch, fleet telemetry, radar association.
 
-The hub is co-located with the sim loop.  Mission bookkeeping (who is free,
-where everyone is) comes from direct observation; the RF telemetry stream
-is the logged data product and feeds the CSV/metrics pipeline.
+The hub is co-located with the sim loop.  Mission bookkeeping (who is free)
+comes from the engine's job-complete callback, and a free vehicle is always
+parked at its home; the RF telemetry stream is the logged data product and
+feeds the CSV/metrics pipeline.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ class _Order:
 class _VehicleInfo:
     channel: int
     home: NodeId
-    node: NodeId
-    state: str = "IDLE"
-    job: Job | None = None  # None exactly while the vehicle is free
+    job: Job | None = None  # None exactly while the vehicle is free, parked at home
 
 
 class Hub:
@@ -88,21 +87,20 @@ class Hub:
         self._from_pickup: dict[NodeId, tuple[dict[NodeId, int], dict[NodeId, int]]] = {}
         self._vetted: set[int] = set()
         self.outbox: list[tuple[int, Message]] = []
+        # Without an inbound frame, dispatch has nothing new to do before
+        # this tick: the next job release, the earliest order retry, or at
+        # once after a vehicle is freed.
+        self.wake_tick: float = math.inf
 
     def register_vehicle(self, vehicle_id: int, home_node: NodeId) -> int:
         channel = assign_channel(vehicle_id)
-        self.vehicles[vehicle_id] = _VehicleInfo(channel=channel.index, home=home_node, node=home_node)
+        self.vehicles[vehicle_id] = _VehicleInfo(channel=channel.index, home=home_node)
         return channel.index
 
     def add_job(self, job: Job) -> None:
         self.jobs.append(job)
         self.jobs.sort(key=lambda j: (j.release_tick, j.job_id))
-
-    def observe(self, vehicle_id: int, node: NodeId, state: str) -> None:
-        """Ground-truth position/state update from the co-located sim."""
-        info = self.vehicles[vehicle_id]
-        info.node = node
-        info.state = state
+        self.wake_tick = min(self.wake_tick, job.release_tick)
 
     # -- dispatch ----------------------------------------------------
 
@@ -111,6 +109,7 @@ class Hub:
         msg = Message(MessageKind.ASSIGN_DESTINATION, vehicle_id, dest=order.dest)
         self.outbox.append((info.channel, msg))
         order.last_send = tick
+        self.wake_tick = min(self.wake_tick, tick + ORDER_RETRY_TICKS)
 
     def _tables(self, job: Job) -> tuple[dict[NodeId, int], dict[NodeId, int]]:
         """The pickup's two BFS tables; raises for a job nobody can ever serve.
@@ -142,20 +141,29 @@ class Hub:
 
         A job goes to the free vehicle nearest its pickup by hops, lowest id
         on ties, among those whose home reaches the pickup without crossing
-        another park spot.
+        another park spot.  A free vehicle is parked at its home, so the
+        distance is the home's.
+
+        Between calls, the result can change only when a job is released,
+        a vehicle is freed, an order's retry falls due or a frame comes in;
+        ``wake_tick`` is the first tick at which one of the first three is
+        due.
         """
         assigned: list[tuple[int, Job]] = []
+        wake = math.inf
         for job in self.jobs:
-            if job.job_id in self.assignments or job.release_tick > current_tick:
+            if job.job_id in self.assignments:
                 continue
+            if job.release_tick > current_tick:
+                wake = job.release_tick  # the jobs are in release order
+                break
             hops, reach = self._tables(job)
             best: tuple[int, int] | None = None
             for vid, info in self.vehicles.items():
-                if info.job is not None or info.home not in reach:
-                    continue
-                d = hops.get(info.node)
-                if d is not None and (best is None or (d, vid) < best):
-                    best = (d, vid)
+                if info.job is None and info.home in reach:
+                    d = hops[info.home]
+                    if best is None or (d, vid) < best:
+                        best = (d, vid)
             if best is None:
                 continue
             vid = best[1]
@@ -167,8 +175,12 @@ class Hub:
             self._send_order(vid, order, current_tick)
             assigned.append((vid, job))
         for vid, order in self.orders.items():
-            if not order.acked and current_tick - order.last_send >= ORDER_RETRY_TICKS:
+            if order.acked:
+                continue
+            if current_tick - order.last_send >= ORDER_RETRY_TICKS:
                 self._send_order(vid, order, current_tick)
+            wake = min(wake, order.last_send + ORDER_RETRY_TICKS)
+        self.wake_tick = wake
         return assigned
 
     def on_activate(self, vehicle_id: int, current_tick: int) -> None:
@@ -196,14 +208,17 @@ class Hub:
     def on_job_complete(self, vehicle_id: int) -> None:
         self.vehicles[vehicle_id].job = None
         self.orders.pop(vehicle_id, None)
+        self.wake_tick = -math.inf
 
 
-def ingest_telemetry(hub: Hub, message: Message, tick: int) -> TelemetryRecord:
-    """Decode a TELEMETRY message into the fleet log with derived polar pose."""
+def ingest_telemetry(hub: Hub, message: Message, tick: int, state: str) -> TelemetryRecord:
+    """Decode a TELEMETRY message into the fleet log with derived polar pose.
+
+    ``state`` is the sender's cargo state, which the co-located engine knows.
+    """
     if message.kind != MessageKind.TELEMETRY:
         raise ValueError(f"expected TELEMETRY, got {message.kind!r}")
-    info = hub.vehicles.get(message.vehicle_id)
-    if info is None:
+    if message.vehicle_id not in hub.vehicles:
         raise UnknownVehicle(f"telemetry from unregistered vehicle {message.vehicle_id}")
     x = message.x_mm / 1000.0
     y = message.y_mm / 1000.0
@@ -218,7 +233,7 @@ def ingest_telemetry(hub: Hub, message: Message, tick: int) -> TelemetryRecord:
         speed_m_s=message.speed_mm_s / 1000.0,
         dist_from_origin_m=dist,
         angle_from_origin_deg=angle,
-        state=info.state,
+        state=state,
     )
     hub.log.append(rec)
     hub.latest[rec.vehicle_id] = rec

@@ -224,6 +224,9 @@ class ReservationTable:
 
     def __init__(self) -> None:
         self._holds: dict[NodeId, list[tuple[float, float, int]]] = {}
+        # Counts `release_vehicle` calls: the only way a refused interval
+        # can become free before its blocking holds end.
+        self.releases = 0
 
     def reserve(self, vehicle_id: int, node: NodeId, tick_start: float, tick_end: float) -> Conflict | None:
         """Add a hold, or report the first conflicting vehicle untouched."""
@@ -252,7 +255,22 @@ class ReservationTable:
                 return False
         return True
 
+    def blocked_until(self, vehicle_id: int, node: NodeId, tick_start: float, tick_end: float) -> float:
+        """Latest end among other vehicles' holds on ``node`` that overlap
+        ``[tick_start, tick_end)``; ``tick_start`` when none does.
+
+        Until that tick, and until the next `release_vehicle`, reserving any
+        ``[t, tick_end)`` with ``t`` before it is refused: new holds only add
+        conflicts and `gc` drops only holds that have ended.
+        """
+        until = tick_start
+        for start, end, vid in self._holds.get(node, ()):
+            if vid != vehicle_id and tick_start < end and start < tick_end and end > until:
+                until = end
+        return until
+
     def release_vehicle(self, vehicle_id: int) -> None:
+        self.releases += 1
         for node in list(self._holds):
             kept = [h for h in self._holds[node] if h[2] != vehicle_id]
             if kept:

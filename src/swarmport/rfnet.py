@@ -9,6 +9,7 @@ from a seeded generator.
 from __future__ import annotations
 
 import binascii
+import math
 import random
 import struct
 from dataclasses import dataclass, field
@@ -148,6 +149,9 @@ class Medium:
 
     Loss is decided once per transmission (the whole broadcast drops), and
     latency is a constant tick delay, so a fixed seed replays identically.
+    ``next_due`` is the earliest due tick of any frame still in an inbox, so
+    a caller can skip polling on ticks when nothing is due.  Frames enter
+    inboxes only through ``send``.
     """
 
     def __init__(self, loss_probability: float = 0.0, latency_ticks: int = 0, seed: int = 0,
@@ -161,6 +165,10 @@ class Medium:
         self._rng = random.Random(seed)
         self._radios: list[Radio] = []
         self._seq = 0
+        # A lower bound on the earliest due tick in any inbox; exact again
+        # once ``_stale`` is cleared by recomputing it.
+        self._next_due = math.inf
+        self._stale = False
         self.capture: list[tuple[int, int, bytes]] | None = [] if capture else None
 
     def attach(self, radio: Radio) -> Radio:
@@ -179,6 +187,16 @@ class Medium:
         for radio in self._radios:
             if radio.channel == channel and radio is not sender:
                 radio.inbox.append((due, self._seq, frame))
+                if due < self._next_due:
+                    self._next_due = due
+
+    @property
+    def next_due(self) -> float:
+        """The earliest tick at which some inbox holds a due frame; inf if none."""
+        if self._stale:
+            self._next_due = min((entry[0] for radio in self._radios for entry in radio.inbox), default=math.inf)
+            self._stale = False
+        return self._next_due
 
     def poll(self, radio: Radio, current_tick: int) -> list[bytes]:
         """Frames due by now on the radio's channel, in send order."""
@@ -188,6 +206,7 @@ class Medium:
         if not ready:
             return []
         radio.inbox = [entry for entry in radio.inbox if entry[0] > current_tick]
+        self._stale = True
         ready.sort(key=lambda e: (e[0], e[1]))
         return [frame for _, _, frame in ready]
 

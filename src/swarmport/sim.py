@@ -356,6 +356,9 @@ class _SimVehicle:
     unload_at: int | None = None
     outbound_trail: tuple[NodeId, ...] = ()
     retrace_driven: list[NodeId] = field(default_factory=list)
+    # The last refused departure: (next node, scheduled tick, table
+    # releases then, tick until which the gate stays shut).
+    gate_shut: tuple[NodeId, int, int, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -444,12 +447,36 @@ class Simulation:
         self.trace = trace
         self.pose_trace: list[list[tuple[float, float]]] = []
         self.occupancy_trace: list[list[tuple[int, int]]] = []
+        # The last trace rows, and per vehicle the (node, edge end) behind
+        # its occupancy entry: unchanged entries are shared with the next row.
+        self._pose_row: list[tuple[float, float]] = [(math.nan, math.nan)] * len(self.fleet)
+        self._occupancy_row: list[tuple[int, int]] = [(-1, -1)] * len(self.fleet)
+        self._occupancy_keys: list[tuple[NodeId | None, NodeId | None]] = [(None, None)] * len(self.fleet)
 
     # -- callbacks ----------------------------------------------------
 
     def _departure_gate(self, agent: VehicleAgent, next_node: NodeId, now: int, scheduled: int) -> bool:
-        conflict = self.table.reserve(agent.vehicle_id, next_node, now, scheduled)
-        return conflict is None
+        """Grant an early departure when ``[now, scheduled)`` on ``next_node`` is free.
+
+        A refusal stands until the blocking holds end or some vehicle's
+        holds are released, so until then the gate answers without asking.
+        """
+        sv = self.vehicles[agent.vehicle_id]
+        table = self.table
+        shut = sv.gate_shut
+        if (
+            shut is not None
+            and now < shut[3]
+            and shut[2] == table.releases
+            and shut[1] == scheduled
+            and shut[0] == next_node
+        ):
+            return False
+        if table.reserve(agent.vehicle_id, next_node, now, scheduled) is None:
+            return True
+        until = table.blocked_until(agent.vehicle_id, next_node, now, scheduled)
+        sv.gate_shut = (next_node, scheduled, table.releases, until)
+        return False
 
     def _on_arrival(self, agent: VehicleAgent, node: NodeId, tick: int) -> None:
         sv = self.vehicles[agent.vehicle_id]
@@ -560,6 +587,8 @@ class Simulation:
     # -- tick phases ----------------------------------------------------
 
     def _deliver(self, now: int) -> list[Message]:
+        if now < self.medium.next_due:
+            return []
         for sv in self.fleet:
             for frame in self.medium.poll(sv.radio, now):
                 try:
@@ -580,19 +609,20 @@ class Simulation:
         return inbound
 
     def _hub_phase(self, inbound: list[Message], now: int) -> None:
-        for sv in self.fleet:
-            self.hub.observe(sv.agent.vehicle_id, sv.agent.current_node, sv.agent.state)
+        hub = self.hub
+        if not inbound and now < hub.wake_tick:
+            return
         for msg in inbound:
             if msg.kind == MessageKind.ACTIVATE:
-                self.hub.on_activate(msg.vehicle_id, now)
+                hub.on_activate(msg.vehicle_id, now)
             elif msg.kind == MessageKind.ACK:
-                self.hub.on_ack(msg.vehicle_id)
+                hub.on_ack(msg.vehicle_id)
             else:
-                ingest_telemetry(self.hub, msg, now)
-        self.hub.dispatch(now)
-        for _, msg in self.hub.outbox:
+                ingest_telemetry(hub, msg, now, self.vehicles[msg.vehicle_id].agent.state)
+        hub.dispatch(now)
+        for _, msg in hub.outbox:
             self.medium.send(self.hub_radios[msg.vehicle_id], encode(msg), now)
-        self.hub.outbox.clear()
+        hub.outbox.clear()
 
     def _vehicle_phase(self, now: int) -> None:
         for sv in self.fleet:
@@ -676,17 +706,32 @@ class Simulation:
             self.medium.send(sv.radio, encode(sv.agent.telemetry()), now)
 
     def _trace_phase(self) -> None:
-        poses: list[tuple[float, float]] = []
-        occupancy: list[tuple[int, int]] = []
-        for sv in self.fleet:
+        """Append this tick's rows; a vehicle that did not move keeps its tuples.
+
+        A pose is kept only while its floats are the very objects of the last
+        row (``is``, so even the sign of a zero cannot differ).
+        """
+        poses = self._pose_row.copy()
+        occupancy = self._occupancy_row.copy()
+        keys = self._occupancy_keys
+        ny = self.grid.ny
+        for i, sv in enumerate(self.fleet):
             agent = sv.agent
-            poses.append((agent.x, agent.y))
+            x, y = agent.x, agent.y
+            pose = poses[i]
+            if pose[0] is not x or pose[1] is not y:
+                poses[i] = (x, y)
             edge = agent.edge_in_progress()
             src = agent.current_node
             dst = edge[1] if edge is not None else src
-            occupancy.append((src.ix * self.grid.ny + src.iy, dst.ix * self.grid.ny + dst.iy))
+            key = keys[i]
+            if key[0] is not src or key[1] is not dst:
+                keys[i] = (src, dst)
+                occupancy[i] = (src.ix * ny + src.iy, dst.ix * ny + dst.iy)
         self.pose_trace.append(poses)
         self.occupancy_trace.append(occupancy)
+        self._pose_row = poses
+        self._occupancy_row = occupancy
 
     def tick(self) -> None:
         now = self.tick_count

@@ -1,6 +1,6 @@
 """Golden artifact hashes: a scenario plus a seed fixes every byte written.
 
-The hashes below are the sha256 of every file that `run` writes for five
+The hashes below are the sha256 of every file that `run` writes for six
 scenarios, and of the document `swarmport defaults` writes.  Two scenarios
 also run after a round trip through their JSON document, which pins the
 parser to the same artifacts.  A change that alters any artifact byte fails
@@ -28,6 +28,11 @@ SCENARIOS = {
     "default": default_scenario,
     "default_loss30_seed7": lambda: dataclasses.replace(
         default_scenario(), medium=MediumConfig(loss_probability=0.3, seed=7)
+    ),
+    # The only golden run with radio latency: frames wait in inboxes for
+    # ticks, so a tick that skips polling must still deliver on time.
+    "default_latency3_loss30_seed7": lambda: dataclasses.replace(
+        default_scenario(), medium=MediumConfig(loss_probability=0.3, latency_ticks=3, seed=7)
     ),
     "crossing_3": lambda: crossing_scenario(3),
     # The only golden run with a nonzero beam: it pins the clamped-angle echo.
@@ -57,6 +62,16 @@ GOLDEN = {
         "summary.json": "79db90237f4e905857ca3b682863d111314e334051bc9f6ff405e04f8359f806",
         "summary.txt": "0fcc1077bde52e4ec2a703b01e6a0371c99c8e42d234387ce5b10ff1ed586d30",
         "telemetry.csv": "279f51ae6fa8b7e9d7bf899708a853624110daf3309f65936490cf0eaab7e0ee",
+    },
+    "default_latency3_loss30_seed7": {
+        "capture.bin": "d575408fa9eb462da15f8d4cf210f28bbf7fadeda3806396a1422151dedfba44",
+        "frames/sweep_0001.svg": "1c43c16069b27c198182c964b7ad59d2d4420569ee3d7cf17739e03e87efb5cd",
+        "frames/sweep_0010.svg": "59bfbaefffd7cd5905d06a45545ce8298bbc0fad47237a64384bba4cca182607",
+        "frames/sweep_0020.svg": "36c2a6357f19a0377873ee504d36430abdf8cf3302c056df31913bd53d8f66df",
+        "scan_stream.txt": "6381896ebcd9995adba740c246c2482630a45eb1f91fce22797be6a0aae8f4fe",
+        "summary.json": "30e71c44fabf845acfb34b24a0656bd52a705445d325b563a5fe8227ebcdc238",
+        "summary.txt": "4e0f3c75372fd294db0f37d673b16e5e358b60026b7dc335bcdc9aea85594cec",
+        "telemetry.csv": "d0b04cf28d0b4c844e51a03c3d3dab6cfa3b24d4b48f62b0d2d1fb82863b847b",
     },
     "crossing_3": {
         "capture.bin": "9602ad0e4c0b81da0d71783391a5aab3d1e3c415933c1568545626febdafd910",

@@ -61,7 +61,7 @@ def target_at(x, y):
 
 def test_ingest_derives_polar_pose():
     hub = make_hub()
-    rec = ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), tick=5)
+    rec = ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), tick=5, state="IDLE")
     assert rec.dist_from_origin_m == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert rec.angle_from_origin_deg == pytest.approx(45.0, abs=1e-9)
     assert rec.tick == 5
@@ -69,7 +69,7 @@ def test_ingest_derives_polar_pose():
 
 def test_ingest_origin_pose_is_zero_zero():
     hub = make_hub()
-    rec = ingest_telemetry(hub, telemetry_msg(0, 0.0, 0.0), tick=0)
+    rec = ingest_telemetry(hub, telemetry_msg(0, 0.0, 0.0), tick=0, state="IDLE")
     assert rec.dist_from_origin_m == 0.0
     assert rec.angle_from_origin_deg == 0.0
 
@@ -79,7 +79,7 @@ def test_ingest_matches_independent_recomputation():
     rng = random.Random(5)
     for tick in range(50):
         x, y = rng.uniform(0, 2), rng.uniform(0, 2)
-        rec = ingest_telemetry(hub, telemetry_msg(0, x, y), tick)
+        rec = ingest_telemetry(hub, telemetry_msg(0, x, y), tick, state="IDLE")
         assert abs(rec.dist_from_origin_m - math.hypot(rec.x_m, rec.y_m)) <= 1e-9
         want_angle = math.degrees(math.atan2(rec.y_m, rec.x_m)) % 360.0
         assert abs(rec.angle_from_origin_deg - want_angle) <= 1e-9
@@ -88,27 +88,34 @@ def test_ingest_matches_independent_recomputation():
 def test_ingest_unknown_vehicle():
     hub = make_hub()
     with pytest.raises(UnknownVehicle):
-        ingest_telemetry(hub, telemetry_msg(7, 0.0, 0.0), tick=0)
+        ingest_telemetry(hub, telemetry_msg(7, 0.0, 0.0), tick=0, state="IDLE")
 
 
 def test_ingest_rejects_non_telemetry():
     hub = make_hub()
     with pytest.raises(ValueError):
-        ingest_telemetry(hub, Message(MessageKind.ACK, 0), tick=0)
+        ingest_telemetry(hub, Message(MessageKind.ACK, 0), tick=0, state="IDLE")
 
 
 def test_ingest_appends_to_log():
     hub = make_hub()
-    ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.0), 1)
-    ingest_telemetry(hub, telemetry_msg(0, 0.75, 0.0), 2)
+    ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.0), 1, state="IDLE")
+    ingest_telemetry(hub, telemetry_msg(0, 0.75, 0.0), 2, state="IDLE")
     assert [r.tick for r in hub.log] == [1, 2]
+
+
+def test_ingest_records_the_state_it_is_given():
+    hub = make_hub()
+    ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.0), 1, state="TRANSIT")
+    ingest_telemetry(hub, telemetry_msg(0, 0.75, 0.0), 2, state="UNLOADING")
+    assert [r.state for r in hub.log] == ["TRANSIT", "UNLOADING"]
 
 
 def test_ingest_returns_record_and_latest_keeps_first_appearance_order():
     hub = make_hub(vehicles=((0, NodeId(0, 0)), (1, NodeId(8, 8))))
-    ingest_telemetry(hub, telemetry_msg(1, 1.5, 1.5), 0)
-    ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.5), 1)
-    rec = ingest_telemetry(hub, telemetry_msg(1, 1.25, 1.5), 2)
+    ingest_telemetry(hub, telemetry_msg(1, 1.5, 1.5), 0, state="IDLE")
+    ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.5), 1, state="IDLE")
+    rec = ingest_telemetry(hub, telemetry_msg(1, 1.25, 1.5), 2, state="IDLE")
     assert rec is hub.log[-1]
     assert list(hub.latest) == [1, 0]
     assert hub.latest[1] is rec
@@ -289,6 +296,30 @@ def test_unacked_order_retransmits_every_20_ticks():
     assert len(hub.outbox) == 2
 
 
+def test_wake_tick_is_the_next_release_retry_or_freed_vehicle():
+    hub = make_hub()
+    assert hub.wake_tick == math.inf  # no jobs, nothing to do
+    hub.add_job(Job(0, NodeId(1, 0), NodeId(5, 0), release_tick=30))
+    hub.add_job(Job(1, NodeId(2, 0), NodeId(6, 0), release_tick=70))
+    assert hub.wake_tick == 30
+    hub.dispatch(0)
+    assert hub.wake_tick == 30
+    hub.dispatch(30)  # job 0 goes out; its order is unacked
+    assert hub.wake_tick == 50
+    hub.dispatch(50)  # retransmits
+    assert hub.wake_tick == 70
+    hub.on_ack(0)
+    hub.dispatch(70)  # job 1 waits: the only vehicle is busy
+    assert hub.wake_tick == math.inf
+    hub.on_activate(0, 80)
+    assert hub.wake_tick == 100
+    hub.on_ack(0)
+    hub.on_job_complete(0)
+    assert hub.wake_tick < 0
+    assert hub.dispatch(90) == [(0, hub.jobs[1])]
+    assert hub.wake_tick == 110
+
+
 def test_activate_issues_cargo_destination():
     hub = make_hub()
     hub.add_job(Job(0, NodeId(1, 0), NodeId(5, 0)))
@@ -338,21 +369,21 @@ def test_one_active_job_per_vehicle():
 
 def test_target_at_exact_pose_matches():
     hub = make_hub()
-    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0, state="IDLE")
     result = associate_radar([target_at(1.0, 1.0)], hub.latest)
     assert result == {0: 0}
 
 
 def test_distant_target_stays_unmatched():
     hub = make_hub()
-    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0, state="IDLE")
     result = associate_radar([target_at(1.0, 2.0)], hub.latest)
     assert result == {0: UNMATCHED}
 
 
 def test_gate_admits_just_inside_rejects_just_outside():
     hub = make_hub()
-    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0, state="IDLE")
     assert associate_radar([target_at(1.29, 1.0)], hub.latest) == {0: 0}
     assert associate_radar([target_at(1.3125, 1.0)], hub.latest) == {0: UNMATCHED}
 
@@ -383,8 +414,8 @@ def min_sum_oracle(targets, poses, gate):
 
 def test_unambiguous_pairs_match_min_sum_oracle():
     hub = make_hub(vehicles=((0, NodeId(0, 0)), (1, NodeId(8, 8))))
-    ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.5), 0)
-    ingest_telemetry(hub, telemetry_msg(1, 1.5, 1.5), 0)
+    ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.5), 0, state="IDLE")
+    ingest_telemetry(hub, telemetry_msg(1, 1.5, 1.5), 0, state="IDLE")
     targets = [target_at(1.45, 1.5), target_at(0.55, 0.5)]
     got = associate_radar(targets, hub.latest)
     poses = {vid: (r.x_m, r.y_m) for vid, r in hub.latest.items()}
@@ -395,7 +426,7 @@ def test_unambiguous_pairs_match_min_sum_oracle():
 
 def test_never_matches_one_vehicle_twice():
     hub = make_hub()
-    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0)
+    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0, state="IDLE")
     targets = [target_at(1.01, 1.0), target_at(0.99, 1.0)]
     result = associate_radar(targets, hub.latest)
     matched = [v for v in result.values() if v != UNMATCHED]
@@ -408,7 +439,7 @@ def test_random_scenes_never_double_match():
     for _ in range(30):
         hub = make_hub(vehicles=tuple((i, NodeId(i, 0)) for i in range(3)))
         for vid in range(3):
-            ingest_telemetry(hub, telemetry_msg(vid, rng.uniform(0, 2), rng.uniform(0, 2)), 0)
+            ingest_telemetry(hub, telemetry_msg(vid, rng.uniform(0, 2), rng.uniform(0, 2)), 0, state="IDLE")
         targets = [target_at(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(4)]
         result = associate_radar(targets, hub.latest)
         matched = [v for v in result.values() if v != UNMATCHED]

@@ -1,15 +1,17 @@
 """Wire framing, CRC, channel assignment, and the lossy broadcast medium."""
 
+import math
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from swarmport.errors import (
     BadLength,
     BadSync,
     BadVersion,
     CrcMismatch,
+    DecodeError,
     IoFailure,
     PayloadTooLarge,
     UnknownKind,
@@ -19,6 +21,8 @@ from swarmport.grid import NodeId
 from swarmport.rfnet import (
     CHANNEL_COUNT,
     MAX_PAYLOAD,
+    SYNC,
+    VERSION,
     Channel,
     Medium,
     Message,
@@ -209,6 +213,31 @@ def test_flipped_payload_bit_fails_crc():
         decode(bytes(frame))
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.binary(max_size=40))
+def test_decode_of_random_bytes_raises_only_decode_errors(data):
+    try:
+        msg = decode(data)
+    except DecodeError:
+        return
+    assert encode(msg) == data
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255), st.binary(max_size=MAX_PAYLOAD + 4))
+def test_decode_of_framed_random_kind_and_length_raises_only_decode_errors(kind, vid, length, payload):
+    """Sync, version and CRC are right; the kind and length byte are random
+    and the length byte need not match the payload.  A frame that decodes
+    must encode back to itself."""
+    body = bytes([VERSION, kind, vid, length]) + payload
+    frame = bytes([SYNC]) + body + struct.pack(">H", crc16_ccitt_false(body))
+    try:
+        msg = decode(frame)
+    except DecodeError:
+        return
+    assert encode(msg) == frame
+
+
 # ----------------------------------------------------------------- channels
 
 
@@ -275,6 +304,38 @@ def test_latency_delays_delivery():
     medium.send(Radio(Channel(0)), b"x", 10)
     assert medium.poll(radio, 14) == []
     assert medium.poll(radio, 15) == [b"x"]
+
+
+def test_next_due_tracks_the_earliest_frame_in_any_inbox():
+    medium = Medium(latency_ticks=3)
+    a = medium.attach(Radio(Channel(1)))
+    b = medium.attach(Radio(Channel(2)))
+    lonely = Radio(Channel(9))
+    assert medium.next_due == math.inf
+    medium.send(lonely, b"unheard", 0)  # nobody listens on channel 9
+    assert medium.next_due == math.inf
+    medium.send(Radio(Channel(1)), b"a5", 5)
+    medium.send(Radio(Channel(2)), b"b2", 2)
+    assert medium.next_due == 5
+    assert medium.poll(a, 4) == [] and medium.poll(b, 4) == []
+    assert medium.next_due == 5
+    assert medium.poll(b, 5) == [b"b2"]
+    assert medium.next_due == 8  # a's frame is still waiting
+    medium.send(Radio(Channel(2)), b"b6", 6)
+    assert medium.poll(a, 8) == [b"a5"]
+    assert medium.next_due == 9
+    assert medium.poll(b, 9) == [b"b6"]
+    assert medium.next_due == math.inf
+
+
+def test_lost_frames_leave_next_due_alone():
+    medium = Medium(loss_probability=0.5, latency_ticks=2, seed=3)
+    radio = medium.attach(Radio(Channel(0)))
+    for tick in range(40):
+        medium.send(Radio(Channel(0)), bytes([tick]), tick)
+        assert medium.next_due == min((entry[0] for entry in radio.inbox), default=math.inf)
+        medium.poll(radio, tick)
+        assert medium.next_due == min((entry[0] for entry in radio.inbox), default=math.inf)
 
 
 def test_loss_pattern_replays_with_same_seed():

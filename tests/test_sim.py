@@ -372,22 +372,106 @@ def test_radar_and_trace_see_every_move(monkeypatch):
     monkeypatch.setattr(swarmport.sim, "echo_distance", recording_echo)
     sim = Simulation(crossing_scenario(3), trace=True)
     agents = [sim.vehicles[vid].agent for vid in sorted(sim.vehicles)]
-    moved = still = 0
+    ny = sim.grid.ny
+    moved = still = parked = 0
     previous = [(a.pose.x, a.pose.y) for a in agents]
+    was_busy = [a.busy for a in agents]
     while sim.tick_count < sim.scenario.sim.max_ticks and not sim.all_done:
         sim.tick()
         poses = [(a.pose.x, a.pose.y) for a in agents]
-        assert sim.pose_trace[-1] == poses
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(sim.pose_trace[-1]) == repr(poses)
+        occupancy = []
+        for a in agents:
+            edge = a.edge_in_progress()
+            dst = edge[1] if edge is not None else a.current_node
+            occupancy.append((a.current_node.ix * ny + a.current_node.iy, dst.ix * ny + dst.iy))
+        assert sim.occupancy_trace[-1] == occupancy
         world = WorldModel([Disc(Position(x, y), a.params.body_radius_m) for (x, y), a in zip(poses, agents)])
         angle, dist = echoes[-1]
         assert repr(dist) == repr(echo_distance(world, sim.sensor_cfg, angle))
         changed = sum(p != q for p, q in zip(poses, previous))
         moved += changed
         still += len(agents) - changed
+        if len(sim.pose_trace) > 1:
+            # each tick has its own row, sharing a parked vehicle's pose
+            assert sim.pose_trace[-1] is not sim.pose_trace[-2]
+            for i, a in enumerate(agents):
+                if not was_busy[i] and not a.busy:
+                    assert sim.pose_trace[-1][i] is sim.pose_trace[-2][i]
+                    parked += 1
         previous = poses
+        was_busy = [a.busy for a in agents]
     assert sim.all_done
     assert len(echoes) == sim.tick_count
-    assert moved and still  # both the refresh and the reuse were exercised
+    assert moved and still and parked  # both the refresh and the reuse were exercised
+
+
+def uncached_gate_run(scenario):
+    """Run ``scenario`` with a departure gate that asks the reservation table
+    on every call.  Also counts early grants that only a release can explain:
+    a gate refused while another vehicle's hold on the node lasted past now
+    (computed here from the table's snapshot), then granted for the same
+    node and slot before that hold's end."""
+    sim = Simulation(scenario, trace=True)
+    table = sim.table
+    refused: dict[int, tuple] = {}
+    early = 0
+
+    def gate(agent, node, now, scheduled):
+        nonlocal early
+        if table.reserve(agent.vehicle_id, node, now, scheduled) is None:
+            last = refused.pop(agent.vehicle_id, None)
+            if last is not None and last[:2] == (node, scheduled) and now < last[2]:
+                early += 1
+            return True
+        holds = table.snapshot()[node]
+        until = max(end for start, end, vid in holds if vid != agent.vehicle_id and now < end and start < scheduled)
+        refused[agent.vehicle_id] = (node, scheduled, until)
+        return False
+
+    for sv in sim.vehicles.values():
+        sv.agent.departure_gate = gate
+    sim.run_loop()
+    return sim, early
+
+
+def test_sleeping_gate_matches_asking_every_tick():
+    """The engine's gate answers a refusal from memory until the blocking
+    holds end or a release lands; the traces must equal those of a gate that
+    asks every tick, including runs where a release opens a waiting
+    vehicle's gate early."""
+    early_total = 0
+    for seed in (1, 3, 5, 14):
+        scenario = crossing_scenario(seed)
+        engine = Simulation(scenario, trace=True)
+        engine.run_loop()
+        reference, early = uncached_gate_run(scenario)
+        early_total += early
+        assert engine.tick_count == reference.tick_count
+        assert repr(engine.pose_trace) == repr(reference.pose_trace)
+        assert engine.occupancy_trace == reference.occupancy_trace
+        assert engine.job_traces == reference.job_traces
+        assert engine.completed_jobs == engine.total_jobs
+    assert early_total > 0
+
+
+def test_walled_in_job_released_late_fails_at_its_release_tick():
+    """A job nobody can serve is vetted when it is released, even while the
+    only vehicle is busy and dispatch has no one to give it to."""
+    release = 200
+    scenario = replace_scenario(
+        quick_scenario(),
+        terrain=TerrainConfig(blocked=(NodeId(3, 4), NodeId(5, 4), NodeId(4, 3), NodeId(4, 5))),
+        jobs=(Job(0, NodeId(2, 0), NodeId(4, 0)), Job(1, NodeId(4, 4), NodeId(7, 7), release_tick=release)),
+    )
+    sim = Simulation(scenario)
+    while sim.tick_count < release:
+        sim.tick()
+    assert sim.hub.assignments == {0: 0} and sim.completed_jobs == 0  # the only vehicle is busy
+    with pytest.raises(ScenarioInvalid, match=r"^jobs: job 1 \(pickup \(4, 4\), destination \(7, 7\)\)"):
+        sim.tick()
+    assert sim.tick_count == release
 
 
 def test_lossy_medium_still_completes():
