@@ -51,7 +51,6 @@ class TelemetryRecord:
 @dataclass
 class _Order:
     kind: str
-    job: Job
     dest: NodeId
     last_send: int
     acked: bool = False
@@ -170,7 +169,7 @@ class Hub:
             info = self.vehicles[vid]
             info.job = job
             self.assignments[job.job_id] = vid
-            order = _Order("reposition", job, job.pickup_node, current_tick)
+            order = _Order("reposition", job.pickup_node, current_tick)
             self.orders[vid] = order
             self._send_order(vid, order, current_tick)
             assigned.append((vid, job))
@@ -192,7 +191,7 @@ class Hub:
             return
         order = self.orders.get(vehicle_id)
         if order is None or order.kind != "cargo":
-            order = _Order("cargo", info.job, info.job.destination_node, current_tick)
+            order = _Order("cargo", info.job.destination_node, current_tick)
             self.orders[vehicle_id] = order
             self._send_order(vehicle_id, order, current_tick)
         else:

@@ -211,84 +211,48 @@ def floyd_warshall(grid: GridMap) -> AllPairsCosts:
     return AllPairsCosts(nodes, index, d)
 
 
-class Conflict(NamedTuple):
-    vehicle_id: int
-
-
 class ReservationTable:
     """Half-open [tick_start, tick_end) holds of grid nodes per vehicle.
 
     Intervals of distinct vehicles never overlap on a node; a vehicle may
-    freely stack or extend its own holds.
+    freely stack or extend its own holds.  A hold stays until its vehicle's
+    holds are released: every query starts at or after the current tick,
+    where a hold that has ended answers nothing.
     """
 
     def __init__(self) -> None:
         self._holds: dict[NodeId, list[tuple[float, float, int]]] = {}
-        # Counts `release_vehicle` calls: the only way a refused interval
-        # can become free before its blocking holds end.
-        self.releases = 0
 
-    def reserve(self, vehicle_id: int, node: NodeId, tick_start: float, tick_end: float) -> Conflict | None:
-        """Add a hold, or report the first conflicting vehicle untouched."""
+    def reserve(self, vehicle_id: int, node: NodeId, tick_start: float, tick_end: float) -> float | None:
+        """Add a hold and return None, or leave the table untouched and
+        return the latest end among other vehicles' overlapping holds.
+
+        Until that tick, and until the next `release_vehicle`, reserving any
+        ``[t, tick_end)`` with ``t`` before it is refused: new holds only add
+        conflicts.
+        """
         if not tick_start < tick_end:
             raise BadInterval(f"empty interval [{tick_start}, {tick_end})")
         holds = self._holds.setdefault(node, [])
-        for start, end, vid in holds:
-            if vid != vehicle_id and tick_start < end and start < tick_end:
-                return Conflict(vid)
+        ends = [end for start, end, vid in holds if vid != vehicle_id and tick_start < end and start < tick_end]
+        if ends:
+            return max(ends)
         holds.append((tick_start, tick_end, vehicle_id))
-        holds.sort(key=lambda h: (h[0], h[1], h[2]))
         return None
 
-    def is_free(self, node: NodeId, tick_start: float, tick_end: float, ignore_vehicle: int | None = None) -> bool:
-        for start, end, vid in self._holds.get(node, ()):
-            if vid == ignore_vehicle:
-                continue
+    def is_free(self, node: NodeId, tick_start: float, tick_end: float) -> bool:
+        for start, end, _ in self._holds.get(node, ()):
             if tick_start < end and start < tick_end:
                 return False
         return True
 
-    def free_from(self, node: NodeId, tick: float, ignore_vehicle: int | None = None) -> bool:
-        """True when no hold by another vehicle extends past ``tick``."""
-        for _, end, vid in self._holds.get(node, ()):
-            if vid != ignore_vehicle and end > tick:
-                return False
-        return True
-
-    def blocked_until(self, vehicle_id: int, node: NodeId, tick_start: float, tick_end: float) -> float:
-        """Latest end among other vehicles' holds on ``node`` that overlap
-        ``[tick_start, tick_end)``; ``tick_start`` when none does.
-
-        Until that tick, and until the next `release_vehicle`, reserving any
-        ``[t, tick_end)`` with ``t`` before it is refused: new holds only add
-        conflicts and `gc` drops only holds that have ended.
-        """
-        until = tick_start
-        for start, end, vid in self._holds.get(node, ()):
-            if vid != vehicle_id and tick_start < end and start < tick_end and end > until:
-                until = end
-        return until
-
     def release_vehicle(self, vehicle_id: int) -> None:
-        self.releases += 1
         for node in list(self._holds):
             kept = [h for h in self._holds[node] if h[2] != vehicle_id]
             if kept:
                 self._holds[node] = kept
             else:
                 del self._holds[node]
-
-    def gc(self, tick: float) -> int:
-        """Drop holds that ended at or before ``tick``; returns count dropped."""
-        dropped = 0
-        for node in list(self._holds):
-            kept = [h for h in self._holds[node] if h[1] > tick]
-            dropped += len(self._holds[node]) - len(kept)
-            if kept:
-                self._holds[node] = kept
-            else:
-                del self._holds[node]
-        return dropped
 
     def holds_of(self, vehicle_id: int) -> list[tuple[NodeId, float, float]]:
         out = []
@@ -430,7 +394,7 @@ def plan_space_time(
         boundary = _earliest_schedule(
             lambda node, k: table.is_free(node, t0 + k * h, t0 + (k + 1) * h),
             grid.neighbors,
-            lambda k: table.free_from(dst, t0 + k * h),
+            lambda k: table.is_free(dst, t0 + k * h, INF_TICK),
             to_dst.__getitem__,
             src,
             dst,
@@ -462,7 +426,7 @@ def schedule_along(
     boundary = _earliest_schedule(
         lambda i, k: table.is_free(sequence[i], t0 + k * h, t0 + (k + 1) * h),
         successors.__getitem__,
-        lambda k: table.free_from(sequence[last], t0 + k * h),
+        lambda k: table.is_free(sequence[last], t0 + k * h, INF_TICK),
         lambda i: last - i,
         0,
         last,
@@ -491,18 +455,15 @@ def _collapse(boundary: list[NodeId], t0: int, h: int) -> list[TimedStep]:
     return steps
 
 
-def commit(table: ReservationTable, vehicle_id: int, plan: TimedPath, park: bool = True) -> None:
+def commit(table: ReservationTable, vehicle_id: int, plan: TimedPath) -> None:
     """Reserve every hold a plan implies; the final node parks open-ended."""
     h = plan.ticks_per_hop
     last = len(plan.steps) - 1
     for i, step in enumerate(plan.steps):
-        if i == last:
-            end = INF_TICK if park else float(step.exit_tick)
-        else:
-            end = step.exit_tick + h
-        conflict = table.reserve(vehicle_id, step.node, step.enter_tick, end)
-        if conflict is not None:  # pragma: no cover - plans are conflict-free
-            raise BadInterval(f"plan collides with vehicle {conflict.vehicle_id}")
+        end = INF_TICK if i == last else step.exit_tick + h
+        until = table.reserve(vehicle_id, step.node, step.enter_tick, end)
+        if until is not None:  # pragma: no cover - plans are conflict-free
+            raise BadInterval(f"plan collides with a hold on {tuple(step.node)} until tick {until}")
 
 
 class PathMemory:

@@ -2,8 +2,8 @@
 
 One tick advances the world in a fixed phase order: RF delivery, hub
 work, vehicle steps in ascending id, one radar step, telemetry emission,
-reservation GC.  Everything downstream of the scenario (plus its seed)
-is deterministic, so two runs produce byte-identical outputs.
+the optional trace.  Everything downstream of the scenario (plus its
+seed) is deterministic, so two runs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .vehicle import (
 
 UNLOAD_DWELL_S = 1.0
 NOPATH_RETRY_TICKS = 50
-GC_INTERVAL_TICKS = 50
 RENDER_EVERY_SWEEPS = 10
 HOP_MARGIN_S = 1.0
 START_DEFICIT_S = 0.4
@@ -356,9 +355,9 @@ class _SimVehicle:
     unload_at: int | None = None
     outbound_trail: tuple[NodeId, ...] = ()
     retrace_driven: list[NodeId] = field(default_factory=list)
-    # The last refused departure: (next node, scheduled tick, table
-    # releases then, tick until which the gate stays shut).
-    gate_shut: tuple[NodeId, int, int, float] | None = None
+    # The last refused departure: (next node, scheduled tick, tick until
+    # which the gate stays shut); cleared whenever holds are released.
+    gate_shut: tuple[NodeId, int, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -462,20 +461,13 @@ class Simulation:
         holds are released, so until then the gate answers without asking.
         """
         sv = self.vehicles[agent.vehicle_id]
-        table = self.table
         shut = sv.gate_shut
-        if (
-            shut is not None
-            and now < shut[3]
-            and shut[2] == table.releases
-            and shut[1] == scheduled
-            and shut[0] == next_node
-        ):
+        if shut is not None and now < shut[2] and shut[1] == scheduled and shut[0] == next_node:
             return False
-        if table.reserve(agent.vehicle_id, next_node, now, scheduled) is None:
+        until = self.table.reserve(agent.vehicle_id, next_node, now, scheduled)
+        if until is None:
             return True
-        until = table.blocked_until(agent.vehicle_id, next_node, now, scheduled)
-        sv.gate_shut = (next_node, scheduled, table.releases, until)
+        sv.gate_shut = (next_node, scheduled, until)
         return False
 
     def _on_arrival(self, agent: VehicleAgent, node: NodeId, tick: int) -> None:
@@ -498,16 +490,19 @@ class Simulation:
     ) -> TimedPath | None:
         """Release, plan and commit one leg.
 
-        On NoPath the vehicle reparks where it stands and ``pending`` is
-        retried after NOPATH_RETRY_TICKS; the caller gets None.
+        The release may open any vehicle's departure gate, so every gate
+        memo is cleared.  On NoPath nothing was committed: the vehicle
+        reparks where it stands and ``pending`` is retried after
+        NOPATH_RETRY_TICKS; the caller gets None.
         """
         vid = sv.agent.vehicle_id
+        self.table.release_vehicle(vid)
+        for other in self.fleet:
+            other.gate_shut = None
         try:
-            self.table.release_vehicle(vid)
             tp = plan()
             commit(self.table, vid, tp)
         except NoPath:
-            self.table.release_vehicle(vid)
             self.table.reserve(vid, sv.agent.current_node, now, INF_TICK)
             sv.pending = pending
             sv.retry_at = now + NOPATH_RETRY_TICKS
@@ -564,7 +559,7 @@ class Simulation:
     def _handle_assign(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
         agent = sv.agent
         if agent.state == IDLE:
-            if agent.busy or (agent.route_finished and agent.route_kind == "reposition"):
+            if agent.busy:
                 agent.queue_ack()
                 return
             if sv.pending is not None:
@@ -740,8 +735,6 @@ class Simulation:
         self._vehicle_phase(now)
         self._radar_phase(now)
         self._telemetry_phase(now)
-        if now > 0 and now % GC_INTERVAL_TICKS == 0:
-            self.table.gc(now)
         if self.trace:
             self._trace_phase()
         self.tick_count += 1
@@ -765,9 +758,9 @@ class Simulation:
 # ----------------------------------------------------------------- artifacts
 
 
-def run(scenario: Scenario, out_dir, *, trace: bool = False, capture: bool = True) -> SimReport:
+def run(scenario: Scenario, out_dir) -> SimReport:
     """Run to completion (or max_ticks) and write all artifacts."""
-    sim = Simulation(scenario, trace=trace, capture=capture)
+    sim = Simulation(scenario, capture=True)
     sim.run_loop()
 
     artifacts: dict[str, Any] = {}
@@ -790,9 +783,8 @@ def run(scenario: Scenario, out_dir, *, trace: bool = False, capture: bool = Tru
             frame_paths.append(rel)
         artifacts["frames"] = frame_paths
 
-        if sim.medium.capture is not None:
-            write_capture(sim.medium.capture, os.path.join(out_dir, "capture.bin"))
-            artifacts["capture"] = "capture.bin"
+        write_capture(sim.medium.capture, os.path.join(out_dir, "capture.bin"))
+        artifacts["capture"] = "capture.bin"
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 

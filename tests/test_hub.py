@@ -547,7 +547,7 @@ def test_metrics_requires_records():
 # -------------------------------------------------------------------- jobs
 
 
-def test_fleet_view_tracks_queue_and_assignments():
+def test_dispatch_assigns_released_jobs_and_queues_the_rest():
     hub = make_hub()
     hub.add_job(Job(0, NodeId(1, 0), NodeId(5, 0)))
     hub.add_job(Job(1, NodeId(2, 0), NodeId(6, 0), release_tick=999))

@@ -11,7 +11,6 @@ from swarmport.errors import BadInterval, EmptyMemory, GridTooLarge, NoPath
 from swarmport.grid import GridMap, NodeId, build_grid
 from swarmport.planner import (
     INF_TICK,
-    Conflict,
     PathMemory,
     ReservationTable,
     TimedPath,
@@ -87,7 +86,7 @@ def reference_plan_space_time(
         return table.is_free(node, t0 + k * h, t0 + (k + 1) * h)
 
     if src == dst:
-        if not table.free_from(dst, t0):
+        if not table.is_free(dst, t0, INF_TICK):
             raise NoPath(f"destination {tuple(dst)} reserved past arrival")
         return TimedPath([TimedStep(src, t0, t0 + h)], h)
 
@@ -104,7 +103,7 @@ def reference_plan_space_time(
                 if window_free(nb, k):
                     nxt.add(nb)
         reachable.append(nxt)
-        if dst in nxt and table.free_from(dst, t0 + (k + 1) * h):
+        if dst in nxt and table.is_free(dst, t0 + (k + 1) * h, INF_TICK):
             arrival_slot = k + 1
             break
     if arrival_slot is None:
@@ -158,7 +157,7 @@ def reference_schedule_along(
 
     last = len(sequence) - 1
     if last == 0:
-        if not table.free_from(sequence[0], t0):
+        if not table.is_free(sequence[0], t0, INF_TICK):
             raise NoPath("terminal node reserved past arrival")
         return TimedPath([TimedStep(sequence[0], t0, t0 + h)], h)
 
@@ -173,7 +172,7 @@ def reference_schedule_along(
             if i < last and window_free(i + 1, k):
                 nxt.add(i + 1)
         reachable.append(nxt)
-        if last in nxt and table.free_from(sequence[last], t0 + (k + 1) * h):
+        if last in nxt and table.is_free(sequence[last], t0 + (k + 1) * h, INF_TICK):
             arrival_slot = k + 1
             break
     if arrival_slot is None:
@@ -352,8 +351,8 @@ def test_reserve_and_conflict():
     table = ReservationTable()
     node = NodeId(2, 2)
     assert table.reserve(0, node, 0, 10) is None
-    clash = table.reserve(1, node, 5, 15)
-    assert clash == Conflict(0)
+    # refused until the end of vehicle 0's hold
+    assert table.reserve(1, node, 5, 15) == 10
     # failed reserve must not leave residue
     assert table.reserve(1, node, 10, 15) is None
 
@@ -364,7 +363,7 @@ def test_half_open_windows_touch_without_conflict():
     assert table.reserve(0, node, 0, 10) is None
     assert table.reserve(1, node, 10, 20) is None
     assert not table.is_free(node, 9, 10)
-    assert table.is_free(node, 9, 10, ignore_vehicle=0)
+    assert table.reserve(0, node, 9, 10) is None
 
 
 def test_bad_interval():
@@ -379,10 +378,10 @@ def test_open_ended_parking():
     table = ReservationTable()
     node = NodeId(1, 1)
     assert table.reserve(0, node, 100, INF_TICK) is None
-    assert table.reserve(1, node, 10 ** 9, 10 ** 9 + 1) == Conflict(0)
+    assert table.reserve(1, node, 10 ** 9, 10 ** 9 + 1) == INF_TICK
     assert table.is_free(node, 0, 100)
-    assert not table.free_from(node, 50)
-    assert table.free_from(node, 50, ignore_vehicle=0)
+    assert not table.is_free(node, 50, INF_TICK)
+    assert table.reserve(0, node, 50, INF_TICK) is None
 
 
 def test_release_vehicle_clears_only_its_holds():
@@ -391,18 +390,8 @@ def test_release_vehicle_clears_only_its_holds():
     table.reserve(1, NodeId(1, 0), 0, INF_TICK)
     table.release_vehicle(0)
     assert table.holds_of(0) == []
-    assert table.free_from(NodeId(0, 0), 0)
-    assert not table.free_from(NodeId(1, 0), 0)
-
-
-def test_gc_drops_expired_holds():
-    table = ReservationTable()
-    table.reserve(0, NodeId(0, 0), 0, 10)
-    table.reserve(0, NodeId(1, 0), 5, 15)
-    table.reserve(0, NodeId(2, 0), 20, INF_TICK)
-    dropped = table.gc(15)
-    assert dropped == 2
-    assert table.holds_of(0) == [(NodeId(2, 0), 20, INF_TICK)]
+    assert table.is_free(NodeId(0, 0), 0, INF_TICK)
+    assert not table.is_free(NodeId(1, 0), 0, INF_TICK)
 
 
 # ------------------------------------------------------ space-time planning
@@ -424,7 +413,7 @@ def test_plan_claims_both_endpoints_of_each_hop():
     grid = build_grid(2.0, 2.0, 0.25)
     table = ReservationTable()
     plan = plan_space_time(grid, table, NodeId(0, 0), NodeId(2, 0), 0, 10)
-    commit(table, 0, plan, park=False)
+    commit(table, 0, plan)
     # while hopping (0,0)->(1,0) during [0,10) both nodes are held
     assert not table.is_free(NodeId(0, 0), 0, 1)
     assert not table.is_free(NodeId(1, 0), 0, 1)
@@ -437,13 +426,13 @@ def test_plan_waits_out_a_transient_block():
     # someone sits on (1,0) until tick 35
     table.reserve(9, NodeId(1, 0), 0, 35)
     plan = plan_space_time(grid, table, NodeId(0, 0), NodeId(2, 0), 0, 10)
-    commit(table, 0, plan, park=False)
+    commit(table, 0, plan)
     assert plan.route[0] == NodeId(0, 0)
     assert plan.route[-1] == NodeId(2, 0)
     assert plan.arrival_tick > 30
     for hold in table.holds_of(0):
         node, start, end = hold
-        assert table.is_free(node, start, end, ignore_vehicle=0) or node == NodeId(1, 0)
+        assert table.reserve(0, node, start, end) is None or node == NodeId(1, 0)
 
 
 def test_plan_routes_around_permanent_block():
@@ -471,8 +460,8 @@ def test_destination_must_stay_free_after_arrival():
     table.reserve(9, NodeId(3, 0), 100, 130)
     plan = plan_space_time(grid, table, NodeId(0, 0), NodeId(3, 0), 0, 10)
     assert plan.steps[-1].enter_tick >= 130
-    commit(table, 0, plan, park=True)
-    assert not table.free_from(NodeId(3, 0), plan.steps[-1].enter_tick, ignore_vehicle=9)
+    commit(table, 0, plan)
+    assert table.reserve(9, NodeId(3, 0), plan.steps[-1].enter_tick, INF_TICK) == INF_TICK
 
 
 def test_committed_plans_never_overlap():
@@ -480,9 +469,9 @@ def test_committed_plans_never_overlap():
     table = ReservationTable()
     # two crossing routes committed in sequence
     p0 = plan_space_time(grid, table, NodeId(0, 2), NodeId(8, 2), 0, 10)
-    commit(table, 0, p0, park=True)
+    commit(table, 0, p0)
     p1 = plan_space_time(grid, table, NodeId(4, 0), NodeId(4, 4), 0, 10)
-    commit(table, 1, p1, park=True)
+    commit(table, 1, p1)
     for node, holds in table.snapshot().items():
         ordered = sorted(holds)
         for (s0, e0, v0), (s1, e1, v1) in zip(ordered, ordered[1:]):
@@ -493,9 +482,9 @@ def test_head_on_corridor_resolves_by_detour_or_delay():
     grid = build_grid(2.0, 2.0, 0.25)
     table = ReservationTable()
     p0 = plan_space_time(grid, table, NodeId(0, 0), NodeId(4, 0), 0, 10)
-    commit(table, 0, p0, park=True)
+    commit(table, 0, p0)
     p1 = plan_space_time(grid, table, NodeId(4, 0), NodeId(0, 0), 0, 10)
-    commit(table, 1, p1, park=True)
+    commit(table, 1, p1)
     assert p1.route[0] == NodeId(4, 0) and p1.route[-1] == NodeId(0, 0)
     # direct swap is impossible; the second plan must cost time or distance
     assert p1.arrival_tick > p0.arrival_tick or len(p1.route) > len(p0.route)
@@ -521,7 +510,7 @@ def test_schedule_along_waits_for_clearance():
     plan = schedule_along(table, seq, 0, 10, max_slots=50)
     assert plan.route == seq
     assert plan.steps[1].enter_tick >= 40
-    commit(table, 0, plan, park=False)
+    commit(table, 0, plan)
 
 
 def test_schedule_along_gives_up_past_horizon():
@@ -647,15 +636,17 @@ def test_other_component_matches_reference(h):
 
 
 class CountingTable(ReservationTable):
-    """Counts the free-window probes a search makes."""
+    """Counts the free-window probes a search makes; the open-ended probes
+    that find where the destination stays free are not counted."""
 
     def __init__(self) -> None:
         super().__init__()
         self.probes = 0
 
-    def is_free(self, *args, **kwargs) -> bool:
-        self.probes += 1
-        return super().is_free(*args, **kwargs)
+    def is_free(self, node, tick_start, tick_end) -> bool:
+        if tick_end != INF_TICK:
+            self.probes += 1
+        return super().is_free(node, tick_start, tick_end)
 
 
 def test_search_work_is_bounded_by_the_route_not_the_grid():
@@ -676,12 +667,8 @@ def test_commit_with_park_holds_destination_forever():
     grid = build_grid(2.0, 2.0, 0.25)
     table = ReservationTable()
     plan = plan_space_time(grid, table, NodeId(0, 0), NodeId(2, 0), 0, 10)
-    commit(table, 0, plan, park=True)
-    assert not table.free_from(NodeId(2, 0), 10 ** 12)
-    table.release_vehicle(0)
-    plan = plan_space_time(grid, table, NodeId(0, 0), NodeId(2, 0), 0, 10)
-    commit(table, 0, plan, park=False)
-    assert table.free_from(NodeId(2, 0), plan.arrival_tick + 10)
+    commit(table, 0, plan)
+    assert not table.is_free(NodeId(2, 0), 10 ** 12, INF_TICK)
 
 
 # ------------------------------------------------------------- path memory

@@ -456,6 +456,64 @@ def test_sleeping_gate_matches_asking_every_tick():
     assert early_total > 0
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [crossing_scenario(seed) for seed in range(1, 11)]
+    + [replace_scenario(default_scenario(), medium=MediumConfig(0.3, 3, 7))],
+    ids=[f"crossing_{seed}" for seed in range(1, 11)] + ["default_loss30_latency3_seed7"],
+)
+def test_table_keeps_no_dead_weight_without_gc(monkeypatch, scenario):
+    """The reservation table never drops a hold that has ended.  That is
+    safe because no reserve or is_free query starts before the current
+    tick, and cheap because a vehicle's holds are released before each of
+    its legs: after every tick a vehicle holds at most two holds per step
+    of its last committed plan (the plan's own holds, plus at most one
+    early departure per hop)."""
+    sim = Simulation(scenario)
+    table = sim.table
+    steps = {vid: 1 for vid in sim.vehicles}  # the home hold parks like a one-step plan
+    queries = 0
+    changed = False
+    reserve, is_free, commit = table.reserve, table.is_free, swarmport.sim.commit
+
+    def checked_reserve(vehicle_id, node, tick_start, tick_end):
+        nonlocal queries, changed
+        assert tick_start >= sim.tick_count
+        queries += 1
+        changed = True
+        return reserve(vehicle_id, node, tick_start, tick_end)
+
+    def checked_is_free(node, tick_start, tick_end):
+        nonlocal queries
+        assert tick_start >= sim.tick_count
+        queries += 1
+        return is_free(node, tick_start, tick_end)
+
+    def recording_commit(table, vehicle_id, plan):
+        commit(table, vehicle_id, plan)
+        steps[vehicle_id] = len(plan.steps)
+
+    monkeypatch.setattr(table, "reserve", checked_reserve)
+    monkeypatch.setattr(table, "is_free", checked_is_free)
+    monkeypatch.setattr(swarmport.sim, "commit", recording_commit)
+    worst = 0.0
+    while sim.tick_count < sim.scenario.sim.max_ticks and not sim.all_done:
+        sim.tick()
+        if not changed:
+            continue  # only a reserve adds holds or commits a plan
+        changed = False
+        held = {vid: 0 for vid in sim.vehicles}
+        for holds in table.snapshot().values():
+            for _, _, vid in holds:
+                held[vid] += 1
+        for vid, count in held.items():
+            assert count <= 2 * steps[vid], (sim.tick_count, vid, count, steps[vid])
+            worst = max(worst, count / (2 * steps[vid]))
+    assert sim.completed_jobs == sim.total_jobs
+    assert queries > 0
+    assert worst > 0.5  # early departures did add holds past the plan's own
+
+
 def test_walled_in_job_released_late_fails_at_its_release_tick():
     """A job nobody can serve is vetted when it is released, even while the
     only vehicle is busy and dispatch has no one to give it to."""
