@@ -222,6 +222,8 @@ class ReservationTable:
 
     def __init__(self) -> None:
         self._holds: dict[NodeId, list[tuple[float, float, int]]] = {}
+        # The nodes on which each vehicle holds something.
+        self._held: dict[int, set[NodeId]] = {}
 
     def reserve(self, vehicle_id: int, node: NodeId, tick_start: float, tick_end: float) -> float | None:
         """Add a hold and return None, or leave the table untouched and
@@ -238,6 +240,7 @@ class ReservationTable:
         if ends:
             return max(ends)
         holds.append((tick_start, tick_end, vehicle_id))
+        self._held.setdefault(vehicle_id, set()).add(node)
         return None
 
     def is_free(self, node: NodeId, tick_start: float, tick_end: float) -> bool:
@@ -247,7 +250,7 @@ class ReservationTable:
         return True
 
     def release_vehicle(self, vehicle_id: int) -> None:
-        for node in list(self._holds):
+        for node in self._held.pop(vehicle_id, ()):
             kept = [h for h in self._holds[node] if h[2] != vehicle_id]
             if kept:
                 self._holds[node] = kept

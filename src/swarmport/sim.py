@@ -355,9 +355,12 @@ class _SimVehicle:
     unload_at: int | None = None
     outbound_trail: tuple[NodeId, ...] = ()
     retrace_driven: list[NodeId] = field(default_factory=list)
-    # The last refused departure: (next node, scheduled tick, tick until
-    # which the gate stays shut); cleared whenever holds are released.
-    gate_shut: tuple[NodeId, int, float] | None = None
+    # The first tick at which stepping the vehicle can change anything.
+    wake: float = 0
+    # The end of the holds behind the last refused departure gate.
+    refused_until: float = INF_TICK
+    # The last telemetry frame, until the vehicle steps again.
+    telemetry_frame: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -418,6 +421,8 @@ class Simulation:
             )
         # The vehicles in ascending id: the order of every per-vehicle phase.
         self.fleet: list[_SimVehicle] = list(self.vehicles.values())
+        # The fleet positions of the vehicles stepped this tick.
+        self._stepped: list[int] = []
         for job in scenario.jobs:
             self.hub.add_job(job)
 
@@ -458,16 +463,12 @@ class Simulation:
         """Grant an early departure when ``[now, scheduled)`` on ``next_node`` is free.
 
         A refusal stands until the blocking holds end or some vehicle's
-        holds are released, so until then the gate answers without asking.
+        holds are released, so the vehicle sleeps until the first of those.
         """
-        sv = self.vehicles[agent.vehicle_id]
-        shut = sv.gate_shut
-        if shut is not None and now < shut[2] and shut[1] == scheduled and shut[0] == next_node:
-            return False
         until = self.table.reserve(agent.vehicle_id, next_node, now, scheduled)
         if until is None:
             return True
-        sv.gate_shut = (next_node, scheduled, until)
+        self.vehicles[agent.vehicle_id].refused_until = until
         return False
 
     def _on_arrival(self, agent: VehicleAgent, node: NodeId, tick: int) -> None:
@@ -490,15 +491,15 @@ class Simulation:
     ) -> TimedPath | None:
         """Release, plan and commit one leg.
 
-        The release may open any vehicle's departure gate, so every gate
-        memo is cleared.  On NoPath nothing was committed: the vehicle
-        reparks where it stands and ``pending`` is retried after
-        NOPATH_RETRY_TICKS; the caller gets None.
+        The release may open any vehicle's departure gate, so every vehicle
+        is woken.  On NoPath nothing was committed: the vehicle reparks
+        where it stands and ``pending`` is retried after NOPATH_RETRY_TICKS;
+        the caller gets None.
         """
         vid = sv.agent.vehicle_id
         self.table.release_vehicle(vid)
         for other in self.fleet:
-            other.gate_shut = None
+            other.wake = now
         try:
             tp = plan()
             commit(self.table, vid, tp)
@@ -557,7 +558,11 @@ class Simulation:
             self._start_retrace(sv, now)
 
     def _handle_assign(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
+        """Act on an order.  Every branch queues an ACK, which the vehicle
+        sends when it steps, so it is woken; it has not stepped this tick,
+        so a load switch pressed here is stamped ``now - 1``."""
         agent = sv.agent
+        sv.wake = now
         if agent.state == IDLE:
             if agent.busy:
                 agent.queue_ack()
@@ -568,7 +573,7 @@ class Simulation:
             agent.queue_ack()
             if dest == agent.current_node:
                 self.memory.record_node(agent.vehicle_id, agent.current_node)
-                agent.press_load_switch()
+                agent.press_load_switch(now - 1)
             else:
                 self._plan_reposition(sv, dest, now)
         elif agent.state in (LOADED, AWAITING_ROUTE):
@@ -620,7 +625,20 @@ class Simulation:
         hub.outbox.clear()
 
     def _vehicle_phase(self, now: int) -> None:
-        for sv in self.fleet:
+        """Step the vehicles that are due, in fleet order.
+
+        ``wake`` is read as the loop reaches each vehicle, so one that a
+        release earlier in the loop woke is stepped on this tick.  A quiet
+        vehicle's wake tick from ``step`` is lowered to the engine's own
+        timers: its refused gate's ``until``, its pending retry or its
+        unload timer.
+        """
+        stepped = self._stepped = []
+        for i, sv in enumerate(self.fleet):
+            if now < sv.wake:
+                continue
+            stepped.append(i)
+            sv.telemetry_frame = None
             agent = sv.agent
             if sv.pending is not None and now >= sv.retry_at:
                 self._attempt_pending(sv, now)
@@ -631,20 +649,31 @@ class Simulation:
                 and sv.pending is None
             ):
                 self._start_retrace(sv, now)
-            agent.step(self.grid, self.dt)
-            self._post_step(sv, now)
-            for msg in agent.outbox:
-                self.medium.send(sv.radio, encode(msg), now)
-            agent.outbox.clear()
+            wake = agent.step(self.grid, self.dt, now)
+            if agent.route_finished:
+                # Closing the leg may press the load switch, which the next step acts on.
+                self._post_step(sv, now)
+                wake = now + 1
+            elif wake > now + 1:
+                wake = min(wake, sv.refused_until)
+                sv.refused_until = INF_TICK
+                if sv.pending is not None:
+                    wake = min(wake, sv.retry_at)
+                elif sv.unload_at is not None:
+                    wake = min(wake, sv.unload_at)
+            sv.wake = wake
+            if agent.outbox:
+                for msg in agent.outbox:
+                    self.medium.send(sv.radio, encode(msg), now)
+                agent.outbox.clear()
 
     def _post_step(self, sv: _SimVehicle, now: int) -> None:
+        """Close the leg that the vehicle finished on this tick's step."""
         agent = sv.agent
-        if not agent.route_finished:
-            return
         kind = agent.route_kind
         if kind == "reposition" and agent.state == IDLE:
             agent.clear_route()
-            agent.press_load_switch()
+            agent.press_load_switch(now)
         elif kind == "transit" and agent.state == UNLOADING:
             agent.clear_route()
             if sv.unload_at is None:
@@ -674,8 +703,9 @@ class Simulation:
     def _radar_phase(self, now: int) -> None:
         angle = self._radar_idx * self.sensor_cfg.step_deg
         discs = self.world.obstacles
-        for i, sv in enumerate(self.fleet):
-            agent = sv.agent
+        fleet = self.fleet
+        for i in self._stepped:
+            agent = fleet[i].agent
             center = discs[i].center
             if agent.x != center.x or agent.y != center.y:
                 discs[i] = Disc(Position(agent.x, agent.y), agent.params.body_radius_m)
@@ -698,20 +728,25 @@ class Simulation:
         if now % self.scenario.sim.telemetry_interval != 0:
             return
         for sv in self.fleet:
-            self.medium.send(sv.radio, encode(sv.agent.telemetry()), now)
+            frame = sv.telemetry_frame
+            if frame is None:
+                frame = sv.telemetry_frame = encode(sv.agent.telemetry())
+            self.medium.send(sv.radio, frame, now)
 
     def _trace_phase(self) -> None:
         """Append this tick's rows; a vehicle that did not move keeps its tuples.
 
-        A pose is kept only while its floats are the very objects of the last
-        row (``is``, so even the sign of a zero cannot differ).
+        Only a stepped vehicle can have moved.  A pose is kept only while its
+        floats are the very objects of the last row (``is``, so even the sign
+        of a zero cannot differ).
         """
         poses = self._pose_row.copy()
         occupancy = self._occupancy_row.copy()
         keys = self._occupancy_keys
         ny = self.grid.ny
-        for i, sv in enumerate(self.fleet):
-            agent = sv.agent
+        fleet = self.fleet
+        for i in self._stepped:
+            agent = fleet[i].agent
             x, y = agent.x, agent.y
             pose = poses[i]
             if pose[0] is not x or pose[1] is not y:

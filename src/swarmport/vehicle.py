@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from .errors import IllegalTransition, TimestepTooLarge
 from .grid import GridMap, NodeId, Position
-from .planner import TimedPath
+from .planner import INF_TICK, TimedPath
 from .rfnet import Message, MessageKind
 
 IDLE = "IDLE"
@@ -149,7 +149,6 @@ class VehicleAgent:
         self._hop = 0
         self._done = True
         self.route_kind: str | None = None
-        self._tick = -1
         self._last_activate = -ACTIVATE_RETRY_TICKS
         self.outbox: list[Message] = []
         self.departure_gate: Callable[["VehicleAgent", NodeId, int, int], bool] | None = None
@@ -162,13 +161,17 @@ class VehicleAgent:
             raise IllegalTransition(f"vehicle {self.vehicle_id}: {self.state} -> {new_state}")
         self.state = new_state
 
-    def press_load_switch(self) -> None:
-        """Load placed on the platform; announce readiness to the hub."""
+    def press_load_switch(self, tick: int) -> None:
+        """Load placed on the platform; announce readiness to the hub.
+
+        ``tick`` stamps the announcement: while no route arrives, ACTIVATE
+        is repeated ACTIVATE_RETRY_TICKS after it.
+        """
         if self.state != IDLE:
             raise IllegalTransition(f"load switch pressed while {self.state}")
         self._transition(LOADED)
         self.outbox.append(Message(MessageKind.ACTIVATE, self.vehicle_id))
-        self._last_activate = self._tick
+        self._last_activate = tick
 
     def on_destination(self, dest: NodeId, timed_path: TimedPath) -> None:
         """Cargo destination received; start the transit leg and ACK."""
@@ -280,44 +283,53 @@ class VehicleAgent:
                 self._turn_sign = -1
                 self._turn_remaining = 360.0 - diff
 
-    def _may_depart(self) -> bool:
+    def _may_depart(self, now: int) -> bool:
         assert self._route is not None
         scheduled = self._departures[self._hop]
-        if self._tick >= scheduled:
+        if now >= scheduled:
             return True
         if self.departure_gate is None:
             return False
-        return self.departure_gate(self, self._route[self._hop + 1], self._tick, scheduled)
+        return self.departure_gate(self, self._route[self._hop + 1], now, scheduled)
 
-    def step(self, grid: GridMap, dt_s: float) -> None:
-        """Advance one tick: housekeeping, then turn / wait / drive."""
-        self._tick += 1
+    def step(self, grid: GridMap, dt_s: float, now: int) -> float:
+        """Advance tick ``now``: housekeeping, then turn / wait / drive.
 
+        Returns the next tick at which a step can change anything: ``now + 1``
+        while the vehicle turns or drives, the scheduled departure while it
+        rests, the next ACTIVATE retry while it awaits a route and INF_TICK
+        while it is parked with no route.  The departure gate and the cargo
+        calls (``on_destination``, ``unload``, ``begin_reposition``,
+        ``press_load_switch``) can make it due earlier; their caller tracks
+        that.
+        """
         if self.state == LOADED:
             self._transition(AWAITING_ROUTE)
-        if self.state == AWAITING_ROUTE and self._tick - self._last_activate >= ACTIVATE_RETRY_TICKS:
+        if self.state == AWAITING_ROUTE and now - self._last_activate >= ACTIVATE_RETRY_TICKS:
             self.outbox.append(Message(MessageKind.ACTIVATE, self.vehicle_id))
-            self._last_activate = self._tick
+            self._last_activate = now
 
         if self._route is None or self._done:
             if self.state == TRANSIT:
                 self._transition(UNLOADING)
             elif self.state == RETRACING:
                 self._finish_retrace()
-            return
+            elif self.state == AWAITING_ROUTE:
+                return self._last_activate + ACTIVATE_RETRY_TICKS
+            return INF_TICK
 
         if self._phase == _REST and self._aligned_for_hop():
             # Waiting at a node for the departure window.
-            if self._may_depart():
+            if self._may_depart(now):
                 self._phase = _DRIVE
             else:
-                return
+                return self._departures[self._hop]
 
         if self._phase == _REST:
             self._start_hop()
-            if self._phase == _DRIVE and not self._may_depart():
+            if self._phase == _DRIVE and not self._may_depart(now):
                 self._halt()
-                return
+                return self._departures[self._hop]
 
         if self._phase == _TURN:
             self._spin(dt_s)
@@ -325,14 +337,15 @@ class VehicleAgent:
             if yaw_deg >= self._turn_remaining:
                 self._heading = self._target_heading()
                 self._turn_remaining = 0.0
-                if self._may_depart():
+                if self._may_depart(now):
                     self._phase = _DRIVE
                 else:
                     self._halt()
+                    return self._departures[self._hop]
             else:
                 self._turn_remaining -= yaw_deg
                 self._heading = (self._heading + self._turn_sign * yaw_deg) % 360.0
-            return
+            return now + 1
 
         # Drive straight toward the next waypoint.
         self._spin(dt_s)
@@ -343,7 +356,10 @@ class VehicleAgent:
         nxt = self._route[self._hop + 1]
         tx, ty = grid.node_to_position(nxt)
         if math.hypot(tx - self.x, ty - self.y) <= grid.spacing_m / 10.0:
-            self._arrive(grid, nxt)
+            self._arrive(grid, nxt, now)
+            if self._phase == _REST and not self._done:
+                return self._departures[self._hop]
+        return now + 1
 
     def _aligned_for_hop(self) -> bool:
         if self._route is None or self._done:
@@ -357,12 +373,12 @@ class VehicleAgent:
         dy = nxt[1] - self.current_node[1]
         return math.degrees(math.atan2(dy, dx)) % 360.0
 
-    def _arrive(self, grid: GridMap, node: NodeId) -> None:
+    def _arrive(self, grid: GridMap, node: NodeId, now: int) -> None:
         self.x, self.y = grid.node_to_position(node)
         self.current_node = node
         self._hop += 1
         if self.arrival_hook is not None:
-            self.arrival_hook(self, node, self._tick)
+            self.arrival_hook(self, node, now)
         assert self._route is not None
         if self._hop == len(self._route) - 1:
             self._done = True
@@ -373,7 +389,7 @@ class VehicleAgent:
                 self._finish_retrace()
             return
         self._start_hop()
-        if self._phase == _DRIVE and not self._may_depart():
+        if self._phase == _DRIVE and not self._may_depart(now):
             self._halt()
 
     def _finish_retrace(self) -> None:

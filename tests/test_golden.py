@@ -1,6 +1,6 @@
 """Golden artifact hashes: a scenario plus a seed fixes every byte written.
 
-The hashes below are the sha256 of every file that `run` writes for six
+The hashes below are the sha256 of every file that `run` writes for seven
 scenarios, and of the document `swarmport defaults` writes.  Two scenarios
 also run after a round trip through their JSON document, which pins the
 parser to the same artifacts.  A change that alters any artifact byte fails
@@ -13,6 +13,7 @@ import json
 
 import pytest
 from test_acceptance import crossing_scenario
+from test_sim import pickup_at_home_scenario
 
 from swarmport.cli import EXIT_OK, main
 from swarmport.sim import MediumConfig, default_scenario, run, scenario_from_dict, scenario_to_dict
@@ -34,6 +35,9 @@ SCENARIOS = {
     "default_latency3_loss30_seed7": lambda: dataclasses.replace(
         default_scenario(), medium=MediumConfig(loss_probability=0.3, latency_ticks=3, seed=7)
     ),
+    # The only golden run whose load switch is pressed as an order arrives,
+    # before that tick's step: it pins when that vehicle repeats ACTIVATE.
+    "pickup_at_home_loss30_seed7": lambda: pickup_at_home_scenario(MediumConfig(0.3, 0, 7)),
     "crossing_3": lambda: crossing_scenario(3),
     # The only golden run with a nonzero beam: it pins the clamped-angle echo.
     "crossing_3_beam5": lambda: crossing_beam_scenario(3, 5.0),
@@ -72,6 +76,16 @@ GOLDEN = {
         "summary.json": "30e71c44fabf845acfb34b24a0656bd52a705445d325b563a5fe8227ebcdc238",
         "summary.txt": "4e0f3c75372fd294db0f37d673b16e5e358b60026b7dc335bcdc9aea85594cec",
         "telemetry.csv": "d0b04cf28d0b4c844e51a03c3d3dab6cfa3b24d4b48f62b0d2d1fb82863b847b",
+    },
+    "pickup_at_home_loss30_seed7": {
+        "capture.bin": "f8882688b90e6b48d58ab7b9588a73ebb90fd897b62cb7606353fbed9d99f754",
+        "frames/sweep_0001.svg": "ddc2f7a4d135fb453787c6804119a6503f9b6b6201ebc6c09dd09d0d59c03226",
+        "frames/sweep_0010.svg": "4fbc0dff6f8f9d713d5df5ff4ffe714e7a9b1fa756cfb6cf8d97519c3b248124",
+        "frames/sweep_0020.svg": "218f750481fdb76bd74b86c7e1a66768c106ce0353b489d099f07f49f0df7ea2",
+        "scan_stream.txt": "e2dda00c0147d626ac5433665c4fd740a5bfb9a8083d1ce7fc6e946bb524b04e",
+        "summary.json": "b9a290b93a9594df7cfce6198f131286a930832e674b863efb27cebc16421e7e",
+        "summary.txt": "44230ed04eafd24c888a84f20a6af70a00dc587138154bb7b45a82752ef40601",
+        "telemetry.csv": "96e962fbe49c43c15ec2527749ba29d32fbec15c84fdf34f3d86f18fa3b42a47",
     },
     "crossing_3": {
         "capture.bin": "9602ad0e4c0b81da0d71783391a5aab3d1e3c415933c1568545626febdafd910",

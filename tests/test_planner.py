@@ -394,6 +394,46 @@ def test_release_vehicle_clears_only_its_holds():
     assert not table.is_free(NodeId(1, 0), 0, INF_TICK)
 
 
+table_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("reserve"),
+            st.integers(0, 3),
+            st.integers(0, 4),
+            st.integers(0, 30),
+            st.one_of(st.integers(1, 30), st.just(INF_TICK)),
+        ),
+        st.tuples(st.just("release"), st.integers(0, 3)),
+    ),
+    max_size=60,
+)
+
+
+@given(table_ops)
+@settings(max_examples=200, deadline=None)
+def test_release_vehicle_equals_filtering_every_list(ops):
+    """``release_vehicle`` visits only the nodes the vehicle holds; the table
+    must read as if every node's list had been filtered, empty lists dropped."""
+    table = ReservationTable()
+    reference: dict[NodeId, list[tuple[float, float, int]]] = {}
+    for op in ops:
+        if op[0] == "reserve":
+            _, vid, ix, start, length = op
+            node = NodeId(ix, 0)
+            if table.reserve(vid, node, start, start + length) is None:
+                reference.setdefault(node, []).append((start, start + length, vid))
+        else:
+            vid = op[1]
+            table.release_vehicle(vid)
+            for node in list(reference):
+                kept = [h for h in reference[node] if h[2] != vid]
+                if kept:
+                    reference[node] = kept
+                else:
+                    del reference[node]
+        assert list(table.snapshot().items()) == list(reference.items())
+
+
 # ------------------------------------------------------ space-time planning
 
 

@@ -11,6 +11,7 @@ from swarmport.errors import ScenarioInvalid
 from swarmport.grid import NodeId, Position
 from swarmport.hub import Job, metrics
 from swarmport.radar import Disc, WorldModel, echo_distance
+from swarmport.rfnet import encode
 from swarmport.sim import (
     MediumConfig,
     Scenario,
@@ -27,7 +28,7 @@ from swarmport.sim import (
     scenario_to_dict,
     validate_scenario,
 )
-from swarmport.vehicle import VehicleParams
+from swarmport.vehicle import UNLOADING, VehicleParams
 
 
 def replace_scenario(base, **kw):
@@ -407,20 +408,40 @@ def test_radar_and_trace_see_every_move(monkeypatch):
     assert moved and still and parked  # both the refresh and the reuse were exercised
 
 
-def uncached_gate_run(scenario):
-    """Run ``scenario`` with a departure gate that asks the reservation table
-    on every call.  Also counts early grants that only a release can explain:
-    a gate refused while another vehicle's hold on the node lasted past now
+def pickup_at_home_scenario(medium):
+    """The default scenario with job 0 picked up at vehicle 0's home: the
+    order is served by pressing the load switch as it arrives."""
+    base = default_scenario()
+    jobs = (Job(0, NodeId(0, 0), NodeId(7, 2)), base.jobs[1])
+    return replace_scenario(base, jobs=jobs, medium=medium)
+
+
+def shared_dropoff_scenario():
+    """The default scenario with both jobs dropped off at (7, 2): the second
+    cargo leg finds the node held by the first and retries after NoPath."""
+    base = default_scenario()
+    return replace_scenario(base, jobs=(base.jobs[0], Job(1, NodeId(7, 6), NodeId(7, 2))))
+
+
+def counted_run(scenario, every_tick):
+    """Run ``scenario`` with the trace and capture on and count vehicle steps
+    and early departure grants that only a release can explain: a gate
+    refused while another vehicle's hold on the node lasted past now
     (computed here from the table's snapshot), then granted for the same
-    node and slot before that hold's end."""
-    sim = Simulation(scenario, trace=True)
+    node and slot before that hold's end.
+
+    With ``every_tick`` the engine's vehicle phase is replaced by a loop
+    that steps every vehicle on every tick and ignores the tick that
+    ``step`` returns, as the engine did before vehicles slept; its gate
+    asks the reservation table on every call, as the engine's does."""
+    sim = Simulation(scenario, trace=True, capture=True)
     table = sim.table
     refused: dict[int, tuple] = {}
-    early = 0
+    steps = early = 0
 
     def gate(agent, node, now, scheduled):
         nonlocal early
-        if table.reserve(agent.vehicle_id, node, now, scheduled) is None:
+        if sim._departure_gate(agent, node, now, scheduled):
             last = refused.pop(agent.vehicle_id, None)
             if last is not None and last[:2] == (node, scheduled) and now < last[2]:
                 early += 1
@@ -430,29 +451,63 @@ def uncached_gate_run(scenario):
         refused[agent.vehicle_id] = (node, scheduled, until)
         return False
 
-    for sv in sim.vehicles.values():
+    def counting(step):
+        def counted(grid, dt_s, now):
+            nonlocal steps
+            steps += 1
+            return step(grid, dt_s, now)
+
+        return counted
+
+    def step_every_vehicle(now):
+        sim._stepped = list(range(len(sim.fleet)))
+        for sv in sim.fleet:
+            sv.telemetry_frame = None
+            agent = sv.agent
+            if sv.pending is not None and now >= sv.retry_at:
+                sim._attempt_pending(sv, now)
+            if agent.state == UNLOADING and sv.unload_at is not None and now >= sv.unload_at and sv.pending is None:
+                sim._start_retrace(sv, now)
+            agent.step(sim.grid, sim.dt, now)
+            if agent.route_finished:
+                sim._post_step(sv, now)
+            for msg in agent.outbox:
+                sim.medium.send(sv.radio, encode(msg), now)
+            agent.outbox.clear()
+
+    for sv in sim.fleet:
         sv.agent.departure_gate = gate
+        sv.agent.step = counting(sv.agent.step)
+    if every_tick:
+        sim._vehicle_phase = step_every_vehicle
     sim.run_loop()
-    return sim, early
+    return sim, steps, early
 
 
 def test_sleeping_gate_matches_asking_every_tick():
-    """The engine's gate answers a refusal from memory until the blocking
-    holds end or a release lands; the traces must equal those of a gate that
-    asks every tick, including runs where a release opens a waiting
-    vehicle's gate early."""
+    """The engine steps a vehicle only when it is due; every trace, job,
+    radar frame and captured byte must equal those of a loop that steps every
+    vehicle on every tick, including runs where a release opens a waiting
+    vehicle's gate early, an order reaches a sleeping vehicle and a leg is
+    retried after NoPath."""
     early_total = 0
-    for seed in (1, 3, 5, 14):
-        scenario = crossing_scenario(seed)
-        engine = Simulation(scenario, trace=True)
-        engine.run_loop()
-        reference, early = uncached_gate_run(scenario)
-        early_total += early
+    for scenario in [crossing_scenario(seed) for seed in range(1, 11)] + [
+        replace_scenario(default_scenario(), medium=MediumConfig(0.3, 3, 7)),
+        pickup_at_home_scenario(MediumConfig(0.3, 0, 7)),
+        shared_dropoff_scenario(),
+    ]:
+        engine, engine_steps, engine_early = counted_run(scenario, every_tick=False)
+        reference, reference_steps, reference_early = counted_run(scenario, every_tick=True)
         assert engine.tick_count == reference.tick_count
         assert repr(engine.pose_trace) == repr(reference.pose_trace)
         assert engine.occupancy_trace == reference.occupancy_trace
         assert engine.job_traces == reference.job_traces
+        assert engine.frame_lines == reference.frame_lines
+        assert engine.medium.capture == reference.medium.capture
         assert engine.completed_jobs == engine.total_jobs
+        assert engine_steps < reference_steps
+        assert engine_early == reference_early
+        early_total += engine_early
     assert early_total > 0
 
 

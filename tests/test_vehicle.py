@@ -9,6 +9,7 @@ from swarmport.grid import NodeId, Position, build_grid
 from swarmport.planner import PathMemory, TimedPath, TimedStep
 from swarmport.rfnet import MessageKind
 from swarmport.vehicle import (
+    ACTIVATE_RETRY_TICKS,
     AWAITING_ROUTE,
     IDLE,
     LOADED,
@@ -37,11 +38,18 @@ def make_agent(home=NodeId(0, 0), pos=Position(0.0, 0.0)):
     return VehicleAgent(0, home, pos)
 
 
-def drive_until(agent, grid, predicate, limit=5000):
-    for _ in range(limit):
-        agent.step(grid, DT)
+def loaded_and_awaiting(agent, grid):
+    """Press the load switch at tick 0 and step tick 1: LOADED -> AWAITING_ROUTE."""
+    agent.press_load_switch(0)
+    agent.step(grid, DT, 1)
+
+
+def drive_until(agent, grid, predicate, start=2, limit=5000):
+    """Step from tick ``start`` on; return the tick after which ``predicate`` holds."""
+    for now in range(start, start + limit):
+        agent.step(grid, DT, now)
         if predicate(agent):
-            return agent._tick
+            return now
     raise AssertionError("condition never reached")
 
 
@@ -128,16 +136,16 @@ def test_closed_loop_settles_within_two_seconds():
 
 def test_load_switch_announces_activation():
     agent = make_agent()
-    agent.press_load_switch()
+    agent.press_load_switch(0)
     assert agent.state == LOADED
     assert [m.kind for m in agent.outbox] == [MessageKind.ACTIVATE]
 
 
 def test_load_switch_twice_is_illegal():
     agent = make_agent()
-    agent.press_load_switch()
+    agent.press_load_switch(0)
     with pytest.raises(IllegalTransition):
-        agent.press_load_switch()
+        agent.press_load_switch(1)
 
 
 def test_destination_while_idle_is_illegal():
@@ -154,15 +162,14 @@ def test_unload_outside_unloading_is_illegal():
 
 def test_reposition_requires_idle():
     agent = make_agent()
-    agent.press_load_switch()
+    agent.press_load_switch(0)
     with pytest.raises(IllegalTransition):
         agent.begin_reposition(make_path([NodeId(0, 0), NodeId(1, 0)]))
 
 
 def test_route_must_start_at_current_node():
     agent = make_agent()
-    agent.press_load_switch()
-    agent.step(build_grid(2.0, 2.0, 0.25), DT)  # LOADED -> AWAITING_ROUTE
+    loaded_and_awaiting(agent, build_grid(2.0, 2.0, 0.25))
     with pytest.raises(ValueError):
         agent.on_destination(NodeId(2, 0), make_path([NodeId(1, 0), NodeId(2, 0)]))
 
@@ -170,9 +177,9 @@ def test_route_must_start_at_current_node():
 def test_activate_retries_while_awaiting_route():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    agent.press_load_switch()
-    for _ in range(45):
-        agent.step(grid, DT)
+    agent.press_load_switch(0)
+    for now in range(1, 46):
+        agent.step(grid, DT, now)
     kinds = [m.kind for m in agent.outbox]
     assert kinds.count(MessageKind.ACTIVATE) == 3  # press + ticks 20 and 40
     assert agent.state == AWAITING_ROUTE
@@ -184,8 +191,7 @@ def test_activate_retries_while_awaiting_route():
 def test_straight_hop_lands_exactly_on_node():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    agent.press_load_switch()
-    agent.step(grid, DT)
+    loaded_and_awaiting(agent, grid)
     agent.on_destination(NodeId(1, 0), make_path([NodeId(0, 0), NodeId(1, 0)]))
     ticks = drive_until(agent, grid, lambda a: a.route_finished)
     assert agent.pose == (0.25, 0.0, 0.0)
@@ -198,13 +204,12 @@ def test_straight_hop_lands_exactly_on_node():
 def test_cruise_speed_during_drive():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    agent.press_load_switch()
-    agent.step(grid, DT)
+    loaded_and_awaiting(agent, grid)
     agent.on_destination(NodeId(4, 0), make_path([NodeId(i, 0) for i in range(5)]))
     speeds = []
-    for _ in range(2500):
-        agent.step(grid, DT)
-        if agent._tick >= 200:  # past spin-up
+    for now in range(2, 2502):
+        agent.step(grid, DT, now)
+        if now >= 200:  # past spin-up
             speeds.append(agent.speed_m_s)
         if agent.route_finished:
             break
@@ -216,26 +221,24 @@ def test_cruise_speed_during_drive():
 def test_turn_in_place_snaps_heading():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    agent.press_load_switch()
-    agent.step(grid, DT)
+    loaded_and_awaiting(agent, grid)
     agent.on_destination(NodeId(0, 1), make_path([NodeId(0, 0), NodeId(0, 1)]))
     ticks_turning = drive_until(agent, grid, lambda a: a.pose.heading_deg == 90.0)
     # quarter turn: accelerate, then yaw rate = 2*r*omega/track
     assert 2.0 <= ticks_turning * DT <= 3.5
     assert agent.pose.x == 0.0 and agent.pose.y == 0.0  # turned in place
-    drive_until(agent, grid, lambda a: a.route_finished)
+    drive_until(agent, grid, lambda a: a.route_finished, start=ticks_turning + 1)
     assert agent.pose == (0.0, 0.25, 90.0)
 
 
 def test_turn_prefers_counter_clockwise_on_180():
     grid = build_grid(2.0, 2.0, 0.25, blocked=[])
     agent = VehicleAgent(0, NodeId(1, 0), Position(0.25, 0.0))
-    agent.press_load_switch()
-    agent.step(grid, DT)
+    loaded_and_awaiting(agent, grid)
     agent.on_destination(NodeId(0, 0), make_path([NodeId(1, 0), NodeId(0, 0)]))
     seen = set()
-    for _ in range(5000):
-        agent.step(grid, DT)
+    for now in range(2, 5002):
+        agent.step(grid, DT, now)
         seen.add(round(agent.pose.heading_deg // 90))
         if agent.route_finished:
             break
@@ -246,12 +249,11 @@ def test_turn_prefers_counter_clockwise_on_180():
 def test_turn_clockwise_when_shorter():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = VehicleAgent(0, NodeId(0, 1), Position(0.0, 0.25))
-    agent.press_load_switch()
-    agent.step(grid, DT)
+    loaded_and_awaiting(agent, grid)
     agent.on_destination(NodeId(0, 0), make_path([NodeId(0, 1), NodeId(0, 0)]))
     headings = []
-    for _ in range(5000):
-        agent.step(grid, DT)
+    for now in range(2, 5002):
+        agent.step(grid, DT, now)
         headings.append(agent.pose.heading_deg)
         if agent.route_finished:
             break
@@ -262,14 +264,13 @@ def test_turn_clockwise_when_shorter():
 def test_scheduled_departure_holds_vehicle():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    agent.press_load_switch()
-    agent.step(grid, DT)
+    loaded_and_awaiting(agent, grid)
     agent.on_destination(NodeId(1, 0), make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
-    for _ in range(99):
-        agent.step(grid, DT)
+    for now in range(2, 100):
+        agent.step(grid, DT, now)
         assert agent.pose.x == 0.0
         assert agent.speed_m_s == 0.0
-    drive_until(agent, grid, lambda a: a.pose.x > 0.0, limit=50)
+    assert drive_until(agent, grid, lambda a: a.pose.x > 0.0, start=100, limit=50) == 100
 
 
 def test_departure_gate_grants_early_start():
@@ -282,12 +283,10 @@ def test_departure_gate_grants_early_start():
         return True
 
     agent.departure_gate = gate
-    agent.press_load_switch()
-    agent.step(grid, DT)
+    loaded_and_awaiting(agent, grid)
     agent.on_destination(NodeId(1, 0), make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=10_000))
-    drive_until(agent, grid, lambda a: a.pose.x > 0.0, limit=50)
-    assert calls[0][0] == NodeId(1, 0)
-    assert calls[0][2] == 10_000
+    assert drive_until(agent, grid, lambda a: a.pose.x > 0.0, limit=50) == 2
+    assert calls[0] == (NodeId(1, 0), 2, 10_000)
 
 
 def test_transit_unload_retrace_cycle():
@@ -296,8 +295,7 @@ def test_transit_unload_retrace_cycle():
     agent = make_agent()
     memory.record_node(0, agent.current_node)
 
-    agent.press_load_switch()
-    agent.step(grid, DT)
+    loaded_and_awaiting(agent, grid)
     assert agent.state == AWAITING_ROUTE
 
     agent.on_destination(NodeId(2, 0), make_path([NodeId(0, 0), NodeId(1, 0), NodeId(2, 0)]))
@@ -305,7 +303,7 @@ def test_transit_unload_retrace_cycle():
     assert [m.kind for m in agent.outbox][-1] == MessageKind.ACK
 
     agent.arrival_hook = lambda a, node, tick: memory.record_node(a.vehicle_id, node)
-    drive_until(agent, grid, lambda a: a.state == UNLOADING)
+    unloading = drive_until(agent, grid, lambda a: a.state == UNLOADING)
     assert agent.current_node == NodeId(2, 0)
 
     back = memory.trail(0)[::-1]
@@ -313,7 +311,7 @@ def test_transit_unload_retrace_cycle():
     agent.arrival_hook = None
     agent.unload(make_path(back))
     assert agent.state == RETRACING
-    drive_until(agent, grid, lambda a: a.state == IDLE)
+    drive_until(agent, grid, lambda a: a.state == IDLE, start=unloading + 1)
     assert agent.current_node == NodeId(0, 0)
     assert agent.pose == (0.0, 0.0, 180.0)
 
@@ -322,11 +320,95 @@ def test_edge_in_progress_only_while_driving():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     assert agent.edge_in_progress() is None
-    agent.press_load_switch()
-    agent.step(grid, DT)
+    loaded_and_awaiting(agent, grid)
     agent.on_destination(NodeId(1, 0), make_path([NodeId(0, 0), NodeId(1, 0)]))
-    agent.step(grid, DT)
+    agent.step(grid, DT, 2)
     assert agent.edge_in_progress() == (NodeId(0, 0), NodeId(1, 0))
+
+
+# -------------------------------------------------------------- wake ticks
+
+
+def test_step_returns_next_tick_while_moving():
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    loaded_and_awaiting(agent, grid)
+    agent.on_destination(NodeId(1, 1), make_path([NodeId(0, 0), NodeId(0, 1), NodeId(1, 1)]))
+    phases = set()
+    for now in range(2, 5002):
+        wake = agent.step(grid, DT, now)
+        assert wake == now + 1
+        if agent.route_finished:
+            break
+        phases.add(agent._phase)
+    assert phases == {"turn", "drive"}  # two turns and two hops, none of them waiting
+    assert agent.state == UNLOADING
+
+
+def test_step_returns_scheduled_departure_while_resting():
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    refusals = []
+
+    def gate(a, nxt, now, scheduled):
+        refusals.append(now)
+        return False
+
+    agent.departure_gate = gate
+    loaded_and_awaiting(agent, grid)
+    agent.on_destination(NodeId(1, 0), make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
+    assert agent.step(grid, DT, 2) == 100
+    assert agent.step(grid, DT, 57) == 100  # a refused gate does not move the scheduled tick
+    assert refusals == [2, 57]
+    assert agent.step(grid, DT, 100) == 101
+    assert agent.pose.x > 0.0
+
+
+def test_step_that_comes_to_rest_returns_scheduled_departure():
+    """The step that ends a turn, or a hop, short of the next departure
+    already returns that departure."""
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    agent.departure_gate = lambda a, nxt, now, scheduled: False
+    loaded_and_awaiting(agent, grid)
+    north = [NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]
+    agent.on_destination(north[-1], TimedPath([TimedStep(north[0], 0, 500), TimedStep(north[1], 490, 900),
+                                               TimedStep(north[2], 890, 900)], 10))
+
+    def until_quiet(now):
+        """Step from ``now`` until a step returns more than the next tick."""
+        while True:
+            before = (agent.pose.heading_deg, agent.current_node)
+            wake = agent.step(grid, DT, now)
+            if wake != now + 1:
+                return now, wake, before
+            now += 1
+
+    now, wake, before = until_quiet(2)
+    assert wake == 500
+    assert before[0] < agent.pose.heading_deg == 90.0  # this step ended the turn
+    now, wake, before = until_quiet(500)
+    assert wake == 900 and now < 900
+    assert (before[1], agent.current_node) == (north[0], north[1])  # this step arrived
+
+
+def test_step_returns_next_activate_retry_while_awaiting_route():
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    agent.press_load_switch(3)
+    assert agent.step(grid, DT, 4) == 3 + ACTIVATE_RETRY_TICKS
+    assert agent.state == AWAITING_ROUTE
+    assert agent.step(grid, DT, 23) == 23 + ACTIVATE_RETRY_TICKS
+    assert [m.kind for m in agent.outbox] == [MessageKind.ACTIVATE] * 2
+
+
+def test_step_returns_inf_while_parked_without_route():
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    assert agent.step(grid, DT, 0) == math.inf
+    assert agent.step(grid, DT, 1) == math.inf
+    assert agent.state == IDLE
+    assert agent.outbox == []
 
 
 def test_telemetry_snapshot():
