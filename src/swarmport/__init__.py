@@ -11,7 +11,6 @@ from .errors import (
     BadInterval,
     DecodeError,
     EmptyLog,
-    EmptyMemory,
     IllegalTransition,
     IoFailure,
     NoPath,
@@ -26,7 +25,6 @@ from .grid import GridMap, NodeId, Position, build_grid
 from .hub import Hub, Job, TelemetryRecord, associate_radar, ingest_telemetry, metrics, write_csv
 from .planner import (
     Path,
-    PathMemory,
     ReservationTable,
     TimedPath,
     astar,
@@ -68,7 +66,6 @@ __all__ = [
     "DecodeError",
     "Disc",
     "EmptyLog",
-    "EmptyMemory",
     "GridMap",
     "Hub",
     "IllegalTransition",
@@ -82,7 +79,6 @@ __all__ = [
     "NodeOutOfRange",
     "OutOfTerrain",
     "Path",
-    "PathMemory",
     "PidState",
     "Pose",
     "Position",

@@ -61,6 +61,8 @@ def cmd_run(scenario: Scenario, out_dir: str) -> int:
 
 def cmd_plan(scenario: Scenario, src: NodeId, dst: NodeId, algorithm: str) -> int:
     grid = build_scenario_grid(scenario)
+    grid.require(src)
+    grid.require(dst)
     try:
         if algorithm == "dijkstra":
             path = dijkstra(grid, src, dst)

@@ -37,10 +37,6 @@ class BadInterval(SwarmportError):
     pass
 
 
-class EmptyMemory(SwarmportError):
-    pass
-
-
 # -- radar --------------------------------------------------------------
 
 class NonPositiveSpeed(SwarmportError):

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, NamedTuple, TypeVar
 
 import numpy as np
 
-from .errors import BadInterval, EmptyMemory, GridTooLarge, NoPath
+from .errors import BadInterval, GridTooLarge, NoPath
 from .grid import GridMap, NodeId
 
 INF_TICK = math.inf
@@ -467,23 +467,3 @@ def commit(table: ReservationTable, vehicle_id: int, plan: TimedPath) -> None:
         until = table.reserve(vehicle_id, step.node, step.enter_tick, end)
         if until is not None:  # pragma: no cover - plans are conflict-free
             raise BadInterval(f"plan collides with a hold on {tuple(step.node)} until tick {until}")
-
-
-class PathMemory:
-    """Per-vehicle trail of nodes entered, for exact reverse retracing."""
-
-    def __init__(self) -> None:
-        self._trails: dict[int, list[NodeId]] = {}
-
-    def record_node(self, vehicle_id: int, node: NodeId) -> None:
-        trail = self._trails.setdefault(vehicle_id, [])
-        if not trail or trail[-1] != node:
-            trail.append(node)
-
-    def trail(self, vehicle_id: int) -> list[NodeId]:
-        return list(self._trails.get(vehicle_id, ()))
-
-    def forget(self, vehicle_id: int) -> None:
-        """Clear the trail once its retrace leg is committed."""
-        if not self._trails.pop(vehicle_id, None):
-            raise EmptyMemory(f"no recorded trail for vehicle {vehicle_id}")

@@ -98,7 +98,12 @@ def encode(message: Message) -> bytes:
         ) from None
     if len(payload) > MAX_PAYLOAD:
         raise PayloadTooLarge(f"payload {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    body = bytes([VERSION, message.kind, message.vehicle_id, len(payload)]) + payload
+    try:
+        body = bytes([VERSION, message.kind, message.vehicle_id, len(payload)]) + payload
+    except ValueError:
+        raise PayloadTooLarge(
+            f"{message.kind.name} field vehicle_id = {message.vehicle_id!r} does not fit in 8 bits"
+        ) from None
     return bytes([SYNC]) + body + struct.pack(">H", crc16_ccitt_false(body))
 
 
@@ -106,8 +111,10 @@ def decode(data: bytes) -> Message:
     """Inverse of encode; names the first failing check."""
     if len(data) < 1 or data[0] != SYNC:
         raise BadSync("missing 0x7E sync byte")
-    if len(data) < 2 or data[1] != VERSION:
-        raise BadVersion(f"unsupported version byte")
+    if len(data) < 2:
+        raise BadVersion("missing version byte")
+    if data[1] != VERSION:
+        raise BadVersion(f"unsupported version byte 0x{data[1]:02x}, expected 0x{VERSION:02x}")
     if len(data) < 7:
         raise BadLength(f"frame too short: {len(data)} bytes")
     length = data[4]

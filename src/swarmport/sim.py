@@ -36,7 +36,6 @@ from .hub import (
 )
 from .planner import (
     INF_TICK,
-    PathMemory,
     ReservationTable,
     TimedPath,
     astar,
@@ -349,12 +348,9 @@ class JobTrace:
 class _SimVehicle:
     agent: VehicleAgent
     radio: Radio
-    home_node: NodeId
     pending: tuple[str, NodeId | None] | None = None
     retry_at: int = 0
     unload_at: int | None = None
-    outbound_trail: tuple[NodeId, ...] = ()
-    retrace_driven: list[NodeId] = field(default_factory=list)
     # The first tick at which stepping the vehicle can change anything.
     wake: float = 0
     # The end of the holds behind the last refused departure gate.
@@ -381,7 +377,6 @@ class Simulation:
         self.scenario = scenario
         self.dt = scenario.sim.dt_s
         self.table = ReservationTable()
-        self.memory = PathMemory()
         self.medium = Medium(
             scenario.medium.loss_probability,
             scenario.medium.latency_ticks,
@@ -411,14 +406,11 @@ class Simulation:
                 params=vcfg.params,
             )
             agent.departure_gate = self._departure_gate
-            agent.arrival_hook = self._on_arrival
             radio = self.medium.attach(Radio(Channel(vcfg.vehicle_id)))
             self.hub_radios[vcfg.vehicle_id] = self.medium.attach(Radio(Channel(vcfg.vehicle_id)))
             self.hub.register_vehicle(vcfg.vehicle_id, vcfg.home_node)
             self.table.reserve(vcfg.vehicle_id, vcfg.home_node, 0, INF_TICK)
-            self.vehicles[vcfg.vehicle_id] = _SimVehicle(
-                agent=agent, radio=radio, home_node=vcfg.home_node
-            )
+            self.vehicles[vcfg.vehicle_id] = _SimVehicle(agent=agent, radio=radio)
         # The vehicles in ascending id: the order of every per-vehicle phase.
         self.fleet: list[_SimVehicle] = list(self.vehicles.values())
         # The fleet positions of the vehicles stepped this tick.
@@ -471,13 +463,6 @@ class Simulation:
         self.vehicles[agent.vehicle_id].refused_until = until
         return False
 
-    def _on_arrival(self, agent: VehicleAgent, node: NodeId, tick: int) -> None:
-        sv = self.vehicles[agent.vehicle_id]
-        if agent.route_kind in ("reposition", "transit"):
-            self.memory.record_node(agent.vehicle_id, node)
-        elif agent.route_kind == "retrace":
-            sv.retrace_driven.append(node)
-
     # -- planning helpers ---------------------------------------------
 
     def _routing_grid(self, src: NodeId, dst: NodeId) -> GridMap:
@@ -518,7 +503,6 @@ class Simulation:
     def _plan_reposition(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
         tp = self._plan_leg(sv, now, ("reposition", dest), lambda: self._plan_to(sv, dest, now))
         if tp is not None:
-            self.memory.record_node(sv.agent.vehicle_id, sv.agent.current_node)
             sv.agent.begin_reposition(tp)
 
     def _plan_cargo(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
@@ -526,12 +510,11 @@ class Simulation:
         if tp is None:
             sv.agent.queue_ack()
         else:
-            sv.agent.on_destination(dest, tp)
+            sv.agent.on_destination(tp)
 
     def _start_retrace(self, sv: _SimVehicle, now: int) -> None:
         agent = sv.agent
-        trail = self.memory.trail(agent.vehicle_id)
-        sequence = list(reversed(trail))
+        sequence = agent.trail[::-1]
         horizon = 10 * (self.grid.nx - 1 + self.grid.ny - 1) + len(sequence)
         tp = self._plan_leg(
             sv,
@@ -541,10 +524,7 @@ class Simulation:
         )
         if tp is None:
             return
-        sv.outbound_trail = tuple(trail)
-        sv.retrace_driven = [agent.current_node]
         agent.unload(tp)
-        self.memory.forget(agent.vehicle_id)
         sv.unload_at = None
 
     def _attempt_pending(self, sv: _SimVehicle, now: int) -> None:
@@ -572,7 +552,6 @@ class Simulation:
                 return
             agent.queue_ack()
             if dest == agent.current_node:
-                self.memory.record_node(agent.vehicle_id, agent.current_node)
                 agent.press_load_switch(now - 1)
             else:
                 self._plan_reposition(sv, dest, now)
@@ -682,21 +661,20 @@ class Simulation:
             agent.clear_route()
             job = self.hub.vehicles[agent.vehicle_id].job
             job_id = job.job_id if job is not None else -1
-            home_xy = self.grid.node_to_position(sv.home_node)
+            home_xy = self.grid.node_to_position(agent.home_node)
             self.job_traces.append(
                 JobTrace(
                     vehicle_id=agent.vehicle_id,
                     job_id=job_id,
-                    outbound=sv.outbound_trail,
-                    retraced=tuple(sv.retrace_driven),
+                    outbound=tuple(agent.trail),
+                    retraced=tuple(agent.retraced),
                     final_pose=(agent.x, agent.y),
                     home_position=(home_xy.x, home_xy.y),
                     complete_tick=now,
                 )
             )
             self.hub.on_job_complete(agent.vehicle_id)
-            sv.outbound_trail = ()
-            sv.retrace_driven = []
+            agent.trail.clear()
             self.completed_jobs += 1
             self.last_complete_tick = now
 

@@ -134,8 +134,12 @@ class VehicleAgent:
         self.pid = pid or PidState()
         self.state = IDLE
         self.home_node = home_node
-        self.dest_node: NodeId | None = None
         self.current_node = home_node
+        # The nodes driven from home to the drop-off, which the retrace
+        # drives in reverse; the engine clears it when the job ends.
+        self.trail: list[NodeId] = []
+        # The nodes driven by the last retrace, from the drop-off on.
+        self.retraced: list[NodeId] = []
         # Position in metres as plain floats: the engine's per-tick phases
         # read these instead of building a `pose`.
         self.x, self.y = home_position
@@ -152,7 +156,6 @@ class VehicleAgent:
         self._last_activate = -ACTIVATE_RETRY_TICKS
         self.outbox: list[Message] = []
         self.departure_gate: Callable[["VehicleAgent", NodeId, int, int], bool] | None = None
-        self.arrival_hook: Callable[["VehicleAgent", NodeId, int], None] | None = None
 
     # -- state machine ----------------------------------------------
 
@@ -173,11 +176,10 @@ class VehicleAgent:
         self.outbox.append(Message(MessageKind.ACTIVATE, self.vehicle_id))
         self._last_activate = tick
 
-    def on_destination(self, dest: NodeId, timed_path: TimedPath) -> None:
+    def on_destination(self, timed_path: TimedPath) -> None:
         """Cargo destination received; start the transit leg and ACK."""
         if self.state not in (LOADED, AWAITING_ROUTE):
             raise IllegalTransition(f"destination received while {self.state}")
-        self.dest_node = dest
         self._transition(TRANSIT)
         self._begin_route("transit", timed_path)
         self.queue_ack()
@@ -204,6 +206,10 @@ class VehicleAgent:
         route = timed_path.route
         if route[0] != self.current_node:
             raise ValueError(f"route starts at {route[0]}, vehicle at {self.current_node}")
+        if kind == "retrace":
+            self.retraced = [self.current_node]
+        elif not self.trail:
+            self.trail.append(self.current_node)
         self.route_kind = kind
         self._route = route
         self._departures = [s.exit_tick for s in timed_path.steps[:-1]]
@@ -313,7 +319,7 @@ class VehicleAgent:
             if self.state == TRANSIT:
                 self._transition(UNLOADING)
             elif self.state == RETRACING:
-                self._finish_retrace()
+                self._transition(IDLE)
             elif self.state == AWAITING_ROUTE:
                 return self._last_activate + ACTIVATE_RETRY_TICKS
             return INF_TICK
@@ -377,8 +383,10 @@ class VehicleAgent:
         self.x, self.y = grid.node_to_position(node)
         self.current_node = node
         self._hop += 1
-        if self.arrival_hook is not None:
-            self.arrival_hook(self, node, now)
+        if self.route_kind == "retrace":
+            self.retraced.append(node)
+        else:
+            self.trail.append(node)
         assert self._route is not None
         if self._hop == len(self._route) - 1:
             self._done = True
@@ -386,12 +394,8 @@ class VehicleAgent:
             if self.state == TRANSIT:
                 self._transition(UNLOADING)
             elif self.state == RETRACING:
-                self._finish_retrace()
+                self._transition(IDLE)
             return
         self._start_hop()
         if self._phase == _DRIVE and not self._may_depart(now):
             self._halt()
-
-    def _finish_retrace(self) -> None:
-        self._transition(IDLE)
-        self.dest_node = None

@@ -70,6 +70,15 @@ def test_plan_unreachable_exits_two(tmp_path, capsys):
         assert "no path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo", ["dijkstra", "astar", "bellman-ford", "floyd-warshall"])
+@pytest.mark.parametrize("ends", [("99,99", "0,0"), ("0,0", "99,99")])
+def test_plan_endpoint_outside_grid_exits_one(algo, ends, scenario_file, capsys):
+    src, dst = ends
+    code = main(["plan", "--scenario", scenario_file, "--algo", algo, "--from", src, "--to", dst])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == "error: node (99, 99) outside 9x9 grid\n"
+
+
 def test_plan_rejects_bad_node_format(scenario_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--scenario", scenario_file, "--algo", "astar", "--from", "zero", "--to", "2,0"])

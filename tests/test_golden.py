@@ -1,6 +1,6 @@
 """Golden artifact hashes: a scenario plus a seed fixes every byte written.
 
-The hashes below are the sha256 of every file that `run` writes for seven
+The hashes below are the sha256 of every file that `run` writes for eight
 scenarios, and of the document `swarmport defaults` writes.  Two scenarios
 also run after a round trip through their JSON document, which pins the
 parser to the same artifacts.  A change that alters any artifact byte fails
@@ -13,7 +13,7 @@ import json
 
 import pytest
 from test_acceptance import crossing_scenario
-from test_sim import pickup_at_home_scenario
+from test_sim import one_vehicle_scenario, pickup_at_home_scenario
 
 from swarmport.cli import EXIT_OK, main
 from swarmport.sim import MediumConfig, default_scenario, run, scenario_from_dict, scenario_to_dict
@@ -38,6 +38,9 @@ SCENARIOS = {
     # The only golden run whose load switch is pressed as an order arrives,
     # before that tick's step: it pins when that vehicle repeats ACTIVATE.
     "pickup_at_home_loss30_seed7": lambda: pickup_at_home_scenario(MediumConfig(0.3, 0, 7)),
+    # The only golden run in which one vehicle serves two jobs in turn: it
+    # pins that each retrace drives back over its own trip only.
+    "one_vehicle_two_jobs": one_vehicle_scenario,
     "crossing_3": lambda: crossing_scenario(3),
     # The only golden run with a nonzero beam: it pins the clamped-angle echo.
     "crossing_3_beam5": lambda: crossing_beam_scenario(3, 5.0),
@@ -86,6 +89,18 @@ GOLDEN = {
         "summary.json": "b9a290b93a9594df7cfce6198f131286a930832e674b863efb27cebc16421e7e",
         "summary.txt": "44230ed04eafd24c888a84f20a6af70a00dc587138154bb7b45a82752ef40601",
         "telemetry.csv": "96e962fbe49c43c15ec2527749ba29d32fbec15c84fdf34f3d86f18fa3b42a47",
+    },
+    "one_vehicle_two_jobs": {
+        "capture.bin": "f6172daa5fa1cec2a76825f54285afdc3c826dffce0da2d1602a057286e8a1ed",
+        "frames/sweep_0001.svg": "b9d59e382fa94a1283f8d51f8559568b7a2fa0d02168bbe923c6aad711d1f740",
+        "frames/sweep_0010.svg": "6d9e70994bb0b23c98f3ff7d34eb30d25910897eff67dafb07d1063778d63e4d",
+        "frames/sweep_0020.svg": "26d776526a6cd9b3e5bae366c63a394c0f1d2aead15ba97b3fa20ef09745afe6",
+        "frames/sweep_0030.svg": "06797eefd86b8b9dc5f25ad624023f6c13879243a0a6332563a5c33bef3b031b",
+        "frames/sweep_0040.svg": "5c6c262a0ad3a52e53ff4311233f27ee9469a477b1c7aa3e45b3f160c790d8af",
+        "scan_stream.txt": "49352d15a041787a71ecbb7735e2de2b1d643b8c58cb14fd2d8b1a969c955f7b",
+        "summary.json": "4b7457ae2ac20ab8d769a7adc0d6e021db5782981cea32c4b50516193b735104",
+        "summary.txt": "f3e1f5d856ac2c3817ddeda62dbd5eebdf2da26319d986db6b160b97c1da969d",
+        "telemetry.csv": "76fdae706a3d4222c8f9050df0f97cbde555f737238f555e5db820cf11632036",
     },
     "crossing_3": {
         "capture.bin": "9602ad0e4c0b81da0d71783391a5aab3d1e3c415933c1568545626febdafd910",

@@ -7,11 +7,10 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmport.errors import BadInterval, EmptyMemory, GridTooLarge, NoPath
+from swarmport.errors import BadInterval, GridTooLarge, NoPath
 from swarmport.grid import GridMap, NodeId, build_grid
 from swarmport.planner import (
     INF_TICK,
-    PathMemory,
     ReservationTable,
     TimedPath,
     TimedStep,
@@ -709,33 +708,3 @@ def test_commit_with_park_holds_destination_forever():
     plan = plan_space_time(grid, table, NodeId(0, 0), NodeId(2, 0), 0, 10)
     commit(table, 0, plan)
     assert not table.is_free(NodeId(2, 0), 10 ** 12, INF_TICK)
-
-
-# ------------------------------------------------------------- path memory
-
-
-def test_memory_records_and_forgets():
-    memory = PathMemory()
-    for node in [NodeId(0, 0), NodeId(1, 0), NodeId(1, 1)]:
-        memory.record_node(7, node)
-    assert memory.trail(7) == [NodeId(0, 0), NodeId(1, 0), NodeId(1, 1)]
-    memory.forget(7)
-    assert memory.trail(7) == []
-    with pytest.raises(EmptyMemory):
-        memory.forget(7)
-
-
-def test_memory_skips_consecutive_duplicates():
-    memory = PathMemory()
-    memory.record_node(3, NodeId(0, 0))
-    memory.record_node(3, NodeId(0, 0))
-    memory.record_node(3, NodeId(0, 1))
-    assert memory.trail(3) == [NodeId(0, 0), NodeId(0, 1)]
-
-
-def test_memory_is_per_vehicle():
-    memory = PathMemory()
-    memory.record_node(0, NodeId(0, 0))
-    with pytest.raises(EmptyMemory):
-        memory.forget(1)
-    assert memory.trail(0) == [NodeId(0, 0)]

@@ -141,6 +141,12 @@ def test_destination_beyond_u16_names_the_field():
         encode(Message(MessageKind.ASSIGN_DESTINATION, 1, dest=NodeId(3, 70_000)))
 
 
+@pytest.mark.parametrize("vid", [256, 300, -1])
+def test_vehicle_id_beyond_u8_names_the_field(vid):
+    with pytest.raises(PayloadTooLarge, match=rf"^ACK field vehicle_id = {vid} does not fit in 8 bits$"):
+        encode(Message(MessageKind.ACK, vid))
+
+
 # ------------------------------------------------------- decode error order
 
 
@@ -160,8 +166,10 @@ def test_bad_sync_first():
 def test_bad_version_second():
     frame = good_frame()
     frame[1] = 0x02
-    with pytest.raises(BadVersion):
+    with pytest.raises(BadVersion, match="^unsupported version byte 0x02, expected 0x01$"):
         decode(bytes(frame))
+    with pytest.raises(BadVersion, match="^missing version byte$"):
+        decode(bytes(frame[:1]))
 
 
 def test_truncated_frame_is_bad_length():

@@ -325,6 +325,22 @@ def test_outbound_trail_starts_at_home_and_ends_at_destination():
     assert trace.outbound[-1] == NodeId(4, 0)
 
 
+def test_second_job_trail_starts_at_home_and_drops_the_first_trip():
+    sim = Simulation(one_vehicle_scenario())
+    sim.run_loop()
+    first, second = sim.job_traces
+    assert (first.vehicle_id, first.job_id, second.vehicle_id, second.job_id) == (0, 0, 0, 1)
+    trail = second.outbound
+    # One walk from home to job 1's drop-off, one hop per step ...
+    assert trail[0] == NodeId(0, 0) and trail.count(NodeId(0, 0)) == 1
+    assert trail[-1] == NodeId(1, 6)
+    assert all(abs(a.ix - b.ix) + abs(a.iy - b.iy) == 1 for a, b in zip(trail, trail[1:]))
+    # ... that never passes job 0's pickup or drop-off, so no node of the first trip leaked in.
+    assert not {NodeId(1, 2), NodeId(7, 2)} & set(trail)
+    assert first.outbound[-1] == NodeId(7, 2)
+    assert second.retraced == trail[::-1]
+
+
 def test_same_seed_runs_identically():
     def signature():
         sim = Simulation(default_scenario(), capture=True)
@@ -414,6 +430,13 @@ def pickup_at_home_scenario(medium):
     base = default_scenario()
     jobs = (Job(0, NodeId(0, 0), NodeId(7, 2)), base.jobs[1])
     return replace_scenario(base, jobs=jobs, medium=medium)
+
+
+def one_vehicle_scenario():
+    """The default scenario with vehicle 0 alone: it serves job 0, returns
+    home, then serves job 1."""
+    base = default_scenario()
+    return replace_scenario(base, vehicles=base.vehicles[:1])
 
 
 def shared_dropoff_scenario():

@@ -6,7 +6,7 @@ import pytest
 
 from swarmport.errors import IllegalTransition, TimestepTooLarge
 from swarmport.grid import NodeId, Position, build_grid
-from swarmport.planner import PathMemory, TimedPath, TimedStep
+from swarmport.planner import TimedPath, TimedStep
 from swarmport.rfnet import MessageKind
 from swarmport.vehicle import (
     ACTIVATE_RETRY_TICKS,
@@ -151,7 +151,7 @@ def test_load_switch_twice_is_illegal():
 def test_destination_while_idle_is_illegal():
     agent = make_agent()
     with pytest.raises(IllegalTransition):
-        agent.on_destination(NodeId(1, 0), make_path([NodeId(0, 0), NodeId(1, 0)]))
+        agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
 
 
 def test_unload_outside_unloading_is_illegal():
@@ -171,7 +171,7 @@ def test_route_must_start_at_current_node():
     agent = make_agent()
     loaded_and_awaiting(agent, build_grid(2.0, 2.0, 0.25))
     with pytest.raises(ValueError):
-        agent.on_destination(NodeId(2, 0), make_path([NodeId(1, 0), NodeId(2, 0)]))
+        agent.on_destination(make_path([NodeId(1, 0), NodeId(2, 0)]))
 
 
 def test_activate_retries_while_awaiting_route():
@@ -192,7 +192,7 @@ def test_straight_hop_lands_exactly_on_node():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     loaded_and_awaiting(agent, grid)
-    agent.on_destination(NodeId(1, 0), make_path([NodeId(0, 0), NodeId(1, 0)]))
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
     ticks = drive_until(agent, grid, lambda a: a.route_finished)
     assert agent.pose == (0.25, 0.0, 0.0)
     assert agent.current_node == NodeId(1, 0)
@@ -205,7 +205,7 @@ def test_cruise_speed_during_drive():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     loaded_and_awaiting(agent, grid)
-    agent.on_destination(NodeId(4, 0), make_path([NodeId(i, 0) for i in range(5)]))
+    agent.on_destination(make_path([NodeId(i, 0) for i in range(5)]))
     speeds = []
     for now in range(2, 2502):
         agent.step(grid, DT, now)
@@ -222,7 +222,7 @@ def test_turn_in_place_snaps_heading():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     loaded_and_awaiting(agent, grid)
-    agent.on_destination(NodeId(0, 1), make_path([NodeId(0, 0), NodeId(0, 1)]))
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(0, 1)]))
     ticks_turning = drive_until(agent, grid, lambda a: a.pose.heading_deg == 90.0)
     # quarter turn: accelerate, then yaw rate = 2*r*omega/track
     assert 2.0 <= ticks_turning * DT <= 3.5
@@ -235,7 +235,7 @@ def test_turn_prefers_counter_clockwise_on_180():
     grid = build_grid(2.0, 2.0, 0.25, blocked=[])
     agent = VehicleAgent(0, NodeId(1, 0), Position(0.25, 0.0))
     loaded_and_awaiting(agent, grid)
-    agent.on_destination(NodeId(0, 0), make_path([NodeId(1, 0), NodeId(0, 0)]))
+    agent.on_destination(make_path([NodeId(1, 0), NodeId(0, 0)]))
     seen = set()
     for now in range(2, 5002):
         agent.step(grid, DT, now)
@@ -250,7 +250,7 @@ def test_turn_clockwise_when_shorter():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = VehicleAgent(0, NodeId(0, 1), Position(0.0, 0.25))
     loaded_and_awaiting(agent, grid)
-    agent.on_destination(NodeId(0, 0), make_path([NodeId(0, 1), NodeId(0, 0)]))
+    agent.on_destination(make_path([NodeId(0, 1), NodeId(0, 0)]))
     headings = []
     for now in range(2, 5002):
         agent.step(grid, DT, now)
@@ -265,7 +265,7 @@ def test_scheduled_departure_holds_vehicle():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     loaded_and_awaiting(agent, grid)
-    agent.on_destination(NodeId(1, 0), make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
     for now in range(2, 100):
         agent.step(grid, DT, now)
         assert agent.pose.x == 0.0
@@ -284,31 +284,27 @@ def test_departure_gate_grants_early_start():
 
     agent.departure_gate = gate
     loaded_and_awaiting(agent, grid)
-    agent.on_destination(NodeId(1, 0), make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=10_000))
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=10_000))
     assert drive_until(agent, grid, lambda a: a.pose.x > 0.0, limit=50) == 2
     assert calls[0] == (NodeId(1, 0), 2, 10_000)
 
 
 def test_transit_unload_retrace_cycle():
     grid = build_grid(2.0, 2.0, 0.25)
-    memory = PathMemory()
     agent = make_agent()
-    memory.record_node(0, agent.current_node)
 
     loaded_and_awaiting(agent, grid)
     assert agent.state == AWAITING_ROUTE
 
-    agent.on_destination(NodeId(2, 0), make_path([NodeId(0, 0), NodeId(1, 0), NodeId(2, 0)]))
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0), NodeId(2, 0)]))
     assert agent.state == TRANSIT
     assert [m.kind for m in agent.outbox][-1] == MessageKind.ACK
 
-    agent.arrival_hook = lambda a, node, tick: memory.record_node(a.vehicle_id, node)
     unloading = drive_until(agent, grid, lambda a: a.state == UNLOADING)
     assert agent.current_node == NodeId(2, 0)
 
-    back = memory.trail(0)[::-1]
+    back = agent.trail[::-1]
     assert back == [NodeId(2, 0), NodeId(1, 0), NodeId(0, 0)]
-    agent.arrival_hook = None
     agent.unload(make_path(back))
     assert agent.state == RETRACING
     drive_until(agent, grid, lambda a: a.state == IDLE, start=unloading + 1)
@@ -316,12 +312,51 @@ def test_transit_unload_retrace_cycle():
     assert agent.pose == (0.0, 0.0, 180.0)
 
 
+# ------------------------------------------------------------------- trail
+
+
+def test_trail_records_pickup_once_across_reposition_and_transit():
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    agent.begin_reposition(make_path([NodeId(0, 0), NodeId(1, 0)]))
+    tick = drive_until(agent, grid, lambda a: a.route_finished)
+    agent.clear_route()
+    agent.press_load_switch(tick)
+    agent.step(grid, DT, tick + 1)
+    agent.on_destination(make_path([NodeId(1, 0), NodeId(1, 1), NodeId(2, 1)], depart_at=tick + 2))
+    drive_until(agent, grid, lambda a: a.state == UNLOADING, start=tick + 2)
+    assert agent.trail == [NodeId(0, 0), NodeId(1, 0), NodeId(1, 1), NodeId(2, 1)]
+
+
+def test_trail_from_a_pickup_at_home_starts_with_home_once():
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    loaded_and_awaiting(agent, grid)
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]))
+    drive_until(agent, grid, lambda a: a.state == UNLOADING)
+    assert agent.trail == [NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]
+
+
+def test_retrace_records_retraced_and_leaves_trail():
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    loaded_and_awaiting(agent, grid)
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0), NodeId(1, 1)]))
+    unloading = drive_until(agent, grid, lambda a: a.state == UNLOADING)
+    outbound = list(agent.trail)
+    agent.unload(make_path(outbound[::-1], depart_at=unloading + 1))
+    assert agent.retraced == [NodeId(1, 1)]
+    drive_until(agent, grid, lambda a: a.state == IDLE, start=unloading + 1)
+    assert agent.retraced == [NodeId(1, 1), NodeId(1, 0), NodeId(0, 0)]
+    assert agent.trail == outbound
+
+
 def test_edge_in_progress_only_while_driving():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     assert agent.edge_in_progress() is None
     loaded_and_awaiting(agent, grid)
-    agent.on_destination(NodeId(1, 0), make_path([NodeId(0, 0), NodeId(1, 0)]))
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
     agent.step(grid, DT, 2)
     assert agent.edge_in_progress() == (NodeId(0, 0), NodeId(1, 0))
 
@@ -333,7 +368,7 @@ def test_step_returns_next_tick_while_moving():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     loaded_and_awaiting(agent, grid)
-    agent.on_destination(NodeId(1, 1), make_path([NodeId(0, 0), NodeId(0, 1), NodeId(1, 1)]))
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(0, 1), NodeId(1, 1)]))
     phases = set()
     for now in range(2, 5002):
         wake = agent.step(grid, DT, now)
@@ -356,7 +391,7 @@ def test_step_returns_scheduled_departure_while_resting():
 
     agent.departure_gate = gate
     loaded_and_awaiting(agent, grid)
-    agent.on_destination(NodeId(1, 0), make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
     assert agent.step(grid, DT, 2) == 100
     assert agent.step(grid, DT, 57) == 100  # a refused gate does not move the scheduled tick
     assert refusals == [2, 57]
@@ -372,7 +407,7 @@ def test_step_that_comes_to_rest_returns_scheduled_departure():
     agent.departure_gate = lambda a, nxt, now, scheduled: False
     loaded_and_awaiting(agent, grid)
     north = [NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]
-    agent.on_destination(north[-1], TimedPath([TimedStep(north[0], 0, 500), TimedStep(north[1], 490, 900),
+    agent.on_destination(TimedPath([TimedStep(north[0], 0, 500), TimedStep(north[1], 490, 900),
                                                TimedStep(north[2], 890, 900)], 10))
 
     def until_quiet(now):
