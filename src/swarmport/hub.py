@@ -115,8 +115,9 @@ class Hub:
 
         On an undirected grid the leg home -> pickup (or pickup -> drop-off)
         exists without crossing another park spot exactly when home (or the
-        drop-off) is in the stop-at-park-spots table.  Each job is checked
-        once, the first time dispatch considers it.
+        drop-off) is in the stop-at-park-spots table, which is the bound
+        `plan_space_time` routes the leg with.  Each job is checked once, the
+        first time dispatch considers it.
         """
         pickup = job.pickup_node
         tables = self._from_pickup.get(pickup)

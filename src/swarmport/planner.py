@@ -376,6 +376,7 @@ def plan_space_time(
     dst: NodeId,
     start_tick: int,
     ticks_per_hop: int,
+    stops: frozenset[NodeId] = frozenset(),
 ) -> TimedPath:
     """Earliest-arrival route through existing reservations.
 
@@ -385,13 +386,19 @@ def plan_space_time(
     must stay free after arrival (the vehicle parks there).  Waiting in
     place is allowed; with an empty table the result degenerates to the
     astar route with zero waits.
+
+    Nodes in ``stops`` other than ``src`` and ``dst`` are impassable: the
+    bound is `hop_distances` with those stops, which reaches them without
+    expanding them, and infinite on them, so no pass ever enters one.
     """
     _check_endpoints(grid, src, dst)
     h = ticks_per_hop
     if h <= 0:
         raise BadInterval(f"ticks_per_hop must be positive, got {h}")
     t0 = start_tick
-    to_dst = hop_distances(grid, dst)
+    avoid = stops - {src, dst}
+    to_dst = hop_distances(grid, dst, avoid)
+    to_dst.update(dict.fromkeys(avoid, INF_TICK))
     boundary = None
     if src in to_dst:
         boundary = _earliest_schedule(

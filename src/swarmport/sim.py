@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from functools import cache
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache, partial
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from .errors import (
@@ -156,11 +156,18 @@ def _schema(cls: type) -> tuple[tuple[str, Any, bool], ...]:
     )
 
 
+def _finite(value: Any, where: str) -> None:
+    """Reject NaN and the infinities, which ``json.load`` reads from a document."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioInvalid(f"{where}: expected a finite number, got {value!r}")
+
+
 def _value(tp: Any, value: Any, where: str) -> Any:
     """Check one document value against its field type and convert it."""
     if tp is float or tp is int:
         if isinstance(value, bool) or not isinstance(value, int if tp is int else (int, float)):
             raise ScenarioInvalid(f"{where}: expected {tp.__name__}, got {value!r}")
+        _finite(value, where)
         return value
     if tp is NodeId:
         return _node(value, where)
@@ -171,6 +178,8 @@ def _value(tp: Any, value: Any, where: str) -> Any:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
         ):
             raise ScenarioInvalid(f"{where}: expected [x, y] number pair, got {value!r}")
+        for v in value:
+            _finite(v, where)
         return Position(float(value[0]), float(value[1]))
     if get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
@@ -348,9 +357,10 @@ class JobTrace:
 class _SimVehicle:
     agent: VehicleAgent
     radio: Radio
-    pending: tuple[str, NodeId | None] | None = None
+    # The leg to plan at ``retry_at``, called with that tick: a retry
+    # after NoPath, or the retrace once the unload dwell is over.
+    pending: Callable[[int], None] | None = None
     retry_at: int = 0
-    unload_at: int | None = None
     # The first tick at which stepping the vehicle can change anything.
     wake: float = 0
     # The end of the holds behind the last refused departure gate.
@@ -387,7 +397,8 @@ class Simulation:
         self.unload_ticks = max(1, round(UNLOAD_DWELL_S / self.dt))
         # Nodes where some vehicle may park open-ended (homes, pickups,
         # drop-offs).  Legs never route through them, so no trail can be
-        # blocked forever by a parked vehicle.
+        # blocked forever by a parked vehicle: `plan_space_time` takes them
+        # as stops, and the hub vets every job by the same rule.
         self.park_spots: frozenset[NodeId] = frozenset(
             [v.home_node for v in scenario.vehicles]
             + [j.pickup_node for j in scenario.jobs]
@@ -465,14 +476,8 @@ class Simulation:
 
     # -- planning helpers ---------------------------------------------
 
-    def _routing_grid(self, src: NodeId, dst: NodeId) -> GridMap:
-        extra = self.park_spots - {src, dst}
-        if not extra:
-            return self.grid
-        return replace(self.grid, blocked=self.grid.blocked | extra)
-
     def _plan_leg(
-        self, sv: _SimVehicle, now: int, pending: tuple[str, NodeId | None], plan: Callable[[], TimedPath]
+        self, sv: _SimVehicle, now: int, pending: Callable[[int], None], plan: Callable[[], TimedPath]
     ) -> TimedPath | None:
         """Release, plan and commit one leg.
 
@@ -498,15 +503,15 @@ class Simulation:
 
     def _plan_to(self, sv: _SimVehicle, dest: NodeId, now: int) -> TimedPath:
         src = sv.agent.current_node
-        return plan_space_time(self._routing_grid(src, dest), self.table, src, dest, now, self.ticks_per_hop)
+        return plan_space_time(self.grid, self.table, src, dest, now, self.ticks_per_hop, self.park_spots)
 
     def _plan_reposition(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
-        tp = self._plan_leg(sv, now, ("reposition", dest), lambda: self._plan_to(sv, dest, now))
+        tp = self._plan_leg(sv, now, partial(self._plan_reposition, sv, dest), lambda: self._plan_to(sv, dest, now))
         if tp is not None:
             sv.agent.begin_reposition(tp)
 
     def _plan_cargo(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
-        tp = self._plan_leg(sv, now, ("cargo", dest), lambda: self._plan_to(sv, dest, now))
+        tp = self._plan_leg(sv, now, partial(self._plan_cargo, sv, dest), lambda: self._plan_to(sv, dest, now))
         if tp is None:
             sv.agent.queue_ack()
         else:
@@ -519,23 +524,11 @@ class Simulation:
         tp = self._plan_leg(
             sv,
             now,
-            ("retrace", None),
+            partial(self._start_retrace, sv),
             lambda: schedule_along(self.table, sequence, now, self.ticks_per_hop, horizon),
         )
-        if tp is None:
-            return
-        agent.unload(tp)
-        sv.unload_at = None
-
-    def _attempt_pending(self, sv: _SimVehicle, now: int) -> None:
-        assert sv.pending is not None
-        kind, goal = sv.pending
-        if kind == "reposition":
-            self._plan_reposition(sv, goal, now)
-        elif kind == "cargo":
-            self._plan_cargo(sv, goal, now)
-        else:
-            self._start_retrace(sv, now)
+        if tp is not None:
+            agent.unload(tp)
 
     def _handle_assign(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
         """Act on an order.  Every branch queues an ACK, which the vehicle
@@ -609,8 +602,7 @@ class Simulation:
         ``wake`` is read as the loop reaches each vehicle, so one that a
         release earlier in the loop woke is stepped on this tick.  A quiet
         vehicle's wake tick from ``step`` is lowered to the engine's own
-        timers: its refused gate's ``until``, its pending retry or its
-        unload timer.
+        timers: its refused gate's ``until`` or its pending leg's tick.
         """
         stepped = self._stepped = []
         for i, sv in enumerate(self.fleet):
@@ -620,14 +612,7 @@ class Simulation:
             sv.telemetry_frame = None
             agent = sv.agent
             if sv.pending is not None and now >= sv.retry_at:
-                self._attempt_pending(sv, now)
-            if (
-                agent.state == UNLOADING
-                and sv.unload_at is not None
-                and now >= sv.unload_at
-                and sv.pending is None
-            ):
-                self._start_retrace(sv, now)
+                sv.pending(now)
             wake = agent.step(self.grid, self.dt, now)
             if agent.route_finished:
                 # Closing the leg may press the load switch, which the next step acts on.
@@ -638,8 +623,6 @@ class Simulation:
                 sv.refused_until = INF_TICK
                 if sv.pending is not None:
                     wake = min(wake, sv.retry_at)
-                elif sv.unload_at is not None:
-                    wake = min(wake, sv.unload_at)
             sv.wake = wake
             if agent.outbox:
                 for msg in agent.outbox:
@@ -655,8 +638,8 @@ class Simulation:
             agent.press_load_switch(now)
         elif kind == "transit" and agent.state == UNLOADING:
             agent.clear_route()
-            if sv.unload_at is None:
-                sv.unload_at = now + self.unload_ticks
+            sv.pending = partial(self._start_retrace, sv)
+            sv.retry_at = now + self.unload_ticks
         elif kind == "retrace" and agent.state == IDLE:
             agent.clear_route()
             job = self.hub.vehicles[agent.vehicle_id].job

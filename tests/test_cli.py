@@ -206,6 +206,19 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_number_exits_one(tmp_path, capsys):
+    data = scenario_to_dict(default_scenario())
+    data["sim"]["dt_s"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text()
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: sim.dt_s: expected a finite number, got nan")
+    assert "Traceback" not in err
+
+
 def test_malformed_section_exits_one_without_traceback(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"terrain": 5}))

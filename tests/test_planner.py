@@ -3,6 +3,7 @@
 import math
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -625,6 +626,27 @@ def test_space_time_search_matches_reference(case, t0, h, max_slots):
     )
     assert steps_or_no_path(schedule_along, table, walk, t0, h, max_slots) == steps_or_no_path(
         reference_schedule_along, table, walk, t0, h, max_slots
+    )
+
+
+def routing_grid(grid, src, dst, stops):
+    """The grid with every stop but the endpoints blocked, as the engine
+    once copied it for each leg: the reference for `plan_space_time`'s
+    ``stops``."""
+    return replace(grid, blocked=grid.blocked | (stops - {src, dst}))
+
+
+@given(space_time_cases(), st.data(), st.integers(0, 40), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_stops_match_blocking_them_on_a_routing_grid(case, data, t0, h):
+    """Stops, some of them the endpoints, give the plan (or the NoPath) of
+    the same search on a grid where they are blocked."""
+    grid, table, src, dst, _ = case
+    free = [NodeId(ix, iy) for ix in range(grid.nx) for iy in range(grid.ny) if not grid.is_blocked(NodeId(ix, iy))]
+    stops = frozenset(data.draw(st.lists(st.sampled_from(free), max_size=len(free) // 2)))
+    stops |= frozenset(data.draw(st.sampled_from([(), (src,), (dst,), (src, dst)])))
+    assert steps_or_no_path(plan_space_time, grid, table, src, dst, t0, h, stops) == steps_or_no_path(
+        plan_space_time, routing_grid(grid, src, dst, stops), table, src, dst, t0, h
     )
 
 

@@ -10,9 +10,11 @@ import swarmport.sim
 from swarmport.errors import ScenarioInvalid
 from swarmport.grid import NodeId, Position
 from swarmport.hub import Job, metrics
+from swarmport.planner import INF_TICK
 from swarmport.radar import Disc, WorldModel, echo_distance
 from swarmport.rfnet import encode
 from swarmport.sim import (
+    NOPATH_RETRY_TICKS,
     MediumConfig,
     Scenario,
     SimConfig,
@@ -28,7 +30,7 @@ from swarmport.sim import (
     scenario_to_dict,
     validate_scenario,
 )
-from swarmport.vehicle import UNLOADING, VehicleParams
+from swarmport.vehicle import RETRACING, UNLOADING, VehicleParams
 
 
 def replace_scenario(base, **kw):
@@ -230,6 +232,16 @@ def edited_default(path, value=None):
                 "jobs": [{"job_id": 7, "pickup_node": [4, 4], "destination_node": [1, 1]}],
             },
             "jobs[0].pickup_node: node (4, 4) is blocked",
+        ),
+        # json.load reads NaN and Infinity.
+        (edited_default(("terrain", "width_m"), math.inf), "terrain.width_m: expected a finite number, got inf"),
+        (edited_default(("terrain", "spacing_m"), math.nan), "terrain.spacing_m: expected a finite number, got nan"),
+        (edited_default(("sim", "dt_s"), math.nan), "sim.dt_s: expected a finite number, got nan"),
+        (edited_default(("sensor", "max_range_m"), math.nan), "sensor.max_range_m: expected a finite number, got nan"),
+        (edited_default(("sensor", "origin"), [math.nan, 1.0]), "sensor.origin: expected a finite number, got nan"),
+        (
+            edited_default(("vehicles", 0, "params"), {"cruise_speed_m_s": math.nan}),
+            "vehicles[0].params.cruise_speed_m_s: expected a finite number, got nan",
         ),
     ],
 )
@@ -488,9 +500,7 @@ def counted_run(scenario, every_tick):
             sv.telemetry_frame = None
             agent = sv.agent
             if sv.pending is not None and now >= sv.retry_at:
-                sim._attempt_pending(sv, now)
-            if agent.state == UNLOADING and sv.unload_at is not None and now >= sv.unload_at and sv.pending is None:
-                sim._start_retrace(sv, now)
+                sv.pending(now)
             agent.step(sim.grid, sim.dt, now)
             if agent.route_finished:
                 sim._post_step(sv, now)
@@ -532,6 +542,29 @@ def test_sleeping_gate_matches_asking_every_tick():
         assert engine_early == reference_early
         early_total += engine_early
     assert early_total > 0
+
+
+def test_refused_retrace_is_retried_on_the_one_timer():
+    """A retrace refused after the unload dwell is retried every
+    NOPATH_RETRY_TICKS on the same pending slot, and starts at the first
+    retry after its home is freed."""
+    sim = Simulation(default_scenario())
+    sv = sim.vehicles[0]
+    while sv.agent.state != UNLOADING:
+        sim.tick()
+    unloading = sim.tick_count - 1
+    dwell_end = unloading + sim.unload_ticks
+    sim.table.reserve(99, sv.agent.home_node, unloading, INF_TICK)
+    while sim.tick_count < dwell_end + 3 * NOPATH_RETRY_TICKS + 7:
+        sim.tick()
+        assert sv.agent.state == UNLOADING
+    sim.table.release_vehicle(99)
+    while sv.agent.state == UNLOADING:
+        sim.tick()
+    assert sv.agent.state == RETRACING
+    assert sim.tick_count - 1 == dwell_end + 4 * NOPATH_RETRY_TICKS == 2_923
+    sim.run_loop()
+    assert sim.completed_jobs == sim.total_jobs == 2
 
 
 @pytest.mark.parametrize(
