@@ -58,7 +58,6 @@ class _Order:
 
 @dataclass
 class _VehicleInfo:
-    channel: int
     home: NodeId
     job: Job | None = None  # None exactly while the vehicle is free, parked at home
 
@@ -85,16 +84,15 @@ class Hub:
         # the whole grid, and the hop counts that stop at park spots.
         self._from_pickup: dict[NodeId, tuple[dict[NodeId, int], dict[NodeId, int]]] = {}
         self._vetted: set[int] = set()
-        self.outbox: list[tuple[int, Message]] = []
+        self.outbox: list[Message] = []
         # Without an inbound frame, dispatch has nothing new to do before
         # this tick: the next job release, the earliest order retry, or at
         # once after a vehicle is freed.
         self.wake_tick: float = math.inf
 
-    def register_vehicle(self, vehicle_id: int, home_node: NodeId) -> int:
-        channel = assign_channel(vehicle_id)
-        self.vehicles[vehicle_id] = _VehicleInfo(channel=channel.index, home=home_node)
-        return channel.index
+    def register_vehicle(self, vehicle_id: int, home_node: NodeId) -> None:
+        assign_channel(vehicle_id)  # raises for an id with no channel
+        self.vehicles[vehicle_id] = _VehicleInfo(home=home_node)
 
     def add_job(self, job: Job) -> None:
         self.jobs.append(job)
@@ -104,9 +102,7 @@ class Hub:
     # -- dispatch ----------------------------------------------------
 
     def _send_order(self, vehicle_id: int, order: _Order, tick: int) -> None:
-        info = self.vehicles[vehicle_id]
-        msg = Message(MessageKind.ASSIGN_DESTINATION, vehicle_id, dest=order.dest)
-        self.outbox.append((info.channel, msg))
+        self.outbox.append(Message(MessageKind.ASSIGN_DESTINATION, vehicle_id, dest=order.dest))
         order.last_send = tick
         self.wake_tick = min(self.wake_tick, tick + ORDER_RETRY_TICKS)
 

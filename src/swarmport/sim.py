@@ -59,6 +59,7 @@ from .vehicle import (
     AWAITING_ROUTE,
     IDLE,
     LOADED,
+    RETRACING,
     UNLOADING,
     VehicleAgent,
     VehicleParams,
@@ -248,7 +249,9 @@ def build_scenario_grid(scenario: Scenario) -> GridMap:
     t = scenario.terrain
     try:
         return build_grid(t.width_m, t.height_m, t.spacing_m, t.blocked)
-    except (NonPositiveDimension, SpacingTooLarge, NodeOutOfRange) as exc:
+    except NodeOutOfRange as exc:
+        raise ScenarioInvalid(f"terrain.blocked: {exc}") from exc
+    except (NonPositiveDimension, SpacingTooLarge) as exc:
         raise ScenarioInvalid(f"terrain: {exc}") from exc
 
 
@@ -264,9 +267,6 @@ def validate_scenario(scenario: Scenario) -> GridMap:
             raise ScenarioInvalid(
                 f"terrain.{label}: {extent} m exceeds the {MAX_TERRAIN_M} m that telemetry can encode"
             )
-    for b in scenario.terrain.blocked:
-        if not grid.contains(b):
-            raise ScenarioInvalid(f"terrain.blocked: node {tuple(b)} outside grid")
 
     if len(scenario.vehicles) > CHANNEL_COUNT:
         raise ScenarioInvalid(
@@ -363,8 +363,6 @@ class _SimVehicle:
     retry_at: int = 0
     # The first tick at which stepping the vehicle can change anything.
     wake: float = 0
-    # The end of the holds behind the last refused departure gate.
-    refused_until: float = INF_TICK
     # The last telemetry frame, until the vehicle steps again.
     telemetry_frame: bytes | None = None
 
@@ -462,17 +460,14 @@ class Simulation:
 
     # -- callbacks ----------------------------------------------------
 
-    def _departure_gate(self, agent: VehicleAgent, next_node: NodeId, now: int, scheduled: int) -> bool:
-        """Grant an early departure when ``[now, scheduled)`` on ``next_node`` is free.
+    def _departure_gate(self, agent: VehicleAgent, next_node: NodeId, now: int, scheduled: int) -> float | None:
+        """Grant an early departure (None) when ``[now, scheduled)`` on ``next_node`` is free.
 
-        A refusal stands until the blocking holds end or some vehicle's
-        holds are released, so the vehicle sleeps until the first of those.
+        A refusal returns the end of the blocking holds: it stands until
+        then or until some vehicle's holds are released, which wakes every
+        vehicle, so the vehicle sleeps until the first of those.
         """
-        until = self.table.reserve(agent.vehicle_id, next_node, now, scheduled)
-        if until is None:
-            return True
-        self.vehicles[agent.vehicle_id].refused_until = until
-        return False
+        return self.table.reserve(agent.vehicle_id, next_node, now, scheduled)
 
     # -- planning helpers ---------------------------------------------
 
@@ -536,25 +531,17 @@ class Simulation:
         so a load switch pressed here is stamped ``now - 1``."""
         agent = sv.agent
         sv.wake = now
-        if agent.state == IDLE:
-            if agent.busy:
-                agent.queue_ack()
-                return
-            if sv.pending is not None:
-                agent.queue_ack()
-                return
+        if agent.busy or sv.pending is not None:
             agent.queue_ack()
-            if dest == agent.current_node:
-                agent.press_load_switch(now - 1)
-            else:
-                self._plan_reposition(sv, dest, now)
-        elif agent.state in (LOADED, AWAITING_ROUTE):
-            if dest == agent.current_node or sv.pending is not None:
-                agent.queue_ack()
-                return
+        elif agent.state in (LOADED, AWAITING_ROUTE) and dest != agent.current_node:
             self._plan_cargo(sv, dest, now)
         else:
             agent.queue_ack()
+            if agent.state == IDLE:
+                if dest == agent.current_node:
+                    agent.press_load_switch(now - 1)
+                else:
+                    self._plan_reposition(sv, dest, now)
 
     # -- tick phases ----------------------------------------------------
 
@@ -592,7 +579,7 @@ class Simulation:
             else:
                 ingest_telemetry(hub, msg, now, self.vehicles[msg.vehicle_id].agent.state)
         hub.dispatch(now)
-        for _, msg in hub.outbox:
+        for msg in hub.outbox:
             self.medium.send(self.hub_radios[msg.vehicle_id], encode(msg), now)
         hub.outbox.clear()
 
@@ -600,9 +587,8 @@ class Simulation:
         """Step the vehicles that are due, in fleet order.
 
         ``wake`` is read as the loop reaches each vehicle, so one that a
-        release earlier in the loop woke is stepped on this tick.  A quiet
-        vehicle's wake tick from ``step`` is lowered to the engine's own
-        timers: its refused gate's ``until`` or its pending leg's tick.
+        release earlier in the loop woke is stepped on this tick.  The wake
+        tick from ``step`` is lowered to the tick of a pending leg.
         """
         stepped = self._stepped = []
         for i, sv in enumerate(self.fleet):
@@ -613,35 +599,27 @@ class Simulation:
             agent = sv.agent
             if sv.pending is not None and now >= sv.retry_at:
                 sv.pending(now)
+            state = agent.state
             wake = agent.step(self.grid, self.dt, now)
-            if agent.route_finished:
-                # Closing the leg may press the load switch, which the next step acts on.
-                self._post_step(sv, now)
-                wake = now + 1
-            elif wake > now + 1:
-                wake = min(wake, sv.refused_until)
-                sv.refused_until = INF_TICK
-                if sv.pending is not None:
-                    wake = min(wake, sv.retry_at)
+            if agent.state != state:
+                self._post_step(sv, state, now)
+            if sv.pending is not None:
+                wake = min(wake, sv.retry_at)
             sv.wake = wake
             if agent.outbox:
                 for msg in agent.outbox:
                     self.medium.send(sv.radio, encode(msg), now)
                 agent.outbox.clear()
 
-    def _post_step(self, sv: _SimVehicle, now: int) -> None:
-        """Close the leg that the vehicle finished on this tick's step."""
+    def _post_step(self, sv: _SimVehicle, before: str, now: int) -> None:
+        """Act on a cargo state change of this tick's step, from ``before``:
+        an arrival with cargo starts the unload dwell, the end of a retrace
+        completes the job."""
         agent = sv.agent
-        kind = agent.route_kind
-        if kind == "reposition" and agent.state == IDLE:
-            agent.clear_route()
-            agent.press_load_switch(now)
-        elif kind == "transit" and agent.state == UNLOADING:
-            agent.clear_route()
+        if agent.state == UNLOADING:
             sv.pending = partial(self._start_retrace, sv)
             sv.retry_at = now + self.unload_ticks
-        elif kind == "retrace" and agent.state == IDLE:
-            agent.clear_route()
+        elif before == RETRACING:
             job = self.hub.vehicles[agent.vehicle_id].job
             job_id = job.job_id if job is not None else -1
             home_xy = self.grid.node_to_position(agent.home_node)

@@ -118,7 +118,8 @@ class VehicleAgent:
 
     Motion obeys the timed route windows: each hop has a scheduled
     departure tick and the agent never leaves a node early unless the
-    ``departure_gate`` callback grants an earlier slot.
+    ``departure_gate`` callback grants an earlier slot by returning None;
+    a refusal returns the tick until which it stands.
     """
 
     def __init__(
@@ -151,11 +152,9 @@ class VehicleAgent:
         self._route: list[NodeId] | None = None
         self._departures: list[int] = []
         self._hop = 0
-        self._done = True
-        self.route_kind: str | None = None
         self._last_activate = -ACTIVATE_RETRY_TICKS
         self.outbox: list[Message] = []
-        self.departure_gate: Callable[["VehicleAgent", NodeId, int, int], bool] | None = None
+        self.departure_gate: Callable[["VehicleAgent", NodeId, int, int], float | None] | None = None
 
     # -- state machine ----------------------------------------------
 
@@ -181,7 +180,7 @@ class VehicleAgent:
         if self.state not in (LOADED, AWAITING_ROUTE):
             raise IllegalTransition(f"destination received while {self.state}")
         self._transition(TRANSIT)
-        self._begin_route("transit", timed_path)
+        self._begin_route(timed_path)
         self.queue_ack()
 
     def unload(self, timed_path: TimedPath) -> None:
@@ -189,51 +188,42 @@ class VehicleAgent:
         if self.state != UNLOADING:
             raise IllegalTransition(f"unload while {self.state}")
         self._transition(RETRACING)
-        self._begin_route("retrace", timed_path)
+        self._begin_route(timed_path)
 
     def begin_reposition(self, timed_path: TimedPath) -> None:
         """Drive empty to a pickup terminal; cargo state stays IDLE."""
         if self.state != IDLE:
             raise IllegalTransition(f"reposition while {self.state}")
-        self._begin_route("reposition", timed_path)
+        self._begin_route(timed_path)
 
     def queue_ack(self) -> None:
         self.outbox.append(Message(MessageKind.ACK, self.vehicle_id))
 
     # -- route bookkeeping ------------------------------------------
 
-    def _begin_route(self, kind: str, timed_path: TimedPath) -> None:
+    def _begin_route(self, timed_path: TimedPath) -> None:
         route = timed_path.route
         if route[0] != self.current_node:
             raise ValueError(f"route starts at {route[0]}, vehicle at {self.current_node}")
-        if kind == "retrace":
+        if len(route) == 1:
+            raise ValueError(f"route {route[0]} has no hop to drive")
+        if self.state == RETRACING:
             self.retraced = [self.current_node]
         elif not self.trail:
             self.trail.append(self.current_node)
-        self.route_kind = kind
         self._route = route
         self._departures = [s.exit_tick for s in timed_path.steps[:-1]]
         self._hop = 0
-        self._done = len(route) == 1
-        if not self._done:
-            self._halt()
-
-    @property
-    def route_finished(self) -> bool:
-        return self._route is not None and self._done
+        self._halt()
 
     @property
     def busy(self) -> bool:
-        return self._route is not None and not self._done
-
-    def clear_route(self) -> None:
-        self._route = None
-        self.route_kind = None
-        self._done = True
+        """A leg is being driven; the step that reaches its last node ends it."""
+        return self._route is not None
 
     def edge_in_progress(self) -> tuple[NodeId, NodeId] | None:
         """The (from, to) edge currently being driven, if mid-hop."""
-        if self._route is None or self._done or self._phase != _DRIVE:
+        if self._route is None or self._phase != _DRIVE:
             return None
         return self._route[self._hop], self._route[self._hop + 1]
 
@@ -289,25 +279,39 @@ class VehicleAgent:
                 self._turn_sign = -1
                 self._turn_remaining = 360.0 - diff
 
-    def _may_depart(self, now: int) -> bool:
+    def _hold(self, now: int) -> float | None:
+        """None if the vehicle may leave for the next node at ``now``.
+
+        Otherwise halt it and return the tick it is next due: its scheduled
+        departure, or earlier the tick until which the departure gate's
+        refusal stands.
+        """
         assert self._route is not None
         scheduled = self._departures[self._hop]
         if now >= scheduled:
-            return True
-        if self.departure_gate is None:
-            return False
-        return self.departure_gate(self, self._route[self._hop + 1], now, scheduled)
+            return None
+        gate = self.departure_gate
+        until = INF_TICK if gate is None else gate(self, self._route[self._hop + 1], now, scheduled)
+        if until is None:
+            return None
+        self._halt()
+        return min(scheduled, until)
 
     def step(self, grid: GridMap, dt_s: float, now: int) -> float:
         """Advance tick ``now``: housekeeping, then turn / wait / drive.
 
+        The step that reaches a leg's last node ends the leg: a reposition
+        presses the load switch, a transit starts UNLOADING and a retrace
+        ends in IDLE.
+
         Returns the next tick at which a step can change anything: ``now + 1``
-        while the vehicle turns or drives, the scheduled departure while it
-        rests, the next ACTIVATE retry while it awaits a route and INF_TICK
-        while it is parked with no route.  The departure gate and the cargo
-        calls (``on_destination``, ``unload``, ``begin_reposition``,
-        ``press_load_switch``) can make it due earlier; their caller tracks
-        that.
+        while the vehicle turns or drives and on the step that ends a leg;
+        while it rests, the scheduled departure, or earlier the tick until
+        which the departure gate's refusal stands; the next ACTIVATE retry
+        while it awaits a route and INF_TICK while it is parked with no
+        route.  A release of holds and the cargo calls (``on_destination``,
+        ``unload``, ``begin_reposition``, ``press_load_switch``) can make it
+        due earlier; their caller tracks that.
         """
         if self.state == LOADED:
             self._transition(AWAITING_ROUTE)
@@ -315,27 +319,18 @@ class VehicleAgent:
             self.outbox.append(Message(MessageKind.ACTIVATE, self.vehicle_id))
             self._last_activate = now
 
-        if self._route is None or self._done:
-            if self.state == TRANSIT:
-                self._transition(UNLOADING)
-            elif self.state == RETRACING:
-                self._transition(IDLE)
-            elif self.state == AWAITING_ROUTE:
+        if self._route is None:
+            if self.state == AWAITING_ROUTE:
                 return self._last_activate + ACTIVATE_RETRY_TICKS
             return INF_TICK
 
-        if self._phase == _REST and self._aligned_for_hop():
-            # Waiting at a node for the departure window.
-            if self._may_depart(now):
-                self._phase = _DRIVE
-            else:
-                return self._departures[self._hop]
-
         if self._phase == _REST:
+            # At a node: face the next one, or wait there for the departure window.
             self._start_hop()
-            if self._phase == _DRIVE and not self._may_depart(now):
-                self._halt()
-                return self._departures[self._hop]
+            if self._phase == _DRIVE:
+                wait = self._hold(now)
+                if wait is not None:
+                    return wait
 
         if self._phase == _TURN:
             self._spin(dt_s)
@@ -343,11 +338,10 @@ class VehicleAgent:
             if yaw_deg >= self._turn_remaining:
                 self._heading = self._target_heading()
                 self._turn_remaining = 0.0
-                if self._may_depart(now):
-                    self._phase = _DRIVE
-                else:
-                    self._halt()
-                    return self._departures[self._hop]
+                wait = self._hold(now)
+                if wait is not None:
+                    return wait
+                self._phase = _DRIVE
             else:
                 self._turn_remaining -= yaw_deg
                 self._heading = (self._heading + self._turn_sign * yaw_deg) % 360.0
@@ -361,16 +355,11 @@ class VehicleAgent:
         self.y += direction[1] * step_len
         nxt = self._route[self._hop + 1]
         tx, ty = grid.node_to_position(nxt)
-        if math.hypot(tx - self.x, ty - self.y) <= grid.spacing_m / 10.0:
-            self._arrive(grid, nxt, now)
-            if self._phase == _REST and not self._done:
-                return self._departures[self._hop]
+        # Measured along the drive axis, so a step that overshoots the node
+        # still arrives.
+        if (tx - self.x) * direction[0] + (ty - self.y) * direction[1] <= grid.spacing_m / 10.0:
+            return self._arrive(grid, nxt, now)
         return now + 1
-
-    def _aligned_for_hop(self) -> bool:
-        if self._route is None or self._done:
-            return False
-        return self._heading == self._target_heading()
 
     def _target_heading(self) -> float:
         assert self._route is not None
@@ -379,23 +368,32 @@ class VehicleAgent:
         dy = nxt[1] - self.current_node[1]
         return math.degrees(math.atan2(dy, dx)) % 360.0
 
-    def _arrive(self, grid: GridMap, node: NodeId, now: int) -> None:
+    def _arrive(self, grid: GridMap, node: NodeId, now: int) -> float:
+        """Snap onto ``node``; end the leg there or start the next hop.
+
+        Returns the tick the vehicle is next due, as ``step`` does.
+        """
         self.x, self.y = grid.node_to_position(node)
         self.current_node = node
         self._hop += 1
-        if self.route_kind == "retrace":
+        if self.state == RETRACING:
             self.retraced.append(node)
         else:
             self.trail.append(node)
         assert self._route is not None
         if self._hop == len(self._route) - 1:
-            self._done = True
+            self._route = None
             self._halt()
-            if self.state == TRANSIT:
+            if self.state == IDLE:
+                self.press_load_switch(now)  # a reposition reached its pickup
+            elif self.state == TRANSIT:
                 self._transition(UNLOADING)
-            elif self.state == RETRACING:
+            else:
                 self._transition(IDLE)
-            return
+            return now + 1
         self._start_hop()
-        if self._phase == _DRIVE and not self._may_depart(now):
-            self._halt()
+        if self._phase == _DRIVE:
+            wait = self._hold(now)
+            if wait is not None:
+                return wait
+        return now + 1

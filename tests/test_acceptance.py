@@ -239,7 +239,7 @@ def test_c4_pid_settles_fast_and_cruise_speed_holds():
         agent.step(grid, 0.01, tick + 1)
         if tick * 0.01 >= settle_s and agent.busy:
             speeds.append(agent.speed_m_s)
-        if agent.route_finished:
+        if not agent.busy:
             break
     assert speeds
     assert all(abs(s - 0.1) <= 0.1 * 0.02 for s in speeds)

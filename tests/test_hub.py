@@ -131,8 +131,8 @@ def test_single_idle_vehicle_gets_the_job():
     assert [(vid, job.job_id) for vid, job in assigned] == [(0, 0)]
     # order went out on the vehicle's channel
     assert len(hub.outbox) == 1
-    channel, msg = hub.outbox[0]
-    assert channel == 0
+    msg = hub.outbox[0]
+    assert msg.vehicle_id == 0
     assert msg.kind == MessageKind.ASSIGN_DESTINATION
     assert msg.dest == NodeId(1, 0)  # reposition to pickup first
 
@@ -181,7 +181,7 @@ def test_no_idle_vehicles_leaves_job_queued():
     assert assigned == []
     assert 1 not in hub.assignments
     # only the retransmit-eligible first order may be on the wire
-    assert all(m.dest != NodeId(2, 0) for _, m in hub.outbox)
+    assert all(m.dest != NodeId(2, 0) for m in hub.outbox)
 
 
 def test_job_not_dispatched_before_release_tick():
@@ -326,7 +326,7 @@ def test_activate_issues_cargo_destination():
     hub.dispatch(0)
     hub.on_ack(0)
     hub.on_activate(0, 50)
-    dests = [m.dest for _, m in hub.outbox]
+    dests = [m.dest for m in hub.outbox]
     assert dests == [NodeId(1, 0), NodeId(5, 0)]
 
 
@@ -337,7 +337,7 @@ def test_duplicate_activate_rearms_cargo_order():
     hub.on_activate(0, 50)
     hub.on_ack(0)
     hub.on_activate(0, 80)  # ACTIVATE retry after a lost ASSIGN
-    assert [m.dest for _, m in hub.outbox].count(NodeId(5, 0)) == 2
+    assert [m.dest for m in hub.outbox].count(NodeId(5, 0)) == 2
 
 
 def test_activate_from_unknown_vehicle():

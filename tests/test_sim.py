@@ -145,7 +145,7 @@ def test_loss_probability_must_leave_headroom():
 
 def test_blocked_node_outside_grid_rejected():
     scenario = replace_scenario(default_scenario(), terrain=TerrainConfig(blocked=(NodeId(20, 0),)))
-    with pytest.raises(ScenarioInvalid):
+    with pytest.raises(ScenarioInvalid, match=r"^terrain\.blocked: node \(20, 0\) outside 9x9 grid$"):
         validate_scenario(scenario)
 
 
@@ -388,6 +388,19 @@ def test_default_scenario_completes_both_jobs():
                 assert d >= 0.125
 
 
+def test_fast_vehicles_complete_the_default_jobs():
+    """Both vehicles step 75 mm a tick at cruise, more than the 50 mm
+    arrival window: every hop still ends on its node and no pose leaves
+    the terrain."""
+    doc = scenario_to_dict(default_scenario())
+    for vehicle in doc["vehicles"]:
+        vehicle["params"] = {"wheel_radius_m": 0.3, "cruise_speed_m_s": 1.5}
+    doc["sim"]["dt_s"] = 0.05
+    sim = Simulation(scenario_from_dict(doc))
+    sim.run_loop()
+    assert sim.completed_jobs == sim.total_jobs == 2
+
+
 def test_radar_and_trace_see_every_move(monkeypatch):
     """The engine replaces a vehicle's radar disc only when it has moved:
     after every tick the trace and the newest echo must still match the
@@ -476,15 +489,18 @@ def counted_run(scenario, every_tick):
 
     def gate(agent, node, now, scheduled):
         nonlocal early
-        if sim._departure_gate(agent, node, now, scheduled):
+        until = sim._departure_gate(agent, node, now, scheduled)
+        if until is None:
             last = refused.pop(agent.vehicle_id, None)
             if last is not None and last[:2] == (node, scheduled) and now < last[2]:
                 early += 1
-            return True
+            return None
         holds = table.snapshot()[node]
-        until = max(end for start, end, vid in holds if vid != agent.vehicle_id and now < end and start < scheduled)
+        assert until == max(
+            end for start, end, vid in holds if vid != agent.vehicle_id and now < end and start < scheduled
+        )
         refused[agent.vehicle_id] = (node, scheduled, until)
-        return False
+        return until
 
     def counting(step):
         def counted(grid, dt_s, now):
@@ -501,9 +517,10 @@ def counted_run(scenario, every_tick):
             agent = sv.agent
             if sv.pending is not None and now >= sv.retry_at:
                 sv.pending(now)
+            state = agent.state
             agent.step(sim.grid, sim.dt, now)
-            if agent.route_finished:
-                sim._post_step(sv, now)
+            if agent.state != state:
+                sim._post_step(sv, state, now)
             for msg in agent.outbox:
                 sim.medium.send(sv.radio, encode(msg), now)
             agent.outbox.clear()

@@ -174,6 +174,28 @@ def test_route_must_start_at_current_node():
         agent.on_destination(make_path([NodeId(1, 0), NodeId(2, 0)]))
 
 
+def test_route_must_have_a_hop():
+    agent = make_agent()
+    with pytest.raises(ValueError):
+        agent.begin_reposition(make_path([NodeId(0, 0)]))
+
+
+def test_reposition_presses_the_load_switch_on_its_arriving_step():
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    agent.begin_reposition(make_path([NodeId(0, 0), NodeId(1, 0)]))
+    for now in range(2, 502):
+        wake = agent.step(grid, DT, now)
+        if not agent.busy:
+            break
+    assert agent.current_node == NodeId(1, 0)
+    assert agent.state == LOADED
+    assert agent.outbox[-1].kind == MessageKind.ACTIVATE
+    assert wake == now + 1
+    assert agent.step(grid, DT, now + 1) == now + ACTIVATE_RETRY_TICKS
+    assert agent.state == AWAITING_ROUTE
+
+
 def test_activate_retries_while_awaiting_route():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
@@ -193,12 +215,32 @@ def test_straight_hop_lands_exactly_on_node():
     agent = make_agent()
     loaded_and_awaiting(agent, grid)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
-    ticks = drive_until(agent, grid, lambda a: a.route_finished)
+    ticks = drive_until(agent, grid, lambda a: not a.busy)
     assert agent.pose == (0.25, 0.0, 0.0)
     assert agent.current_node == NodeId(1, 0)
     assert agent.state == UNLOADING
     # one hop from rest: spin-up plus 0.25 m at 0.1 m/s
     assert 2.0 <= ticks * DT <= 3.0
+
+
+def test_fast_hop_that_steps_over_the_arrival_window_lands_on_node():
+    """A step longer than the +-spacing/10 arrival window still arrives:
+    the distance left is measured along the drive axis."""
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = VehicleAgent(
+        0, NodeId(0, 0), Position(0.0, 0.0), VehicleParams(wheel_radius_m=0.3, cruise_speed_m_s=1.5)
+    )
+    loaded_and_awaiting(agent, grid)
+    agent.on_destination(make_path([NodeId(i, 0) for i in range(5)]))
+    longest = 0.0
+    for now in range(2, 202):
+        agent.step(grid, 0.05, now)
+        longest = max(longest, agent.speed_m_s * 0.05)
+        if not agent.busy:
+            break
+    assert longest > grid.spacing_m / 5
+    assert agent.pose == (1.0, 0.0, 0.0)
+    assert agent.state == UNLOADING
 
 
 def test_cruise_speed_during_drive():
@@ -211,7 +253,7 @@ def test_cruise_speed_during_drive():
         agent.step(grid, DT, now)
         if now >= 200:  # past spin-up
             speeds.append(agent.speed_m_s)
-        if agent.route_finished:
+        if not agent.busy:
             break
     cruising = [s for s in speeds if s > 0.0]
     assert cruising
@@ -227,7 +269,7 @@ def test_turn_in_place_snaps_heading():
     # quarter turn: accelerate, then yaw rate = 2*r*omega/track
     assert 2.0 <= ticks_turning * DT <= 3.5
     assert agent.pose.x == 0.0 and agent.pose.y == 0.0  # turned in place
-    drive_until(agent, grid, lambda a: a.route_finished, start=ticks_turning + 1)
+    drive_until(agent, grid, lambda a: not a.busy, start=ticks_turning + 1)
     assert agent.pose == (0.0, 0.25, 90.0)
 
 
@@ -240,7 +282,7 @@ def test_turn_prefers_counter_clockwise_on_180():
     for now in range(2, 5002):
         agent.step(grid, DT, now)
         seen.add(round(agent.pose.heading_deg // 90))
-        if agent.route_finished:
+        if not agent.busy:
             break
     assert agent.pose.heading_deg == 180.0
     assert 1 in seen  # passed through the 90-180 quadrant, not 270
@@ -255,7 +297,7 @@ def test_turn_clockwise_when_shorter():
     for now in range(2, 5002):
         agent.step(grid, DT, now)
         headings.append(agent.pose.heading_deg)
-        if agent.route_finished:
+        if not agent.busy:
             break
     assert headings[-1] == 270.0
     assert all(h == 0.0 or h >= 270.0 for h in headings)  # went 0 -> 350 -> 270
@@ -280,7 +322,7 @@ def test_departure_gate_grants_early_start():
 
     def gate(a, nxt, now, scheduled):
         calls.append((nxt, now, scheduled))
-        return True
+        return None
 
     agent.departure_gate = gate
     loaded_and_awaiting(agent, grid)
@@ -319,9 +361,7 @@ def test_trail_records_pickup_once_across_reposition_and_transit():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     agent.begin_reposition(make_path([NodeId(0, 0), NodeId(1, 0)]))
-    tick = drive_until(agent, grid, lambda a: a.route_finished)
-    agent.clear_route()
-    agent.press_load_switch(tick)
+    tick = drive_until(agent, grid, lambda a: not a.busy)
     agent.step(grid, DT, tick + 1)
     agent.on_destination(make_path([NodeId(1, 0), NodeId(1, 1), NodeId(2, 1)], depart_at=tick + 2))
     drive_until(agent, grid, lambda a: a.state == UNLOADING, start=tick + 2)
@@ -373,7 +413,7 @@ def test_step_returns_next_tick_while_moving():
     for now in range(2, 5002):
         wake = agent.step(grid, DT, now)
         assert wake == now + 1
-        if agent.route_finished:
+        if not agent.busy:
             break
         phases.add(agent._phase)
     assert phases == {"turn", "drive"}  # two turns and two hops, none of them waiting
@@ -387,7 +427,7 @@ def test_step_returns_scheduled_departure_while_resting():
 
     def gate(a, nxt, now, scheduled):
         refusals.append(now)
-        return False
+        return math.inf
 
     agent.departure_gate = gate
     loaded_and_awaiting(agent, grid)
@@ -399,12 +439,24 @@ def test_step_returns_scheduled_departure_while_resting():
     assert agent.pose.x > 0.0
 
 
+@pytest.mark.parametrize("until, wake", [(57, 57), (150, 100)])
+def test_refused_gate_wakes_at_its_until_or_the_departure(until, wake):
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    agent.departure_gate = lambda a, nxt, now, scheduled: until
+    loaded_and_awaiting(agent, grid)
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
+    assert agent.step(grid, DT, 2) == wake
+    assert agent.pose.x == 0.0
+    assert agent.speed_m_s == 0.0
+
+
 def test_step_that_comes_to_rest_returns_scheduled_departure():
     """The step that ends a turn, or a hop, short of the next departure
     already returns that departure."""
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    agent.departure_gate = lambda a, nxt, now, scheduled: False
+    agent.departure_gate = lambda a, nxt, now, scheduled: math.inf
     loaded_and_awaiting(agent, grid)
     north = [NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]
     agent.on_destination(TimedPath([TimedStep(north[0], 0, 500), TimedStep(north[1], 490, 900),
