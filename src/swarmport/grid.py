@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import NodeOutOfRange, NonPositiveDimension, OutOfTerrain, SpacingTooLarge
@@ -54,16 +55,33 @@ class GridMap:
         self.require(node)
         return node in self.blocked
 
+    @cached_property
+    def adjacency(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        """Every node, blocked or not, mapped to its unblocked 4-neighbors in
+        East, North, West, South order.
+
+        Built on first use and kept on the instance, so every search over
+        this grid reads one table; equality and hashing still cover the
+        fields only.
+        """
+        nx, ny = self.nx, self.ny
+        nodes = {(ix, iy): NodeId(ix, iy) for ix in range(nx) for iy in range(ny)}
+        open_nodes = {key: node for key, node in nodes.items() if node not in self.blocked}
+        return {
+            node: tuple(
+                nb
+                for nb in (open_nodes.get((ix + dx, iy + dy)) for dx, dy in NEIGHBOR_OFFSETS)
+                if nb is not None
+            )
+            for (ix, iy), node in nodes.items()
+        }
+
     def neighbors(self, node: NodeId) -> list[NodeId]:
         """Unblocked 4-neighbors in East, North, West, South order."""
-        self.require(node)
-        out = []
-        ix, iy = node
-        for dx, dy in NEIGHBOR_OFFSETS:
-            nb = NodeId(ix + dx, iy + dy)
-            if self.contains(nb) and nb not in self.blocked:
-                out.append(nb)
-        return out
+        try:
+            return list(self.adjacency[node])
+        except KeyError:
+            raise NodeOutOfRange(f"node {tuple(node)} outside {self.nx}x{self.ny} grid") from None
 
     def node_to_position(self, node: NodeId) -> Position:
         self.require(node)

@@ -76,12 +76,13 @@ def hop_distances(grid: GridMap, root: NodeId, stops: frozenset[NodeId] = frozen
     grid.require(root)
     if root in grid.blocked:
         return {}
+    adjacency = grid.adjacency
     dist = {root: 0}
     queue = deque([root])
     while queue:
         cur = queue.popleft()
         d = dist[cur] + 1
-        for nb in grid.neighbors(cur):
+        for nb in adjacency[cur]:
             if nb not in dist:
                 dist[nb] = d
                 if nb not in stops:
@@ -95,7 +96,7 @@ def _canonical_walk(grid: GridMap, src: NodeId, dst: NodeId, to_dst: dict[NodeId
     cur = src
     while cur != dst:
         remaining = to_dst[cur]
-        for nb in grid.neighbors(cur):
+        for nb in grid.adjacency[cur]:
             if to_dst.get(nb, math.inf) == remaining - 1:
                 cur = nb
                 break
@@ -115,7 +116,7 @@ def dijkstra(grid: GridMap, src: NodeId, dst: NodeId) -> Path:
         dist[cur] = d
         if cur == src:
             break
-        for nb in grid.neighbors(cur):
+        for nb in grid.adjacency[cur]:
             if nb not in dist:
                 heapq.heappush(heap, (d + 1, nb))
     if src not in dist:
@@ -142,7 +143,7 @@ def astar(grid: GridMap, src: NodeId, dst: NodeId) -> Path:
         if cur == dst:
             cost = g
             break
-        for nb in grid.neighbors(cur):
+        for nb in grid.adjacency[cur]:
             ng = g + 1
             if ng < best.get(nb, math.inf):
                 best[nb] = ng
@@ -158,14 +159,7 @@ def bellman_ford(grid: GridMap, src: NodeId) -> dict[NodeId, int]:
     grid.require(src)
     if src in grid.blocked:
         return {}
-    edges = []
-    for iy in range(grid.ny):
-        for ix in range(grid.nx):
-            n = NodeId(ix, iy)
-            if n in grid.blocked:
-                continue
-            for nb in grid.neighbors(n):
-                edges.append((n, nb))
+    edges = [(n, nb) for n, nbs in grid.adjacency.items() if n not in grid.blocked for nb in nbs]
     dist = {src: 0}
     for _ in range(grid.node_count - 1):
         changed = False
@@ -196,15 +190,15 @@ def floyd_warshall(grid: GridMap) -> AllPairsCosts:
     n = grid.node_count
     if n > 1000:
         raise GridTooLarge(f"{n} nodes exceeds the 1000-node all-pairs guard")
-    nodes = [NodeId(ix, iy) for ix in range(grid.nx) for iy in range(grid.ny)]
+    nodes = list(grid.adjacency)
     index = {node: i for i, node in enumerate(nodes)}
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
-    for node in nodes:
+    for node, nbs in grid.adjacency.items():
         if node in grid.blocked:
             continue
         i = index[node]
-        for nb in grid.neighbors(node):
+        for nb in nbs:
             d[i, index[nb]] = 1.0
     for k in range(n):
         np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
@@ -403,7 +397,7 @@ def plan_space_time(
     if src in to_dst:
         boundary = _earliest_schedule(
             lambda node, k: table.is_free(node, t0 + k * h, t0 + (k + 1) * h),
-            grid.neighbors,
+            grid.adjacency.__getitem__,
             lambda k: table.is_free(dst, t0 + k * h, INF_TICK),
             to_dst.__getitem__,
             src,

@@ -179,34 +179,38 @@ class VehicleAgent:
         """Cargo destination received; start the transit leg and ACK."""
         if self.state not in (LOADED, AWAITING_ROUTE):
             raise IllegalTransition(f"destination received while {self.state}")
-        self._transition(TRANSIT)
-        self._begin_route(timed_path)
+        self._begin_route(timed_path, TRANSIT)
         self.queue_ack()
 
     def unload(self, timed_path: TimedPath) -> None:
         """Cargo dropped; retrace the recorded trail back to the terminal."""
         if self.state != UNLOADING:
             raise IllegalTransition(f"unload while {self.state}")
-        self._transition(RETRACING)
-        self._begin_route(timed_path)
+        self._begin_route(timed_path, RETRACING)
 
     def begin_reposition(self, timed_path: TimedPath) -> None:
         """Drive empty to a pickup terminal; cargo state stays IDLE."""
         if self.state != IDLE:
             raise IllegalTransition(f"reposition while {self.state}")
-        self._begin_route(timed_path)
+        self._begin_route(timed_path, IDLE)
 
     def queue_ack(self) -> None:
         self.outbox.append(Message(MessageKind.ACK, self.vehicle_id))
 
     # -- route bookkeeping ------------------------------------------
 
-    def _begin_route(self, timed_path: TimedPath) -> None:
+    def _begin_route(self, timed_path: TimedPath, state: str) -> None:
+        """Check the route, then enter ``state`` and start driving it.
+
+        A refused route raises ValueError and leaves the vehicle as it was.
+        """
         route = timed_path.route
         if route[0] != self.current_node:
             raise ValueError(f"route starts at {route[0]}, vehicle at {self.current_node}")
         if len(route) == 1:
             raise ValueError(f"route {route[0]} has no hop to drive")
+        if state != self.state:
+            self._transition(state)
         if self.state == RETRACING:
             self.retraced = [self.current_node]
         elif not self.trail:

@@ -65,6 +65,17 @@ SPACING = 0.25
 # =====================================================================
 
 
+def grid_neighbors(grid, node):
+    """Unblocked 4-neighbors in East, North, West, South order, worked out
+    from offsets, bounds and the blocked set, apart from `GridMap`'s table."""
+    out = []
+    for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        nb = NodeId(node[0] + dx, node[1] + dy)
+        if 0 <= nb.ix < grid.nx and 0 <= nb.iy < grid.ny and nb not in grid.blocked:
+            out.append(nb)
+    return out
+
+
 def bfs_oracle(grid, src, dst):
     if src == dst:
         return 0
@@ -72,7 +83,7 @@ def bfs_oracle(grid, src, dst):
     queue = deque([(src, 0)])
     while queue:
         node, d = queue.popleft()
-        for nxt in grid.neighbors(node):
+        for nxt in grid_neighbors(grid, node):
             if nxt in seen:
                 continue
             if nxt == dst:

@@ -98,6 +98,62 @@ def test_corner_neighbors_trimmed():
     assert grid.neighbors(NodeId(8, 8)) == [NodeId(7, 8), NodeId(8, 7)]
 
 
+def grid_neighbors(grid, node):
+    """Unblocked 4-neighbors in East, North, West, South order, worked out
+    from offsets, bounds and the blocked set, apart from `GridMap`'s table."""
+    out = []
+    for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        nb = NodeId(node[0] + dx, node[1] + dy)
+        if 0 <= nb.ix < grid.nx and 0 <= nb.iy < grid.ny and nb not in grid.blocked:
+            out.append(nb)
+    return out
+
+
+@st.composite
+def blocked_grids(draw):
+    nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    nodes = [NodeId(ix, iy) for ix in range(nx) for iy in range(ny)]
+    blocked = draw(st.lists(st.sampled_from(nodes), max_size=len(nodes) // 2, unique=True))
+    return build_grid(float(nx - 1), float(ny - 1), 1.0, blocked=blocked), nodes
+
+
+@given(blocked_grids())
+def test_adjacency_matches_offsets_bounds_and_blocks(case):
+    grid, nodes = case
+    assert grid.adjacency.keys() == set(nodes)
+    for node in nodes:  # blocked nodes included
+        expected = grid_neighbors(grid, node)
+        assert grid.adjacency[node] == tuple(expected)
+        assert all(type(nb) is NodeId for nb in grid.adjacency[node])
+        assert grid.neighbors(node) == expected
+
+
+def test_neighbors_returns_a_fresh_list():
+    grid = build_grid(2.0, 2.0, 0.25)
+    node = NodeId(4, 4)
+    first = grid.neighbors(node)
+    first.append(NodeId(0, 0))
+    first.reverse()
+    assert grid.neighbors(node) == [NodeId(5, 4), NodeId(4, 5), NodeId(3, 4), NodeId(4, 3)]
+    assert grid.adjacency[node] == (NodeId(5, 4), NodeId(4, 5), NodeId(3, 4), NodeId(4, 3))
+    assert grid.neighbors(node) is not grid.neighbors(node)
+
+
+@pytest.mark.parametrize("node", [NodeId(-1, 0), NodeId(0, -1), NodeId(-1, -1), NodeId(9, 0), NodeId(0, 9)])
+def test_neighbors_outside_grid_raise(node):
+    grid = build_grid(2.0, 2.0, 0.25)
+    with pytest.raises(NodeOutOfRange):
+        grid.neighbors(node)
+
+
+def test_built_table_leaves_equality_and_hash_alone():
+    grid = build_grid(2.0, 2.0, 0.25, blocked=[NodeId(4, 4)])
+    twin = build_grid(2.0, 2.0, 0.25, blocked=[NodeId(4, 4)])
+    grid.neighbors(NodeId(0, 0))
+    assert "adjacency" in vars(grid) and "adjacency" not in vars(twin)
+    assert grid == twin and hash(grid) == hash(twin)
+
+
 def test_blocked_nodes_are_not_neighbors():
     grid = build_grid(2.0, 2.0, 0.25, blocked=[NodeId(5, 4), NodeId(4, 3)])
     assert grid.neighbors(NodeId(4, 4)) == [NodeId(4, 5), NodeId(3, 4)]

@@ -22,12 +22,24 @@ from swarmport.planner import (
     commit,
     dijkstra,
     floyd_warshall,
+    hop_distances,
     plan_space_time,
     schedule_along,
 )
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def grid_neighbors(grid, node):
+    """Unblocked 4-neighbors in East, North, West, South order, worked out
+    from offsets, bounds and the blocked set, apart from `GridMap`'s table."""
+    out = []
+    for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+        nb = NodeId(node[0] + dx, node[1] + dy)
+        if 0 <= nb.ix < grid.nx and 0 <= nb.iy < grid.ny and nb not in grid.blocked:
+            out.append(nb)
+    return out
 
 
 def bfs_cost(grid, src, dst):
@@ -38,7 +50,7 @@ def bfs_cost(grid, src, dst):
     queue = deque([(src, 0)])
     while queue:
         node, d = queue.popleft()
-        for nxt in grid.neighbors(node):
+        for nxt in grid_neighbors(grid, node):
             if nxt in seen:
                 continue
             if nxt == dst:
@@ -62,7 +74,7 @@ def random_grid(seed, block_ratio=0.2):
 def check_is_path(grid, nodes, src, dst):
     assert nodes[0] == src and nodes[-1] == dst
     for a, b in zip(nodes, nodes[1:]):
-        assert b in grid.neighbors(a)
+        assert b in grid_neighbors(grid, a)
         assert not grid.is_blocked(b)
 
 
@@ -99,7 +111,7 @@ def reference_plan_space_time(
             if not window_free(node, k):
                 continue
             nxt.add(node)
-            for nb in grid.neighbors(node):
+            for nb in grid_neighbors(grid, node):
                 if window_free(nb, k):
                     nxt.add(nb)
         reachable.append(nxt)
@@ -118,7 +130,7 @@ def reference_plan_space_time(
         for node in reachable[k]:
             if not window_free(node, k):
                 continue
-            if node in nxt or any(nb in nxt and window_free(nb, k) for nb in grid.neighbors(node)):
+            if node in nxt or any(nb in nxt and window_free(nb, k) for nb in grid_neighbors(grid, node)):
                 feasible[k].add(node)
 
     boundary = [src]
@@ -126,7 +138,7 @@ def reference_plan_space_time(
     for k in range(arrival_slot):
         nxt = feasible[k + 1]
         step = cur
-        for nb in grid.neighbors(cur):
+        for nb in grid_neighbors(grid, cur):
             if nb in nxt and window_free(nb, k):
                 step = nb
                 break
@@ -273,6 +285,48 @@ def test_bellman_ford_omits_unreachable():
     grid = build_grid(2.0, 2.0, 0.25, blocked=[NodeId(1, 0), NodeId(0, 1), NodeId(1, 1)])
     dist = bellman_ford(grid, NodeId(0, 0))
     assert dist == {NodeId(0, 0): 0}
+
+
+def reference_hop_distances(grid, root, stops):
+    """Hop counts relaxed to a fixpoint: the root and every reached node
+    outside ``stops`` pass their distance on to their neighbors."""
+    if root in grid.blocked:
+        return {}
+    dist = {root: 0}
+    changed = True
+    while changed:
+        changed = False
+        for node, d in list(dist.items()):
+            if node != root and node in stops:
+                continue
+            for nb in grid_neighbors(grid, node):
+                if d + 1 < dist.get(nb, math.inf):
+                    dist[nb] = d + 1
+                    changed = True
+    return dist
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_hop_distances_match_reference(data):
+    nx, ny = data.draw(st.integers(2, 10)), data.draw(st.integers(2, 10))
+    nodes = [NodeId(ix, iy) for ix in range(nx) for iy in range(ny)]
+    blocked = data.draw(st.lists(st.sampled_from(nodes), max_size=len(nodes) // 3, unique=True))
+    grid = build_grid(float(nx - 1), float(ny - 1), 1.0, blocked=blocked)
+    root = data.draw(st.sampled_from(nodes))
+    stops = frozenset(data.draw(st.lists(st.sampled_from(nodes), max_size=len(nodes) // 4, unique=True)))
+    assert hop_distances(grid, root, stops) == reference_hop_distances(grid, root, stops)
+
+
+def test_hop_distances_reach_a_stop_without_expanding_it():
+    # A 5x2 grid whose top row is blocked: a corridor along y = 0.
+    grid = build_grid(4.0, 1.0, 1.0, blocked=[NodeId(x, 1) for x in range(5)])
+    stop = frozenset({NodeId(2, 0)})
+    assert hop_distances(grid, NodeId(0, 0), stop) == {NodeId(0, 0): 0, NodeId(1, 0): 1, NodeId(2, 0): 2}
+    assert hop_distances(grid, NodeId(2, 0), stop) == {
+        NodeId(2, 0): 0, NodeId(3, 0): 1, NodeId(1, 0): 1, NodeId(4, 0): 2, NodeId(0, 0): 2,
+    }
+    assert hop_distances(grid, NodeId(0, 1)) == {}
 
 
 def test_floyd_warshall_matches_bfs_rows():

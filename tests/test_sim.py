@@ -1,5 +1,6 @@
 """Scenario schema, tick loop wiring, determinism, artifacts, analytics."""
 
+import functools
 import json
 import math
 
@@ -8,7 +9,7 @@ from test_acceptance import crossing_scenario
 
 import swarmport.sim
 from swarmport.errors import ScenarioInvalid
-from swarmport.grid import NodeId, Position
+from swarmport.grid import GridMap, NodeId, Position
 from swarmport.hub import Job, metrics
 from swarmport.planner import INF_TICK
 from swarmport.radar import Disc, WorldModel, echo_distance
@@ -679,6 +680,33 @@ def test_grid_beyond_all_pairs_guard_runs_to_completion():
     sim.run_loop()
     assert sim.completed_jobs == 1
     assert sim.tick_count < scenario.sim.max_ticks
+
+
+def test_one_adjacency_table_is_built_in_the_run_and_serves_all_of_it(monkeypatch):
+    builds = []
+    build = GridMap.adjacency.func
+
+    def counted(grid):
+        builds.append(grid)
+        return build(grid)
+
+    table = functools.cached_property(counted)
+    table.__set_name__(GridMap, "adjacency")
+    monkeypatch.setattr(GridMap, "adjacency", table)
+    # A depot-sized lattice: 31 x 31 nodes, eight homes on the south edge.
+    homes = [NodeId(1 + 4 * i, 0) for i in range(8)]
+    scenario = Scenario(
+        terrain=TerrainConfig(width_m=7.5, height_m=7.5, spacing_m=0.25, blocked=(NodeId(15, 15),)),
+        vehicles=tuple(VehicleSpec(i, home) for i, home in enumerate(homes)),
+        jobs=tuple(Job(i, NodeId(home.ix, 2), NodeId(home.ix + 1, 3)) for i, home in enumerate(homes)),
+        sim=SimConfig(dt_s=0.05, max_ticks=100_000),
+    )
+    sim = Simulation(scenario)
+    # Set-up builds no table; the hub's first dispatch does.
+    assert builds == [] and "adjacency" not in vars(sim.grid)
+    sim.run_loop()
+    assert sim.completed_jobs == sim.total_jobs == 8
+    assert len(builds) == 1 and builds[0] is sim.grid
 
 
 def test_job_queue_drains_released_jobs():

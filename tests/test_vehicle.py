@@ -180,6 +180,37 @@ def test_route_must_have_a_hop():
         agent.begin_reposition(make_path([NodeId(0, 0)]))
 
 
+@pytest.mark.parametrize("route", [[NodeId(1, 0), NodeId(2, 0)], [NodeId(0, 0)]])
+def test_refused_destination_leaves_the_vehicle_awaiting_its_route(route):
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    loaded_and_awaiting(agent, grid)
+    outbox = list(agent.outbox)
+    with pytest.raises(ValueError):
+        agent.on_destination(make_path(route))
+    assert agent.state == AWAITING_ROUTE
+    assert not agent.busy and agent.trail == [] and agent.outbox == outbox
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
+    drive_until(agent, grid, lambda a: a.state == UNLOADING)
+    assert agent.trail == [NodeId(0, 0), NodeId(1, 0)]
+
+
+@pytest.mark.parametrize("route", [[NodeId(0, 0), NodeId(1, 0)], [NodeId(1, 0)]])
+def test_refused_retrace_leaves_the_vehicle_unloading(route):
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    loaded_and_awaiting(agent, grid)
+    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
+    unloading = drive_until(agent, grid, lambda a: a.state == UNLOADING)
+    with pytest.raises(ValueError):
+        agent.unload(make_path(route, depart_at=unloading + 1))
+    assert agent.state == UNLOADING
+    assert not agent.busy and agent.retraced == []
+    agent.unload(make_path([NodeId(1, 0), NodeId(0, 0)], depart_at=unloading + 1))
+    drive_until(agent, grid, lambda a: a.state == IDLE, start=unloading + 1)
+    assert agent.retraced == [NodeId(1, 0), NodeId(0, 0)]
+
+
 def test_reposition_presses_the_load_switch_on_its_arriving_step():
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
