@@ -1,16 +1,24 @@
 """Single vehicle agent: cargo state machine, drive dynamics, waypoints.
 
 The chassis is a differential drive that either turns in place or drives
-straight between lattice nodes.  One PID loop regulates the wheel speed
-magnitude against a first-order motor plant; during turns the wheels
-counter-rotate at that magnitude, during straights they co-rotate, and at
-rest they are braked.
+straight between lattice nodes.  One PID loop (gains from ``agent.pid``)
+regulates the wheel speed magnitude against a first-order motor plant;
+during turns the wheels counter-rotate at that magnitude, during
+straights they co-rotate, and at rest they are braked.
+
+Every spin-up starts from rest toward the one cruise setpoint, so the
+wheel speed after n ticks of motion depends only on the vehicle's
+parameters, the gains and the timestep.  A moving vehicle reads it, with
+the tick's yaw and travel, from a spin-up table built once per such key
+by the same `pid_update`/`motor_step` calls, and each hop's heading,
+direction and target are worked out once when the hop starts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import IllegalTransition, TimestepTooLarge
@@ -40,7 +48,17 @@ _REST = "rest"
 _TURN = "turn"
 _DRIVE = "drive"
 
-_HEADING_TO_DIR = {0: (1.0, 0.0), 90: (0.0, 1.0), 180: (-1.0, 0.0), 270: (0.0, -1.0)}
+# A hop's heading in degrees and unit direction, by its (dx, dy) in nodes.
+_HOPS = {
+    (1, 0): (0.0, 1.0, 0.0),
+    (0, 1): (90.0, 0.0, 1.0),
+    (-1, 0): (180.0, -1.0, 0.0),
+    (0, -1): (270.0, 0.0, -1.0),
+}
+
+# Rows kept per spin-up table; a spin-up that has not settled by then
+# continues on the live loop.
+SPIN_TABLE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -102,6 +120,47 @@ def motor_step(omega: float, u: float, params: VehicleParams, dt_s: float) -> fl
     return omega + dt_s * (params.motor_gain * u - omega) / tau
 
 
+def _spin_row(pid: PidState, params: VehicleParams, omega: float, dt_s: float) -> tuple[float, ...]:
+    """One tick of the wheel loop from ``omega`` and ``pid``'s state: the
+    (omega, yaw_deg, step_len, integral, prev_error) after it, where a turn
+    yaws yaw_deg and a drive travels step_len in the tick."""
+    u = pid_update(pid, params.cruise_omega, omega, dt_s)
+    omega = motor_step(omega, u, params, dt_s)
+    r = params.wheel_radius_m
+    yaw_deg = math.degrees(2.0 * r * omega / params.track_m) * dt_s
+    return omega, yaw_deg, r * omega * dt_s, pid.integral, pid.prev_error
+
+
+class SpinTable(NamedTuple):
+    """The rows of one spin-up from rest: ``rows[n]`` is `_spin_row` after
+    n + 1 ticks.  If ``settled``, every later tick repeats the last row."""
+
+    dt_s: float
+    rows: tuple[tuple[float, ...], ...]
+    settled: bool
+
+
+@lru_cache(maxsize=32)
+def spin_table(params: VehicleParams, kp: float, ki: float, kd: float, output_limit: float,
+               dt_s: float) -> SpinTable:
+    """The spin-up of ``params`` under these gains at ``dt_s``, up to SPIN_TABLE_CAP rows.
+
+    It settles when a tick leaves unchanged all the state that feeds the
+    next output: ``omega``, the integral unless ``ki`` is 0 and the last
+    error unless ``kd`` is 0.  (A P-only loop's integral grows forever.)
+    """
+    pid = PidState(kp, ki, kd, output_limit)
+    row = _spin_row(pid, params, 0.0, dt_s)
+    rows = [row]
+    while len(rows) < SPIN_TABLE_CAP:
+        nxt = _spin_row(pid, params, row[0], dt_s)
+        if nxt[0] == row[0] and (ki == 0 or nxt[3] == row[3]) and (kd == 0 or nxt[4] == row[4]):
+            return SpinTable(dt_s, tuple(rows), True)
+        rows.append(nxt)
+        row = nxt
+    return SpinTable(dt_s, tuple(rows), False)
+
+
 class Pose(NamedTuple):
     x: float
     y: float
@@ -146,9 +205,17 @@ class VehicleAgent:
         self.x, self.y = home_position
         self._heading = 0.0
         self._omega = 0.0
+        # Ticks of motion since the last halt, and the spin-up table they
+        # index; None once the wheels run on the live loop (see `_spin`).
+        self._spins = 0
+        self._table: SpinTable | None = None
         self._phase = _REST
         self._turn_sign = 0
         self._turn_remaining = 0.0
+        # The hop being faced or driven: its heading, then its unit
+        # direction, target (x, y) and arrival window, set by `_start_hop`.
+        self._hop_heading = 0.0
+        self._hop_drive = (0.0, 0.0, 0.0, 0.0, 0.0)
         self._route: list[NodeId] | None = None
         self._departures: list[int] = []
         self._hop = 0
@@ -209,6 +276,9 @@ class VehicleAgent:
             raise ValueError(f"route starts at {route[0]}, vehicle at {self.current_node}")
         if len(route) == 1:
             raise ValueError(f"route {route[0]} has no hop to drive")
+        for a, b in zip(route, route[1:]):
+            if (b[0] - a[0], b[1] - a[1]) not in _HOPS:
+                raise ValueError(f"hop {tuple(a)} -> {tuple(b)} is not to a 4-neighbour node")
         if state != self.state:
             self._transition(state)
         if self.state == RETRACING:
@@ -262,16 +332,54 @@ class VehicleAgent:
 
     def _halt(self) -> None:
         self._omega = 0.0
+        self._spins = 0
         self._phase = _REST
         self.pid.reset()
 
-    def _spin(self, dt_s: float) -> None:
-        u = pid_update(self.pid, self.params.cruise_omega, self._omega, dt_s)
-        self._omega = motor_step(self._omega, u, self.params, dt_s)
+    def _spin(self, dt_s: float) -> tuple[float, ...]:
+        """One tick of the wheel loop toward cruise; returns its `_spin_row`.
 
-    def _start_hop(self) -> None:
-        """Face the next waypoint; returns with phase set to turn or drive."""
-        diff = (self._target_heading() - self._heading) % 360.0
+        The first tick after a halt picks the table for the agent's
+        parameters, its gains as they are then, and ``dt_s``.  Past a table
+        that ends short of a fixed point, or at another ``dt_s`` mid
+        spin-up, the live loop runs on from the exact state reached, with
+        ``agent.pid`` holding its state until the next halt.
+        """
+        n = self._spins
+        table = self._table
+        if n == 0:
+            pid = self.pid
+            table = self._table = spin_table(self.params, pid.kp, pid.ki, pid.kd, pid.output_limit, dt_s)
+        if table is not None:
+            rows = table.rows
+            if table.dt_s == dt_s:
+                if n < len(rows):
+                    row = rows[n]
+                    self._spins = n + 1
+                    self._omega = row[0]
+                    return row
+                if table.settled:
+                    return rows[-1]
+            self._omega, _, _, self.pid.integral, self.pid.prev_error = rows[n - 1]
+            self._table = None
+        row = _spin_row(self.pid, self.params, self._omega, dt_s)
+        self._omega = row[0]
+        return row
+
+    def _start_hop(self, grid: GridMap) -> None:
+        """Face the next waypoint; returns with phase set to turn or drive.
+
+        Sets the hop's heading, direction, target and arrival window, which
+        the turn and drive branches of `step` read.
+        """
+        assert self._route is not None
+        node = self.current_node
+        nxt = self._route[self._hop + 1]
+        heading, ux, uy = _HOPS[nxt[0] - node[0], nxt[1] - node[1]]
+        tx, ty = grid.node_to_position(nxt)
+        self._hop_heading = heading
+        self._hop_drive = (ux, uy, tx, ty, grid.spacing_m / 10.0)
+        diff = (heading - self._heading) % 360.0
         if diff == 0.0:
             self._phase = _DRIVE
         else:
@@ -330,17 +438,16 @@ class VehicleAgent:
 
         if self._phase == _REST:
             # At a node: face the next one, or wait there for the departure window.
-            self._start_hop()
+            self._start_hop(grid)
             if self._phase == _DRIVE:
                 wait = self._hold(now)
                 if wait is not None:
                     return wait
 
         if self._phase == _TURN:
-            self._spin(dt_s)
-            yaw_deg = math.degrees(2.0 * self.params.wheel_radius_m * self._omega / self.params.track_m) * dt_s
+            yaw_deg = self._spin(dt_s)[1]
             if yaw_deg >= self._turn_remaining:
-                self._heading = self._target_heading()
+                self._heading = self._hop_heading
                 self._turn_remaining = 0.0
                 wait = self._hold(now)
                 if wait is not None:
@@ -352,39 +459,30 @@ class VehicleAgent:
             return now + 1
 
         # Drive straight toward the next waypoint.
-        self._spin(dt_s)
-        direction = _HEADING_TO_DIR[int(round(self._heading)) % 360]
-        step_len = self.params.wheel_radius_m * self._omega * dt_s
-        self.x += direction[0] * step_len
-        self.y += direction[1] * step_len
-        nxt = self._route[self._hop + 1]
-        tx, ty = grid.node_to_position(nxt)
+        step_len = self._spin(dt_s)[2]
+        ux, uy, tx, ty, window = self._hop_drive
+        self.x += ux * step_len
+        self.y += uy * step_len
         # Measured along the drive axis, so a step that overshoots the node
         # still arrives.
-        if (tx - self.x) * direction[0] + (ty - self.y) * direction[1] <= grid.spacing_m / 10.0:
-            return self._arrive(grid, nxt, now)
+        if (tx - self.x) * ux + (ty - self.y) * uy <= window:
+            return self._arrive(grid, now)
         return now + 1
 
-    def _target_heading(self) -> float:
-        assert self._route is not None
-        nxt = self._route[self._hop + 1]
-        dx = nxt[0] - self.current_node[0]
-        dy = nxt[1] - self.current_node[1]
-        return math.degrees(math.atan2(dy, dx)) % 360.0
-
-    def _arrive(self, grid: GridMap, node: NodeId, now: int) -> float:
-        """Snap onto ``node``; end the leg there or start the next hop.
+    def _arrive(self, grid: GridMap, now: int) -> float:
+        """Snap onto the hop's target node; end the leg there or start the next hop.
 
         Returns the tick the vehicle is next due, as ``step`` does.
         """
-        self.x, self.y = grid.node_to_position(node)
+        assert self._route is not None
+        node = self._route[self._hop + 1]
+        self.x, self.y = self._hop_drive[2:4]
         self.current_node = node
         self._hop += 1
         if self.state == RETRACING:
             self.retraced.append(node)
         else:
             self.trail.append(node)
-        assert self._route is not None
         if self._hop == len(self._route) - 1:
             self._route = None
             self._halt()
@@ -395,7 +493,7 @@ class VehicleAgent:
             else:
                 self._transition(IDLE)
             return now + 1
-        self._start_hop()
+        self._start_hop(grid)
         if self._phase == _DRIVE:
             wait = self._hold(now)
             if wait is not None:

@@ -1,12 +1,14 @@
-"""Vehicle agent: PID wheel control, motor plant, state machine, waypoint driving."""
+"""Vehicle agent: PID wheel control, motor plant, state machine, waypoint driving,
+and the spin-up tables against an agent that runs the loop on every tick."""
 
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmport.errors import IllegalTransition, TimestepTooLarge
 from swarmport.grid import NodeId, Position, build_grid
-from swarmport.planner import TimedPath, TimedStep
+from swarmport.planner import INF_TICK, TimedPath, TimedStep
 from swarmport.rfnet import MessageKind
 from swarmport.vehicle import (
     ACTIVATE_RETRY_TICKS,
@@ -16,11 +18,13 @@ from swarmport.vehicle import (
     RETRACING,
     TRANSIT,
     UNLOADING,
+    SPIN_TABLE_CAP,
     PidState,
     VehicleAgent,
     VehicleParams,
     motor_step,
     pid_update,
+    spin_table,
 )
 
 DT = 0.01
@@ -180,7 +184,13 @@ def test_route_must_have_a_hop():
         agent.begin_reposition(make_path([NodeId(0, 0)]))
 
 
-@pytest.mark.parametrize("route", [[NodeId(1, 0), NodeId(2, 0)], [NodeId(0, 0)]])
+@pytest.mark.parametrize("route", [
+    [NodeId(1, 0), NodeId(2, 0)],
+    [NodeId(0, 0)],
+    [NodeId(0, 0), NodeId(1, 1)],
+    [NodeId(0, 0), NodeId(2, 0)],
+    [NodeId(0, 0), NodeId(1, 0), NodeId(1, 0)],
+])
 def test_refused_destination_leaves_the_vehicle_awaiting_its_route(route):
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
@@ -195,7 +205,11 @@ def test_refused_destination_leaves_the_vehicle_awaiting_its_route(route):
     assert agent.trail == [NodeId(0, 0), NodeId(1, 0)]
 
 
-@pytest.mark.parametrize("route", [[NodeId(0, 0), NodeId(1, 0)], [NodeId(1, 0)]])
+@pytest.mark.parametrize("route", [
+    [NodeId(0, 0), NodeId(1, 0)],
+    [NodeId(1, 0)],
+    [NodeId(1, 0), NodeId(0, 1)],
+])
 def test_refused_retrace_leaves_the_vehicle_unloading(route):
     grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
@@ -209,6 +223,20 @@ def test_refused_retrace_leaves_the_vehicle_unloading(route):
     agent.unload(make_path([NodeId(1, 0), NodeId(0, 0)], depart_at=unloading + 1))
     drive_until(agent, grid, lambda a: a.state == IDLE, start=unloading + 1)
     assert agent.retraced == [NodeId(1, 0), NodeId(0, 0)]
+
+
+@pytest.mark.parametrize("route, hop", [
+    ([NodeId(0, 0), NodeId(1, 1)], r"\(0, 0\) -> \(1, 1\)"),
+    ([NodeId(0, 0), NodeId(2, 0)], r"\(0, 0\) -> \(2, 0\)"),
+    ([NodeId(0, 0), NodeId(1, 0), NodeId(3, 0), NodeId(4, 0)], r"\(1, 0\) -> \(3, 0\)"),
+])
+def test_route_with_a_hop_that_is_not_one_node_is_refused_by_name(route, hop):
+    """A diagonal hop would turn to 45 degrees, a two-node hop would drive
+    through an unreserved node: both are refused before the vehicle moves."""
+    agent = make_agent()
+    with pytest.raises(ValueError, match=hop):
+        agent.begin_reposition(make_path(route))
+    assert agent.state == IDLE and not agent.busy and agent.trail == []
 
 
 def test_reposition_presses_the_load_switch_on_its_arriving_step():
@@ -537,3 +565,257 @@ def test_telemetry_snapshot():
     assert (msg.x_mm, msg.y_mm) == (250, 500)
     assert msg.speed_mm_s == 0
     assert msg.heading_cdeg == 0
+
+
+# ------------------------------------------------------ reference motion
+
+
+class ReferenceAgent:
+    """The motion of a vehicle that runs `pid_update` and `motor_step` on
+    every tick of a turn or drive and looks its direction and target up on
+    every drive tick: the oracle for the agent's spin-up tables."""
+
+    DIRECTIONS = {0: (1.0, 0.0), 90: (0.0, 1.0), 180: (-1.0, 0.0), 270: (0.0, -1.0)}
+
+    def __init__(self, node, position, params, pid, gate=None):
+        self.node = node
+        self.x, self.y = position
+        self.params = params
+        self.pid = pid
+        self.gate = gate
+        self.heading = 0.0
+        self.omega = 0.0
+        self.phase = "rest"
+        self.turn_sign = 0
+        self.turn_remaining = 0.0
+        self.route = None
+
+    def begin(self, timed_path):
+        self.route = timed_path.route
+        self.departures = [s.exit_tick for s in timed_path.steps[:-1]]
+        self.hop = 0
+        self.halt()
+
+    @property
+    def wheels(self):
+        if self.phase == "drive":
+            return (self.omega, self.omega)
+        if self.phase == "turn":
+            return (-self.turn_sign * self.omega, self.turn_sign * self.omega)
+        return (0.0, 0.0)
+
+    @property
+    def speed_m_s(self):
+        left, right = self.wheels
+        return self.params.wheel_radius_m * (left + right) / 2.0
+
+    def halt(self):
+        self.omega = 0.0
+        self.phase = "rest"
+        self.pid.reset()
+
+    def spin(self, dt_s):
+        u = pid_update(self.pid, self.params.cruise_omega, self.omega, dt_s)
+        self.omega = motor_step(self.omega, u, self.params, dt_s)
+
+    def target_heading(self):
+        nxt = self.route[self.hop + 1]
+        return math.degrees(math.atan2(nxt[1] - self.node[1], nxt[0] - self.node[0])) % 360.0
+
+    def start_hop(self):
+        diff = (self.target_heading() - self.heading) % 360.0
+        if diff == 0.0:
+            self.phase = "drive"
+        elif diff <= 180.0:
+            self.phase, self.turn_sign, self.turn_remaining = "turn", 1, diff
+        else:
+            self.phase, self.turn_sign, self.turn_remaining = "turn", -1, 360.0 - diff
+
+    def hold(self, now):
+        scheduled = self.departures[self.hop]
+        if now >= scheduled:
+            return None
+        until = INF_TICK if self.gate is None else self.gate(self, self.route[self.hop + 1], now, scheduled)
+        if until is None:
+            return None
+        self.halt()
+        return min(scheduled, until)
+
+    def step(self, grid, dt_s, now):
+        if self.route is None:
+            return INF_TICK
+        if self.phase == "rest":
+            self.start_hop()
+            if self.phase == "drive":
+                wait = self.hold(now)
+                if wait is not None:
+                    return wait
+        r = self.params.wheel_radius_m
+        if self.phase == "turn":
+            self.spin(dt_s)
+            yaw_deg = math.degrees(2.0 * r * self.omega / self.params.track_m) * dt_s
+            if yaw_deg >= self.turn_remaining:
+                self.heading = self.target_heading()
+                self.turn_remaining = 0.0
+                wait = self.hold(now)
+                if wait is not None:
+                    return wait
+                self.phase = "drive"
+            else:
+                self.turn_remaining -= yaw_deg
+                self.heading = (self.heading + self.turn_sign * yaw_deg) % 360.0
+            return now + 1
+        self.spin(dt_s)
+        ux, uy = self.DIRECTIONS[int(round(self.heading)) % 360]
+        step_len = r * self.omega * dt_s
+        self.x += ux * step_len
+        self.y += uy * step_len
+        nxt = self.route[self.hop + 1]
+        tx, ty = grid.node_to_position(nxt)
+        if (tx - self.x) * ux + (ty - self.y) * uy > grid.spacing_m / 10.0:
+            return now + 1
+        self.x, self.y = grid.node_to_position(nxt)
+        self.node = nxt
+        self.hop += 1
+        if self.hop == len(self.route) - 1:
+            self.route = None
+            self.halt()
+            return now + 1
+        self.start_hop()
+        if self.phase == "drive":
+            wait = self.hold(now)
+            if wait is not None:
+                return wait
+        return now + 1
+
+
+def pair(home, params, gains, gate=None):
+    """An agent and its reference at ``home`` on the 2 x 2 m grid."""
+    grid = build_grid(2.0, 2.0, 0.25)
+    position = grid.node_to_position(home)
+    agent = VehicleAgent(0, home, position, params, PidState(*gains))
+    agent.departure_gate = gate
+    return grid, agent, ReferenceAgent(home, position, params, PidState(*gains), gate)
+
+
+def drive_both(grid, agent, ref, dt_of, now, limit):
+    """Step both at the agent's wake ticks until the leg ends or ``limit``
+    steps; every step must leave both in the same motion state."""
+    for _ in range(limit):
+        dt_s = dt_of(now)
+        wake = agent.step(grid, dt_s, now)
+        assert wake == ref.step(grid, dt_s, now)
+        assert (agent.x, agent.y, agent.pose.heading_deg) == (ref.x, ref.y, ref.heading)
+        assert tuple(agent.wheels) == ref.wheels
+        assert agent.speed_m_s == ref.speed_m_s
+        if not agent.busy:
+            assert ref.route is None
+            return wake
+        now = wake
+    return now
+
+
+@st.composite
+def routes(draw, max_hops=8):
+    """Unit-hop walks on the 9 x 9 node grid; a step back makes a 180 degree
+    turn, and a step off the grid is taken the other way."""
+    node = NodeId(draw(st.integers(0, 8)), draw(st.integers(0, 8)))
+    route = [node]
+    for dx, dy in draw(st.lists(st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1)]), min_size=1, max_size=max_hops)):
+        if not (0 <= node.ix + dx <= 8 and 0 <= node.iy + dy <= 8):
+            dx, dy = -dx, -dy
+        node = NodeId(node.ix + dx, node.iy + dy)
+        route.append(node)
+    return route
+
+
+GATES = {
+    "refuse": None,
+    "grant": lambda a, nxt, now, scheduled: None,
+    "flaky": lambda a, nxt, now, scheduled: None if now % 7 == 0 else now + 3,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    route=routes(),
+    departures=st.lists(st.integers(0, 600), min_size=8, max_size=8),
+    params=st.builds(
+        VehicleParams,
+        track_m=st.floats(0.2, 0.5),
+        wheel_radius_m=st.floats(0.02, 0.1),
+        cruise_speed_m_s=st.floats(0.05, 0.3),
+        motor_gain=st.floats(0.5, 2.0),
+        motor_time_constant_s=st.floats(0.1, 0.5),
+    ),
+    gains=st.tuples(
+        st.floats(0.0, 8.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+        st.floats(1.0, 8.0),
+    ),
+    dt_s=st.one_of(st.sampled_from([0.01, 0.05]), st.floats(0.005, 0.05)),
+    gate=st.sampled_from(sorted(GATES)),
+)
+def test_agent_moves_exactly_like_the_reference(route, departures, params, gains, dt_s, gate):
+    grid, agent, ref = pair(route[0], params, gains, GATES[gate])
+    departures = sorted(departures)[: len(route) - 1]
+    steps = [TimedStep(node, 0, t) for node, t in zip(route, departures)] + [TimedStep(route[-1], 0, 0)]
+    path = TimedPath(steps, 1)
+    agent.begin_reposition(path)
+    ref.begin(path)
+    drive_both(grid, agent, ref, lambda now: dt_s, 0, 3000)
+
+
+def test_spin_table_settles_for_stock_gains():
+    """The stock loop reaches its fixed point in a few hundred ticks; a
+    P-only loop settles too, though its integral keeps growing."""
+    stock = spin_table(VehicleParams(), 2.0, 5.0, 0.0, 5.0, 0.05)
+    assert stock.settled and len(stock.rows) < 400
+    assert spin_table(VehicleParams(), 2.0, 0.0, 0.0, 5.0, 0.05).settled
+    assert spin_table(VehicleParams(), 2.0, 5.0, 0.0, 5.0, 0.01).settled
+
+
+def test_spin_up_without_a_fixed_point_continues_like_the_reference():
+    """A high P-only gain cycles instead of settling: past the capped
+    table the agent runs on the live loop from the exact state reached."""
+    gains = (8.0, 0.0, 0.0, 5.0)
+    table = spin_table(VehicleParams(), *gains, 0.05)
+    assert not table.settled and len(table.rows) == SPIN_TABLE_CAP
+    home = NodeId(0, 0)
+    grid, agent, ref = pair(home, VehicleParams(), gains)
+    route = [home, NodeId(1, 0)] * 100 + [home]  # a 180 degree turn at every node
+    path = make_path(route)
+    agent.begin_reposition(path)
+    ref.begin(path)
+    drive_both(grid, agent, ref, lambda now: 0.05, 0, SPIN_TABLE_CAP + 500)
+    assert agent.busy and agent._table is None  # one spin a step, never halted
+
+
+def test_timestep_above_the_stability_guard_raises_on_the_first_spin():
+    grid = build_grid(2.0, 2.0, 0.25)
+    agent = make_agent()
+    agent.begin_reposition(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=5))
+    assert agent.step(grid, 0.11, 0) == 5  # at rest: nothing spins yet
+    with pytest.raises(TimestepTooLarge):
+        agent.step(grid, 0.11, 5)
+
+
+def test_one_agent_at_two_timesteps_reads_the_table_of_each():
+    """One leg at dt 0.05, the next at 0.01, and a third that changes dt
+    mid spin-up, where the agent goes on from the state it reached."""
+    home = NodeId(0, 0)
+    grid, agent, ref = pair(home, VehicleParams(), (2.0, 5.0, 0.0, 5.0))
+    legs = [
+        ([home, NodeId(1, 0), NodeId(1, 1)], lambda now: 0.05),
+        ([NodeId(1, 1), NodeId(0, 1), NodeId(0, 0)], lambda now: 0.01),
+        ([home, NodeId(0, 1), NodeId(0, 2)], lambda now: 0.05 if now % 50 < 25 else 0.01),
+    ]
+    now = 0
+    for begin, (route, dt_of) in zip((agent.begin_reposition, agent.on_destination, agent.unload), legs):
+        path = make_path(route, depart_at=now)
+        begin(path)
+        ref.begin(path)
+        now = drive_both(grid, agent, ref, dt_of, now, 5000)
+        assert ref.node == agent.current_node == route[-1]
+    assert agent.state == IDLE and agent._table is None  # the last leg ran live

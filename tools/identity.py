@@ -1,0 +1,146 @@
+"""Byte-identity sweep: one digest per scenario over everything a run produces.
+
+    python3 tools/identity.py --check    # exit 1 if any digest differs
+    python3 tools/identity.py --record   # rewrite tools/identity_digests.json
+
+Run it from the root of a checkout; it imports the program from `src/`
+and the scenario generators from `perfbench/workloads.py`.  Each case
+runs in the engine with the pose/occupancy trace and the radio capture
+on, and its digest covers the tick count, the job traces, both traces,
+the hub's telemetry log, the radar frame lines and the capture.  A change
+that means to alter any of these records the table again and says why.
+
+The cases cover what the golden hashes and the benchmark digests leave
+out: 30 crossing fleets, every depot layout, the default scenario at two
+loss rates, two latencies and three radio seeds, a crossing fleet at
+dt 0.01 with latency, a depot with a beam half-width, and two fleets
+whose vehicles differ in their `VehicleParams`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+from array import array
+from itertools import chain, islice
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLE = Path(__file__).resolve().parent / "identity_digests.json"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from swarmport.sim import (  # noqa: E402
+    MediumConfig,
+    Simulation,
+    default_scenario,
+    scenario_from_dict,
+)
+from workloads import crossing_document, depot_document  # noqa: E402
+
+LOG_FIELDS = (
+    "tick", "vehicle_id", "x_m", "y_m", "heading_deg", "speed_m_s",
+    "dist_from_origin_m", "angle_from_origin_deg", "state",
+)
+TRACE_CHUNK = 4096  # trace rows hashed per buffer
+
+# Per-vehicle overrides for the mixed fleets, assigned in vehicle order.
+MIXED_PARAMS = (
+    {"cruise_speed_m_s": 0.15},
+    {"wheel_radius_m": 0.04},
+    {"track_m": 0.3},
+    {"motor_time_constant_s": 0.3},
+    {"motor_gain": 1.5},
+    {"cruise_speed_m_s": 0.08, "wheel_radius_m": 0.06, "track_m": 0.4,
+     "motor_time_constant_s": 0.15, "motor_gain": 0.8},
+    {},
+)
+
+
+def _with(doc: dict, section: str, **values) -> dict:
+    doc[section] = {**doc[section], **values}
+    return doc
+
+
+def _mixed(doc: dict) -> dict:
+    for i, vehicle in enumerate(doc["vehicles"]):
+        vehicle["params"] = dict(MIXED_PARAMS[i % len(MIXED_PARAMS)])
+    return doc
+
+
+def _default(loss: float, latency: int, seed: int):
+    return dataclasses.replace(default_scenario(), medium=MediumConfig(loss, latency, seed))
+
+
+def cases() -> dict:
+    """Case name -> a function building its scenario."""
+    out = {}
+    for seed in range(30):
+        out[f"crossing-{seed}"] = lambda s=seed: scenario_from_dict(crossing_document(s))
+    for layout in range(8):
+        out[f"depot-{layout}"] = lambda n=layout: scenario_from_dict(depot_document(n))
+    for loss in (0.0, 0.3):
+        for latency in (0, 3):
+            for seed in range(3):
+                out[f"default-loss{loss}-latency{latency}-seed{seed}"] = (
+                    lambda a=loss, b=latency, c=seed: _default(a, b, c))
+    out["crossing-7-dt0.01-latency3"] = lambda: scenario_from_dict(_with(
+        _with(crossing_document(7), "sim", dt_s=0.01), "medium", latency_ticks=3, loss_probability=0.1))
+    out["depot-2-beam3"] = lambda: scenario_from_dict(
+        _with(depot_document(2), "sensor", beam_halfwidth_deg=3.0))
+    out["crossing-0-mixed"] = lambda: scenario_from_dict(_mixed(crossing_document(0)))
+    out["depot-5-mixed"] = lambda: scenario_from_dict(_mixed(depot_document(5)))
+    return out
+
+
+def _hash_rows(h, rows, typecode: str) -> None:
+    it = iter(rows)
+    while chunk := list(islice(it, TRACE_CHUNK)):
+        h.update(array(typecode, chain.from_iterable(chain.from_iterable(chunk))).tobytes())
+
+
+def run_digest(scenario) -> str:
+    sim = Simulation(scenario, trace=True, capture=True)
+    sim.run_loop()
+    h = hashlib.sha256()
+    _hash_rows(h, sim.pose_trace, "d")
+    _hash_rows(h, sim.occupancy_trace, "q")
+    for tick, channel, frame in sim.medium.capture:
+        h.update(tick.to_bytes(8, "big") + bytes([channel]) + len(frame).to_bytes(2, "big") + frame)
+    h.update("".join(sim.frame_lines).encode())
+    jobs = [
+        [t.vehicle_id, t.job_id, [list(n) for n in t.outbound], [list(n) for n in t.retraced],
+         list(t.final_pose), list(t.home_position), t.complete_tick]
+        for t in sim.job_traces
+    ]
+    log = [[getattr(rec, f) for f in LOG_FIELDS] for rec in sim.hub.log]
+    totals = [sim.tick_count, sim.completed_jobs, sim.total_jobs, sim.last_complete_tick]
+    h.update(json.dumps([jobs, log, totals]).encode())
+    return h.hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", action="store_true", help="compare with the checked-in table")
+    mode.add_argument("--record", action="store_true", help="rewrite the checked-in table")
+    args = parser.parse_args(argv)
+
+    table = {name: run_digest(build()) for name, build in cases().items()}
+    if args.record:
+        TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="ascii")
+        print(f"identity: wrote {len(table)} digests to {TABLE.relative_to(ROOT)}")
+        return 0
+    expected = json.loads(TABLE.read_text(encoding="ascii"))
+    bad = sorted(set(table) | set(expected))
+    bad = [name for name in bad if table.get(name) != expected.get(name)]
+    for name in bad:
+        print(f"identity: {name}: got {table.get(name)}, expected {expected.get(name)}", file=sys.stderr)
+    print(f"identity: {len(table) - len(bad)} of {len(table)} cases match")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
