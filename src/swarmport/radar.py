@@ -3,17 +3,27 @@
 A sensor at a fixed origin sweeps the terrain in angular steps, reporting
 the nearest disc obstacle along each bearing as an echo distance.  Scans
 cluster into target estimates, stream as terse serial lines, and render
-to deterministic SVG frames.
+to deterministic SVG frames.  The engine's moving vehicles are sensed
+through a `HopIndex`, which tests at each sweep index only the bodies
+whose current segment the beam can reach.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .errors import AngleOutOfRange, IoFailure, NonPositiveSpeed
 from .grid import Position
+
+# Slack on each side of a body's reach in `HopIndex`, for the rounding in
+# `disc_echo`: a ray that misses a disc's edge or the range limit by a few
+# ulps can still read as a hit.  The ray's cos/sin bound that excess near
+# 1e-5 degrees; the grazing-ray test in tests/test_radar.py fails with
+# either margin at 0 and has passed with the angle's down to 1e-8.
+REACH_MARGIN_DEG = 1e-4
+REACH_MARGIN_M = 1e-9
 
 
 class Disc(NamedTuple):
@@ -45,9 +55,6 @@ class SweepConfig:
 @dataclass
 class WorldModel:
     obstacles: list[Disc]
-    # One slot per obstacle: its geometry from the origin of the last echo,
-    # reused while the same disc object is seen from the same origin.
-    _geometry: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -65,60 +72,139 @@ class TargetEstimate:
     sample_count: int
 
 
-def _disc_geometry(disc: Disc, origin: Position) -> tuple:
-    """What the echo needs of a disc seen from origin, whatever the ray."""
-    fx, fy = disc.center.x - origin.x, disc.center.y - origin.y
-    bearing = math.degrees(math.atan2(fy, fx))
-    return disc, origin, bearing, fx, fy, fx * fx + fy * fy, disc.radius_m * disc.radius_m
+def disc_echo(cfg: SweepConfig, angle_deg: float, x: float, y: float, radius_m: float) -> float | None:
+    """Where the beam at ``angle_deg`` first meets the disc centred at (x, y), or None.
+
+    The minimum over the cone is reached on the ray aimed closest to the
+    disc's bearing, so the beam is evaluated by clamping the query angle
+    toward the bearing instead of sampling the cone.  A hit beyond max
+    range is None; a disc over the origin echoes 0.
+    """
+    if radius_m <= 0:
+        return None
+    origin = cfg.origin
+    fx, fy = x - origin.x, y - origin.y
+    dist_sq = fx * fx + fy * fy
+    r_sq = radius_m * radius_m
+    if dist_sq <= r_sq:
+        hit = 0.0  # the origin is inside the disc
+    else:
+        half = cfg.beam_halfwidth_deg
+        if half:
+            offset = (math.degrees(math.atan2(fy, fx)) - angle_deg + 180.0) % 360.0 - 180.0
+            beam = angle_deg + max(-half, min(half, offset))
+        else:
+            # With a zero half-width the clamp gives -half for every offset.
+            beam = angle_deg + -half
+        a = math.radians(beam)
+        b = math.cos(a) * fx + math.sin(a) * fy
+        discriminant = b * b - (dist_sq - r_sq)
+        if discriminant < 0:
+            return None
+        hit = b - math.sqrt(discriminant)
+        if not hit >= 0:
+            return None
+    return hit if hit <= cfg.max_range_m else None
 
 
 def echo_distance(world: WorldModel, cfg: SweepConfig, angle_deg: float) -> float | None:
-    """Nearest ray-disc hit within the beam cone, capped at max range.
-
-    The minimum over the cone is reached on the ray aimed closest to a
-    disc's bearing, so the beam is evaluated by clamping the query angle
-    toward each disc instead of sampling the cone.  Each disc's geometry
-    is kept in ``world._geometry`` until the disc or the origin changes,
-    and each distinct ray's cos/sin is computed once per call.
-    """
-    origin = cfg.origin
-    half = cfg.beam_halfwidth_deg
-    obstacles = world.obstacles
-    geometry = world._geometry
-    if len(geometry) != len(obstacles):
-        geometry[:] = [None] * len(obstacles)
-    rays: dict[float, tuple[float, float]] = {}
+    """Nearest ray-disc hit within the beam cone, capped at max range."""
     best: float | None = None
-    for i, disc in enumerate(obstacles):
-        if disc.radius_m <= 0:
-            continue
-        geo = geometry[i]
-        if geo is None or geo[0] is not disc or geo[1] is not origin:
-            geo = geometry[i] = _disc_geometry(disc, origin)
-        _, _, bearing, fx, fy, dist_sq, r_sq = geo
-        if dist_sq <= r_sq:
-            hit = 0.0  # the origin is inside the disc
-        else:
-            if half:
-                offset = (bearing - angle_deg + 180.0) % 360.0 - 180.0
-                beam = angle_deg + max(-half, min(half, offset))
-            else:
-                # With a zero half-width the clamp gives -half for every offset.
-                beam = angle_deg + -half
-            ray = rays.get(beam)
-            if ray is None:
-                a = math.radians(beam)
-                ray = rays[beam] = (math.cos(a), math.sin(a))
-            b = ray[0] * fx + ray[1] * fy
-            discriminant = b * b - (dist_sq - r_sq)
-            if discriminant < 0:
-                continue
-            hit = b - math.sqrt(discriminant)
-            if not hit >= 0:
-                continue
-        if hit <= cfg.max_range_m and (best is None or hit < best):
+    for disc in world.obstacles:
+        hit = disc_echo(cfg, angle_deg, disc.center.x, disc.center.y, disc.radius_m)
+        if hit is not None and (best is None or hit < best):
             best = hit
     return best
+
+
+def _index_spans(lo_deg: float, width_deg: float, step_deg: float, n: int) -> tuple[tuple[int, int], ...]:
+    """The sweep indices ``k < n`` whose angle ``k * step_deg`` lies on the arc
+    from ``lo_deg`` through ``width_deg``, as half-open index ranges."""
+    if width_deg >= 360.0:
+        return ((0, n),)
+    lo = lo_deg % 360.0
+    hi = lo + width_deg
+    first = math.ceil(lo / step_deg)
+    last = min(n, math.floor(hi / step_deg) + 1)
+    if hi < 360.0:
+        return ((first, last),) if first < last else ()
+    wrapped = min(n, math.floor((hi - 360.0) / step_deg) + 1)
+    if wrapped >= first:
+        return ((0, n),)
+    return ((0, wrapped),) + (((first, last),) if first < last else ())
+
+
+class HopIndex:
+    """For each sweep index, the bodies whose echo its beam can return.
+
+    Body i lies on a segment from the last `place` until the next one (a
+    vehicle on its hop: the node it is at, or the edge it drives).
+    ``masks[k]`` has bit i set when the beam at sweep index k can meet body
+    i's disc anywhere on that segment: the arc between the bearings of the
+    segment's ends, widened on each side by the disc's angular radius seen
+    from the segment's nearest point, the beam half-width and
+    REACH_MARGIN_DEG.  A segment whose disc can cover the origin sets every
+    index; one whose disc stays beyond max range sets none.
+
+    `echo` evaluates `disc_echo` only for the bodies the index's mask names,
+    read at ``bodies[i].x, bodies[i].y`` as they are then, so it returns
+    what `echo_distance` would over every body's disc.
+    """
+
+    def __init__(self, cfg: SweepConfig, bodies: Sequence, radii: Sequence[float]) -> None:
+        self.cfg = cfg
+        self.bodies = bodies
+        self.radii = radii
+        self.masks = [0] * cfg.sweep_len
+        self._spans: list[tuple[tuple[int, int], ...]] = [()] * len(bodies)
+
+    def place(self, i: int, a: Position, b: Position | None) -> None:
+        """Body i stays on the segment from ``a`` to ``b`` until placed again;
+        with ``b`` None it may be anywhere."""
+        spans = self._reach(a, b, self.radii[i])
+        masks = self.masks
+        keep = ~(1 << i)
+        for lo, hi in self._spans[i]:
+            masks[lo:hi] = [m & keep for m in masks[lo:hi]]
+        bit = 1 << i
+        for lo, hi in spans:
+            masks[lo:hi] = [m | bit for m in masks[lo:hi]]
+        self._spans[i] = spans
+
+    def _reach(self, a: Position, b: Position | None, radius_m: float) -> tuple[tuple[int, int], ...]:
+        n = len(self.masks)
+        if b is None:
+            return ((0, n),)
+        cfg = self.cfg
+        ox, oy = cfg.origin
+        ax, ay = a.x - ox, a.y - oy
+        bx, by = b.x - ox, b.y - oy
+        dx, dy = bx - ax, by - ay
+        length_sq = dx * dx + dy * dy
+        t = 0.0 if length_sq == 0 else max(0.0, min(1.0, -(ax * dx + ay * dy) / length_sq))
+        nearest = math.hypot(ax + t * dx, ay + t * dy)
+        if nearest - radius_m > cfg.max_range_m + REACH_MARGIN_M:
+            return ()
+        if nearest <= radius_m + REACH_MARGIN_M:
+            return ((0, n),)
+        start = math.degrees(math.atan2(ay, ax))
+        turn = (math.degrees(math.atan2(by, bx)) - start + 180.0) % 360.0 - 180.0
+        widen = math.degrees(math.asin(radius_m / nearest)) + cfg.beam_halfwidth_deg + REACH_MARGIN_DEG
+        return _index_spans(start + min(0.0, turn) - widen, abs(turn) + 2.0 * widen, cfg.step_deg, n)
+
+    def echo(self, k: int, angle_deg: float) -> float | None:
+        """The echo at sweep index ``k``, whose angle is ``angle_deg``."""
+        mask = self.masks[k]
+        best: float | None = None
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            i = low.bit_length() - 1
+            body = self.bodies[i]
+            hit = disc_echo(self.cfg, angle_deg, body.x, body.y, self.radii[i])
+            if hit is not None and (best is None or hit < best):
+                best = hit
+        return best
 
 
 def time_of_flight(distance_m: float, speed_of_sound_m_s: float) -> float:

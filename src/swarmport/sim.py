@@ -43,7 +43,7 @@ from .planner import (
     plan_space_time,
     schedule_along,
 )
-from .radar import Disc, Scan, SweepConfig, WorldModel, detect_targets, echo_distance, encode_frame, render_frame
+from .radar import HopIndex, Scan, SweepConfig, detect_targets, encode_frame, render_frame
 from .rfnet import (
     CHANNEL_COUNT,
     Channel,
@@ -428,12 +428,16 @@ class Simulation:
             self.hub.add_job(job)
 
         self.sensor_cfg = scenario.sensor
-        # One disc per vehicle, in fleet order, replaced only when the
-        # vehicle moves, so echo_distance keeps the geometry of the others.
-        self.world = WorldModel(
-            [Disc(Position(sv.agent.x, sv.agent.y), sv.agent.params.body_radius_m) for sv in self.fleet]
-        )
+        # Which vehicles each sweep index can echo from, by the hop each is
+        # on; the first radar phase builds it (see `_radar_phase`).
+        self._hop_index: HopIndex | None = None
+        # Per vehicle, the (node, edge end) of its hop, and the fleet
+        # positions whose pair changed this tick.
+        self._hop_keys: list[tuple[NodeId | None, NodeId | None]] = [(None, None)] * len(self.fleet)
+        self._rehopped: list[int] = []
         self._sweep_len = self.sensor_cfg.sweep_len
+        # The frame line of a sweep index that returned no echo.
+        self._quiet_lines: list[str | None] = [None] * self._sweep_len
         self._radar_idx = 0
         self._radar_dir = 1
         self._sweep_samples: list[tuple[float, float | None]] = []
@@ -452,11 +456,9 @@ class Simulation:
         self.trace = trace
         self.pose_trace: list[list[tuple[float, float]]] = []
         self.occupancy_trace: list[list[tuple[int, int]]] = []
-        # The last trace rows, and per vehicle the (node, edge end) behind
-        # its occupancy entry: unchanged entries are shared with the next row.
+        # The last trace rows: unchanged entries are shared with the next row.
         self._pose_row: list[tuple[float, float]] = [(math.nan, math.nan)] * len(self.fleet)
         self._occupancy_row: list[tuple[int, int]] = [(-1, -1)] * len(self.fleet)
-        self._occupancy_keys: list[tuple[NodeId | None, NodeId | None]] = [(None, None)] * len(self.fleet)
 
     # -- callbacks ----------------------------------------------------
 
@@ -640,20 +642,50 @@ class Simulation:
             self.last_complete_tick = now
 
     def _radar_phase(self, now: int) -> None:
-        angle = self._radar_idx * self.sensor_cfg.step_deg
-        discs = self.world.obstacles
+        """Re-place the vehicles whose hop changed, then echo at one sweep index.
+
+        A vehicle stays on the segment from its node to its edge end while
+        that pair holds (`VehicleAgent.keeps_to_edge`), and only a stepped
+        vehicle's pair can change.  The first call builds the index and
+        places every vehicle, so set-up pays nothing for it.
+        """
         fleet = self.fleet
-        for i in self._stepped:
+        index = self._hop_index
+        if index is None:
+            agents = [sv.agent for sv in fleet]
+            index = self._hop_index = HopIndex(self.sensor_cfg, agents, [a.params.body_radius_m for a in agents])
+            moved = range(len(fleet))
+        else:
+            moved = self._stepped
+        keys = self._hop_keys
+        node_to_position = self.grid.node_to_position
+        rehopped = self._rehopped = []
+        for i in moved:
             agent = fleet[i].agent
-            center = discs[i].center
-            if agent.x != center.x or agent.y != center.y:
-                discs[i] = Disc(Position(agent.x, agent.y), agent.params.body_radius_m)
-        dist = echo_distance(self.world, self.sensor_cfg, angle)
+            edge = agent.edge_in_progress()
+            src = agent.current_node
+            dst = edge[1] if edge is not None else src
+            key = keys[i]
+            if key[0] is not src or key[1] is not dst:
+                keys[i] = (src, dst)
+                rehopped.append(i)
+                end = node_to_position(dst) if agent.keeps_to_edge else None
+                index.place(i, node_to_position(src), end)
+
+        idx = self._radar_idx
+        angle = idx * self.sensor_cfg.step_deg
+        dist = index.echo(idx, angle)
         self._sweep_samples.append((angle, dist))
-        self.frame_lines.append(encode_frame(angle, dist))
+        if dist is None:
+            line = self._quiet_lines[idx]
+            if line is None:
+                line = self._quiet_lines[idx] = encode_frame(angle, None)
+        else:
+            line = encode_frame(angle, dist)
+        self.frame_lines.append(line)
         self._radar_idx += self._radar_dir
         if self._radar_idx >= self._sweep_len or self._radar_idx < 0:
-            scan = Scan(self.sensor_cfg.origin, list(self._sweep_samples), self._radar_dir)
+            scan = Scan(self.sensor_cfg.origin, self._sweep_samples, self._radar_dir)
             self.sweep_count += 1
             self.last_targets = detect_targets(scan, self.sensor_cfg)
             self.last_association = associate_radar(self.last_targets, self.hub.latest)
@@ -677,12 +709,11 @@ class Simulation:
 
         Only a stepped vehicle can have moved.  A pose is kept only while its
         floats are the very objects of the last row (``is``, so even the sign
-        of a zero cannot differ).
+        of a zero cannot differ); an occupancy entry while the radar phase
+        found the vehicle's (node, edge end) unchanged.
         """
         poses = self._pose_row.copy()
         occupancy = self._occupancy_row.copy()
-        keys = self._occupancy_keys
-        ny = self.grid.ny
         fleet = self.fleet
         for i in self._stepped:
             agent = fleet[i].agent
@@ -690,13 +721,11 @@ class Simulation:
             pose = poses[i]
             if pose[0] is not x or pose[1] is not y:
                 poses[i] = (x, y)
-            edge = agent.edge_in_progress()
-            src = agent.current_node
-            dst = edge[1] if edge is not None else src
-            key = keys[i]
-            if key[0] is not src or key[1] is not dst:
-                keys[i] = (src, dst)
-                occupancy[i] = (src.ix * ny + src.iy, dst.ix * ny + dst.iy)
+        ny = self.grid.ny
+        keys = self._hop_keys
+        for i in self._rehopped:
+            src, dst = keys[i]
+            occupancy[i] = (src.ix * ny + src.iy, dst.ix * ny + dst.iy)
         self.pose_trace.append(poses)
         self.occupancy_trace.append(occupancy)
         self._pose_row = poses

@@ -133,11 +133,14 @@ def _spin_row(pid: PidState, params: VehicleParams, omega: float, dt_s: float) -
 
 class SpinTable(NamedTuple):
     """The rows of one spin-up from rest: ``rows[n]`` is `_spin_row` after
-    n + 1 ticks.  If ``settled``, every later tick repeats the last row."""
+    n + 1 ticks.  If ``settled``, every later tick repeats the last row.
+    ``forward`` if settled and no row's step_len is negative, so a drive
+    on the table never backs away from its target."""
 
     dt_s: float
     rows: tuple[tuple[float, ...], ...]
     settled: bool
+    forward: bool
 
 
 @lru_cache(maxsize=32)
@@ -155,10 +158,10 @@ def spin_table(params: VehicleParams, kp: float, ki: float, kd: float, output_li
     while len(rows) < SPIN_TABLE_CAP:
         nxt = _spin_row(pid, params, row[0], dt_s)
         if nxt[0] == row[0] and (ki == 0 or nxt[3] == row[3]) and (kd == 0 or nxt[4] == row[4]):
-            return SpinTable(dt_s, tuple(rows), True)
+            return SpinTable(dt_s, tuple(rows), True, all(r[2] >= 0 for r in rows))
         rows.append(nxt)
         row = nxt
-    return SpinTable(dt_s, tuple(rows), False)
+    return SpinTable(dt_s, tuple(rows), False, False)
 
 
 class Pose(NamedTuple):
@@ -300,6 +303,20 @@ class VehicleAgent:
         if self._route is None or self._phase != _DRIVE:
             return None
         return self._route[self._hop], self._route[self._hop + 1]
+
+    @property
+    def keeps_to_edge(self) -> bool:
+        """The vehicle stays on the segment from ``current_node`` to the end
+        of ``edge_in_progress()`` until either changes.
+
+        At rest and while turning it stays where it is.  A drive stays on its
+        edge unless its spin-up table may step backwards or has handed over
+        to the live loop; then this is False.
+        """
+        if self._phase != _DRIVE:
+            return True
+        table = self._table
+        return table is not None and table.forward
 
     # -- dynamics ----------------------------------------------------
 

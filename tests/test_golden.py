@@ -1,7 +1,8 @@
 """Golden artifact hashes: a scenario plus a seed fixes every byte written.
 
 The hashes below are the sha256 of every file that `run` writes for eight
-scenarios, and of the document `swarmport defaults` writes.  Two scenarios
+scenarios, of the document `swarmport defaults` writes and of the files
+`swarmport scan` writes for the default scenario.  Two scenarios
 also run after a round trip through their JSON document, which pins the
 parser to the same artifacts.  A change that alters any artifact byte fails
 here; a change that means to alter them must re-record the hashes and say why.
@@ -48,6 +49,13 @@ SCENARIOS = {
 }
 
 DEFAULTS_DOCUMENT = "4c7ddac92e5dc8b8784805ecb298a414b9bd8cee1785479c9bd89cbf7538bedb"
+
+# What `swarmport scan` writes for the default scenario: one sweep of the
+# parked vehicles through `radar.sweep` and `echo_distance`.
+SCAN_GOLDEN = {
+    "scan.svg": "99b21e2baa9817a9c92ed30dd66233356d8080b16a9bfbe2c9c36171833a58b1",
+    "scan_stream.txt": "870d45b877eccf237e1e97ce774725e055bca998a8ebbf6ccbac6f356fa8ee16",
+}
 
 GOLDEN = {
     "default": {
@@ -156,3 +164,11 @@ def test_defaults_document_matches_golden_hash(tmp_path, capsys):
     path = tmp_path / "default.json"
     assert main(["defaults", "--out", str(path)]) == EXIT_OK
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULTS_DOCUMENT
+
+
+def test_scan_matches_golden_hashes(tmp_path, capsys):
+    path = tmp_path / "default.json"
+    assert main(["defaults", "--out", str(path)]) == EXIT_OK
+    out_dir = tmp_path / "scan"
+    assert main(["scan", "--scenario", str(path), "--out", str(out_dir)]) == EXIT_OK
+    assert artifact_hashes(out_dir) == SCAN_GOLDEN

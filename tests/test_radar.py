@@ -3,12 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from swarmport.errors import AngleOutOfRange, IoFailure, NonPositiveSpeed
 from swarmport.grid import Position
 from swarmport.radar import (
     Disc,
+    HopIndex,
     SweepConfig,
     WorldModel,
     detect_targets,
@@ -28,8 +29,8 @@ def cfg(**overrides):
 
 
 def reference_echo_distance(world, cfg, angle_deg):
-    """The echo formula evaluated afresh per disc and call: the oracle for
-    `echo_distance`, which keeps each disc's geometry across calls."""
+    """The echo formula written out afresh per disc and call: the oracle for
+    `echo_distance` and for `HopIndex.echo`."""
     best = None
     for disc in world.obstacles:
         if disc.radius_m <= 0:
@@ -179,6 +180,149 @@ def test_echo_equals_per_disc_reference_exactly(case, replacement, data):
         world.obstacles[data.draw(st.integers(0, len(discs) - 1))] = replacement
     for angle in angles:
         assert repr(echo_distance(world, c, angle)) == repr(reference_echo_distance(world, c, angle))
+
+
+HOPS = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+@st.composite
+def hop_bodies(draw, c, spacing):
+    """One body on a unit or zero hop: (radius, hop start, hop end).
+
+    The start is a lattice node, or a point placed so that some sweep ray
+    is exactly tangent to the disc there (at the beam's edge when the beam
+    is wide), so that the disc covers the origin, or so that its near side
+    is just at or beyond max range."""
+    radius = draw(st.floats(0.01, 1.0))
+    kind = draw(st.sampled_from(["lattice", "tangent", "over_origin", "range_edge"]))
+    ox, oy = c.origin
+    if kind == "lattice":
+        a = Position(draw(st.integers(-8, 8)) * spacing, draw(st.integers(-8, 8)) * spacing)
+    elif kind == "over_origin":
+        near = st.floats(-0.9, 0.9).map(lambda f: f * radius)
+        a = Position(ox + draw(near), oy + draw(near))
+    else:
+        angle = draw(st.integers(0, c.sweep_len - 1)) * c.step_deg
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        if kind == "tangent":
+            # The clamped beam lies at angle + side * half; the disc touches it.
+            dist = draw(st.floats(radius * 1.001, c.max_range_m + radius + 0.5))
+            bearing = angle + side * (c.beam_halfwidth_deg + math.degrees(math.asin(radius / dist)))
+        else:
+            dist = c.max_range_m + radius + draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+            bearing = angle + side * draw(st.sampled_from([0.0, c.beam_halfwidth_deg]))
+        a = Position(ox + dist * math.cos(math.radians(bearing)), oy + dist * math.sin(math.radians(bearing)))
+    dx, dy = draw(st.sampled_from(HOPS))
+    return radius, a, Position(a.x + dx * spacing, a.y + dy * spacing)
+
+
+@st.composite
+def hop_index_cases(draw):
+    """A sweep config (including steps whose sweep stops short of 360
+    degrees), up to three bodies on hops, where each was placed before, and
+    a few moments, each giving every body's place along its hop."""
+    origin = Position(draw(coordinate), draw(coordinate))
+    step = draw(st.one_of(st.floats(0.5, 15.0), st.sampled_from([0.7, 7.0, 11.0, 13.0, 14.0])))
+    c = SweepConfig(
+        origin=origin,
+        step_deg=step,
+        beam_halfwidth_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 15.0))),
+        max_range_m=draw(st.floats(0.1, 6.0)),
+    )
+    spacing = draw(st.floats(0.05, 1.0))
+    bodies = draw(st.lists(hop_bodies(c, spacing), min_size=1, max_size=3))
+    before = draw(st.lists(hop_bodies(c, spacing), min_size=len(bodies), max_size=len(bodies)))
+    along = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    moments = draw(st.lists(st.lists(along, min_size=len(bodies), max_size=len(bodies)), min_size=1, max_size=3))
+    return c, bodies, before, moments
+
+
+def on_hop(a, b, t):
+    """The point a fraction t along the hop, with both ends exact."""
+    if t == 1.0:
+        return b
+    return Position(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hop_index_cases())
+def test_hop_index_echo_equals_reference_at_every_sweep_index(case):
+    c, bodies, before, moments = case
+    radii = [radius for radius, _, _ in bodies]
+    where = [a for _, a, _ in bodies]
+    index = HopIndex(c, where, radii)
+    for i, (_, a, b) in enumerate(before):
+        index.place(i, a, b)
+    for i, (_, a, b) in enumerate(bodies):
+        index.place(i, a, b)
+    for moment in moments:
+        where[:] = [on_hop(a, b, t) for (_, a, b), t in zip(bodies, moment)]
+        world = WorldModel([Disc(p, r) for p, r in zip(where, radii)])
+        for k in range(c.sweep_len):
+            angle = k * c.step_deg
+            # repr pins every bit, the sign of a zero included, and None.
+            assert repr(index.echo(k, angle)) == repr(reference_echo_distance(world, c, angle))
+
+
+@st.composite
+def grazing_cases(draw):
+    """A parked disc placed so that the ray of one sweep index is exactly
+    tangent to it (at the beam's edge when the beam is wide), or meets its
+    near side exactly at max range, give or take a few ulps."""
+    c = SweepConfig(
+        origin=Position(draw(coordinate), draw(coordinate)),
+        step_deg=draw(st.floats(0.5, 15.0)),
+        beam_halfwidth_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 15.0))),
+        max_range_m=draw(st.floats(0.1, 6.0)),
+    )
+    radius = draw(st.floats(0.01, 1.0))
+    k = draw(st.integers(0, c.sweep_len - 1))
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    if draw(st.booleans()):
+        dist = draw(st.floats(radius * 1.001, c.max_range_m + radius))
+        bearing = k * c.step_deg + side * (c.beam_halfwidth_deg + math.degrees(math.asin(radius / dist)))
+    else:
+        dist = c.max_range_m + radius
+        bearing = k * c.step_deg + side * draw(st.sampled_from([0.0, c.beam_halfwidth_deg]))
+    dist *= 1.0 + draw(st.integers(-4, 4)) * 2.0**-52
+    a = math.radians(bearing)
+    return c, radius, Position(c.origin.x + dist * math.cos(a), c.origin.y + dist * math.sin(a)), k
+
+
+@settings(max_examples=500, deadline=None)
+@given(grazing_cases())
+def test_hop_index_keeps_grazing_rays(case):
+    """The rays that graze a disc read as hits or misses by rounding alone;
+    REACH_MARGIN_DEG and REACH_MARGIN_M keep them all in the index."""
+    c, radius, center, k = case
+    index = HopIndex(c, [center], [radius])
+    index.place(0, center, center)
+    world = WorldModel([Disc(center, radius)])
+    for j in {max(k - 1, 0), k, min(k + 1, c.sweep_len - 1)}:
+        angle = j * c.step_deg
+        assert repr(index.echo(j, angle)) == repr(reference_echo_distance(world, c, angle))
+
+
+def test_hop_index_marks_only_the_reachable_arc():
+    """A parked disc 2 m east of the sensor covers the indices within its
+    angular radius of 0 degrees, across the 0/360 seam; a hop north widens
+    that by the hop's arc; a disc out of range or over the origin covers
+    none or all, and a body placed anywhere covers all."""
+    c = cfg(max_range_m=4.0)
+    index = HopIndex(c, [Position(3.0, 1.0)] * 4, [0.2, 0.2, 0.2, 0.2])
+    arc = math.degrees(math.asin(0.2 / 2.0))  # 5.74 degrees
+    index.place(0, Position(3.0, 1.0), Position(3.0, 1.0))
+    assert [k for k, m in enumerate(index.masks) if m] == list(range(0, 6)) + list(range(355, 360))
+    index.place(0, Position(3.0, 1.0), Position(3.0, 1.25))
+    hop = math.degrees(math.atan2(0.25, 2.0))  # 7.13 degrees
+    assert [k for k, m in enumerate(index.masks) if m] == list(range(0, int(hop + arc) + 1)) + list(range(355, 360))
+    index.place(1, Position(5.3, 1.0), Position(5.3, 1.0))
+    assert not any(m & 2 for m in index.masks)
+    index.place(2, Position(1.1, 1.0), Position(1.1, 1.0))
+    index.place(3, Position(3.0, 3.0), None)
+    assert all(m & 12 == 12 for m in index.masks)
+    index.place(0, Position(1.0, 3.0), Position(1.0, 3.0))  # moved: its old arc is cleared
+    assert [k for k, m in enumerate(index.masks) if m & 1] == list(range(85, 96))
 
 
 def test_config_validation():

@@ -402,24 +402,16 @@ def test_fast_vehicles_complete_the_default_jobs():
     assert sim.completed_jobs == sim.total_jobs == 2
 
 
-def test_radar_and_trace_see_every_move(monkeypatch):
-    """The engine replaces a vehicle's radar disc only when it has moved:
-    after every tick the trace and the newest echo must still match the
-    positions and an echo over a world rebuilt from `pose`."""
-    echoes = []
-
-    def recording_echo(world, cfg, angle_deg):
-        echoes.append((angle_deg, echo_distance(world, cfg, angle_deg)))
-        return echoes[-1][1]
-
-    monkeypatch.setattr(swarmport.sim, "echo_distance", recording_echo)
-    sim = Simulation(crossing_scenario(3), trace=True)
-    agents = [sim.vehicles[vid].agent for vid in sorted(sim.vehicles)]
+def checked_ticks(sim, agents):
+    """Tick ``sim`` until it is done, checking after each tick its trace rows
+    against the agents and its echo, read from the sample the radar phase
+    appended, against `echo_distance` over a world rebuilt from `pose`.
+    Yields the agents' poses after each tick."""
     ny = sim.grid.ny
-    moved = still = parked = 0
-    previous = [(a.pose.x, a.pose.y) for a in agents]
-    was_busy = [a.busy for a in agents]
-    while sim.tick_count < sim.scenario.sim.max_ticks and not sim.all_done:
+    while not sim.all_done:
+        assert sim.tick_count < sim.scenario.sim.max_ticks
+        # The sweep's sample list; a sweep that ends this tick keeps it in its scan.
+        samples = sim._sweep_samples
         sim.tick()
         poses = [(a.pose.x, a.pose.y) for a in agents]
         # repr tells -0.0 from 0.0, which == does not
@@ -431,8 +423,23 @@ def test_radar_and_trace_see_every_move(monkeypatch):
             occupancy.append((a.current_node.ix * ny + a.current_node.iy, dst.ix * ny + dst.iy))
         assert sim.occupancy_trace[-1] == occupancy
         world = WorldModel([Disc(Position(x, y), a.params.body_radius_m) for (x, y), a in zip(poses, agents)])
-        angle, dist = echoes[-1]
+        angle, dist = samples[-1]
         assert repr(dist) == repr(echo_distance(world, sim.sensor_cfg, angle))
+        yield poses
+
+
+def test_radar_and_trace_see_every_move():
+    """The engine re-places a vehicle in its radar index only when its hop
+    changes, and re-reads a trace entry only when the vehicle stepped:
+    after every tick the trace and the tick's echo must still match the
+    positions and an echo over a world rebuilt from `pose`."""
+    sim = Simulation(crossing_scenario(3), trace=True)
+    agents = [sim.vehicles[vid].agent for vid in sorted(sim.vehicles)]
+    echoed = moved = still = parked = 0
+    previous = [(a.pose.x, a.pose.y) for a in agents]
+    was_busy = [a.busy for a in agents]
+    for poses in checked_ticks(sim, agents):
+        echoed += sim.frame_lines[-1].split(",")[1] != "0.\n"
         changed = sum(p != q for p, q in zip(poses, previous))
         moved += changed
         still += len(agents) - changed
@@ -445,11 +452,38 @@ def test_radar_and_trace_see_every_move(monkeypatch):
                     parked += 1
         previous = poses
         was_busy = [a.busy for a in agents]
-    assert sim.all_done
-    assert len(echoes) == sim.tick_count
+    assert len(sim.frame_lines) == sim.tick_count
     assert moved and still and parked  # both the refresh and the reuse were exercised
+    assert echoed  # some rays hit a vehicle
 
 
+def test_radar_sees_a_drive_that_steps_backwards():
+    """With the motor plant at its stability limit (dt = tau / 2) and a high
+    gain, the spin-up overshoots and steps backwards, off the segment of
+    the vehicle's edge.  The radar must then test that vehicle at every
+    sweep index.  Telemetry frames are rare here because a negative wheel
+    speed does not fit them."""
+    doc = scenario_to_dict(crossing_scenario(0))
+    for vehicle in doc["vehicles"]:
+        vehicle["params"] = {
+            "motor_gain": 5.0, "motor_time_constant_s": 0.4, "cruise_speed_m_s": 0.05, "wheel_radius_m": 0.2,
+        }
+    doc["sim"].update(dt_s=0.2, telemetry_interval=100_000)
+    sim = Simulation(scenario_from_dict(doc), trace=True)
+    agents = [sim.vehicles[vid].agent for vid in sorted(sim.vehicles)]
+    off_edge = 0
+    for poses in checked_ticks(sim, agents):
+        for (x, y), a in zip(poses, agents):
+            edge = a.edge_in_progress()
+            if edge is not None:
+                src, dst = (sim.grid.node_to_position(n) for n in edge)
+                inside = min(src.x, dst.x) <= x <= max(src.x, dst.x) and min(src.y, dst.y) <= y <= max(src.y, dst.y)
+                off_edge += not inside
+                assert inside or not a.keeps_to_edge
+        if sim.tick_count == 600:
+            break
+    assert sim.tick_count == 600
+    assert off_edge  # some vehicle left the segment of its edge
 def pickup_at_home_scenario(medium):
     """The default scenario with job 0 picked up at vehicle 0's home: the
     order is served by pressing the load switch as it arrives."""

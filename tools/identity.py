@@ -13,8 +13,12 @@ that means to alter any of these records the table again and says why.
 The cases cover what the golden hashes and the benchmark digests leave
 out: 30 crossing fleets, every depot layout, the default scenario at two
 loss rates, two latencies and three radio seeds, a crossing fleet at
-dt 0.01 with latency, a depot with a beam half-width, and two fleets
-whose vehicles differ in their `VehicleParams`.
+dt 0.01 with latency, a depot with a beam half-width, two fleets whose
+vehicles differ in their `VehicleParams`, and four radar cases: a depot
+whose range ends 1 m from the sensor, a depot whose sensor sits on a
+vehicle's home, a crossing fleet whose 7-degree sweep leaves a gap before
+360 under a 15-degree beam, and a depot whose vehicles differ in body
+radius.  58 cases in all.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ MIXED_PARAMS = (
      "motor_time_constant_s": 0.15, "motor_gain": 0.8},
     {},
 )
+# Body radii for the mixed-radius fleet, assigned in vehicle order.
+MIXED_RADII = (0.05, 0.2, 0.12, 0.45, 0.3)
 
 
 def _with(doc: dict, section: str, **values) -> dict:
@@ -67,6 +73,12 @@ def _with(doc: dict, section: str, **values) -> dict:
 def _mixed(doc: dict) -> dict:
     for i, vehicle in enumerate(doc["vehicles"]):
         vehicle["params"] = dict(MIXED_PARAMS[i % len(MIXED_PARAMS)])
+    return doc
+
+
+def _radii(doc: dict) -> dict:
+    for i, vehicle in enumerate(doc["vehicles"]):
+        vehicle["params"] = {"body_radius_m": MIXED_RADII[i % len(MIXED_RADII)]}
     return doc
 
 
@@ -92,6 +104,13 @@ def cases() -> dict:
         _with(depot_document(2), "sensor", beam_halfwidth_deg=3.0))
     out["crossing-0-mixed"] = lambda: scenario_from_dict(_mixed(crossing_document(0)))
     out["depot-5-mixed"] = lambda: scenario_from_dict(_mixed(depot_document(5)))
+    out["depot-4-range1"] = lambda: scenario_from_dict(_with(depot_document(4), "sensor", max_range_m=1.0))
+    # Vehicle 0's home is node (1, 0), so its disc covers the sensor there.
+    out["depot-1-origin-on-home"] = lambda: scenario_from_dict(
+        _with(depot_document(1), "sensor", origin=[0.25, 0.0]))
+    out["crossing-5-step7-beam15"] = lambda: scenario_from_dict(
+        _with(crossing_document(5), "sensor", step_deg=7.0, beam_halfwidth_deg=15.0))
+    out["depot-3-radii"] = lambda: scenario_from_dict(_radii(depot_document(3)))
     return out
 
 
