@@ -158,9 +158,8 @@ class HopIndex:
         self.masks = [0] * cfg.sweep_len
         self._spans: list[tuple[tuple[int, int], ...]] = [()] * len(bodies)
 
-    def place(self, i: int, a: Position, b: Position | None) -> None:
-        """Body i stays on the segment from ``a`` to ``b`` until placed again;
-        with ``b`` None it may be anywhere."""
+    def place(self, i: int, a: Position, b: Position) -> None:
+        """Body i stays on the segment from ``a`` to ``b`` until placed again."""
         spans = self._reach(a, b, self.radii[i])
         masks = self.masks
         keep = ~(1 << i)
@@ -171,10 +170,8 @@ class HopIndex:
             masks[lo:hi] = [m | bit for m in masks[lo:hi]]
         self._spans[i] = spans
 
-    def _reach(self, a: Position, b: Position | None, radius_m: float) -> tuple[tuple[int, int], ...]:
+    def _reach(self, a: Position, b: Position, radius_m: float) -> tuple[tuple[int, int], ...]:
         n = len(self.masks)
-        if b is None:
-            return ((0, n),)
         cfg = self.cfg
         ox, oy = cfg.origin
         ax, ay = a.x - ox, a.y - oy

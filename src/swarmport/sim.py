@@ -23,13 +23,13 @@ from .errors import (
     NonPositiveDimension,
     ScenarioInvalid,
     SpacingTooLarge,
+    TimestepTooLarge,
 )
 from .grid import GridMap, NodeId, Position, build_grid
 from .hub import (
     Hub,
     Job,
     VehicleMetrics,
-    associate_radar,
     ingest_telemetry,
     metrics,
     write_csv,
@@ -43,7 +43,7 @@ from .planner import (
     plan_space_time,
     schedule_along,
 )
-from .radar import HopIndex, Scan, SweepConfig, detect_targets, encode_frame, render_frame
+from .radar import HopIndex, Scan, SweepConfig, encode_frame, render_frame
 from .rfnet import (
     CHANNEL_COUNT,
     Channel,
@@ -63,6 +63,7 @@ from .vehicle import (
     UNLOADING,
     VehicleAgent,
     VehicleParams,
+    spin_table,
 )
 
 UNLOAD_DWELL_S = 1.0
@@ -323,6 +324,15 @@ def validate_scenario(scenario: Scenario) -> GridMap:
         raise ScenarioInvalid("sim.max_ticks: must be >= 1")
     if c.telemetry_interval < 1:
         raise ScenarioInvalid("sim.telemetry_interval: must be >= 1")
+    # Each distinct parameter set spins up once at dt_s, as its vehicles will.
+    spun: set[VehicleParams] = set()
+    for i, v in enumerate(scenario.vehicles):
+        if v.params not in spun:
+            spun.add(v.params)
+            try:
+                spin_table(v.params, c.dt_s)
+            except TimestepTooLarge as exc:
+                raise ScenarioInvalid(f"vehicles[{i}]: {exc}") from exc
     return grid
 
 
@@ -444,8 +454,6 @@ class Simulation:
         self.sweep_count = 0
         self.frame_lines: list[str] = []
         self.renders: list[tuple[int, Scan]] = []
-        self.last_targets = []
-        self.last_association: dict[int, int | str] = {}
 
         self.tick_count = 0
         self.completed_jobs = 0
@@ -645,9 +653,9 @@ class Simulation:
         """Re-place the vehicles whose hop changed, then echo at one sweep index.
 
         A vehicle stays on the segment from its node to its edge end while
-        that pair holds (`VehicleAgent.keeps_to_edge`), and only a stepped
-        vehicle's pair can change.  The first call builds the index and
-        places every vehicle, so set-up pays nothing for it.
+        that pair holds, since a spin-up never reverses the wheels, and
+        only a stepped vehicle's pair can change.  The first call builds the
+        index and places every vehicle, so set-up pays nothing for it.
         """
         fleet = self.fleet
         index = self._hop_index
@@ -669,8 +677,7 @@ class Simulation:
             if key[0] is not src or key[1] is not dst:
                 keys[i] = (src, dst)
                 rehopped.append(i)
-                end = node_to_position(dst) if agent.keeps_to_edge else None
-                index.place(i, node_to_position(src), end)
+                index.place(i, node_to_position(src), node_to_position(dst))
 
         idx = self._radar_idx
         angle = idx * self.sensor_cfg.step_deg
@@ -687,8 +694,6 @@ class Simulation:
         if self._radar_idx >= self._sweep_len or self._radar_idx < 0:
             scan = Scan(self.sensor_cfg.origin, self._sweep_samples, self._radar_dir)
             self.sweep_count += 1
-            self.last_targets = detect_targets(scan, self.sensor_cfg)
-            self.last_association = associate_radar(self.last_targets, self.hub.latest)
             if self.sweep_count == 1 or self.sweep_count % RENDER_EVERY_SWEEPS == 0:
                 self.renders.append((self.sweep_count, scan))
             self._sweep_samples = []

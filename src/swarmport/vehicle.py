@@ -1,14 +1,15 @@
 """Single vehicle agent: cargo state machine, drive dynamics, waypoints.
 
 The chassis is a differential drive that either turns in place or drives
-straight between lattice nodes.  One PID loop (gains from ``agent.pid``)
+straight between lattice nodes.  One PID loop (stock `PidState` gains)
 regulates the wheel speed magnitude against a first-order motor plant;
 during turns the wheels counter-rotate at that magnitude, during
-straights they co-rotate, and at rest they are braked.
+straights they co-rotate, and at rest they are braked.  A spin-up never
+reverses the wheels (see `_spin_row`), so a drive keeps to its edge.
 
 Every spin-up starts from rest toward the one cruise setpoint, so the
 wheel speed after n ticks of motion depends only on the vehicle's
-parameters, the gains and the timestep.  A moving vehicle reads it, with
+parameters and the timestep.  A moving vehicle reads it, with
 the tick's yaw and travel, from a spin-up table built once per such key
 by the same `pid_update`/`motor_step` calls, and each hop's heading,
 direction and target are worked out once when the hop starts.
@@ -93,10 +94,6 @@ class PidState:
     integral: float = 0.0
     prev_error: float = 0.0
 
-    def reset(self) -> None:
-        self.integral = 0.0
-        self.prev_error = 0.0
-
 
 def pid_update(pid: PidState, setpoint: float, measured: float, dt_s: float) -> float:
     """One controller update; output and integral are both clamped."""
@@ -123,9 +120,16 @@ def motor_step(omega: float, u: float, params: VehicleParams, dt_s: float) -> fl
 def _spin_row(pid: PidState, params: VehicleParams, omega: float, dt_s: float) -> tuple[float, ...]:
     """One tick of the wheel loop from ``omega`` and ``pid``'s state: the
     (omega, yaw_deg, step_len, integral, prev_error) after it, where a turn
-    yaws yaw_deg and a drive travels step_len in the tick."""
+    yaws yaw_deg and a drive travels step_len in the tick.
+
+    A spin-up toward cruise never reverses the wheels: a tick whose
+    ``omega`` falls below 0 raises TimestepTooLarge, as a high motor gain
+    does at a timestep near the motor's stability guard.
+    """
     u = pid_update(pid, params.cruise_omega, omega, dt_s)
     omega = motor_step(omega, u, params, dt_s)
+    if omega < 0:
+        raise TimestepTooLarge(f"dt {dt_s} reverses the wheels on a spin-up to cruise (omega {omega})")
     r = params.wheel_radius_m
     yaw_deg = math.degrees(2.0 * r * omega / params.track_m) * dt_s
     return omega, yaw_deg, r * omega * dt_s, pid.integral, pid.prev_error
@@ -133,35 +137,31 @@ def _spin_row(pid: PidState, params: VehicleParams, omega: float, dt_s: float) -
 
 class SpinTable(NamedTuple):
     """The rows of one spin-up from rest: ``rows[n]`` is `_spin_row` after
-    n + 1 ticks.  If ``settled``, every later tick repeats the last row.
-    ``forward`` if settled and no row's step_len is negative, so a drive
-    on the table never backs away from its target."""
+    n + 1 ticks.  If ``settled``, every later tick repeats the last row."""
 
     dt_s: float
     rows: tuple[tuple[float, ...], ...]
     settled: bool
-    forward: bool
 
 
 @lru_cache(maxsize=32)
-def spin_table(params: VehicleParams, kp: float, ki: float, kd: float, output_limit: float,
-               dt_s: float) -> SpinTable:
-    """The spin-up of ``params`` under these gains at ``dt_s``, up to SPIN_TABLE_CAP rows.
+def spin_table(params: VehicleParams, dt_s: float) -> SpinTable:
+    """The spin-up of ``params`` at ``dt_s``, up to SPIN_TABLE_CAP rows.
 
     It settles when a tick leaves unchanged all the state that feeds the
     next output: ``omega``, the integral unless ``ki`` is 0 and the last
-    error unless ``kd`` is 0.  (A P-only loop's integral grows forever.)
+    error unless ``kd`` is 0.  Raises TimestepTooLarge if a row reverses.
     """
-    pid = PidState(kp, ki, kd, output_limit)
+    pid = PidState()
     row = _spin_row(pid, params, 0.0, dt_s)
     rows = [row]
     while len(rows) < SPIN_TABLE_CAP:
         nxt = _spin_row(pid, params, row[0], dt_s)
-        if nxt[0] == row[0] and (ki == 0 or nxt[3] == row[3]) and (kd == 0 or nxt[4] == row[4]):
-            return SpinTable(dt_s, tuple(rows), True, all(r[2] >= 0 for r in rows))
+        if nxt[0] == row[0] and (pid.ki == 0 or nxt[3] == row[3]) and (pid.kd == 0 or nxt[4] == row[4]):
+            return SpinTable(dt_s, tuple(rows), True)
         rows.append(nxt)
         row = nxt
-    return SpinTable(dt_s, tuple(rows), False, False)
+    return SpinTable(dt_s, tuple(rows), False)
 
 
 class Pose(NamedTuple):
@@ -190,11 +190,9 @@ class VehicleAgent:
         home_node: NodeId,
         home_position: Position,
         params: VehicleParams | None = None,
-        pid: PidState | None = None,
     ) -> None:
         self.vehicle_id = vehicle_id
         self.params = params or VehicleParams()
-        self.pid = pid or PidState()
         self.state = IDLE
         self.home_node = home_node
         self.current_node = home_node
@@ -209,9 +207,10 @@ class VehicleAgent:
         self._heading = 0.0
         self._omega = 0.0
         # Ticks of motion since the last halt, and the spin-up table they
-        # index; None once the wheels run on the live loop (see `_spin`).
+        # index; None once the wheels run on the live loop's `_pid` (see `_spin`).
         self._spins = 0
         self._table: SpinTable | None = None
+        self._pid: PidState | None = None
         self._phase = _REST
         self._turn_sign = 0
         self._turn_remaining = 0.0
@@ -304,20 +303,6 @@ class VehicleAgent:
             return None
         return self._route[self._hop], self._route[self._hop + 1]
 
-    @property
-    def keeps_to_edge(self) -> bool:
-        """The vehicle stays on the segment from ``current_node`` to the end
-        of ``edge_in_progress()`` until either changes.
-
-        At rest and while turning it stays where it is.  A drive stays on its
-        edge unless its spin-up table may step backwards or has handed over
-        to the live loop; then this is False.
-        """
-        if self._phase != _DRIVE:
-            return True
-        table = self._table
-        return table is not None and table.forward
-
     # -- dynamics ----------------------------------------------------
 
     @property
@@ -351,22 +336,22 @@ class VehicleAgent:
         self._omega = 0.0
         self._spins = 0
         self._phase = _REST
-        self.pid.reset()
 
     def _spin(self, dt_s: float) -> tuple[float, ...]:
         """One tick of the wheel loop toward cruise; returns its `_spin_row`.
 
         The first tick after a halt picks the table for the agent's
-        parameters, its gains as they are then, and ``dt_s``.  Past a table
-        that ends short of a fixed point, or at another ``dt_s`` mid
-        spin-up, the live loop runs on from the exact state reached, with
-        ``agent.pid`` holding its state until the next halt.
+        parameters and ``dt_s``.  Past a table that ends short of a fixed
+        point, or at another ``dt_s`` mid spin-up, the live loop runs on
+        from the exact state reached, on a `PidState` of its own until the
+        next halt.  The live loop obeys the same rule as the table: a tick
+        that would reverse the wheels raises TimestepTooLarge naming the
+        timestep, and the vehicle does not move on that tick.
         """
         n = self._spins
         table = self._table
         if n == 0:
-            pid = self.pid
-            table = self._table = spin_table(self.params, pid.kp, pid.ki, pid.kd, pid.output_limit, dt_s)
+            table = self._table = spin_table(self.params, dt_s)
         if table is not None:
             rows = table.rows
             if table.dt_s == dt_s:
@@ -377,9 +362,10 @@ class VehicleAgent:
                     return row
                 if table.settled:
                     return rows[-1]
-            self._omega, _, _, self.pid.integral, self.pid.prev_error = rows[n - 1]
+            self._omega, _, _, integral, prev_error = rows[n - 1]
+            self._pid = PidState(integral=integral, prev_error=prev_error)
             self._table = None
-        row = _spin_row(self.pid, self.params, self._omega, dt_s)
+        row = _spin_row(self._pid, self.params, self._omega, dt_s)
         self._omega = row[0]
         return row
 

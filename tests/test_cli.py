@@ -206,6 +206,20 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_reversing_spin_up_exits_one_naming_the_vehicle(tmp_path, capsys):
+    """At dt = tau / 2 a motor gain of 3 spins the wheels backwards."""
+    data = scenario_to_dict(default_scenario())
+    data["vehicles"][0]["params"] = {"motor_gain": 3.0, "motor_time_constant_s": 0.1, "cruise_speed_m_s": 0.3}
+    data["sim"]["dt_s"] = 0.05
+    path = tmp_path / "reversing.json"
+    path.write_text(json.dumps(data))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: vehicles[0]: dt 0.05 reverses the wheels")
+    assert "Traceback" not in err
+
+
 def test_non_finite_number_exits_one(tmp_path, capsys):
     data = scenario_to_dict(default_scenario())
     data["sim"]["dt_s"] = float("nan")

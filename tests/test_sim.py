@@ -457,33 +457,26 @@ def test_radar_and_trace_see_every_move():
     assert echoed  # some rays hit a vehicle
 
 
-def test_radar_sees_a_drive_that_steps_backwards():
-    """With the motor plant at its stability limit (dt = tau / 2) and a high
-    gain, the spin-up overshoots and steps backwards, off the segment of
-    the vehicle's edge.  The radar must then test that vehicle at every
-    sweep index.  Telemetry frames are rare here because a negative wheel
-    speed does not fit them."""
-    doc = scenario_to_dict(crossing_scenario(0))
-    for vehicle in doc["vehicles"]:
-        vehicle["params"] = {
-            "motor_gain": 5.0, "motor_time_constant_s": 0.4, "cruise_speed_m_s": 0.05, "wheel_radius_m": 0.2,
-        }
-    doc["sim"].update(dt_s=0.2, telemetry_interval=100_000)
-    sim = Simulation(scenario_from_dict(doc), trace=True)
-    agents = [sim.vehicles[vid].agent for vid in sorted(sim.vehicles)]
-    off_edge = 0
-    for poses in checked_ticks(sim, agents):
-        for (x, y), a in zip(poses, agents):
-            edge = a.edge_in_progress()
-            if edge is not None:
-                src, dst = (sim.grid.node_to_position(n) for n in edge)
-                inside = min(src.x, dst.x) <= x <= max(src.x, dst.x) and min(src.y, dst.y) <= y <= max(src.y, dst.y)
-                off_edge += not inside
-                assert inside or not a.keeps_to_edge
-        if sim.tick_count == 600:
-            break
-    assert sim.tick_count == 600
-    assert off_edge  # some vehicle left the segment of its edge
+def test_a_spin_up_that_reverses_the_wheels_is_rejected_by_name():
+    """With the motor plant at or near its stability limit (dt = tau / 2)
+    and a high gain, the spin-up overshoots until the wheels turn backwards.
+    Such a drive would leave the edge it reserved and send a negative speed
+    that telemetry cannot encode, so validation names the first vehicle
+    with those parameters."""
+    reversing = [
+        ({"motor_gain": 3.0, "motor_time_constant_s": 0.1, "cruise_speed_m_s": 0.3}, 0.05),
+        ({"motor_gain": 5.0, "motor_time_constant_s": 0.4, "cruise_speed_m_s": 0.05, "wheel_radius_m": 0.2}, 0.2),
+    ]
+    for params, dt_s in reversing:
+        doc = scenario_to_dict(crossing_scenario(0))
+        doc["sim"]["dt_s"] = dt_s
+        for vehicle in doc["vehicles"]:
+            vehicle["params"] = dict(params)
+        with pytest.raises(ScenarioInvalid, match=rf"^vehicles\[0\]: dt {dt_s} reverses the wheels"):
+            scenario_from_dict(doc)
+        doc["vehicles"][0]["params"] = {"motor_time_constant_s": params["motor_time_constant_s"]}
+        with pytest.raises(ScenarioInvalid, match=r"^vehicles\[1\]: "):
+            scenario_from_dict(doc)
 def pickup_at_home_scenario(medium):
     """The default scenario with job 0 picked up at vehicle 0's home: the
     order is served by pressing the load switch as it arrives."""

@@ -4,8 +4,9 @@ and the spin-up tables against an agent that runs the loop on every tick."""
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import swarmport.vehicle
 from swarmport.errors import IllegalTransition, TimestepTooLarge
 from swarmport.grid import NodeId, Position, build_grid
 from swarmport.planner import INF_TICK, TimedPath, TimedStep
@@ -577,11 +578,10 @@ class ReferenceAgent:
 
     DIRECTIONS = {0: (1.0, 0.0), 90: (0.0, 1.0), 180: (-1.0, 0.0), 270: (0.0, -1.0)}
 
-    def __init__(self, node, position, params, pid, gate=None):
+    def __init__(self, node, position, params, gate=None):
         self.node = node
         self.x, self.y = position
         self.params = params
-        self.pid = pid
         self.gate = gate
         self.heading = 0.0
         self.omega = 0.0
@@ -612,7 +612,7 @@ class ReferenceAgent:
     def halt(self):
         self.omega = 0.0
         self.phase = "rest"
-        self.pid.reset()
+        self.pid = PidState()
 
     def spin(self, dt_s):
         u = pid_update(self.pid, self.params.cruise_omega, self.omega, dt_s)
@@ -689,13 +689,28 @@ class ReferenceAgent:
         return now + 1
 
 
-def pair(home, params, gains, gate=None):
+def pair(home, params, gate=None):
     """An agent and its reference at ``home`` on the 2 x 2 m grid."""
     grid = build_grid(2.0, 2.0, 0.25)
     position = grid.node_to_position(home)
-    agent = VehicleAgent(0, home, position, params, PidState(*gains))
+    agent = VehicleAgent(0, home, position, params)
     agent.departure_gate = gate
-    return grid, agent, ReferenceAgent(home, position, params, PidState(*gains), gate)
+    return grid, agent, ReferenceAgent(home, position, params, gate)
+
+
+def spin_up_reverses(params, dt_s, ticks):
+    """Whether the wheel speed of a spin-up from rest, run by `pid_update`
+    and `motor_step` for up to ``ticks`` ticks or to a fixed point, ever
+    falls below 0."""
+    pid, omega = PidState(), 0.0
+    for _ in range(ticks):
+        before = (omega, pid.integral)
+        omega = motor_step(omega, pid_update(pid, params.cruise_omega, omega, dt_s), params, dt_s)
+        if omega < 0:
+            return True
+        if (omega, pid.integral) == before:
+            return False
+    return False
 
 
 def drive_both(grid, agent, ref, dt_of, now, limit):
@@ -746,50 +761,96 @@ GATES = {
         wheel_radius_m=st.floats(0.02, 0.1),
         cruise_speed_m_s=st.floats(0.05, 0.3),
         motor_gain=st.floats(0.5, 2.0),
-        motor_time_constant_s=st.floats(0.1, 0.5),
-    ),
-    gains=st.tuples(
-        st.floats(0.0, 8.0),
-        st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
-        st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
-        st.floats(1.0, 8.0),
+        motor_time_constant_s=st.one_of(st.just(0.1), st.floats(0.1, 0.5)),
     ),
     dt_s=st.one_of(st.sampled_from([0.01, 0.05]), st.floats(0.005, 0.05)),
     gate=st.sampled_from(sorted(GATES)),
 )
-def test_agent_moves_exactly_like_the_reference(route, departures, params, gains, dt_s, gate):
-    grid, agent, ref = pair(route[0], params, gains, GATES[gate])
+@example(
+    route=[NodeId(0, 0), NodeId(1, 0)], departures=[0] * 8,
+    params=VehicleParams(motor_gain=2.0, motor_time_constant_s=0.1), dt_s=0.05, gate="grant",
+)
+def test_agent_moves_exactly_like_the_reference(route, departures, params, dt_s, gate):
+    """Where the spin-up of ``params`` at ``dt_s`` reverses the wheels (at
+    dt = tau / 2 with a motor gain of 1.5 or more, say), the agent raises on
+    its first spin, before it moves."""
+    grid, agent, ref = pair(route[0], params, GATES[gate])
     departures = sorted(departures)[: len(route) - 1]
     steps = [TimedStep(node, 0, t) for node, t in zip(route, departures)] + [TimedStep(route[-1], 0, 0)]
     path = TimedPath(steps, 1)
     agent.begin_reposition(path)
     ref.begin(path)
-    drive_both(grid, agent, ref, lambda now: dt_s, 0, 3000)
+    if not spin_up_reverses(params, dt_s, SPIN_TABLE_CAP):
+        drive_both(grid, agent, ref, lambda now: dt_s, 0, 3000)
+        return
+    with pytest.raises(TimestepTooLarge, match=f"dt {dt_s} reverses the wheels"):
+        drive_both(grid, agent, ref, lambda now: dt_s, 0, 3000)
+    start = (*grid.node_to_position(route[0]), 0.0)
+    assert (agent.x, agent.y, agent.pose.heading_deg) == (ref.x, ref.y, ref.heading) == start
 
 
 def test_spin_table_settles_for_stock_gains():
-    """The stock loop reaches its fixed point in a few hundred ticks; a
-    P-only loop settles too, though its integral keeps growing."""
-    stock = spin_table(VehicleParams(), 2.0, 5.0, 0.0, 5.0, 0.05)
+    """The stock loop reaches its fixed point in a few hundred ticks at
+    dt 0.05 and in under two thousand at dt 0.01."""
+    stock = spin_table(VehicleParams(), 0.05)
     assert stock.settled and len(stock.rows) < 400
-    assert spin_table(VehicleParams(), 2.0, 0.0, 0.0, 5.0, 0.05).settled
-    assert spin_table(VehicleParams(), 2.0, 5.0, 0.0, 5.0, 0.01).settled
+    assert spin_table(VehicleParams(), 0.01).settled
+
+
+def test_spin_table_refuses_a_spin_up_that_reverses_the_wheels():
+    """At dt = tau / 2 a motor gain of 3 overshoots until the wheels turn
+    backwards (at the 16th tick); the table is not built."""
+    params = VehicleParams(motor_gain=3.0, motor_time_constant_s=0.1, cruise_speed_m_s=0.3)
+    assert spin_up_reverses(params, 0.05, 16) and not spin_up_reverses(params, 0.05, 15)
+    with pytest.raises(TimestepTooLarge, match="dt 0.05 reverses the wheels"):
+        spin_table(params, 0.05)
 
 
 def test_spin_up_without_a_fixed_point_continues_like_the_reference():
-    """A high P-only gain cycles instead of settling: past the capped
-    table the agent runs on the live loop from the exact state reached."""
-    gains = (8.0, 0.0, 0.0, 5.0)
-    table = spin_table(VehicleParams(), *gains, 0.05)
+    """At dt 0.001 the stock spin-up needs about 16,000 rows to settle, so
+    its table caps at SPIN_TABLE_CAP: past it the agent runs on the live
+    loop from the exact state reached."""
+    table = spin_table(VehicleParams(), 0.001)
     assert not table.settled and len(table.rows) == SPIN_TABLE_CAP
     home = NodeId(0, 0)
-    grid, agent, ref = pair(home, VehicleParams(), gains)
-    route = [home, NodeId(1, 0)] * 100 + [home]  # a 180 degree turn at every node
+    grid, agent, ref = pair(home, VehicleParams())
+    route = [home, NodeId(1, 0), home, NodeId(1, 0)]  # a 180 degree turn at each inner node
     path = make_path(route)
     agent.begin_reposition(path)
     ref.begin(path)
-    drive_both(grid, agent, ref, lambda now: 0.05, 0, SPIN_TABLE_CAP + 500)
-    assert agent.busy and agent._table is None  # one spin a step, never halted
+    end = drive_both(grid, agent, ref, lambda now: 0.001, 0, 3 * SPIN_TABLE_CAP)
+    assert not agent.busy and agent.current_node == route[-1]
+    assert end > SPIN_TABLE_CAP and agent._table is None  # one spin a tick, never halted
+
+
+def test_a_live_loop_that_reverses_the_wheels_raises_before_it_moves(monkeypatch):
+    """A table that caps before its first reversing row hands over to the
+    live loop, which raises naming the timestep at the tick the reference
+    reverses, with the agent still where the reference was."""
+    params = VehicleParams(motor_gain=3.0, motor_time_constant_s=0.1, cruise_speed_m_s=0.3)
+    monkeypatch.setattr(swarmport.vehicle, "SPIN_TABLE_CAP", 8)
+    spin_table.cache_clear()
+    try:
+        home = NodeId(0, 0)
+        grid, agent, ref = pair(home, params)
+        path = make_path([home, NodeId(1, 0), NodeId(2, 0), NodeId(3, 0)])
+        agent.begin_reposition(path)
+        ref.begin(path)
+        now = 0
+        for now in range(9):
+            assert agent.step(grid, 0.05, now) == ref.step(grid, 0.05, now)
+            assert (agent.x, agent.y) == (ref.x, ref.y)
+        assert agent._table is None  # the capped table handed over at the ninth spin
+        with pytest.raises(TimestepTooLarge, match="dt 0.05 reverses the wheels"):
+            for now in range(9, 100):
+                where = (ref.x, ref.y, ref.heading)
+                agent.step(grid, 0.05, now)
+                ref.step(grid, 0.05, now)
+                assert (agent.x, agent.y, agent.pose.heading_deg) == (ref.x, ref.y, ref.heading)
+        ref.step(grid, 0.05, now)
+        assert ref.omega < 0 and (agent.x, agent.y, agent.pose.heading_deg) == where
+    finally:
+        spin_table.cache_clear()
 
 
 def test_timestep_above_the_stability_guard_raises_on_the_first_spin():
@@ -805,7 +866,7 @@ def test_one_agent_at_two_timesteps_reads_the_table_of_each():
     """One leg at dt 0.05, the next at 0.01, and a third that changes dt
     mid spin-up, where the agent goes on from the state it reached."""
     home = NodeId(0, 0)
-    grid, agent, ref = pair(home, VehicleParams(), (2.0, 5.0, 0.0, 5.0))
+    grid, agent, ref = pair(home, VehicleParams())
     legs = [
         ([home, NodeId(1, 0), NodeId(1, 1)], lambda now: 0.05),
         ([NodeId(1, 1), NodeId(0, 1), NodeId(0, 0)], lambda now: 0.01),

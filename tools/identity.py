@@ -18,7 +18,8 @@ vehicles differ in their `VehicleParams`, and four radar cases: a depot
 whose range ends 1 m from the sensor, a depot whose sensor sits on a
 vehicle's home, a crossing fleet whose 7-degree sweep leaves a gap before
 360 under a 15-degree beam, and a depot whose vehicles differ in body
-radius.  58 cases in all.
+radius; and a two-vehicle run at dt 0.001, whose spin-ups run past their
+capped table onto the live wheel loop.  59 cases in all.
 """
 
 from __future__ import annotations
@@ -63,6 +64,18 @@ MIXED_PARAMS = (
 )
 # Body radii for the mixed-radius fleet, assigned in vehicle order.
 MIXED_RADII = (0.05, 0.2, 0.12, 0.45, 0.3)
+# Two vehicles on a 5 x 5 node course at dt 0.001.
+CAPPED_TAIL = {
+    "terrain": {"width_m": 1.0, "height_m": 1.0, "spacing_m": 0.25, "blocked": []},
+    "sensor": {"origin": [0.5, 0.5], "max_range_m": 2.0},
+    "vehicles": [{"vehicle_id": 0, "home_node": [0, 0]}, {"vehicle_id": 1, "home_node": [0, 4]}],
+    "jobs": [
+        {"job_id": 0, "pickup_node": [4, 0], "destination_node": [4, 3]},
+        {"job_id": 1, "pickup_node": [1, 4], "destination_node": [1, 1]},
+    ],
+    "medium": {"loss_probability": 0.0},
+    "sim": {"dt_s": 0.001, "max_ticks": 400_000, "telemetry_interval": 100},
+}
 
 
 def _with(doc: dict, section: str, **values) -> dict:
@@ -111,6 +124,9 @@ def cases() -> dict:
     out["crossing-5-step7-beam15"] = lambda: scenario_from_dict(
         _with(crossing_document(5), "sensor", step_deg=7.0, beam_halfwidth_deg=15.0))
     out["depot-3-radii"] = lambda: scenario_from_dict(_radii(depot_document(3)))
+    # At dt 0.001 a spin-up outruns its capped table, so the drives finish
+    # on the live wheel loop.
+    out["capped-tail-dt0.001"] = lambda: scenario_from_dict(CAPPED_TAIL)
     return out
 
 
