@@ -18,11 +18,11 @@ from .planner import astar, bellman_ford, dijkstra, floyd_warshall
 from .radar import Disc, WorldModel, detect_targets, encode_frame, render_frame, sweep
 from .sim import (
     Scenario,
-    build_scenario_grid,
     default_scenario,
+    parse_scenario,
     run,
-    scenario_from_dict,
     scenario_to_dict,
+    validate_scenario,
 )
 
 EXIT_OK = 0
@@ -31,6 +31,7 @@ EXIT_NO_PATH = 2
 
 
 def load_scenario(path: str) -> Scenario:
+    """Read and parse a scenario file; each command validates it once."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -38,7 +39,7 @@ def load_scenario(path: str) -> Scenario:
         raise IoFailure(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioInvalid(f"{path}: invalid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+    return parse_scenario(data)
 
 
 def _parse_node(text: str) -> NodeId:
@@ -60,7 +61,7 @@ def cmd_run(scenario: Scenario, out_dir: str) -> int:
 
 
 def cmd_plan(scenario: Scenario, src: NodeId, dst: NodeId, algorithm: str) -> int:
-    grid = build_scenario_grid(scenario)
+    grid = validate_scenario(scenario)
     grid.require(src)
     grid.require(dst)
     try:
@@ -92,7 +93,7 @@ def cmd_plan(scenario: Scenario, src: NodeId, dst: NodeId, algorithm: str) -> in
 
 
 def cmd_scan(scenario: Scenario, out_dir: str) -> int:
-    grid = build_scenario_grid(scenario)
+    grid = validate_scenario(scenario)
     cfg = scenario.sensor
     world = WorldModel(
         [

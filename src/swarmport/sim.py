@@ -218,9 +218,15 @@ def _parse(cls: type, data: Any, where: str) -> Any:
         raise ScenarioInvalid(f"{label}{joint}{exc}") from exc
 
 
+def parse_scenario(data: Any) -> Scenario:
+    """Read a scenario document, checking each field's type; a rejection
+    names its field.  `validate_scenario` checks the rest."""
+    return _parse(Scenario, data, "")
+
+
 def scenario_from_dict(data: Any) -> Scenario:
     """Parse and validate a scenario document; every rejection names its field."""
-    scenario = _parse(Scenario, data, "")
+    scenario = parse_scenario(data)
     validate_scenario(scenario)
     return scenario
 
@@ -343,9 +349,8 @@ def hop_window_ticks(scenario: Scenario) -> int:
     specs = scenario.vehicles or (VehicleSpec(0, NodeId(0, 0)),)
     for v in specs:
         p = v.params
-        turn = math.pi * p.track_m / (2.0 * p.cruise_speed_m_s)
         drive = spacing / p.cruise_speed_m_s
-        worst = max(worst, turn + drive + HOP_MARGIN_S)
+        worst = max(worst, _turn_time_s(180.0, p) + drive + HOP_MARGIN_S)
     return max(1, math.ceil(worst / scenario.sim.dt_s))
 
 
@@ -418,12 +423,7 @@ class Simulation:
         # The hub's radio per vehicle id, on that vehicle's channel.
         self.hub_radios: dict[int, Radio] = {}
         for vcfg in sorted(scenario.vehicles, key=lambda v: v.vehicle_id):
-            agent = VehicleAgent(
-                vcfg.vehicle_id,
-                vcfg.home_node,
-                self.grid.node_to_position(vcfg.home_node),
-                params=vcfg.params,
-            )
+            agent = VehicleAgent(vcfg.vehicle_id, vcfg.home_node, self.grid, self.dt, vcfg.params)
             agent.departure_gate = self._departure_gate
             radio = self.medium.attach(Radio(Channel(vcfg.vehicle_id)))
             self.hub_radios[vcfg.vehicle_id] = self.medium.attach(Radio(Channel(vcfg.vehicle_id)))
@@ -610,7 +610,7 @@ class Simulation:
             if sv.pending is not None and now >= sv.retry_at:
                 sv.pending(now)
             state = agent.state
-            wake = agent.step(self.grid, self.dt, now)
+            wake = agent.step(now)
             if agent.state != state:
                 self._post_step(sv, state, now)
             if sv.pending is not None:

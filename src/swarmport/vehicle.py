@@ -9,10 +9,12 @@ reverses the wheels (see `_spin_row`), so a drive keeps to its edge.
 
 Every spin-up starts from rest toward the one cruise setpoint, so the
 wheel speed after n ticks of motion depends only on the vehicle's
-parameters and the timestep.  A moving vehicle reads it, with
-the tick's yaw and travel, from a spin-up table built once per such key
-by the same `pid_update`/`motor_step` calls, and each hop's heading,
-direction and target are worked out once when the hop starts.
+parameters and the timestep.  An agent is built for one grid and one
+timestep.  Its wheel state is the last `_spin_row`, read from a spin-up
+table built once per parameters and timestep; a spin-up that outruns a
+capped table goes on by the same step from the agent's last row.  Each
+hop's heading, direction and target are worked out once when the hop
+starts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import IllegalTransition, TimestepTooLarge
-from .grid import GridMap, NodeId, Position
+from .grid import GridMap, NodeId
 from .planner import INF_TICK, TimedPath
 from .rfnet import Message, MessageKind
 
@@ -60,6 +62,8 @@ _HOPS = {
 # Rows kept per spin-up table; a spin-up that has not settled by then
 # continues on the live loop.
 SPIN_TABLE_CAP = 10_000
+# The `_spin_row` of wheels at rest, from which every spin-up starts.
+_AT_REST = (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -117,17 +121,18 @@ def motor_step(omega: float, u: float, params: VehicleParams, dt_s: float) -> fl
     return omega + dt_s * (params.motor_gain * u - omega) / tau
 
 
-def _spin_row(pid: PidState, params: VehicleParams, omega: float, dt_s: float) -> tuple[float, ...]:
-    """One tick of the wheel loop from ``omega`` and ``pid``'s state: the
-    (omega, yaw_deg, step_len, integral, prev_error) after it, where a turn
-    yaws yaw_deg and a drive travels step_len in the tick.
+def _spin_row(params: VehicleParams, dt_s: float, row: tuple[float, ...]) -> tuple[float, ...]:
+    """One tick of the wheel loop from ``row``, the (omega, yaw_deg,
+    step_len, integral, prev_error) after the tick before: the row after
+    it, where a turn yaws yaw_deg and a drive travels step_len in the tick.
 
     A spin-up toward cruise never reverses the wheels: a tick whose
     ``omega`` falls below 0 raises TimestepTooLarge, as a high motor gain
     does at a timestep near the motor's stability guard.
     """
-    u = pid_update(pid, params.cruise_omega, omega, dt_s)
-    omega = motor_step(omega, u, params, dt_s)
+    pid = PidState(integral=row[3], prev_error=row[4])
+    u = pid_update(pid, params.cruise_omega, row[0], dt_s)
+    omega = motor_step(row[0], u, params, dt_s)
     if omega < 0:
         raise TimestepTooLarge(f"dt {dt_s} reverses the wheels on a spin-up to cruise (omega {omega})")
     r = params.wheel_radius_m
@@ -139,7 +144,6 @@ class SpinTable(NamedTuple):
     """The rows of one spin-up from rest: ``rows[n]`` is `_spin_row` after
     n + 1 ticks.  If ``settled``, every later tick repeats the last row."""
 
-    dt_s: float
     rows: tuple[tuple[float, ...], ...]
     settled: bool
 
@@ -149,19 +153,18 @@ def spin_table(params: VehicleParams, dt_s: float) -> SpinTable:
     """The spin-up of ``params`` at ``dt_s``, up to SPIN_TABLE_CAP rows.
 
     It settles when a tick leaves unchanged all the state that feeds the
-    next output: ``omega``, the integral unless ``ki`` is 0 and the last
-    error unless ``kd`` is 0.  Raises TimestepTooLarge if a row reverses.
+    next output: ``omega`` and the integral, as the stock loop has no
+    derivative gain.  Raises TimestepTooLarge if a row reverses.
     """
-    pid = PidState()
-    row = _spin_row(pid, params, 0.0, dt_s)
+    row = _spin_row(params, dt_s, _AT_REST)
     rows = [row]
     while len(rows) < SPIN_TABLE_CAP:
-        nxt = _spin_row(pid, params, row[0], dt_s)
-        if nxt[0] == row[0] and (pid.ki == 0 or nxt[3] == row[3]) and (pid.kd == 0 or nxt[4] == row[4]):
-            return SpinTable(dt_s, tuple(rows), True)
+        nxt = _spin_row(params, dt_s, row)
+        if nxt[0] == row[0] and nxt[3] == row[3]:
+            return SpinTable(tuple(rows), True)
         rows.append(nxt)
         row = nxt
-    return SpinTable(dt_s, tuple(rows), False)
+    return SpinTable(tuple(rows), False)
 
 
 class Pose(NamedTuple):
@@ -176,23 +179,31 @@ class WheelDynamics(NamedTuple):
 
 
 class VehicleAgent:
-    """Waypoint-following cargo vehicle stepped by the sim loop.
+    """Waypoint-following cargo vehicle on ``grid``, stepped by the sim
+    loop every ``dt_s``.
 
     Motion obeys the timed route windows: each hop has a scheduled
     departure tick and the agent never leaves a node early unless the
     ``departure_gate`` callback grants an earlier slot by returning None;
     a refusal returns the tick until which it stands.
+
+    Raises TimestepTooLarge if the spin-up of ``params`` at ``dt_s`` is
+    unstable or reverses the wheels (see `spin_table`).
     """
 
     def __init__(
         self,
         vehicle_id: int,
         home_node: NodeId,
-        home_position: Position,
+        grid: GridMap,
+        dt_s: float,
         params: VehicleParams | None = None,
     ) -> None:
         self.vehicle_id = vehicle_id
         self.params = params or VehicleParams()
+        self._grid = grid
+        self._dt_s = dt_s
+        self._rows, self._settled = spin_table(self.params, dt_s)
         self.state = IDLE
         self.home_node = home_node
         self.current_node = home_node
@@ -203,14 +214,12 @@ class VehicleAgent:
         self.retraced: list[NodeId] = []
         # Position in metres as plain floats: the engine's per-tick phases
         # read these instead of building a `pose`.
-        self.x, self.y = home_position
+        self.x, self.y = grid.node_to_position(home_node)
         self._heading = 0.0
-        self._omega = 0.0
-        # Ticks of motion since the last halt, and the spin-up table they
-        # index; None once the wheels run on the live loop's `_pid` (see `_spin`).
+        # Ticks of motion since the last halt, which index `_rows`, and the
+        # wheel loop's row on the last of them (see `_spin`).
         self._spins = 0
-        self._table: SpinTable | None = None
-        self._pid: PidState | None = None
+        self._row = _AT_REST
         self._phase = _REST
         self._turn_sign = 0
         self._turn_remaining = 0.0
@@ -311,10 +320,11 @@ class VehicleAgent:
 
     @property
     def wheels(self) -> WheelDynamics:
+        omega = self._row[0]
         if self._phase == _DRIVE:
-            return WheelDynamics(self._omega, self._omega)
+            return WheelDynamics(omega, omega)
         if self._phase == _TURN:
-            return WheelDynamics(-self._turn_sign * self._omega, self._turn_sign * self._omega)
+            return WheelDynamics(-self._turn_sign * omega, self._turn_sign * omega)
         return WheelDynamics(0.0, 0.0)
 
     @property
@@ -333,66 +343,55 @@ class VehicleAgent:
         )
 
     def _halt(self) -> None:
-        self._omega = 0.0
+        self._row = _AT_REST
         self._spins = 0
         self._phase = _REST
 
-    def _spin(self, dt_s: float) -> tuple[float, ...]:
+    def _spin(self) -> tuple[float, ...]:
         """One tick of the wheel loop toward cruise; returns its `_spin_row`.
 
-        The first tick after a halt picks the table for the agent's
-        parameters and ``dt_s``.  Past a table that ends short of a fixed
-        point, or at another ``dt_s`` mid spin-up, the live loop runs on
-        from the exact state reached, on a `PidState` of its own until the
-        next halt.  The live loop obeys the same rule as the table: a tick
-        that would reverse the wheels raises TimestepTooLarge naming the
-        timestep, and the vehicle does not move on that tick.
+        The n-th tick after a halt reads row n - 1 of the spin-up table.
+        Past a table that ends short of a fixed point, the same step runs
+        on from the last row, and obeys the same rule: a tick that would
+        reverse the wheels raises TimestepTooLarge naming the timestep,
+        and the vehicle does not move on that tick.
         """
         n = self._spins
-        table = self._table
-        if n == 0:
-            table = self._table = spin_table(self.params, dt_s)
-        if table is not None:
-            rows = table.rows
-            if table.dt_s == dt_s:
-                if n < len(rows):
-                    row = rows[n]
-                    self._spins = n + 1
-                    self._omega = row[0]
-                    return row
-                if table.settled:
-                    return rows[-1]
-            self._omega, _, _, integral, prev_error = rows[n - 1]
-            self._pid = PidState(integral=integral, prev_error=prev_error)
-            self._table = None
-        row = _spin_row(self._pid, self.params, self._omega, dt_s)
-        self._omega = row[0]
-        return row
+        if n < len(self._rows):
+            self._spins = n + 1
+            self._row = self._rows[n]
+        elif not self._settled:
+            self._row = _spin_row(self.params, self._dt_s, self._row)
+        return self._row
 
-    def _start_hop(self, grid: GridMap) -> None:
-        """Face the next waypoint; returns with phase set to turn or drive.
+    def _start_hop(self, now: int) -> float | None:
+        """Face the next waypoint, setting phase to turn or drive.
 
         Sets the hop's heading, direction, target and arrival window, which
-        the turn and drive branches of `step` read.
+        the turn and drive branches of `step` read.  A hop that needs no
+        turn may have to wait first: returns `_hold`'s answer for it, and
+        None for a turn.
         """
         assert self._route is not None
         node = self.current_node
         nxt = self._route[self._hop + 1]
         heading, ux, uy = _HOPS[nxt[0] - node[0], nxt[1] - node[1]]
+        grid = self._grid
         tx, ty = grid.node_to_position(nxt)
         self._hop_heading = heading
         self._hop_drive = (ux, uy, tx, ty, grid.spacing_m / 10.0)
         diff = (heading - self._heading) % 360.0
         if diff == 0.0:
             self._phase = _DRIVE
+            return self._hold(now)
+        self._phase = _TURN
+        if diff <= 180.0:
+            self._turn_sign = 1
+            self._turn_remaining = diff
         else:
-            self._phase = _TURN
-            if diff <= 180.0:
-                self._turn_sign = 1
-                self._turn_remaining = diff
-            else:
-                self._turn_sign = -1
-                self._turn_remaining = 360.0 - diff
+            self._turn_sign = -1
+            self._turn_remaining = 360.0 - diff
+        return None
 
     def _hold(self, now: int) -> float | None:
         """None if the vehicle may leave for the next node at ``now``.
@@ -412,7 +411,7 @@ class VehicleAgent:
         self._halt()
         return min(scheduled, until)
 
-    def step(self, grid: GridMap, dt_s: float, now: int) -> float:
+    def step(self, now: int) -> float:
         """Advance tick ``now``: housekeeping, then turn / wait / drive.
 
         The step that reaches a leg's last node ends the leg: a reposition
@@ -441,14 +440,12 @@ class VehicleAgent:
 
         if self._phase == _REST:
             # At a node: face the next one, or wait there for the departure window.
-            self._start_hop(grid)
-            if self._phase == _DRIVE:
-                wait = self._hold(now)
-                if wait is not None:
-                    return wait
+            wait = self._start_hop(now)
+            if wait is not None:
+                return wait
 
         if self._phase == _TURN:
-            yaw_deg = self._spin(dt_s)[1]
+            yaw_deg = self._spin()[1]
             if yaw_deg >= self._turn_remaining:
                 self._heading = self._hop_heading
                 self._turn_remaining = 0.0
@@ -462,17 +459,17 @@ class VehicleAgent:
             return now + 1
 
         # Drive straight toward the next waypoint.
-        step_len = self._spin(dt_s)[2]
+        step_len = self._spin()[2]
         ux, uy, tx, ty, window = self._hop_drive
         self.x += ux * step_len
         self.y += uy * step_len
         # Measured along the drive axis, so a step that overshoots the node
         # still arrives.
         if (tx - self.x) * ux + (ty - self.y) * uy <= window:
-            return self._arrive(grid, now)
+            return self._arrive(now)
         return now + 1
 
-    def _arrive(self, grid: GridMap, now: int) -> float:
+    def _arrive(self, now: int) -> float:
         """Snap onto the hop's target node; end the leg there or start the next hop.
 
         Returns the tick the vehicle is next due, as ``step`` does.
@@ -496,9 +493,5 @@ class VehicleAgent:
             else:
                 self._transition(IDLE)
             return now + 1
-        self._start_hop(grid)
-        if self._phase == _DRIVE:
-            wait = self._hold(now)
-            if wait is not None:
-                return wait
-        return now + 1
+        wait = self._start_hop(now)
+        return now + 1 if wait is None else wait

@@ -239,15 +239,15 @@ def test_c4_pid_settles_fast_and_cruise_speed_holds():
 
     # straight segment: drive four hops east and watch the settled speed
     grid = build_grid(2.0, 2.0, SPACING)
-    agent = VehicleAgent(0, NodeId(0, 0), Position(0.0, 0.0))
+    agent = VehicleAgent(0, NodeId(0, 0), grid, 0.01)
     agent.press_load_switch(-1)
-    agent.step(grid, 0.01, 0)
+    agent.step(0)
     nodes = [NodeId(i, 0) for i in range(5)]
     steps = [TimedStep(nodes[0], 0, 0)] + [TimedStep(n, 0, 0) for n in nodes[1:]]
     agent.on_destination(TimedPath(steps, 1))
     speeds = []
     for tick in range(2000):
-        agent.step(grid, 0.01, tick + 1)
+        agent.step(tick + 1)
         if tick * 0.01 >= settle_s and agent.busy:
             speeds.append(agent.speed_m_s)
         if not agent.busy:

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import swarmport.cli
+import swarmport.sim
 from swarmport.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, main
 from swarmport.grid import NodeId
 from swarmport.hub import Job
@@ -257,6 +259,46 @@ def test_walled_in_job_exits_one_naming_it(tmp_path, capsys):
     assert code == EXIT_ERROR
     assert err.startswith("error: jobs: job 0 (pickup (4, 4), destination (7, 7)): ")
     assert "Traceback" not in err
+
+
+def count_validations(monkeypatch):
+    """The `validate_scenario` calls from here on, by the CLI and the engine alike."""
+    calls = []
+    check = swarmport.sim.validate_scenario
+
+    def counted(scenario):
+        calls.append(scenario)
+        return check(scenario)
+
+    monkeypatch.setattr(swarmport.sim, "validate_scenario", counted)
+    monkeypatch.setattr(swarmport.cli, "validate_scenario", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--out", "o"],
+    ["plan", "--algo", "astar", "--from", "0,0", "--to", "2,0"],
+    ["scan", "--out", "o"],
+])
+def test_each_command_validates_its_scenario_once(argv, quick_file, tmp_path, monkeypatch, capsys):
+    calls = count_validations(monkeypatch)
+    argv = [str(tmp_path / a) if a == "o" else a for a in argv]
+    assert main([argv[0], "--scenario", quick_file, *argv[1:]]) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--algo", "astar", "--from", "0,0", "--to", "2,0"],
+    ["scan", "--out", "o"],
+])
+def test_plan_and_scan_refuse_a_blocked_home_naming_the_vehicle(argv, tmp_path, capsys):
+    scenario = Scenario(terrain=TerrainConfig(blocked=(NodeId(2, 2),)), vehicles=(VehicleSpec(0, NodeId(2, 2)),))
+    path = tmp_path / "blocked.json"
+    path.write_text(json.dumps(scenario_to_dict(scenario)))
+    argv = [str(tmp_path / a) if a == "o" else a for a in argv]
+    assert main([argv[0], "--scenario", str(path), *argv[1:]]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: vehicles[0]: home_node (2, 2) is blocked\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_subcommand_exits_one(capsys):

@@ -531,10 +531,10 @@ def counted_run(scenario, every_tick):
         return until
 
     def counting(step):
-        def counted(grid, dt_s, now):
+        def counted(now):
             nonlocal steps
             steps += 1
-            return step(grid, dt_s, now)
+            return step(now)
 
         return counted
 
@@ -546,7 +546,7 @@ def counted_run(scenario, every_tick):
             if sv.pending is not None and now >= sv.retry_at:
                 sv.pending(now)
             state = agent.state
-            agent.step(sim.grid, sim.dt, now)
+            agent.step(now)
             if agent.state != state:
                 sim._post_step(sv, state, now)
             for msg in agent.outbox:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import swarmport.vehicle
 from swarmport.errors import IllegalTransition, TimestepTooLarge
-from swarmport.grid import NodeId, Position, build_grid
+from swarmport.grid import NodeId, build_grid
 from swarmport.planner import INF_TICK, TimedPath, TimedStep
 from swarmport.rfnet import MessageKind
 from swarmport.vehicle import (
@@ -25,10 +25,12 @@ from swarmport.vehicle import (
     VehicleParams,
     motor_step,
     pid_update,
+    _spin_row,
     spin_table,
 )
 
 DT = 0.01
+GRID = build_grid(2.0, 2.0, 0.25)
 
 
 def make_path(nodes, depart_at=0, hop=1):
@@ -39,20 +41,21 @@ def make_path(nodes, depart_at=0, hop=1):
     return TimedPath(steps, hop)
 
 
-def make_agent(home=NodeId(0, 0), pos=Position(0.0, 0.0)):
-    return VehicleAgent(0, home, pos)
+def make_agent(home=NodeId(0, 0), params=None, dt_s=DT):
+    """An agent at ``home`` on the 2 x 2 m grid."""
+    return VehicleAgent(0, home, GRID, dt_s, params)
 
 
-def loaded_and_awaiting(agent, grid):
+def loaded_and_awaiting(agent):
     """Press the load switch at tick 0 and step tick 1: LOADED -> AWAITING_ROUTE."""
     agent.press_load_switch(0)
-    agent.step(grid, DT, 1)
+    agent.step(1)
 
 
-def drive_until(agent, grid, predicate, start=2, limit=5000):
+def drive_until(agent, predicate, start=2, limit=5000):
     """Step from tick ``start`` on; return the tick after which ``predicate`` holds."""
     for now in range(start, start + limit):
-        agent.step(grid, DT, now)
+        agent.step(now)
         if predicate(agent):
             return now
     raise AssertionError("condition never reached")
@@ -174,7 +177,7 @@ def test_reposition_requires_idle():
 
 def test_route_must_start_at_current_node():
     agent = make_agent()
-    loaded_and_awaiting(agent, build_grid(2.0, 2.0, 0.25))
+    loaded_and_awaiting(agent)
     with pytest.raises(ValueError):
         agent.on_destination(make_path([NodeId(1, 0), NodeId(2, 0)]))
 
@@ -193,16 +196,15 @@ def test_route_must_have_a_hop():
     [NodeId(0, 0), NodeId(1, 0), NodeId(1, 0)],
 ])
 def test_refused_destination_leaves_the_vehicle_awaiting_its_route(route):
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     outbox = list(agent.outbox)
     with pytest.raises(ValueError):
         agent.on_destination(make_path(route))
     assert agent.state == AWAITING_ROUTE
     assert not agent.busy and agent.trail == [] and agent.outbox == outbox
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
-    drive_until(agent, grid, lambda a: a.state == UNLOADING)
+    drive_until(agent, lambda a: a.state == UNLOADING)
     assert agent.trail == [NodeId(0, 0), NodeId(1, 0)]
 
 
@@ -212,17 +214,16 @@ def test_refused_destination_leaves_the_vehicle_awaiting_its_route(route):
     [NodeId(1, 0), NodeId(0, 1)],
 ])
 def test_refused_retrace_leaves_the_vehicle_unloading(route):
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
-    unloading = drive_until(agent, grid, lambda a: a.state == UNLOADING)
+    unloading = drive_until(agent, lambda a: a.state == UNLOADING)
     with pytest.raises(ValueError):
         agent.unload(make_path(route, depart_at=unloading + 1))
     assert agent.state == UNLOADING
     assert not agent.busy and agent.retraced == []
     agent.unload(make_path([NodeId(1, 0), NodeId(0, 0)], depart_at=unloading + 1))
-    drive_until(agent, grid, lambda a: a.state == IDLE, start=unloading + 1)
+    drive_until(agent, lambda a: a.state == IDLE, start=unloading + 1)
     assert agent.retraced == [NodeId(1, 0), NodeId(0, 0)]
 
 
@@ -241,27 +242,25 @@ def test_route_with_a_hop_that_is_not_one_node_is_refused_by_name(route, hop):
 
 
 def test_reposition_presses_the_load_switch_on_its_arriving_step():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     agent.begin_reposition(make_path([NodeId(0, 0), NodeId(1, 0)]))
     for now in range(2, 502):
-        wake = agent.step(grid, DT, now)
+        wake = agent.step(now)
         if not agent.busy:
             break
     assert agent.current_node == NodeId(1, 0)
     assert agent.state == LOADED
     assert agent.outbox[-1].kind == MessageKind.ACTIVATE
     assert wake == now + 1
-    assert agent.step(grid, DT, now + 1) == now + ACTIVATE_RETRY_TICKS
+    assert agent.step(now + 1) == now + ACTIVATE_RETRY_TICKS
     assert agent.state == AWAITING_ROUTE
 
 
 def test_activate_retries_while_awaiting_route():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     agent.press_load_switch(0)
     for now in range(1, 46):
-        agent.step(grid, DT, now)
+        agent.step(now)
     kinds = [m.kind for m in agent.outbox]
     assert kinds.count(MessageKind.ACTIVATE) == 3  # press + ticks 20 and 40
     assert agent.state == AWAITING_ROUTE
@@ -271,11 +270,10 @@ def test_activate_retries_while_awaiting_route():
 
 
 def test_straight_hop_lands_exactly_on_node():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
-    ticks = drive_until(agent, grid, lambda a: not a.busy)
+    ticks = drive_until(agent, lambda a: not a.busy)
     assert agent.pose == (0.25, 0.0, 0.0)
     assert agent.current_node == NodeId(1, 0)
     assert agent.state == UNLOADING
@@ -286,31 +284,27 @@ def test_straight_hop_lands_exactly_on_node():
 def test_fast_hop_that_steps_over_the_arrival_window_lands_on_node():
     """A step longer than the +-spacing/10 arrival window still arrives:
     the distance left is measured along the drive axis."""
-    grid = build_grid(2.0, 2.0, 0.25)
-    agent = VehicleAgent(
-        0, NodeId(0, 0), Position(0.0, 0.0), VehicleParams(wheel_radius_m=0.3, cruise_speed_m_s=1.5)
-    )
-    loaded_and_awaiting(agent, grid)
+    agent = make_agent(params=VehicleParams(wheel_radius_m=0.3, cruise_speed_m_s=1.5), dt_s=0.05)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(i, 0) for i in range(5)]))
     longest = 0.0
     for now in range(2, 202):
-        agent.step(grid, 0.05, now)
+        agent.step(now)
         longest = max(longest, agent.speed_m_s * 0.05)
         if not agent.busy:
             break
-    assert longest > grid.spacing_m / 5
+    assert longest > GRID.spacing_m / 5
     assert agent.pose == (1.0, 0.0, 0.0)
     assert agent.state == UNLOADING
 
 
 def test_cruise_speed_during_drive():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(i, 0) for i in range(5)]))
     speeds = []
     for now in range(2, 2502):
-        agent.step(grid, DT, now)
+        agent.step(now)
         if now >= 200:  # past spin-up
             speeds.append(agent.speed_m_s)
         if not agent.busy:
@@ -321,26 +315,24 @@ def test_cruise_speed_during_drive():
 
 
 def test_turn_in_place_snaps_heading():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(0, 1)]))
-    ticks_turning = drive_until(agent, grid, lambda a: a.pose.heading_deg == 90.0)
+    ticks_turning = drive_until(agent, lambda a: a.pose.heading_deg == 90.0)
     # quarter turn: accelerate, then yaw rate = 2*r*omega/track
     assert 2.0 <= ticks_turning * DT <= 3.5
     assert agent.pose.x == 0.0 and agent.pose.y == 0.0  # turned in place
-    drive_until(agent, grid, lambda a: not a.busy, start=ticks_turning + 1)
+    drive_until(agent, lambda a: not a.busy, start=ticks_turning + 1)
     assert agent.pose == (0.0, 0.25, 90.0)
 
 
 def test_turn_prefers_counter_clockwise_on_180():
-    grid = build_grid(2.0, 2.0, 0.25, blocked=[])
-    agent = VehicleAgent(0, NodeId(1, 0), Position(0.25, 0.0))
-    loaded_and_awaiting(agent, grid)
+    agent = make_agent(NodeId(1, 0))
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(1, 0), NodeId(0, 0)]))
     seen = set()
     for now in range(2, 5002):
-        agent.step(grid, DT, now)
+        agent.step(now)
         seen.add(round(agent.pose.heading_deg // 90))
         if not agent.busy:
             break
@@ -349,13 +341,12 @@ def test_turn_prefers_counter_clockwise_on_180():
 
 
 def test_turn_clockwise_when_shorter():
-    grid = build_grid(2.0, 2.0, 0.25)
-    agent = VehicleAgent(0, NodeId(0, 1), Position(0.0, 0.25))
-    loaded_and_awaiting(agent, grid)
+    agent = make_agent(NodeId(0, 1))
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 1), NodeId(0, 0)]))
     headings = []
     for now in range(2, 5002):
-        agent.step(grid, DT, now)
+        agent.step(now)
         headings.append(agent.pose.heading_deg)
         if not agent.busy:
             break
@@ -364,19 +355,17 @@ def test_turn_clockwise_when_shorter():
 
 
 def test_scheduled_departure_holds_vehicle():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
     for now in range(2, 100):
-        agent.step(grid, DT, now)
+        agent.step(now)
         assert agent.pose.x == 0.0
         assert agent.speed_m_s == 0.0
-    assert drive_until(agent, grid, lambda a: a.pose.x > 0.0, start=100, limit=50) == 100
+    assert drive_until(agent, lambda a: a.pose.x > 0.0, start=100, limit=50) == 100
 
 
 def test_departure_gate_grants_early_start():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     calls = []
 
@@ -385,31 +374,30 @@ def test_departure_gate_grants_early_start():
         return None
 
     agent.departure_gate = gate
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=10_000))
-    assert drive_until(agent, grid, lambda a: a.pose.x > 0.0, limit=50) == 2
+    assert drive_until(agent, lambda a: a.pose.x > 0.0, limit=50) == 2
     assert calls[0] == (NodeId(1, 0), 2, 10_000)
 
 
 def test_transit_unload_retrace_cycle():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
 
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     assert agent.state == AWAITING_ROUTE
 
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0), NodeId(2, 0)]))
     assert agent.state == TRANSIT
     assert [m.kind for m in agent.outbox][-1] == MessageKind.ACK
 
-    unloading = drive_until(agent, grid, lambda a: a.state == UNLOADING)
+    unloading = drive_until(agent, lambda a: a.state == UNLOADING)
     assert agent.current_node == NodeId(2, 0)
 
     back = agent.trail[::-1]
     assert back == [NodeId(2, 0), NodeId(1, 0), NodeId(0, 0)]
     agent.unload(make_path(back))
     assert agent.state == RETRACING
-    drive_until(agent, grid, lambda a: a.state == IDLE, start=unloading + 1)
+    drive_until(agent, lambda a: a.state == IDLE, start=unloading + 1)
     assert agent.current_node == NodeId(0, 0)
     assert agent.pose == (0.0, 0.0, 180.0)
 
@@ -418,46 +406,42 @@ def test_transit_unload_retrace_cycle():
 
 
 def test_trail_records_pickup_once_across_reposition_and_transit():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     agent.begin_reposition(make_path([NodeId(0, 0), NodeId(1, 0)]))
-    tick = drive_until(agent, grid, lambda a: not a.busy)
-    agent.step(grid, DT, tick + 1)
+    tick = drive_until(agent, lambda a: not a.busy)
+    agent.step(tick + 1)
     agent.on_destination(make_path([NodeId(1, 0), NodeId(1, 1), NodeId(2, 1)], depart_at=tick + 2))
-    drive_until(agent, grid, lambda a: a.state == UNLOADING, start=tick + 2)
+    drive_until(agent, lambda a: a.state == UNLOADING, start=tick + 2)
     assert agent.trail == [NodeId(0, 0), NodeId(1, 0), NodeId(1, 1), NodeId(2, 1)]
 
 
 def test_trail_from_a_pickup_at_home_starts_with_home_once():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]))
-    drive_until(agent, grid, lambda a: a.state == UNLOADING)
+    drive_until(agent, lambda a: a.state == UNLOADING)
     assert agent.trail == [NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]
 
 
 def test_retrace_records_retraced_and_leaves_trail():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0), NodeId(1, 1)]))
-    unloading = drive_until(agent, grid, lambda a: a.state == UNLOADING)
+    unloading = drive_until(agent, lambda a: a.state == UNLOADING)
     outbound = list(agent.trail)
     agent.unload(make_path(outbound[::-1], depart_at=unloading + 1))
     assert agent.retraced == [NodeId(1, 1)]
-    drive_until(agent, grid, lambda a: a.state == IDLE, start=unloading + 1)
+    drive_until(agent, lambda a: a.state == IDLE, start=unloading + 1)
     assert agent.retraced == [NodeId(1, 1), NodeId(1, 0), NodeId(0, 0)]
     assert agent.trail == outbound
 
 
 def test_edge_in_progress_only_while_driving():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     assert agent.edge_in_progress() is None
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
-    agent.step(grid, DT, 2)
+    agent.step(2)
     assert agent.edge_in_progress() == (NodeId(0, 0), NodeId(1, 0))
 
 
@@ -465,13 +449,12 @@ def test_edge_in_progress_only_while_driving():
 
 
 def test_step_returns_next_tick_while_moving():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(0, 1), NodeId(1, 1)]))
     phases = set()
     for now in range(2, 5002):
-        wake = agent.step(grid, DT, now)
+        wake = agent.step(now)
         assert wake == now + 1
         if not agent.busy:
             break
@@ -481,7 +464,6 @@ def test_step_returns_next_tick_while_moving():
 
 
 def test_step_returns_scheduled_departure_while_resting():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     refusals = []
 
@@ -490,23 +472,22 @@ def test_step_returns_scheduled_departure_while_resting():
         return math.inf
 
     agent.departure_gate = gate
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
-    assert agent.step(grid, DT, 2) == 100
-    assert agent.step(grid, DT, 57) == 100  # a refused gate does not move the scheduled tick
+    assert agent.step(2) == 100
+    assert agent.step(57) == 100  # a refused gate does not move the scheduled tick
     assert refusals == [2, 57]
-    assert agent.step(grid, DT, 100) == 101
+    assert agent.step(100) == 101
     assert agent.pose.x > 0.0
 
 
 @pytest.mark.parametrize("until, wake", [(57, 57), (150, 100)])
 def test_refused_gate_wakes_at_its_until_or_the_departure(until, wake):
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     agent.departure_gate = lambda a, nxt, now, scheduled: until
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
-    assert agent.step(grid, DT, 2) == wake
+    assert agent.step(2) == wake
     assert agent.pose.x == 0.0
     assert agent.speed_m_s == 0.0
 
@@ -514,10 +495,9 @@ def test_refused_gate_wakes_at_its_until_or_the_departure(until, wake):
 def test_step_that_comes_to_rest_returns_scheduled_departure():
     """The step that ends a turn, or a hop, short of the next departure
     already returns that departure."""
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     agent.departure_gate = lambda a, nxt, now, scheduled: math.inf
-    loaded_and_awaiting(agent, grid)
+    loaded_and_awaiting(agent)
     north = [NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]
     agent.on_destination(TimedPath([TimedStep(north[0], 0, 500), TimedStep(north[1], 490, 900),
                                                TimedStep(north[2], 890, 900)], 10))
@@ -526,7 +506,7 @@ def test_step_that_comes_to_rest_returns_scheduled_departure():
         """Step from ``now`` until a step returns more than the next tick."""
         while True:
             before = (agent.pose.heading_deg, agent.current_node)
-            wake = agent.step(grid, DT, now)
+            wake = agent.step(now)
             if wake != now + 1:
                 return now, wake, before
             now += 1
@@ -540,26 +520,24 @@ def test_step_that_comes_to_rest_returns_scheduled_departure():
 
 
 def test_step_returns_next_activate_retry_while_awaiting_route():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
     agent.press_load_switch(3)
-    assert agent.step(grid, DT, 4) == 3 + ACTIVATE_RETRY_TICKS
+    assert agent.step(4) == 3 + ACTIVATE_RETRY_TICKS
     assert agent.state == AWAITING_ROUTE
-    assert agent.step(grid, DT, 23) == 23 + ACTIVATE_RETRY_TICKS
+    assert agent.step(23) == 23 + ACTIVATE_RETRY_TICKS
     assert [m.kind for m in agent.outbox] == [MessageKind.ACTIVATE] * 2
 
 
 def test_step_returns_inf_while_parked_without_route():
-    grid = build_grid(2.0, 2.0, 0.25)
     agent = make_agent()
-    assert agent.step(grid, DT, 0) == math.inf
-    assert agent.step(grid, DT, 1) == math.inf
+    assert agent.step(0) == math.inf
+    assert agent.step(1) == math.inf
     assert agent.state == IDLE
     assert agent.outbox == []
 
 
 def test_telemetry_snapshot():
-    agent = VehicleAgent(3, NodeId(1, 2), Position(0.25, 0.5))
+    agent = VehicleAgent(3, NodeId(1, 2), GRID, DT)
     msg = agent.telemetry()
     assert msg.kind == MessageKind.TELEMETRY
     assert msg.vehicle_id == 3
@@ -689,13 +667,11 @@ class ReferenceAgent:
         return now + 1
 
 
-def pair(home, params, gate=None):
-    """An agent and its reference at ``home`` on the 2 x 2 m grid."""
-    grid = build_grid(2.0, 2.0, 0.25)
-    position = grid.node_to_position(home)
-    agent = VehicleAgent(0, home, position, params)
+def pair(home, params, dt_s, gate=None):
+    """An agent at ``dt_s`` and its reference at ``home`` on the 2 x 2 m grid."""
+    agent = make_agent(home, params, dt_s)
     agent.departure_gate = gate
-    return grid, agent, ReferenceAgent(home, position, params, gate)
+    return agent, ReferenceAgent(home, GRID.node_to_position(home), params, gate)
 
 
 def spin_up_reverses(params, dt_s, ticks):
@@ -713,13 +689,12 @@ def spin_up_reverses(params, dt_s, ticks):
     return False
 
 
-def drive_both(grid, agent, ref, dt_of, now, limit):
+def drive_both(agent, ref, dt_s, now, limit):
     """Step both at the agent's wake ticks until the leg ends or ``limit``
     steps; every step must leave both in the same motion state."""
     for _ in range(limit):
-        dt_s = dt_of(now)
-        wake = agent.step(grid, dt_s, now)
-        assert wake == ref.step(grid, dt_s, now)
+        wake = agent.step(now)
+        assert wake == ref.step(GRID, dt_s, now)
         assert (agent.x, agent.y, agent.pose.heading_deg) == (ref.x, ref.y, ref.heading)
         assert tuple(agent.wheels) == ref.wheels
         assert agent.speed_m_s == ref.speed_m_s
@@ -772,21 +747,19 @@ GATES = {
 )
 def test_agent_moves_exactly_like_the_reference(route, departures, params, dt_s, gate):
     """Where the spin-up of ``params`` at ``dt_s`` reverses the wheels (at
-    dt = tau / 2 with a motor gain of 1.5 or more, say), the agent raises on
-    its first spin, before it moves."""
-    grid, agent, ref = pair(route[0], params, GATES[gate])
+    dt = tau / 2 with a motor gain of 1.5 or more, say), the agent cannot
+    be built."""
+    if spin_up_reverses(params, dt_s, SPIN_TABLE_CAP):
+        with pytest.raises(TimestepTooLarge, match=f"dt {dt_s} reverses the wheels"):
+            make_agent(route[0], params, dt_s)
+        return
+    agent, ref = pair(route[0], params, dt_s, GATES[gate])
     departures = sorted(departures)[: len(route) - 1]
     steps = [TimedStep(node, 0, t) for node, t in zip(route, departures)] + [TimedStep(route[-1], 0, 0)]
     path = TimedPath(steps, 1)
     agent.begin_reposition(path)
     ref.begin(path)
-    if not spin_up_reverses(params, dt_s, SPIN_TABLE_CAP):
-        drive_both(grid, agent, ref, lambda now: dt_s, 0, 3000)
-        return
-    with pytest.raises(TimestepTooLarge, match=f"dt {dt_s} reverses the wheels"):
-        drive_both(grid, agent, ref, lambda now: dt_s, 0, 3000)
-    start = (*grid.node_to_position(route[0]), 0.0)
-    assert (agent.x, agent.y, agent.pose.heading_deg) == (ref.x, ref.y, ref.heading) == start
+    drive_both(agent, ref, dt_s, 0, 3000)
 
 
 def test_spin_table_settles_for_stock_gains():
@@ -806,21 +779,49 @@ def test_spin_table_refuses_a_spin_up_that_reverses_the_wheels():
         spin_table(params, 0.05)
 
 
-def test_spin_up_without_a_fixed_point_continues_like_the_reference():
+def test_each_table_row_is_the_spin_row_of_the_row_before():
+    """The table starts from rest and steps by `_spin_row`, whose wheel
+    speed and controller state are those of a loop that runs `pid_update`
+    and `motor_step` on one `PidState`."""
+    for params, dt_s in ((VehicleParams(), 0.05), (VehicleParams(motor_gain=1.5, track_m=0.3), 0.001)):
+        rows = spin_table(params, dt_s).rows
+        assert rows[0] == _spin_row(params, dt_s, (0.0,) * 5)
+        assert all(_spin_row(params, dt_s, before) == row for before, row in zip(rows, rows[1:]))
+        pid, omega = PidState(), 0.0
+        for row in rows:
+            omega = motor_step(omega, pid_update(pid, params.cruise_omega, omega, dt_s), params, dt_s)
+            assert (row[0], row[3], row[4]) == (omega, pid.integral, pid.prev_error)
+
+
+def count_live_spins(monkeypatch):
+    """The `_spin_row` calls from here on: past an agent's table, its live spins."""
+    calls = []
+    step = swarmport.vehicle._spin_row
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(swarmport.vehicle, "_spin_row", counted)
+    return calls
+
+
+def test_spin_up_without_a_fixed_point_continues_like_the_reference(monkeypatch):
     """At dt 0.001 the stock spin-up needs about 16,000 rows to settle, so
-    its table caps at SPIN_TABLE_CAP: past it the agent runs on the live
-    loop from the exact state reached."""
+    its table caps at SPIN_TABLE_CAP: past it the agent steps on from its
+    last row, one live spin a tick."""
     table = spin_table(VehicleParams(), 0.001)
     assert not table.settled and len(table.rows) == SPIN_TABLE_CAP
     home = NodeId(0, 0)
-    grid, agent, ref = pair(home, VehicleParams())
+    agent, ref = pair(home, VehicleParams(), 0.001)
+    live = count_live_spins(monkeypatch)
     route = [home, NodeId(1, 0), home, NodeId(1, 0)]  # a 180 degree turn at each inner node
     path = make_path(route)
     agent.begin_reposition(path)
     ref.begin(path)
-    end = drive_both(grid, agent, ref, lambda now: 0.001, 0, 3 * SPIN_TABLE_CAP)
+    end = drive_both(agent, ref, 0.001, 0, 3 * SPIN_TABLE_CAP)
     assert not agent.busy and agent.current_node == route[-1]
-    assert end > SPIN_TABLE_CAP and agent._table is None  # one spin a tick, never halted
+    assert len(live) == end - SPIN_TABLE_CAP > 0  # one spin a tick from tick 0, never halted
 
 
 def test_a_live_loop_that_reverses_the_wheels_raises_before_it_moves(monkeypatch):
@@ -832,51 +833,28 @@ def test_a_live_loop_that_reverses_the_wheels_raises_before_it_moves(monkeypatch
     spin_table.cache_clear()
     try:
         home = NodeId(0, 0)
-        grid, agent, ref = pair(home, params)
+        agent, ref = pair(home, params, 0.05)
+        live = count_live_spins(monkeypatch)
         path = make_path([home, NodeId(1, 0), NodeId(2, 0), NodeId(3, 0)])
         agent.begin_reposition(path)
         ref.begin(path)
         now = 0
         for now in range(9):
-            assert agent.step(grid, 0.05, now) == ref.step(grid, 0.05, now)
+            assert agent.step(now) == ref.step(GRID, 0.05, now)
             assert (agent.x, agent.y) == (ref.x, ref.y)
-        assert agent._table is None  # the capped table handed over at the ninth spin
+        assert len(live) == 1  # the capped table ran out at the ninth spin
         with pytest.raises(TimestepTooLarge, match="dt 0.05 reverses the wheels"):
             for now in range(9, 100):
                 where = (ref.x, ref.y, ref.heading)
-                agent.step(grid, 0.05, now)
-                ref.step(grid, 0.05, now)
+                agent.step(now)
+                ref.step(GRID, 0.05, now)
                 assert (agent.x, agent.y, agent.pose.heading_deg) == (ref.x, ref.y, ref.heading)
-        ref.step(grid, 0.05, now)
+        ref.step(GRID, 0.05, now)
         assert ref.omega < 0 and (agent.x, agent.y, agent.pose.heading_deg) == where
     finally:
         spin_table.cache_clear()
 
 
-def test_timestep_above_the_stability_guard_raises_on_the_first_spin():
-    grid = build_grid(2.0, 2.0, 0.25)
-    agent = make_agent()
-    agent.begin_reposition(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=5))
-    assert agent.step(grid, 0.11, 0) == 5  # at rest: nothing spins yet
-    with pytest.raises(TimestepTooLarge):
-        agent.step(grid, 0.11, 5)
-
-
-def test_one_agent_at_two_timesteps_reads_the_table_of_each():
-    """One leg at dt 0.05, the next at 0.01, and a third that changes dt
-    mid spin-up, where the agent goes on from the state it reached."""
-    home = NodeId(0, 0)
-    grid, agent, ref = pair(home, VehicleParams())
-    legs = [
-        ([home, NodeId(1, 0), NodeId(1, 1)], lambda now: 0.05),
-        ([NodeId(1, 1), NodeId(0, 1), NodeId(0, 0)], lambda now: 0.01),
-        ([home, NodeId(0, 1), NodeId(0, 2)], lambda now: 0.05 if now % 50 < 25 else 0.01),
-    ]
-    now = 0
-    for begin, (route, dt_of) in zip((agent.begin_reposition, agent.on_destination, agent.unload), legs):
-        path = make_path(route, depart_at=now)
-        begin(path)
-        ref.begin(path)
-        now = drive_both(grid, agent, ref, dt_of, now, 5000)
-        assert ref.node == agent.current_node == route[-1]
-    assert agent.state == IDLE and agent._table is None  # the last leg ran live
+def test_timestep_above_the_stability_guard_refuses_the_agent():
+    with pytest.raises(TimestepTooLarge, match="exceeds stability guard"):
+        make_agent(dt_s=0.11)

@@ -19,12 +19,14 @@ whose range ends 1 m from the sensor, a depot whose sensor sits on a
 vehicle's home, a crossing fleet whose 7-degree sweep leaves a gap before
 360 under a 15-degree beam, and a depot whose vehicles differ in body
 radius; and a two-vehicle run at dt 0.001, whose spin-ups run past their
-capped table onto the live wheel loop.  59 cases in all.
+capped table onto the live wheel loop, with stock vehicles and with
+vehicles that differ in their `VehicleParams`.  60 cases in all.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import hashlib
 import json
@@ -125,8 +127,9 @@ def cases() -> dict:
         _with(crossing_document(5), "sensor", step_deg=7.0, beam_halfwidth_deg=15.0))
     out["depot-3-radii"] = lambda: scenario_from_dict(_radii(depot_document(3)))
     # At dt 0.001 a spin-up outruns its capped table, so the drives finish
-    # on the live wheel loop.
+    # on the live wheel loop, each vehicle from its own last row.
     out["capped-tail-dt0.001"] = lambda: scenario_from_dict(CAPPED_TAIL)
+    out["capped-tail-dt0.001-mixed"] = lambda: scenario_from_dict(_mixed(copy.deepcopy(CAPPED_TAIL)))
     return out
 
 
