@@ -83,7 +83,6 @@ class Hub:
         # Per pickup node, built when dispatch first meets it: hop counts over
         # the whole grid, and the hop counts that stop at park spots.
         self._from_pickup: dict[NodeId, tuple[dict[NodeId, int], dict[NodeId, int]]] = {}
-        self._vetted: set[int] = set()
         self.outbox: list[Message] = []
         # Without an inbound frame, dispatch has nothing new to do before
         # this tick: the next job release, the earliest order retry, or at
@@ -112,8 +111,8 @@ class Hub:
         On an undirected grid the leg home -> pickup (or pickup -> drop-off)
         exists without crossing another park spot exactly when home (or the
         drop-off) is in the stop-at-park-spots table, which is the bound
-        `plan_space_time` routes the leg with.  Each job is checked once, the
-        first time dispatch considers it.
+        `plan_space_time` routes the leg with.  The checks read only fixed
+        tables and homes: they raise the first time dispatch meets the job, or never.
         """
         pickup = job.pickup_node
         tables = self._from_pickup.get(pickup)
@@ -122,15 +121,13 @@ class Hub:
                 hop_distances(self.grid, pickup),
                 hop_distances(self.grid, pickup, self.park_spots),
             )
-        if job.job_id not in self._vetted:
-            reach = tables[1]
-            where = f"jobs: job {job.job_id} (pickup {tuple(pickup)}, destination {tuple(job.destination_node)})"
-            if job.destination_node not in reach:
-                raise ScenarioInvalid(f"{where}: no route to the destination avoids the other parking spots")
-            if not any(info.home in reach for info in self.vehicles.values()):
-                raise ScenarioInvalid(f"{where}: no vehicle home reaches the pickup without crossing a parking spot")
-            self._vetted.add(job.job_id)
-        return tables
+        reach = tables[1]
+        if job.destination_node in reach and any(info.home in reach for info in self.vehicles.values()):
+            return tables
+        where = f"jobs: job {job.job_id} (pickup {tuple(pickup)}, destination {tuple(job.destination_node)})"
+        if job.destination_node not in reach:
+            raise ScenarioInvalid(f"{where}: no route to the destination avoids the other parking spots")
+        raise ScenarioInvalid(f"{where}: no vehicle home reaches the pickup without crossing a parking spot")
 
     def dispatch(self, current_tick: int) -> list[tuple[int, Job]]:
         """Assign released jobs to free vehicles; retransmit stale orders.

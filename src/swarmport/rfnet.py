@@ -148,7 +148,8 @@ def decode(data: bytes) -> Message:
 @dataclass
 class Radio:
     channel: Channel
-    inbox: list[tuple[int, int, bytes]] = field(default_factory=list)
+    # (due tick, frame) in send order, which `Medium.poll` keeps by a stable sort.
+    inbox: list[tuple[int, bytes]] = field(default_factory=list)
 
 
 class Medium:
@@ -171,7 +172,6 @@ class Medium:
         self.latency_ticks = latency_ticks
         self._rng = random.Random(seed)
         self._radios: list[Radio] = []
-        self._seq = 0
         # A lower bound on the earliest due tick in any inbox; exact again
         # once ``_stale`` is cleared by recomputing it.
         self._next_due = math.inf
@@ -190,10 +190,9 @@ class Medium:
         if self.loss_probability > 0.0 and self._rng.random() < self.loss_probability:
             return
         due = current_tick + self.latency_ticks
-        self._seq += 1
         for radio in self._radios:
             if radio.channel == channel and radio is not sender:
-                radio.inbox.append((due, self._seq, frame))
+                radio.inbox.append((due, frame))
                 if due < self._next_due:
                     self._next_due = due
 
@@ -206,7 +205,7 @@ class Medium:
         return self._next_due
 
     def poll(self, radio: Radio, current_tick: int) -> list[bytes]:
-        """Frames due by now on the radio's channel, in send order."""
+        """Frames due by now on the radio's channel, by due tick, then in send order."""
         if not radio.inbox:
             return []
         ready = [entry for entry in radio.inbox if entry[0] <= current_tick]
@@ -214,8 +213,8 @@ class Medium:
             return []
         radio.inbox = [entry for entry in radio.inbox if entry[0] > current_tick]
         self._stale = True
-        ready.sort(key=lambda e: (e[0], e[1]))
-        return [frame for _, _, frame in ready]
+        ready.sort(key=lambda e: e[0])
+        return [frame for _, frame in ready]
 
 
 def write_capture(records: list[tuple[int, int, bytes]], out_path) -> None:

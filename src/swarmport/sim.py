@@ -368,18 +368,18 @@ class JobTrace:
     complete_tick: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _SimVehicle:
     agent: VehicleAgent
     radio: Radio
+    # The hub's radio on this vehicle's channel.
+    hub_radio: Radio
     # The leg to plan at ``retry_at``, called with that tick: a retry
     # after NoPath, or the retrace once the unload dwell is over.
     pending: Callable[[int], None] | None = None
     retry_at: int = 0
     # The first tick at which stepping the vehicle can change anything.
     wake: float = 0
-    # The last telemetry frame, until the vehicle steps again.
-    telemetry_frame: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -420,16 +420,14 @@ class Simulation:
         self.hub = Hub(self.grid, self.park_spots)
 
         self.vehicles: dict[int, _SimVehicle] = {}
-        # The hub's radio per vehicle id, on that vehicle's channel.
-        self.hub_radios: dict[int, Radio] = {}
         for vcfg in sorted(scenario.vehicles, key=lambda v: v.vehicle_id):
             agent = VehicleAgent(vcfg.vehicle_id, vcfg.home_node, self.grid, self.dt, vcfg.params)
             agent.departure_gate = self._departure_gate
             radio = self.medium.attach(Radio(Channel(vcfg.vehicle_id)))
-            self.hub_radios[vcfg.vehicle_id] = self.medium.attach(Radio(Channel(vcfg.vehicle_id)))
+            hub_radio = self.medium.attach(Radio(Channel(vcfg.vehicle_id)))
             self.hub.register_vehicle(vcfg.vehicle_id, vcfg.home_node)
             self.table.reserve(vcfg.vehicle_id, vcfg.home_node, 0, INF_TICK)
-            self.vehicles[vcfg.vehicle_id] = _SimVehicle(agent=agent, radio=radio)
+            self.vehicles[vcfg.vehicle_id] = _SimVehicle(agent=agent, radio=radio, hub_radio=hub_radio)
         # The vehicles in ascending id: the order of every per-vehicle phase.
         self.fleet: list[_SimVehicle] = list(self.vehicles.values())
         # The fleet positions of the vehicles stepped this tick.
@@ -439,8 +437,10 @@ class Simulation:
 
         self.sensor_cfg = scenario.sensor
         # Which vehicles each sweep index can echo from, by the hop each is
-        # on; the first radar phase builds it (see `_radar_phase`).
-        self._hop_index: HopIndex | None = None
+        # on.  Tick 0 places every vehicle: all step then, as ``wake`` starts
+        # at 0, and none has its (node, edge end) pair in ``_hop_keys`` yet.
+        agents = [sv.agent for sv in self.fleet]
+        self._hop_index = HopIndex(self.sensor_cfg, agents, [a.params.body_radius_m for a in agents])
         # Per vehicle, the (node, edge end) of its hop, and the fleet
         # positions whose pair changed this tick.
         self._hop_keys: list[tuple[NodeId | None, NodeId | None]] = [(None, None)] * len(self.fleet)
@@ -448,8 +448,6 @@ class Simulation:
         self._sweep_len = self.sensor_cfg.sweep_len
         # The frame line of a sweep index that returned no echo.
         self._quiet_lines: list[str | None] = [None] * self._sweep_len
-        self._radar_idx = 0
-        self._radar_dir = 1
         self._sweep_samples: list[tuple[float, float | None]] = []
         self.sweep_count = 0
         self.frame_lines: list[str] = []
@@ -567,8 +565,8 @@ class Simulation:
                 if msg.kind == MessageKind.ASSIGN_DESTINATION and msg.vehicle_id == sv.agent.vehicle_id:
                     self._handle_assign(sv, NodeId(msg.dest[0], msg.dest[1]), now)
         inbound: list[Message] = []
-        for radio in self.hub_radios.values():
-            for frame in self.medium.poll(radio, now):
+        for sv in self.fleet:
+            for frame in self.medium.poll(sv.hub_radio, now):
                 try:
                     msg = decode(frame)
                 except DecodeError:
@@ -590,7 +588,7 @@ class Simulation:
                 ingest_telemetry(hub, msg, now, self.vehicles[msg.vehicle_id].agent.state)
         hub.dispatch(now)
         for msg in hub.outbox:
-            self.medium.send(self.hub_radios[msg.vehicle_id], encode(msg), now)
+            self.medium.send(self.vehicles[msg.vehicle_id].hub_radio, encode(msg), now)
         hub.outbox.clear()
 
     def _vehicle_phase(self, now: int) -> None:
@@ -605,7 +603,6 @@ class Simulation:
             if now < sv.wake:
                 continue
             stepped.append(i)
-            sv.telemetry_frame = None
             agent = sv.agent
             if sv.pending is not None and now >= sv.retry_at:
                 sv.pending(now)
@@ -654,21 +651,16 @@ class Simulation:
 
         A vehicle stays on the segment from its node to its edge end while
         that pair holds, since a spin-up never reverses the wheels, and
-        only a stepped vehicle's pair can change.  The first call builds the
-        index and places every vehicle, so set-up pays nothing for it.
+        only a stepped vehicle's pair can change.  The tick fixes the sweep
+        index: up from 0 on even sweeps, back down on odd ones, so each end
+        index is read twice in a row.
         """
         fleet = self.fleet
         index = self._hop_index
-        if index is None:
-            agents = [sv.agent for sv in fleet]
-            index = self._hop_index = HopIndex(self.sensor_cfg, agents, [a.params.body_radius_m for a in agents])
-            moved = range(len(fleet))
-        else:
-            moved = self._stepped
         keys = self._hop_keys
         node_to_position = self.grid.node_to_position
         rehopped = self._rehopped = []
-        for i in moved:
+        for i in self._stepped:
             agent = fleet[i].agent
             edge = agent.edge_in_progress()
             src = agent.current_node
@@ -679,7 +671,9 @@ class Simulation:
                 rehopped.append(i)
                 index.place(i, node_to_position(src), node_to_position(dst))
 
-        idx = self._radar_idx
+        sweep, step = divmod(now, self._sweep_len)
+        direction = -1 if sweep % 2 else 1
+        idx = self._sweep_len - 1 - step if sweep % 2 else step
         angle = idx * self.sensor_cfg.step_deg
         dist = index.echo(idx, angle)
         self._sweep_samples.append((angle, dist))
@@ -690,24 +684,18 @@ class Simulation:
         else:
             line = encode_frame(angle, dist)
         self.frame_lines.append(line)
-        self._radar_idx += self._radar_dir
-        if self._radar_idx >= self._sweep_len or self._radar_idx < 0:
-            scan = Scan(self.sensor_cfg.origin, self._sweep_samples, self._radar_dir)
-            self.sweep_count += 1
+        if step == self._sweep_len - 1:
+            scan = Scan(self.sensor_cfg.origin, self._sweep_samples, direction)
+            self.sweep_count = sweep + 1
             if self.sweep_count == 1 or self.sweep_count % RENDER_EVERY_SWEEPS == 0:
                 self.renders.append((self.sweep_count, scan))
             self._sweep_samples = []
-            self._radar_dir = -self._radar_dir
-            self._radar_idx = 0 if self._radar_dir > 0 else self._sweep_len - 1
 
     def _telemetry_phase(self, now: int) -> None:
         if now % self.scenario.sim.telemetry_interval != 0:
             return
         for sv in self.fleet:
-            frame = sv.telemetry_frame
-            if frame is None:
-                frame = sv.telemetry_frame = encode(sv.agent.telemetry())
-            self.medium.send(sv.radio, frame, now)
+            self.medium.send(sv.radio, encode(sv.agent.telemetry()), now)
 
     def _trace_phase(self) -> None:
         """Append this tick's rows; a vehicle that did not move keeps its tuples.

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 from .errors import IllegalTransition, TimestepTooLarge
 from .grid import GridMap, NodeId
 from .planner import INF_TICK, TimedPath
-from .rfnet import Message, MessageKind
+from .rfnet import CHANNEL_COUNT, Message, MessageKind
 
 IDLE = "IDLE"
 LOADED = "LOADED"
@@ -68,7 +68,6 @@ _AT_REST = (0.0, 0.0, 0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class VehicleParams:
-    wheelbase_m: float = 0.36
     track_m: float = 0.35
     wheel_radius_m: float = 0.05
     cruise_speed_m_s: float = 0.1
@@ -78,7 +77,7 @@ class VehicleParams:
 
     def __post_init__(self) -> None:
         for name in (
-            "wheelbase_m", "track_m", "wheel_radius_m", "cruise_speed_m_s",
+            "track_m", "wheel_radius_m", "cruise_speed_m_s",
             "motor_gain", "motor_time_constant_s", "body_radius_m",
         ):
             if getattr(self, name) <= 0:
@@ -148,7 +147,8 @@ class SpinTable(NamedTuple):
     settled: bool
 
 
-@lru_cache(maxsize=32)
+# Sized to the vehicle cap, so agents read back every table validation built.
+@lru_cache(maxsize=CHANNEL_COUNT)
 def spin_table(params: VehicleParams, dt_s: float) -> SpinTable:
     """The spin-up of ``params`` at ``dt_s``, up to SPIN_TABLE_CAP rows.
 
@@ -448,7 +448,6 @@ class VehicleAgent:
             yaw_deg = self._spin()[1]
             if yaw_deg >= self._turn_remaining:
                 self._heading = self._hop_heading
-                self._turn_remaining = 0.0
                 wait = self._hold(now)
                 if wait is not None:
                     return wait

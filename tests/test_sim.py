@@ -12,10 +12,11 @@ from swarmport.errors import ScenarioInvalid
 from swarmport.grid import GridMap, NodeId, Position
 from swarmport.hub import Job, metrics
 from swarmport.planner import INF_TICK
-from swarmport.radar import Disc, WorldModel, echo_distance
+from swarmport.radar import Disc, SweepConfig, WorldModel, echo_distance
 from swarmport.rfnet import encode
 from swarmport.sim import (
     NOPATH_RETRY_TICKS,
+    RENDER_EVERY_SWEEPS,
     MediumConfig,
     Scenario,
     SimConfig,
@@ -31,7 +32,7 @@ from swarmport.sim import (
     scenario_to_dict,
     validate_scenario,
 )
-from swarmport.vehicle import RETRACING, UNLOADING, VehicleParams
+from swarmport.vehicle import RETRACING, UNLOADING, VehicleParams, spin_table
 
 
 def replace_scenario(base, **kw):
@@ -62,6 +63,19 @@ def test_vehicle_count_cap():
     scenario = replace_scenario(default_scenario(), vehicles=vehicles, jobs=())
     with pytest.raises(ScenarioInvalid):
         validate_scenario(scenario)
+
+
+def test_a_fleet_of_distinct_params_builds_each_spin_table_once():
+    """Validation builds one table per distinct VehicleParams and each agent
+    reads its table back: 40 misses, then 40 hits."""
+    vehicles = tuple(
+        VehicleSpec(i, NodeId(i % 9, i // 9), VehicleParams(cruise_speed_m_s=0.05 + 0.001 * i)) for i in range(40)
+    )
+    scenario = replace_scenario(default_scenario(), vehicles=vehicles, jobs=())
+    spin_table.cache_clear()
+    Simulation(scenario)
+    info = spin_table.cache_info()
+    assert (info.misses, info.hits) == (40, 40)
 
 
 def test_duplicate_vehicle_ids_rejected():
@@ -244,6 +258,10 @@ def edited_default(path, value=None):
             edited_default(("vehicles", 0, "params"), {"cruise_speed_m_s": math.nan}),
             "vehicles[0].params.cruise_speed_m_s: expected a finite number, got nan",
         ),
+        (
+            edited_default(("vehicles", 0, "params"), {"wheelbase_m": 0.36}),
+            "vehicles[0].params: unknown field(s) wheelbase_m",
+        ),
     ],
 )
 def test_malformed_document_names_the_field(data, field):
@@ -292,14 +310,30 @@ def test_radar_advances_one_step_per_tick():
     assert sim.sweep_count == 2
 
 
-def test_sweep_direction_alternates_with_boundary_repeat():
-    sim = Simulation(Scenario())
-    for _ in range(720):
+@pytest.mark.parametrize("step_deg, sweep_len", [(1.0, 360), (7.0, 51), (13.0, 27)])
+def test_sweep_direction_alternates_with_boundary_repeat(step_deg, sweep_len):
+    """The engine works the sweep out from the tick; it must point where a
+    servo that keeps an index and a direction, and turns back at each end
+    index after reading it, points."""
+    sim = Simulation(Scenario(sensor=SweepConfig(step_deg=step_deg)))
+    assert sim.sensor_cfg.sweep_len == sweep_len
+    idx, direction, sweeps, samples = 0, 1, 0, 0
+    kept = []
+    for _ in range(21 * sweep_len + sweep_len // 2):
         sim.tick()
-    angles = [line.split(",")[0] for line in sim.frame_lines]
-    # ascending 0..359, then descending 359..0
-    assert angles[:3] == ["0", "1", "2"]
-    assert angles[358:362] == ["358", "359", "359", "358"]
+        assert sim.frame_lines[-1].split(",")[0] == str(round(idx * step_deg))
+        samples += 1
+        idx += direction
+        if not 0 <= idx < sweep_len:
+            sweeps += 1
+            if sweeps == 1 or sweeps % RENDER_EVERY_SWEEPS == 0:
+                kept.append((sweeps, direction, samples))
+            samples = 0
+            direction = -direction
+            idx = 0 if direction > 0 else sweep_len - 1
+        assert sim.sweep_count == sweeps
+    assert sweeps == 21
+    assert [(n, scan.direction, len(scan.samples)) for n, scan in sim.renders] == kept
 
 
 def test_telemetry_sampled_on_interval():
@@ -541,7 +575,6 @@ def counted_run(scenario, every_tick):
     def step_every_vehicle(now):
         sim._stepped = list(range(len(sim.fleet)))
         for sv in sim.fleet:
-            sv.telemetry_frame = None
             agent = sv.agent
             if sv.pending is not None and now >= sv.retry_at:
                 sv.pending(now)

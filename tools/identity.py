@@ -7,7 +7,8 @@ Run it from the root of a checkout; it imports the program from `src/`
 and the scenario generators from `perfbench/workloads.py`.  Each case
 runs in the engine with the pose/occupancy trace and the radio capture
 on, and its digest covers the tick count, the job traces, both traces,
-the hub's telemetry log, the radar frame lines and the capture.  A change
+the hub's telemetry log, the radar frame lines, the sweep count, the
+kept scans (number, direction and samples) and the capture.  A change
 that means to alter any of these records the table again and says why.
 
 The cases cover what the golden hashes and the benchmark digests leave
@@ -154,8 +155,9 @@ def run_digest(scenario) -> str:
         for t in sim.job_traces
     ]
     log = [[getattr(rec, f) for f in LOG_FIELDS] for rec in sim.hub.log]
-    totals = [sim.tick_count, sim.completed_jobs, sim.total_jobs, sim.last_complete_tick]
-    h.update(json.dumps([jobs, log, totals]).encode())
+    totals = [sim.tick_count, sim.completed_jobs, sim.total_jobs, sim.last_complete_tick, sim.sweep_count]
+    scans = [[n, scan.direction, scan.samples] for n, scan in sim.renders]
+    h.update(json.dumps([jobs, log, totals, scans]).encode())
     return h.hexdigest()
 
 
