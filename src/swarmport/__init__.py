@@ -22,7 +22,7 @@ from .errors import (
     VehicleLimitExceeded,
 )
 from .grid import GridMap, NodeId, Position, build_grid
-from .hub import Hub, Job, TelemetryRecord, associate_radar, ingest_telemetry, metrics, write_csv
+from .hub import Hub, Job, TelemetryRecord, ingest_telemetry, metrics, write_csv
 from .planner import (
     Path,
     ReservationTable,
@@ -39,9 +39,7 @@ from .radar import (
     Disc,
     Scan,
     SweepConfig,
-    WorldModel,
     detect_targets,
-    echo_distance,
     encode_frame,
     render_frame,
     sweep,
@@ -97,9 +95,7 @@ __all__ = [
     "VehicleAgent",
     "VehicleLimitExceeded",
     "VehicleParams",
-    "WorldModel",
     "assign_channel",
-    "associate_radar",
     "astar",
     "bellman_ford",
     "build_grid",
@@ -108,7 +104,6 @@ __all__ = [
     "default_scenario",
     "detect_targets",
     "dijkstra",
-    "echo_distance",
     "encode",
     "encode_frame",
     "floyd_warshall",

@@ -15,7 +15,7 @@ from dataclasses import replace
 from .errors import IoFailure, NoPath, ScenarioInvalid, SwarmportError
 from .grid import NodeId
 from .planner import astar, bellman_ford, dijkstra, floyd_warshall
-from .radar import Disc, WorldModel, detect_targets, encode_frame, render_frame, sweep
+from .radar import Disc, detect_targets, encode_frame, render_frame, sweep
 from .sim import (
     Scenario,
     default_scenario,
@@ -95,13 +95,8 @@ def cmd_plan(scenario: Scenario, src: NodeId, dst: NodeId, algorithm: str) -> in
 def cmd_scan(scenario: Scenario, out_dir: str) -> int:
     grid = validate_scenario(scenario)
     cfg = scenario.sensor
-    world = WorldModel(
-        [
-            Disc(grid.node_to_position(v.home_node), v.params.body_radius_m)
-            for v in scenario.vehicles
-        ]
-    )
-    scan = sweep(world, cfg, 0.0, (cfg.sweep_len - 1) * cfg.step_deg)
+    discs = [Disc(grid.node_to_position(v.home_node), v.params.body_radius_m) for v in scenario.vehicles]
+    scan = sweep(cfg, discs)
     targets = detect_targets(scan, cfg)
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Central coordinator: job dispatch, fleet telemetry, radar association.
+"""Central coordinator: job dispatch, fleet telemetry and its metrics.
 
 The hub is co-located with the sim loop.  Mission bookkeeping (who is free)
 comes from the engine's job-complete callback, and a free vehicle is always
@@ -14,13 +14,9 @@ from dataclasses import dataclass
 from .errors import EmptyLog, IoFailure, ScenarioInvalid, UnknownVehicle
 from .grid import GridMap, NodeId
 from .planner import hop_distances
-from .radar import TargetEstimate
 from .rfnet import Message, MessageKind, assign_channel
 
-UNMATCHED = "UNMATCHED"
-
 ORDER_RETRY_TICKS = 20
-ASSOCIATION_GATE_M = 0.3
 
 
 @dataclass(frozen=True)
@@ -78,8 +74,6 @@ class Hub:
         self.assignments: dict[int, int] = {}
         self.orders: dict[int, _Order] = {}
         self.log: list[TelemetryRecord] = []
-        # Newest record per vehicle, keyed in order of first appearance.
-        self.latest: dict[int, TelemetryRecord] = {}
         # Per pickup node, built when dispatch first meets it: hop counts over
         # the whole grid, and the hop counts that stop at park spots.
         self._from_pickup: dict[NodeId, tuple[dict[NodeId, int], dict[NodeId, int]]] = {}
@@ -229,35 +223,7 @@ def ingest_telemetry(hub: Hub, message: Message, tick: int, state: str) -> Telem
         state=state,
     )
     hub.log.append(rec)
-    hub.latest[rec.vehicle_id] = rec
     return rec
-
-
-def associate_radar(
-    targets: list[TargetEstimate], latest: dict[int, TelemetryRecord]
-) -> dict[int, int | str]:
-    """Greedy nearest-neighbor match of radar targets to telemetry poses.
-
-    Pairs farther than the association gate stay UNMATCHED and are treated
-    as obstacles.  Each vehicle is claimed by at most one target.
-    """
-    pairs: list[tuple[float, int, int]] = []
-    for t_idx, target in enumerate(targets):
-        for vid, rec in latest.items():
-            d = math.hypot(target.centroid[0] - rec.x_m, target.centroid[1] - rec.y_m)
-            if d <= ASSOCIATION_GATE_M:
-                pairs.append((d, t_idx, vid))
-    pairs.sort()
-    result: dict[int, int | str] = {i: UNMATCHED for i in range(len(targets))}
-    used_targets: set[int] = set()
-    used_vehicles: set[int] = set()
-    for d, t_idx, vid in pairs:
-        if t_idx in used_targets or vid in used_vehicles:
-            continue
-        result[t_idx] = vid
-        used_targets.add(t_idx)
-        used_vehicles.add(vid)
-    return result
 
 
 CSV_HEADER = (

@@ -14,12 +14,13 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import BadInterval, GridTooLarge, NoPath
 from .grid import GridMap, NodeId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INF_TICK = math.inf
 
@@ -187,6 +188,8 @@ class AllPairsCosts:
 
 def floyd_warshall(grid: GridMap) -> AllPairsCosts:
     """All-pairs hop counts; guarded to small grids (cubic in nodes)."""
+    import numpy as np  # here, so that importing swarmport does not load numpy
+
     n = grid.node_count
     if n > 1000:
         raise GridTooLarge(f"{n} nodes exceeds the 1000-node all-pairs guard")

@@ -3,9 +3,10 @@
 A sensor at a fixed origin sweeps the terrain in angular steps, reporting
 the nearest disc obstacle along each bearing as an echo distance.  Scans
 cluster into target estimates, stream as terse serial lines, and render
-to deterministic SVG frames.  The engine's moving vehicles are sensed
-through a `HopIndex`, which tests at each sweep index only the bodies
-whose current segment the beam can reach.
+to deterministic SVG frames.  Every echo is read through a `HopIndex`,
+which tests at each sweep index only the bodies whose segment the beam
+can reach: the engine's moving vehicles on their current hops, and in
+`sweep` still discs, each placed at its centre.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ class SweepConfig:
     def sweep_len(self) -> int:
         """Samples in one full sweep: whole steps that fit in 360 degrees."""
         return max(1, int(math.floor(360.0 / self.step_deg + 1e-9)))
-
-
-@dataclass
-class WorldModel:
-    obstacles: list[Disc]
 
 
 @dataclass
@@ -107,16 +103,6 @@ def disc_echo(cfg: SweepConfig, angle_deg: float, x: float, y: float, radius_m: 
     return hit if hit <= cfg.max_range_m else None
 
 
-def echo_distance(world: WorldModel, cfg: SweepConfig, angle_deg: float) -> float | None:
-    """Nearest ray-disc hit within the beam cone, capped at max range."""
-    best: float | None = None
-    for disc in world.obstacles:
-        hit = disc_echo(cfg, angle_deg, disc.center.x, disc.center.y, disc.radius_m)
-        if hit is not None and (best is None or hit < best):
-            best = hit
-    return best
-
-
 def _index_spans(lo_deg: float, width_deg: float, step_deg: float, n: int) -> tuple[tuple[int, int], ...]:
     """The sweep indices ``k < n`` whose angle ``k * step_deg`` lies on the arc
     from ``lo_deg`` through ``width_deg``, as half-open index ranges."""
@@ -144,11 +130,12 @@ class HopIndex:
     segment's ends, widened on each side by the disc's angular radius seen
     from the segment's nearest point, the beam half-width and
     REACH_MARGIN_DEG.  A segment whose disc can cover the origin sets every
-    index; one whose disc stays beyond max range sets none.
+    index; one whose disc stays beyond max range, or has no positive
+    radius, sets none.
 
     `echo` evaluates `disc_echo` only for the bodies the index's mask names,
     read at ``bodies[i].x, bodies[i].y`` as they are then, so it returns
-    what `echo_distance` would over every body's disc.
+    the nearest hit over every body's disc.
     """
 
     def __init__(self, cfg: SweepConfig, bodies: Sequence, radii: Sequence[float]) -> None:
@@ -180,7 +167,7 @@ class HopIndex:
         length_sq = dx * dx + dy * dy
         t = 0.0 if length_sq == 0 else max(0.0, min(1.0, -(ax * dx + ay * dy) / length_sq))
         nearest = math.hypot(ax + t * dx, ay + t * dy)
-        if nearest - radius_m > cfg.max_range_m + REACH_MARGIN_M:
+        if radius_m <= 0 or nearest - radius_m > cfg.max_range_m + REACH_MARGIN_M:
             return ()
         if nearest <= radius_m + REACH_MARGIN_M:
             return ((0, n),)
@@ -217,15 +204,18 @@ def polar_to_cartesian(origin: Position, angle_deg: float, distance_m: float) ->
     return Position(origin.x + distance_m * math.cos(a), origin.y + distance_m * math.sin(a))
 
 
-def sweep(world: WorldModel, cfg: SweepConfig, start_deg: float, end_deg: float) -> Scan:
-    """Sample every cfg.step_deg from start toward end, inclusive."""
-    direction = 1 if end_deg >= start_deg else -1
-    count = int(math.floor(abs(end_deg - start_deg) / cfg.step_deg)) + 1
+def sweep(cfg: SweepConfig, discs: Sequence[Disc]) -> Scan:
+    """One full sweep of still ``discs``: at each sweep index k from 0 to
+    ``sweep_len - 1``, the nearest echo at angle ``k * step_deg``."""
+    centres = [disc.center for disc in discs]
+    index = HopIndex(cfg, centres, [disc.radius_m for disc in discs])
+    for i, centre in enumerate(centres):
+        index.place(i, centre, centre)
     samples = []
-    for i in range(count):
-        angle = start_deg + direction * i * cfg.step_deg
-        samples.append((angle, echo_distance(world, cfg, angle)))
-    return Scan(cfg.origin, samples, direction)
+    for k in range(cfg.sweep_len):
+        angle = k * cfg.step_deg
+        samples.append((angle, index.echo(k, angle)))
+    return Scan(cfg.origin, samples, 1)
 
 
 def detect_targets(scan: Scan, cfg: SweepConfig) -> list[TargetEstimate]:

@@ -173,11 +173,6 @@ class Pose(NamedTuple):
     heading_deg: float
 
 
-class WheelDynamics(NamedTuple):
-    omega_left: float
-    omega_right: float
-
-
 class VehicleAgent:
     """Waypoint-following cargo vehicle on ``grid``, stepped by the sim
     loop every ``dt_s``.
@@ -319,18 +314,13 @@ class VehicleAgent:
         return Pose(self.x, self.y, self._heading)
 
     @property
-    def wheels(self) -> WheelDynamics:
-        omega = self._row[0]
-        if self._phase == _DRIVE:
-            return WheelDynamics(omega, omega)
-        if self._phase == _TURN:
-            return WheelDynamics(-self._turn_sign * omega, self._turn_sign * omega)
-        return WheelDynamics(0.0, 0.0)
-
-    @property
     def speed_m_s(self) -> float:
-        left, right = self.wheels
-        return self.params.wheel_radius_m * (left + right) / 2.0
+        """Forward speed: the mean of the two wheels' rim speeds, which
+        cancel while the vehicle turns in place and are 0 at rest."""
+        if self._phase != _DRIVE:
+            return 0.0
+        omega = self._row[0]
+        return self.params.wheel_radius_m * (omega + omega) / 2.0
 
     def telemetry(self) -> Message:
         return Message(

@@ -28,7 +28,6 @@ from swarmport.planner import (
 from swarmport.radar import (
     Disc,
     SweepConfig,
-    WorldModel,
     detect_targets,
     sweep,
     time_of_flight,
@@ -286,7 +285,7 @@ def test_c5_radar_counts_and_centroids_on_20_seeded_worlds():
     for seed in range(20):
         origin, discs = disc_world(seed)
         cfg = SweepConfig(origin=origin)
-        scan = sweep(WorldModel(discs), cfg, 0.0, 359.0)
+        scan = sweep(cfg, discs)
         targets = detect_targets(scan, cfg)
         assert len(targets) == len(discs), f"seed {seed}"
 

@@ -9,6 +9,7 @@ import swarmport.sim
 from swarmport.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, main
 from swarmport.grid import NodeId
 from swarmport.hub import Job
+from swarmport.radar import SweepConfig
 from swarmport.sim import (
     Scenario,
     SimConfig,
@@ -96,9 +97,11 @@ def test_plan_rejects_unknown_algorithm(scenario_file):
 # ------------------------------------------------------------------- scan
 
 
-def test_scan_stream_covers_full_revolution(tmp_path, capsys):
+@pytest.mark.parametrize("step_deg", [1.0, 0.39, 0.73, 2.83])
+def test_scan_stream_covers_full_revolution(step_deg, tmp_path, capsys):
     # no vehicles -> every sample reads zero
-    empty = Scenario()
+    sensor = SweepConfig(step_deg=step_deg)
+    empty = Scenario(sensor=sensor)
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(scenario_to_dict(empty)))
     out_dir = tmp_path / "scan_out"
@@ -106,9 +109,10 @@ def test_scan_stream_covers_full_revolution(tmp_path, capsys):
     assert code == EXIT_OK
     assert "targets: 0" in capsys.readouterr().err
     lines = (out_dir / "scan_stream.txt").read_text().splitlines()
-    assert len(lines) == 360
+    # One line per sweep index, the last at (sweep_len - 1) * step_deg.
+    assert len(lines) == sensor.sweep_len
     assert lines[0] == "0,0."
-    assert lines[-1] == "359,0."
+    assert lines[-1] == f"{round((sensor.sweep_len - 1) * step_deg)},0."
     assert (out_dir / "scan.svg").exists()
 
 

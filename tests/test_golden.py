@@ -51,7 +51,7 @@ SCENARIOS = {
 DEFAULTS_DOCUMENT = "4c7ddac92e5dc8b8784805ecb298a414b9bd8cee1785479c9bd89cbf7538bedb"
 
 # What `swarmport scan` writes for the default scenario: one sweep of the
-# parked vehicles through `radar.sweep` and `echo_distance`.
+# parked vehicles through `radar.sweep` and its `HopIndex`.
 SCAN_GOLDEN = {
     "scan.svg": "99b21e2baa9817a9c92ed30dd66233356d8080b16a9bfbe2c9c36171833a58b1",
     "scan_stream.txt": "870d45b877eccf237e1e97ce774725e055bca998a8ebbf6ccbac6f356fa8ee16",

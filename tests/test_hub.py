@@ -1,6 +1,5 @@
-"""Coordinator: dispatch, telemetry ingestion, radar association, CSV, metrics."""
+"""Coordinator: dispatch, telemetry ingestion, CSV, metrics."""
 
-import itertools
 import math
 import random
 from dataclasses import replace
@@ -10,21 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmport.errors import EmptyLog, IoFailure, ScenarioInvalid, UnknownVehicle
-from swarmport.grid import NodeId, Position, build_grid
+from swarmport.grid import NodeId, build_grid
 from swarmport.hub import (
-    ASSOCIATION_GATE_M,
     CSV_HEADER,
-    UNMATCHED,
     Hub,
     Job,
     TelemetryRecord,
-    associate_radar,
     ingest_telemetry,
     metrics,
     write_csv,
 )
 from swarmport.planner import hop_distances
-from swarmport.radar import TargetEstimate
 from swarmport.rfnet import Message, MessageKind
 
 
@@ -50,10 +45,6 @@ def record(tick, vid, x, y, speed=0.0, state="IDLE"):
     dist = math.hypot(x, y)
     angle = 0.0 if dist == 0 else math.degrees(math.atan2(y, x)) % 360.0
     return TelemetryRecord(tick, vid, x, y, 0.0, speed, dist, angle, state)
-
-
-def target_at(x, y):
-    return TargetEstimate(Position(x, y), 0.0, math.hypot(x, y), 3)
 
 
 # --------------------------------------------------------------- telemetry
@@ -100,8 +91,9 @@ def test_ingest_rejects_non_telemetry():
 def test_ingest_appends_to_log():
     hub = make_hub()
     ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.0), 1, state="IDLE")
-    ingest_telemetry(hub, telemetry_msg(0, 0.75, 0.0), 2, state="IDLE")
+    rec = ingest_telemetry(hub, telemetry_msg(0, 0.75, 0.0), 2, state="IDLE")
     assert [r.tick for r in hub.log] == [1, 2]
+    assert rec is hub.log[-1]
 
 
 def test_ingest_records_the_state_it_is_given():
@@ -109,16 +101,6 @@ def test_ingest_records_the_state_it_is_given():
     ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.0), 1, state="TRANSIT")
     ingest_telemetry(hub, telemetry_msg(0, 0.75, 0.0), 2, state="UNLOADING")
     assert [r.state for r in hub.log] == ["TRANSIT", "UNLOADING"]
-
-
-def test_ingest_returns_record_and_latest_keeps_first_appearance_order():
-    hub = make_hub(vehicles=((0, NodeId(0, 0)), (1, NodeId(8, 8))))
-    ingest_telemetry(hub, telemetry_msg(1, 1.5, 1.5), 0, state="IDLE")
-    ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.5), 1, state="IDLE")
-    rec = ingest_telemetry(hub, telemetry_msg(1, 1.25, 1.5), 2, state="IDLE")
-    assert rec is hub.log[-1]
-    assert list(hub.latest) == [1, 0]
-    assert hub.latest[1] is rec
 
 
 # ---------------------------------------------------------------- dispatch
@@ -362,94 +344,6 @@ def test_one_active_job_per_vehicle():
     hub.add_job(Job(1, NodeId(2, 0), NodeId(6, 0)))
     assigned = hub.dispatch(0)
     assert len(assigned) == 1
-
-
-# -------------------------------------------------------------- association
-
-
-def test_target_at_exact_pose_matches():
-    hub = make_hub()
-    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0, state="IDLE")
-    result = associate_radar([target_at(1.0, 1.0)], hub.latest)
-    assert result == {0: 0}
-
-
-def test_distant_target_stays_unmatched():
-    hub = make_hub()
-    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0, state="IDLE")
-    result = associate_radar([target_at(1.0, 2.0)], hub.latest)
-    assert result == {0: UNMATCHED}
-
-
-def test_gate_admits_just_inside_rejects_just_outside():
-    hub = make_hub()
-    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0, state="IDLE")
-    assert associate_radar([target_at(1.29, 1.0)], hub.latest) == {0: 0}
-    assert associate_radar([target_at(1.3125, 1.0)], hub.latest) == {0: UNMATCHED}
-
-
-def min_sum_oracle(targets, poses, gate):
-    """Exhaustive min-total-distance matching for small instances."""
-    best_cost, best = math.inf, {}
-    vids = list(poses)
-    for r in range(min(len(targets), len(vids)) + 1):
-        for t_subset in itertools.permutations(range(len(targets)), r):
-            for v_subset in itertools.permutations(vids, r):
-                cost = 0.0
-                ok = True
-                for t_idx, vid in zip(t_subset, v_subset):
-                    d = math.hypot(
-                        targets[t_idx].centroid[0] - poses[vid][0],
-                        targets[t_idx].centroid[1] - poses[vid][1],
-                    )
-                    if d > gate:
-                        ok = False
-                        break
-                    cost += d
-                # prefer more matches, then lower cost
-                if ok and (r, -cost) > (len(best), -best_cost):
-                    best_cost, best = cost, dict(zip(t_subset, v_subset))
-    return best
-
-
-def test_unambiguous_pairs_match_min_sum_oracle():
-    hub = make_hub(vehicles=((0, NodeId(0, 0)), (1, NodeId(8, 8))))
-    ingest_telemetry(hub, telemetry_msg(0, 0.5, 0.5), 0, state="IDLE")
-    ingest_telemetry(hub, telemetry_msg(1, 1.5, 1.5), 0, state="IDLE")
-    targets = [target_at(1.45, 1.5), target_at(0.55, 0.5)]
-    got = associate_radar(targets, hub.latest)
-    poses = {vid: (r.x_m, r.y_m) for vid, r in hub.latest.items()}
-    want = min_sum_oracle(targets, poses, ASSOCIATION_GATE_M)
-    assert got == {0: 1, 1: 0}
-    assert {k: v for k, v in got.items() if v != UNMATCHED} == want
-
-
-def test_never_matches_one_vehicle_twice():
-    hub = make_hub()
-    ingest_telemetry(hub, telemetry_msg(0, 1.0, 1.0), 0, state="IDLE")
-    targets = [target_at(1.01, 1.0), target_at(0.99, 1.0)]
-    result = associate_radar(targets, hub.latest)
-    matched = [v for v in result.values() if v != UNMATCHED]
-    assert matched == [0]
-    assert UNMATCHED in result.values()
-
-
-def test_random_scenes_never_double_match():
-    rng = random.Random(17)
-    for _ in range(30):
-        hub = make_hub(vehicles=tuple((i, NodeId(i, 0)) for i in range(3)))
-        for vid in range(3):
-            ingest_telemetry(hub, telemetry_msg(vid, rng.uniform(0, 2), rng.uniform(0, 2)), 0, state="IDLE")
-        targets = [target_at(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(4)]
-        result = associate_radar(targets, hub.latest)
-        matched = [v for v in result.values() if v != UNMATCHED]
-        assert len(matched) == len(set(matched))
-        for t_idx, vid in result.items():
-            if vid == UNMATCHED:
-                continue
-            rec = hub.latest[vid]
-            d = math.hypot(targets[t_idx].centroid[0] - rec.x_m, targets[t_idx].centroid[1] - rec.y_m)
-            assert d <= ASSOCIATION_GATE_M
 
 
 # --------------------------------------------------------------------- csv

@@ -1,13 +1,18 @@
 """Route search, reservation table, and space-time scheduling."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import swarmport
 from swarmport.errors import BadInterval, GridTooLarge, NoPath
 from swarmport.grid import GridMap, NodeId, build_grid
 from swarmport.planner import (
@@ -359,6 +364,14 @@ def test_floyd_warshall_node_limit():
     grid = build_grid(10.0, 10.0, 0.25)  # 41 x 41 = 1681 nodes
     with pytest.raises(GridTooLarge):
         floyd_warshall(grid)
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    """Only `floyd_warshall` needs numpy, and it imports it when called."""
+    src = Path(swarmport.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import swarmport, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from swarmport.errors import AngleOutOfRange, IoFailure, NonPositiveSpeed
 from swarmport.grid import Position
+from echo_reference import reference_echo_distance
 from swarmport.radar import (
     Disc,
     HopIndex,
     SweepConfig,
-    WorldModel,
     detect_targets,
-    echo_distance,
     encode_frame,
     polar_to_cartesian,
     render_frame,
@@ -28,36 +27,9 @@ def cfg(**overrides):
     return SweepConfig(origin=CENTER, **overrides)
 
 
-def reference_echo_distance(world, cfg, angle_deg):
-    """The echo formula written out afresh per disc and call: the oracle for
-    `echo_distance` and for `HopIndex.echo`."""
-    best = None
-    for disc in world.obstacles:
-        if disc.radius_m <= 0:
-            continue
-        bearing = math.degrees(math.atan2(disc.center.y - cfg.origin.y, disc.center.x - cfg.origin.x))
-        offset = (bearing - angle_deg + 180.0) % 360.0 - 180.0
-        clamped = max(-cfg.beam_halfwidth_deg, min(cfg.beam_halfwidth_deg, offset))
-        hit = reference_ray_disc(cfg.origin, math.radians(angle_deg + clamped), disc)
-        if hit is not None and hit <= cfg.max_range_m and (best is None or hit < best):
-            best = hit
-    return best
-
-
-def reference_ray_disc(origin, angle_rad, disc):
-    ox, oy = origin
-    cx, cy = disc.center
-    dx, dy = math.cos(angle_rad), math.sin(angle_rad)
-    fx, fy = cx - ox, cy - oy
-    dist_sq = fx * fx + fy * fy
-    if dist_sq <= disc.radius_m * disc.radius_m:
-        return 0.0
-    b = dx * fx + dy * fy
-    discriminant = b * b - (dist_sq - disc.radius_m * disc.radius_m)
-    if discriminant < 0:
-        return None
-    t = b - math.sqrt(discriminant)
-    return t if t >= 0 else None
+def echo(discs, c, angle_deg):
+    """The sample at ``angle_deg``, a sweep angle, of one sweep of still ``discs``."""
+    return dict(sweep(c, discs).samples)[angle_deg]
 
 
 def march_oracle(origin, angle_deg, disc, max_range):
@@ -78,34 +50,31 @@ def march_oracle(origin, angle_deg, disc, max_range):
 
 
 def test_echo_straight_ahead():
-    world = WorldModel([Disc(Position(2.0, 1.0), 0.1)])
-    assert echo_distance(world, cfg(), 0.0) == pytest.approx(0.9, abs=1e-12)
+    discs = [Disc(Position(2.0, 1.0), 0.1)]
+    assert echo(discs, cfg(), 0.0) == pytest.approx(0.9, abs=1e-12)
 
 
 def test_echo_misses_disc_behind():
-    world = WorldModel([Disc(Position(0.0, 1.0), 0.1)])
-    assert echo_distance(world, cfg(), 0.0) is None
-    assert echo_distance(world, cfg(), 180.0) == pytest.approx(0.9)
+    discs = [Disc(Position(0.0, 1.0), 0.1)]
+    assert echo(discs, cfg(), 0.0) is None
+    assert echo(discs, cfg(), 180.0) == pytest.approx(0.9)
 
 
 def test_echo_beyond_max_range_is_none():
-    world = WorldModel([Disc(Position(1.0 + 4.5, 1.0), 0.1)])
-    assert echo_distance(world, cfg(), 0.0) is None
-    near = WorldModel([Disc(Position(1.0 + 4.05, 1.0), 0.1)])
-    assert echo_distance(near, cfg(), 0.0) == pytest.approx(3.95)
+    assert echo([Disc(Position(1.0 + 4.5, 1.0), 0.1)], cfg(), 0.0) is None
+    assert echo([Disc(Position(1.0 + 4.05, 1.0), 0.1)], cfg(), 0.0) == pytest.approx(3.95)
 
 
 def test_origin_inside_disc_echoes_zero():
-    world = WorldModel([Disc(Position(1.05, 1.0), 0.2)])
-    assert echo_distance(world, cfg(), 123.0) == 0.0
+    assert echo([Disc(Position(1.05, 1.0), 0.2)], cfg(), 123.0) == 0.0
 
 
 def test_nearest_of_several_discs_wins():
-    world = WorldModel([
+    discs = [
         Disc(Position(2.5, 1.0), 0.1),
         Disc(Position(1.8, 1.0), 0.1),
-    ])
-    assert echo_distance(world, cfg(), 0.0) == pytest.approx(0.7)
+    ]
+    assert echo(discs, cfg(), 0.0) == pytest.approx(0.7)
 
 
 def test_beam_halfwidth_catches_offset_disc():
@@ -113,10 +82,9 @@ def test_beam_halfwidth_catches_offset_disc():
     # visible once the cone is wide enough
     bearing = math.radians(10.0)
     disc = Disc(Position(1.0 + math.cos(bearing), 1.0 + math.sin(bearing)), 0.05)
-    world = WorldModel([disc])
-    assert echo_distance(world, cfg(), 0.0) is None
+    assert echo([disc], cfg(), 0.0) is None
     wide = cfg(beam_halfwidth_deg=15.0)
-    assert echo_distance(world, wide, 0.0) == pytest.approx(0.95, abs=1e-9)
+    assert echo([disc], wide, 0.0) == pytest.approx(0.95, abs=1e-9)
 
 
 def test_echo_matches_marching_oracle():
@@ -125,10 +93,9 @@ def test_echo_matches_marching_oracle():
         Disc(Position(0.4, 0.5), 0.2),
         Disc(Position(1.0, 2.4), 0.08),
     ]
-    world = WorldModel(discs)
-    c = cfg()
+    samples = sweep(cfg(), discs).samples
     for angle in range(0, 360, 7):
-        got = echo_distance(world, c, float(angle))
+        got = samples[angle][1]
         want = min(
             (m for m in (march_oracle(CENTER, angle, d, 4.0) for d in discs) if m is not None),
             default=None,
@@ -171,15 +138,16 @@ def sensing_cases(draw):
 @given(sensing_cases(), far_disc, st.data())
 def test_echo_equals_per_disc_reference_exactly(case, replacement, data):
     discs, c, angles = case
-    world = WorldModel(list(discs))
+    samples = dict(sweep(c, discs).samples)
     for angle in angles:
         # repr pins every bit, the sign of a zero included, and None.
-        assert repr(echo_distance(world, c, angle)) == repr(reference_echo_distance(world, c, angle))
+        assert repr(samples[angle]) == repr(reference_echo_distance(discs, c, angle))
     if discs:
         # A replaced disc must not be answered from the geometry of the old one.
-        world.obstacles[data.draw(st.integers(0, len(discs) - 1))] = replacement
+        discs[data.draw(st.integers(0, len(discs) - 1))] = replacement
+    samples = dict(sweep(c, discs).samples)
     for angle in angles:
-        assert repr(echo_distance(world, c, angle)) == repr(reference_echo_distance(world, c, angle))
+        assert repr(samples[angle]) == repr(reference_echo_distance(discs, c, angle))
 
 
 HOPS = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -257,11 +225,11 @@ def test_hop_index_echo_equals_reference_at_every_sweep_index(case):
         index.place(i, a, b)
     for moment in moments:
         where[:] = [on_hop(a, b, t) for (_, a, b), t in zip(bodies, moment)]
-        world = WorldModel([Disc(p, r) for p, r in zip(where, radii)])
+        discs = [Disc(p, r) for p, r in zip(where, radii)]
         for k in range(c.sweep_len):
             angle = k * c.step_deg
             # repr pins every bit, the sign of a zero included, and None.
-            assert repr(index.echo(k, angle)) == repr(reference_echo_distance(world, c, angle))
+            assert repr(index.echo(k, angle)) == repr(reference_echo_distance(discs, c, angle))
 
 
 @st.composite
@@ -297,10 +265,10 @@ def test_hop_index_keeps_grazing_rays(case):
     c, radius, center, k = case
     index = HopIndex(c, [center], [radius])
     index.place(0, center, center)
-    world = WorldModel([Disc(center, radius)])
+    discs = [Disc(center, radius)]
     for j in {max(k - 1, 0), k, min(k + 1, c.sweep_len - 1)}:
         angle = j * c.step_deg
-        assert repr(index.echo(j, angle)) == repr(reference_echo_distance(world, c, angle))
+        assert repr(index.echo(j, angle)) == repr(reference_echo_distance(discs, c, angle))
 
 
 def test_hop_index_marks_only_the_reachable_arc():
@@ -379,27 +347,19 @@ def test_polar_to_cartesian_axes():
 
 
 def test_sweep_sample_counts():
-    world = WorldModel([])
-    c = cfg()
-    assert len(sweep(world, c, 0.0, 359.0).samples) == 360
-    assert len(sweep(world, c, 0.0, 360.0).samples) == 361
-    half = cfg(step_deg=0.5)
-    assert len(sweep(world, half, 0.0, 90.0).samples) == 181
-
-
-def test_sweep_descending_direction():
-    world = WorldModel([])
-    scan = sweep(world, cfg(), 359.0, 0.0)
-    assert scan.direction == -1
-    angles = [a for a, _ in scan.samples]
-    assert angles[0] == 359.0
-    assert angles[-1] == 0.0
-    assert angles == sorted(angles, reverse=True)
+    """A sweep reads every whole step that fits in 360 degrees, from 0 up."""
+    for step, count in ((1.0, 360), (0.5, 720), (0.39, 923)):
+        scan = sweep(cfg(step_deg=step), [])
+        angles = [a for a, _ in scan.samples]
+        assert len(angles) == count
+        assert angles[0] == 0.0
+        assert angles[-1] == (count - 1) * step
+        assert angles == sorted(angles)
+        assert scan.direction == 1
 
 
 def test_sweep_records_echoes_in_order():
-    world = WorldModel([Disc(Position(2.0, 1.0), 0.1)])
-    scan = sweep(world, cfg(), 0.0, 10.0)
+    scan = sweep(cfg(), [Disc(Position(2.0, 1.0), 0.1)])
     hits = {a: d for a, d in scan.samples}
     assert hits[0.0] == pytest.approx(0.9)
     assert hits[10.0] is None
@@ -410,7 +370,7 @@ def test_sweep_records_echoes_in_order():
 
 def test_detect_single_target_centroid():
     disc = Disc(Position(1.0, 2.0), 0.04)  # due north, clear of the 0/359 seam
-    scan = sweep(WorldModel([disc]), cfg(), 0.0, 359.0)
+    scan = sweep(cfg(), [disc])
     targets = detect_targets(scan, cfg())
     assert len(targets) == 1
     t = targets[0]
@@ -427,7 +387,7 @@ def test_detect_counts_separated_targets():
         Disc(Position(1.0, 2.2), 0.05),
         Disc(Position(0.2, 0.2), 0.05),
     ]
-    scan = sweep(WorldModel(discs), cfg(), 0.0, 359.0)
+    scan = sweep(cfg(), discs)
     targets = detect_targets(scan, cfg())
     assert len(targets) == 3
     angles = [t.angle_deg for t in targets]
@@ -437,12 +397,12 @@ def test_detect_counts_separated_targets():
 def test_disc_straddling_scan_seam_splits():
     # runs are linear in scan order, so a dead-east disc spanning the
     # 359->0 boundary shows up twice on a single-revolution scan
-    scan = sweep(WorldModel([Disc(Position(2.0, 1.0), 0.05)]), cfg(), 0.0, 359.0)
+    scan = sweep(cfg(), [Disc(Position(2.0, 1.0), 0.05)])
     assert len(detect_targets(scan, cfg())) == 2
 
 
 def test_detect_empty_world():
-    scan = sweep(WorldModel([]), cfg(), 0.0, 359.0)
+    scan = sweep(cfg(), [])
     assert detect_targets(scan, cfg()) == []
 
 
@@ -482,8 +442,7 @@ def test_encode_frame_angle_bounds():
 
 
 def test_render_frame_deterministic(tmp_path):
-    world = WorldModel([Disc(Position(2.0, 1.0), 0.1)])
-    scan = sweep(world, cfg(), 0.0, 359.0)
+    scan = sweep(cfg(), [Disc(Position(2.0, 1.0), 0.1)])
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     render_frame(scan, (2.0, 2.0), a)
     render_frame(scan, (2.0, 2.0), b)
@@ -493,6 +452,6 @@ def test_render_frame_deterministic(tmp_path):
 
 
 def test_render_frame_io_failure(tmp_path):
-    scan = sweep(WorldModel([]), cfg(), 0.0, 10.0)
+    scan = sweep(cfg(), [])
     with pytest.raises(IoFailure):
         render_frame(scan, (2.0, 2.0), tmp_path / "missing" / "deep" / "x.svg")

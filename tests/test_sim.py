@@ -5,6 +5,7 @@ import json
 import math
 
 import pytest
+from echo_reference import reference_echo_distance
 from test_acceptance import crossing_scenario
 
 import swarmport.sim
@@ -12,7 +13,7 @@ from swarmport.errors import ScenarioInvalid
 from swarmport.grid import GridMap, NodeId, Position
 from swarmport.hub import Job, metrics
 from swarmport.planner import INF_TICK
-from swarmport.radar import Disc, SweepConfig, WorldModel, echo_distance
+from swarmport.radar import Disc, SweepConfig
 from swarmport.rfnet import encode
 from swarmport.sim import (
     NOPATH_RETRY_TICKS,
@@ -439,7 +440,7 @@ def test_fast_vehicles_complete_the_default_jobs():
 def checked_ticks(sim, agents):
     """Tick ``sim`` until it is done, checking after each tick its trace rows
     against the agents and its echo, read from the sample the radar phase
-    appended, against `echo_distance` over a world rebuilt from `pose`.
+    appended, against the reference echo over discs rebuilt from `pose`.
     Yields the agents' poses after each tick."""
     ny = sim.grid.ny
     while not sim.all_done:
@@ -456,9 +457,9 @@ def checked_ticks(sim, agents):
             dst = edge[1] if edge is not None else a.current_node
             occupancy.append((a.current_node.ix * ny + a.current_node.iy, dst.ix * ny + dst.iy))
         assert sim.occupancy_trace[-1] == occupancy
-        world = WorldModel([Disc(Position(x, y), a.params.body_radius_m) for (x, y), a in zip(poses, agents)])
+        discs = [Disc(Position(x, y), a.params.body_radius_m) for (x, y), a in zip(poses, agents)]
         angle, dist = samples[-1]
-        assert repr(dist) == repr(echo_distance(world, sim.sensor_cfg, angle))
+        assert repr(dist) == repr(reference_echo_distance(discs, sim.sensor_cfg, angle))
         yield poses
 
 

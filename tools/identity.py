@@ -11,8 +11,8 @@ the hub's telemetry log, the radar frame lines, the sweep count, the
 kept scans (number, direction and samples) and the capture.  A change
 that means to alter any of these records the table again and says why.
 
-The cases cover what the golden hashes and the benchmark digests leave
-out: 30 crossing fleets, every depot layout, the default scenario at two
+The engine cases cover what the golden hashes and the benchmark digests
+leave out: 30 crossing fleets, every depot layout, the default scenario at two
 loss rates, two latencies and three radio seeds, a crossing fleet at
 dt 0.01 with latency, a depot with a beam half-width, two fleets whose
 vehicles differ in their `VehicleParams`, and four radar cases: a depot
@@ -21,17 +21,25 @@ vehicle's home, a crossing fleet whose 7-degree sweep leaves a gap before
 360 under a 15-degree beam, and a depot whose vehicles differ in body
 radius; and a two-vehicle run at dt 0.001, whose spin-ups run past their
 capped table onto the live wheel loop, with stock vehicles and with
-vehicles that differ in their `VehicleParams`.  60 cases in all.
+vehicles that differ in their `VehicleParams`.  60 engine cases.
+
+Six more cases run `swarmport scan` (`cli.cmd_scan`) and digest its
+`scan_stream.txt` and `scan.svg`: the default scenario and the five
+sensor variants above (beam, range, origin on a home, 7-degree step,
+mixed radii).  66 cases in all.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from array import array
 from itertools import chain, islice
 from pathlib import Path
@@ -40,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "identity_digests.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from swarmport.cli import cmd_scan  # noqa: E402
 from swarmport.sim import (  # noqa: E402
     MediumConfig,
     Simulation,
@@ -54,6 +63,11 @@ LOG_FIELDS = (
 )
 TRACE_CHUNK = 4096  # trace rows hashed per buffer
 
+# The engine cases whose sensor the scan cases also sweep.
+SCAN_VARIANTS = (
+    "depot-2-beam3", "depot-4-range1", "depot-1-origin-on-home",
+    "crossing-5-step7-beam15", "depot-3-radii",
+)
 # Per-vehicle overrides for the mixed fleets, assigned in vehicle order.
 MIXED_PARAMS = (
     {"cruise_speed_m_s": 0.15},
@@ -134,6 +148,12 @@ def cases() -> dict:
     return out
 
 
+def scan_cases() -> dict:
+    """Scan case name -> a function building its scenario."""
+    engine = cases()
+    return {"scan-default": default_scenario, **{f"scan-{name}": engine[name] for name in SCAN_VARIANTS}}
+
+
 def _hash_rows(h, rows, typecode: str) -> None:
     it = iter(rows)
     while chunk := list(islice(it, TRACE_CHUNK)):
@@ -161,6 +181,18 @@ def run_digest(scenario) -> str:
     return h.hexdigest()
 
 
+def scan_digest(scenario) -> str:
+    """The digest of the two files `swarmport scan` writes for ``scenario``."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stderr(io.StringIO()):
+            cmd_scan(scenario, out)
+        for name in ("scan_stream.txt", "scan.svg"):
+            data = Path(out, name).read_bytes()
+            h.update(len(data).to_bytes(8, "big") + data)
+    return h.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -169,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     table = {name: run_digest(build()) for name, build in cases().items()}
+    table.update((name, scan_digest(build())) for name, build in scan_cases().items())
     if args.record:
         TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="ascii")
         print(f"identity: wrote {len(table)} digests to {TABLE.relative_to(ROOT)}")
