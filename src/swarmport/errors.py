@@ -19,10 +19,6 @@ class NodeOutOfRange(SwarmportError):
     pass
 
 
-class OutOfTerrain(SwarmportError):
-    pass
-
-
 # -- planning -----------------------------------------------------------
 
 class NoPath(SwarmportError):

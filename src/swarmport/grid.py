@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import NodeOutOfRange, NonPositiveDimension, OutOfTerrain, SpacingTooLarge
+from .errors import NodeOutOfRange, NonPositiveDimension, SpacingTooLarge
 
 
 class NodeId(NamedTuple):
@@ -76,31 +76,9 @@ class GridMap:
             for (ix, iy), node in nodes.items()
         }
 
-    def neighbors(self, node: NodeId) -> list[NodeId]:
-        """Unblocked 4-neighbors in East, North, West, South order."""
-        try:
-            return list(self.adjacency[node])
-        except KeyError:
-            raise NodeOutOfRange(f"node {tuple(node)} outside {self.nx}x{self.ny} grid") from None
-
     def node_to_position(self, node: NodeId) -> Position:
         self.require(node)
         return Position(node[0] * self.spacing_m, node[1] * self.spacing_m)
-
-    def position_to_nearest_node(self, pos: Position) -> NodeId:
-        """Snap a metric position to the nearest node.
-
-        Midpoint ties resolve toward the lower ix, then the lower iy.
-        """
-        x, y = pos
-        if not (0.0 <= x <= self.width_m and 0.0 <= y <= self.height_m):
-            raise OutOfTerrain(f"position ({x}, {y}) outside terrain")
-        # ceil(v - 0.5) rounds half-down, which is the lower-index side.
-        ix = math.ceil(x / self.spacing_m - 0.5)
-        iy = math.ceil(y / self.spacing_m - 0.5)
-        ix = min(max(ix, 0), self.nx - 1)
-        iy = min(max(iy, 0), self.ny - 1)
-        return NodeId(ix, iy)
 
 
 def build_grid(

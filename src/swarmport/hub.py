@@ -256,13 +256,7 @@ class VehicleMetrics:
     job_completion_ticks: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SummaryReport:
-    per_vehicle: dict[int, VehicleMetrics]
-    makespan_ticks: int
-
-
-def metrics(log: list[TelemetryRecord]) -> SummaryReport:
+def metrics(log: list[TelemetryRecord]) -> dict[int, VehicleMetrics]:
     """Per-vehicle odometry and completion summary computed from the log."""
     if not log:
         raise EmptyLog("no telemetry records")
@@ -270,7 +264,6 @@ def metrics(log: list[TelemetryRecord]) -> SummaryReport:
     for rec in sorted(log, key=lambda r: (r.tick, r.vehicle_id)):
         by_vehicle.setdefault(rec.vehicle_id, []).append(rec)
     per_vehicle: dict[int, VehicleMetrics] = {}
-    makespan = 0
     for vid, recs in sorted(by_vehicle.items()):
         dist = 0.0
         speeds: list[float] = []
@@ -288,6 +281,4 @@ def metrics(log: list[TelemetryRecord]) -> SummaryReport:
             mean_transit_speed_m_s=mean_speed,
             job_completion_ticks=tuple(completions),
         )
-        if completions:
-            makespan = max(makespan, completions[-1])
-    return SummaryReport(per_vehicle=per_vehicle, makespan_ticks=makespan)
+    return per_vehicle

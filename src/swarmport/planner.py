@@ -254,15 +254,6 @@ class ReservationTable:
             else:
                 del self._holds[node]
 
-    def holds_of(self, vehicle_id: int) -> list[tuple[NodeId, float, float]]:
-        out = []
-        for node, holds in self._holds.items():
-            for start, end, vid in holds:
-                if vid == vehicle_id:
-                    out.append((node, start, end))
-        out.sort(key=lambda h: (h[1], h[2], h[0]))
-        return out
-
     def snapshot(self) -> dict[NodeId, list[tuple[float, float, int]]]:
         return {node: list(holds) for node, holds in self._holds.items()}
 

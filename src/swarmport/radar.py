@@ -254,11 +254,12 @@ def detect_targets(scan: Scan, cfg: SweepConfig) -> list[TargetEstimate]:
 
 
 def encode_frame(angle_deg: float, distance_m: float | None) -> str:
-    """One serial line: ``<angle_int>,<distance_mm_int>.`` plus newline."""
+    """One serial line: ``<angle_int>,<distance_mm_int>.`` plus newline,
+    the angle rounded to a whole degree in [0, 360)."""
     if not 0 <= angle_deg < 360:
         raise AngleOutOfRange(f"angle {angle_deg} outside [0, 360)")
     mm = 0 if distance_m is None else int(round(distance_m * 1000.0))
-    return f"{int(round(angle_deg))},{mm}.\n"
+    return f"{int(round(angle_deg)) % 360},{mm}.\n"
 
 
 def render_frame(scan: Scan, world_bounds: tuple[float, float], out_path) -> None:

@@ -786,7 +786,7 @@ def run(scenario: Scenario, out_dir) -> SimReport:
 
     per_vehicle: dict[int, VehicleMetrics] = {}
     if sim.hub.log:
-        per_vehicle = metrics(sim.hub.log).per_vehicle
+        per_vehicle = metrics(sim.hub.log)
     makespan = sim.last_complete_tick if sim.completed_jobs else 0
     report = SimReport(
         completed_jobs=sim.completed_jobs,

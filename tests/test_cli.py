@@ -112,7 +112,7 @@ def test_scan_stream_covers_full_revolution(step_deg, tmp_path, capsys):
     # One line per sweep index, the last at (sweep_len - 1) * step_deg.
     assert len(lines) == sensor.sweep_len
     assert lines[0] == "0,0."
-    assert lines[-1] == f"{round((sensor.sweep_len - 1) * step_deg)},0."
+    assert lines[-1] == f"{round((sensor.sweep_len - 1) * step_deg) % 360},0."
     assert (out_dir / "scan.svg").exists()
 
 

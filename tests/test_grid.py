@@ -1,16 +1,9 @@
-"""Virtual-node lattice: construction, indexing, snapping, adjacency."""
-
-import math
+"""Virtual-node lattice: construction, indexing, adjacency."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from swarmport.errors import (
-    NodeOutOfRange,
-    NonPositiveDimension,
-    OutOfTerrain,
-    SpacingTooLarge,
-)
+from swarmport.errors import NodeOutOfRange, NonPositiveDimension, SpacingTooLarge
 from swarmport.grid import NodeId, Position, build_grid
 
 
@@ -59,43 +52,20 @@ def test_node_out_of_range():
         grid.node_to_position(NodeId(0, -1))
 
 
-def test_nearest_node_rounding():
-    grid = build_grid(2.0, 2.0, 0.25)
-    assert grid.position_to_nearest_node(Position(1.07, 1.07)) == NodeId(4, 4)
-    assert grid.position_to_nearest_node(Position(1.2, 0.0)) == NodeId(5, 0)
-
-
-def test_nearest_node_tie_goes_to_lower_index():
-    grid = build_grid(2.0, 2.0, 0.25)
-    # exactly halfway between node 0 and node 1 on each axis
-    assert grid.position_to_nearest_node(Position(0.125, 0.125)) == NodeId(0, 0)
-    assert grid.position_to_nearest_node(Position(0.375, 0.625)) == NodeId(1, 2)
-
-
-def test_position_outside_terrain():
-    grid = build_grid(2.0, 2.0, 0.25)
-    with pytest.raises(OutOfTerrain):
-        grid.position_to_nearest_node(Position(2.01, 0.0))
-    with pytest.raises(OutOfTerrain):
-        grid.position_to_nearest_node(Position(0.0, -0.01))
-    # boundary itself is inside
-    assert grid.position_to_nearest_node(Position(2.0, 2.0)) == NodeId(8, 8)
-
-
 def test_neighbor_order_east_north_west_south():
     grid = build_grid(2.0, 2.0, 0.25)
-    assert grid.neighbors(NodeId(4, 4)) == [
+    assert grid.adjacency[NodeId(4, 4)] == (
         NodeId(5, 4),
         NodeId(4, 5),
         NodeId(3, 4),
         NodeId(4, 3),
-    ]
+    )
 
 
 def test_corner_neighbors_trimmed():
     grid = build_grid(2.0, 2.0, 0.25)
-    assert grid.neighbors(NodeId(0, 0)) == [NodeId(1, 0), NodeId(0, 1)]
-    assert grid.neighbors(NodeId(8, 8)) == [NodeId(7, 8), NodeId(8, 7)]
+    assert grid.adjacency[NodeId(0, 0)] == (NodeId(1, 0), NodeId(0, 1))
+    assert grid.adjacency[NodeId(8, 8)] == (NodeId(7, 8), NodeId(8, 7))
 
 
 def grid_neighbors(grid, node):
@@ -125,54 +95,25 @@ def test_adjacency_matches_offsets_bounds_and_blocks(case):
         expected = grid_neighbors(grid, node)
         assert grid.adjacency[node] == tuple(expected)
         assert all(type(nb) is NodeId for nb in grid.adjacency[node])
-        assert grid.neighbors(node) == expected
-
-
-def test_neighbors_returns_a_fresh_list():
-    grid = build_grid(2.0, 2.0, 0.25)
-    node = NodeId(4, 4)
-    first = grid.neighbors(node)
-    first.append(NodeId(0, 0))
-    first.reverse()
-    assert grid.neighbors(node) == [NodeId(5, 4), NodeId(4, 5), NodeId(3, 4), NodeId(4, 3)]
-    assert grid.adjacency[node] == (NodeId(5, 4), NodeId(4, 5), NodeId(3, 4), NodeId(4, 3))
-    assert grid.neighbors(node) is not grid.neighbors(node)
 
 
 @pytest.mark.parametrize("node", [NodeId(-1, 0), NodeId(0, -1), NodeId(-1, -1), NodeId(9, 0), NodeId(0, 9)])
 def test_neighbors_outside_grid_raise(node):
     grid = build_grid(2.0, 2.0, 0.25)
-    with pytest.raises(NodeOutOfRange):
-        grid.neighbors(node)
+    with pytest.raises(KeyError):
+        grid.adjacency[node]
 
 
 def test_built_table_leaves_equality_and_hash_alone():
     grid = build_grid(2.0, 2.0, 0.25, blocked=[NodeId(4, 4)])
     twin = build_grid(2.0, 2.0, 0.25, blocked=[NodeId(4, 4)])
-    grid.neighbors(NodeId(0, 0))
+    assert grid.adjacency
     assert "adjacency" in vars(grid) and "adjacency" not in vars(twin)
     assert grid == twin and hash(grid) == hash(twin)
 
 
 def test_blocked_nodes_are_not_neighbors():
     grid = build_grid(2.0, 2.0, 0.25, blocked=[NodeId(5, 4), NodeId(4, 3)])
-    assert grid.neighbors(NodeId(4, 4)) == [NodeId(4, 5), NodeId(3, 4)]
+    assert grid.adjacency[NodeId(4, 4)] == (NodeId(4, 5), NodeId(3, 4))
     assert grid.is_blocked(NodeId(5, 4))
     assert not grid.is_blocked(NodeId(4, 4))
-
-
-@given(st.integers(0, 8), st.integers(0, 8))
-def test_snap_inverts_node_position(ix, iy):
-    grid = build_grid(2.0, 2.0, 0.25)
-    node = NodeId(ix, iy)
-    assert grid.position_to_nearest_node(grid.node_to_position(node)) == node
-
-
-@given(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
-def test_snap_is_within_half_spacing_per_axis(x, y):
-    grid = build_grid(2.0, 2.0, 0.25)
-    node = grid.position_to_nearest_node(Position(x, y))
-    px, py = grid.node_to_position(node)
-    assert abs(px - x) <= 0.125 + 1e-12
-    assert abs(py - y) <= 0.125 + 1e-12
-    assert math.hypot(px - x, py - y) <= 0.25

@@ -388,13 +388,12 @@ def test_csv_io_failure(tmp_path):
 
 def test_four_hop_trip_distance():
     log = [record(t, 0, t * 0.25, 0.0, speed=0.1 if t else 0.0) for t in range(5)]
-    report = metrics(log)
-    assert report.per_vehicle[0].total_distance_m == pytest.approx(1.0)
+    assert metrics(log)[0].total_distance_m == pytest.approx(1.0)
 
 
 def test_stationary_vehicle_zero_distance():
     log = [record(t, 0, 0.5, 0.5) for t in range(10)]
-    m = metrics(log).per_vehicle[0]
+    m = metrics(log)[0]
     assert m.total_distance_m == 0.0
     assert m.mean_transit_speed_m_s == 0.0
     assert m.job_completion_ticks == ()
@@ -407,7 +406,7 @@ def test_mean_speed_ignores_stopped_samples():
         record(2, 0, 0.2, 0.0, speed=0.101),
         record(3, 0, 0.2, 0.0, speed=0.0),
     ]
-    assert metrics(log).per_vehicle[0].mean_transit_speed_m_s == pytest.approx(0.1)
+    assert metrics(log)[0].mean_transit_speed_m_s == pytest.approx(0.1)
 
 
 def test_completion_is_retracing_to_idle_flip():
@@ -418,19 +417,7 @@ def test_completion_is_retracing_to_idle_flip():
         record(3, 0, 0.25, 0.0, state="RETRACING"),
         record(4, 0, 0.0, 0.0, state="IDLE"),
     ]
-    report = metrics(log)
-    assert report.per_vehicle[0].job_completion_ticks == (4,)
-    assert report.makespan_ticks == 4
-
-
-def test_makespan_spans_vehicles():
-    log = [
-        record(3, 0, 0.0, 0.0, state="RETRACING"),
-        record(4, 0, 0.0, 0.0, state="IDLE"),
-        record(8, 1, 0.0, 0.0, state="RETRACING"),
-        record(9, 1, 0.0, 0.0, state="IDLE"),
-    ]
-    assert metrics(log).makespan_ticks == 9
+    assert metrics(log)[0].job_completion_ticks == (4,)
 
 
 def test_metrics_requires_records():

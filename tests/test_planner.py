@@ -366,12 +366,37 @@ def test_floyd_warshall_node_limit():
         floyd_warshall(grid)
 
 
-def test_importing_the_package_leaves_numpy_unloaded():
-    """Only `floyd_warshall` needs numpy, and it imports it when called."""
+def loaded_after(module):
+    """Names in `sys.modules` after a fresh interpreter imports `module`."""
     src = Path(swarmport.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import swarmport, sys; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    code = f"import sys, {module}; print(*sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, timeout=60, capture_output=True, text=True
+    )
+    return set(out.stdout.split())
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    """Only `floyd_warshall` needs numpy, and it imports it when called;
+    `swarmport.cli` is the whole import graph of the command line."""
+    assert "numpy" not in loaded_after("swarmport.cli")
+
+
+@pytest.mark.parametrize(
+    "module, own",
+    [
+        ("swarmport.grid", set()),
+        ("swarmport.rfnet", {"rfnet"}),
+        ("swarmport.planner", {"planner"}),
+        ("swarmport.radar", {"radar"}),
+    ],
+)
+def test_a_module_loads_only_what_it_imports(module, own):
+    """The package re-exports nothing, so a leaf module loads the grid and
+    its errors and no other part of the simulator."""
+    loaded = {name for name in loaded_after(module) if name.startswith("swarmport")}
+    assert loaded == {"swarmport"} | {f"swarmport.{name}" for name in {"errors", "grid"} | own}
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -456,7 +481,7 @@ def test_release_vehicle_clears_only_its_holds():
     table.reserve(0, NodeId(0, 0), 0, INF_TICK)
     table.reserve(1, NodeId(1, 0), 0, INF_TICK)
     table.release_vehicle(0)
-    assert table.holds_of(0) == []
+    assert all(vid != 0 for holds in table.snapshot().values() for _, _, vid in holds)
     assert table.is_free(NodeId(0, 0), 0, INF_TICK)
     assert not table.is_free(NodeId(1, 0), 0, INF_TICK)
 
@@ -537,9 +562,10 @@ def test_plan_waits_out_a_transient_block():
     assert plan.route[0] == NodeId(0, 0)
     assert plan.route[-1] == NodeId(2, 0)
     assert plan.arrival_tick > 30
-    for hold in table.holds_of(0):
-        node, start, end = hold
-        assert table.reserve(0, node, start, end) is None or node == NodeId(1, 0)
+    for node, holds in table.snapshot().items():
+        for start, end, vid in holds:
+            if vid == 0:
+                assert table.reserve(0, node, start, end) is None or node == NodeId(1, 0)
 
 
 def test_plan_routes_around_permanent_block():
@@ -678,7 +704,7 @@ def space_time_cases(draw):
     dst = src if draw(st.integers(0, 7)) == 0 else draw(st.sampled_from(free))
     walk = [src]
     for turn in draw(st.lists(st.integers(0, 3), max_size=12)):
-        options = grid.neighbors(walk[-1])
+        options = grid.adjacency[walk[-1]]
         if options:
             walk.append(options[turn % len(options)])
     return grid, table, src, dst, walk

@@ -432,6 +432,8 @@ def test_encode_frame_format():
     assert encode_frame(90.0, None) == "90,0.\n"
     assert encode_frame(123.0, 1.2345) == "123,1234.\n"
     assert encode_frame(124.0, 1.2355) == "124,1236.\n"
+    # 359.5 and above rounds to 360, which is the bearing 0
+    assert encode_frame(359.6, None) == "0,0.\n"
 
 
 def test_encode_frame_angle_bounds():

@@ -804,10 +804,10 @@ def test_report_metrics_match_log(tmp_path):
     sim = Simulation(quick_scenario())
     sim.run_loop()
     want = metrics(sim.hub.log)
-    assert report.per_vehicle.keys() == want.per_vehicle.keys()
+    assert report.per_vehicle.keys() == want.keys()
     got = report.per_vehicle[0]
-    assert got.total_distance_m == pytest.approx(want.per_vehicle[0].total_distance_m)
-    assert got.job_completion_ticks == want.per_vehicle[0].job_completion_ticks
+    assert got.total_distance_m == pytest.approx(want[0].total_distance_m)
+    assert got.job_completion_ticks == want[0].job_completion_ticks
 
 
 # -------------------------------------------------------------- analytics
