@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .errors import IoFailure, NoPath, ScenarioInvalid, SwarmportError
 from .grid import NodeId
-from .planner import astar, bellman_ford, dijkstra, floyd_warshall
+from .planner import astar, bellman_ford, check_endpoints, dijkstra, floyd_warshall
 from .radar import Disc, detect_targets, encode_frame, render_frame, sweep
 from .sim import (
     Scenario,
@@ -62,9 +62,8 @@ def cmd_run(scenario: Scenario, out_dir: str) -> int:
 
 def cmd_plan(scenario: Scenario, src: NodeId, dst: NodeId, algorithm: str) -> int:
     grid = validate_scenario(scenario)
-    grid.require(src)
-    grid.require(dst)
     try:
+        check_endpoints(grid, src, dst)
         if algorithm == "dijkstra":
             path = dijkstra(grid, src, dst)
             cost = path.cost

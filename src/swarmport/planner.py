@@ -62,7 +62,7 @@ class TimedPath:
         return self.steps[-1].enter_tick + self.ticks_per_hop
 
 
-def _check_endpoints(grid: GridMap, src: NodeId, dst: NodeId) -> None:
+def check_endpoints(grid: GridMap, src: NodeId, dst: NodeId) -> None:
     grid.require(src)
     grid.require(dst)
     if src in grid.blocked or dst in grid.blocked:
@@ -107,7 +107,7 @@ def _canonical_walk(grid: GridMap, src: NodeId, dst: NodeId, to_dst: dict[NodeId
 
 def dijkstra(grid: GridMap, src: NodeId, dst: NodeId) -> Path:
     """Uniform-cost search; rooted at dst so reconstruction walks forward."""
-    _check_endpoints(grid, src, dst)
+    check_endpoints(grid, src, dst)
     dist: dict[NodeId, int] = {}
     heap: list[tuple[int, NodeId]] = [(0, dst)]
     while heap:
@@ -127,7 +127,7 @@ def dijkstra(grid: GridMap, src: NodeId, dst: NodeId) -> Path:
 
 def astar(grid: GridMap, src: NodeId, dst: NodeId) -> Path:
     """A* with the Manhattan heuristic (admissible on a unit 4-grid)."""
-    _check_endpoints(grid, src, dst)
+    check_endpoints(grid, src, dst)
 
     def h(n: NodeId) -> int:
         return abs(n[0] - dst[0]) + abs(n[1] - dst[1])
@@ -379,7 +379,7 @@ def plan_space_time(
     bound is `hop_distances` with those stops, which reaches them without
     expanding them, and infinite on them, so no pass ever enters one.
     """
-    _check_endpoints(grid, src, dst)
+    check_endpoints(grid, src, dst)
     h = ticks_per_hop
     if h <= 0:
         raise BadInterval(f"ticks_per_hop must be positive, got {h}")

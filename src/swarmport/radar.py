@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import AngleOutOfRange, IoFailure, NonPositiveSpeed
 from .grid import Position
@@ -134,16 +134,15 @@ class HopIndex:
     radius, sets none.
 
     `echo` evaluates `disc_echo` only for the bodies the index's mask names,
-    read at ``bodies[i].x, bodies[i].y`` as they are then, so it returns
-    the nearest hit over every body's disc.
+    each where its ``position`` reads it then, so it returns the nearest
+    hit over every body's disc.
     """
 
-    def __init__(self, cfg: SweepConfig, bodies: Sequence, radii: Sequence[float]) -> None:
+    def __init__(self, cfg: SweepConfig, radii: Sequence[float]) -> None:
         self.cfg = cfg
-        self.bodies = bodies
         self.radii = radii
         self.masks = [0] * cfg.sweep_len
-        self._spans: list[tuple[tuple[int, int], ...]] = [()] * len(bodies)
+        self._spans: list[tuple[tuple[int, int], ...]] = [()] * len(radii)
 
     def place(self, i: int, a: Position, b: Position) -> None:
         """Body i stays on the segment from ``a`` to ``b`` until placed again."""
@@ -176,16 +175,17 @@ class HopIndex:
         widen = math.degrees(math.asin(radius_m / nearest)) + cfg.beam_halfwidth_deg + REACH_MARGIN_DEG
         return _index_spans(start + min(0.0, turn) - widen, abs(turn) + 2.0 * widen, cfg.step_deg, n)
 
-    def echo(self, k: int, angle_deg: float) -> float | None:
-        """The echo at sweep index ``k``, whose angle is ``angle_deg``."""
+    def echo(self, k: int, angle_deg: float, position: Callable[[int], tuple[float, float]]) -> float | None:
+        """The echo at sweep index ``k``, whose angle is ``angle_deg``, with
+        body i at ``position(i)``."""
         mask = self.masks[k]
         best: float | None = None
         while mask:
             low = mask & -mask
             mask ^= low
             i = low.bit_length() - 1
-            body = self.bodies[i]
-            hit = disc_echo(self.cfg, angle_deg, body.x, body.y, self.radii[i])
+            x, y = position(i)
+            hit = disc_echo(self.cfg, angle_deg, x, y, self.radii[i])
             if hit is not None and (best is None or hit < best):
                 best = hit
         return best
@@ -208,13 +208,13 @@ def sweep(cfg: SweepConfig, discs: Sequence[Disc]) -> Scan:
     """One full sweep of still ``discs``: at each sweep index k from 0 to
     ``sweep_len - 1``, the nearest echo at angle ``k * step_deg``."""
     centres = [disc.center for disc in discs]
-    index = HopIndex(cfg, centres, [disc.radius_m for disc in discs])
+    index = HopIndex(cfg, [disc.radius_m for disc in discs])
     for i, centre in enumerate(centres):
         index.place(i, centre, centre)
     samples = []
     for k in range(cfg.sweep_len):
         angle = k * cfg.step_deg
-        samples.append((angle, index.echo(k, angle)))
+        samples.append((angle, index.echo(k, angle, centres.__getitem__)))
     return Scan(cfg.origin, samples, 1)
 
 

@@ -4,6 +4,11 @@ One tick advances the world in a fixed phase order: RF delivery, hub
 work, vehicle steps in ascending id, one radar step, telemetry emission,
 the optional trace.  Everything downstream of the scenario (plus its
 seed) is deterministic, so two runs produce byte-identical outputs.
+
+A vehicle is stepped only when it is due, which while it moves is at its
+hop events.  Between them, the radar, the telemetry and the trace read
+its position from its `motion` at the tick.  The trace is a change log
+per vehicle, read as one row per tick (`TraceView`).
 """
 
 from __future__ import annotations
@@ -11,9 +16,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, partial
-from typing import Any, Callable, get_args, get_origin, get_type_hints
+from itertools import repeat
+from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .errors import (
     DecodeError,
@@ -61,6 +69,7 @@ from .vehicle import (
     LOADED,
     RETRACING,
     UNLOADING,
+    Rest,
     VehicleAgent,
     VehicleParams,
     spin_table,
@@ -73,6 +82,8 @@ HOP_MARGIN_S = 1.0
 START_DEFICIT_S = 0.4
 # Telemetry carries positions as unsigned 16-bit millimetres.
 MAX_TERRAIN_M = 0xFFFF / 1000.0
+# Ticks of a trace expanded at a time when it is iterated.
+TRACE_CHUNK = 4096
 
 
 # ----------------------------------------------------------------- scenario
@@ -368,6 +379,83 @@ class JobTrace:
     complete_tick: int
 
 
+class _Held(NamedTuple):
+    """A trace entry whose value stays the same on every tick."""
+
+    value: tuple[int, int]
+
+    def at(self, t: int) -> tuple[int, int]:
+        return self.value
+
+    def span(self, a: int, b: int) -> list[tuple[int, int]]:
+        return [self.value] * (b - a)
+
+
+class TraceView(Sequence):
+    """A per-tick trace kept as a change log per vehicle: row t lists each
+    vehicle's value at tick t.
+
+    Vehicle i's log holds an entry from each tick at which its value
+    changed; ``entry.at(t)`` is its value at tick t and ``entry.span(a, b)``
+    the values of ticks a to b - 1.  Rows are built on demand: an index
+    builds one, iteration builds TRACE_CHUNK at a time.  ``==``, ``repr``
+    and ``copy.deepcopy`` see the list of rows.
+    """
+
+    def __init__(self, vehicles: int) -> None:
+        self._ticks: list[list[int]] = [[] for _ in range(vehicles)]
+        self._entries: list[list[Any]] = [[] for _ in range(vehicles)]
+        self._len = 0
+
+    def log(self, i: int, tick: int, entry: Any) -> None:
+        """Vehicle i holds ``entry`` from ``tick`` on, unless it already does."""
+        entries = self._entries[i]
+        if not entries or entries[-1] is not entry:
+            entries.append(entry)
+            self._ticks[i].append(tick)
+
+    def extend_to(self, ticks: int) -> None:
+        """The trace now covers ticks 0 to ``ticks - 1``."""
+        self._len = ticks
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> list:
+        t = index + self._len if index < 0 else index
+        if not 0 <= t < self._len:
+            raise IndexError("trace index out of range")
+        return [entries[bisect_right(ticks, t) - 1].at(t) for ticks, entries in zip(self._ticks, self._entries)]
+
+    def _column(self, i: int, a: int, b: int) -> list:
+        ticks, entries = self._ticks[i], self._entries[i]
+        j = bisect_right(ticks, a) - 1
+        out: list = []
+        while a < b:
+            j += 1
+            end = min(ticks[j], b) if j < len(ticks) else b
+            out += entries[j - 1].span(a, end)
+            a = end
+        return out
+
+    def __iter__(self) -> Iterator[list]:
+        for a in range(0, self._len, TRACE_CHUNK):
+            b = min(a + TRACE_CHUNK, self._len)
+            columns = [self._column(i, a, b) for i in range(len(self._entries))]
+            yield from map(list, zip(*columns) if columns else repeat((), b - a))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (TraceView, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __deepcopy__(self, memo: dict) -> list:
+        return list(self)
+
+
 @dataclass(slots=True)
 class _SimVehicle:
     agent: VehicleAgent
@@ -380,6 +468,9 @@ class _SimVehicle:
     retry_at: int = 0
     # The first tick at which stepping the vehicle can change anything.
     wake: float = 0
+    # The telemetry frame of the vehicle's current `Rest`, sent again
+    # until its next event.
+    rest_frame: tuple[Rest, bytes] | None = None
 
 
 @dataclass(frozen=True)
@@ -439,8 +530,7 @@ class Simulation:
         # Which vehicles each sweep index can echo from, by the hop each is
         # on.  Tick 0 places every vehicle: all step then, as ``wake`` starts
         # at 0, and none has its (node, edge end) pair in ``_hop_keys`` yet.
-        agents = [sv.agent for sv in self.fleet]
-        self._hop_index = HopIndex(self.sensor_cfg, agents, [a.params.body_radius_m for a in agents])
+        self._hop_index = HopIndex(self.sensor_cfg, [sv.agent.params.body_radius_m for sv in self.fleet])
         # Per vehicle, the (node, edge end) of its hop, and the fleet
         # positions whose pair changed this tick.
         self._hop_keys: list[tuple[NodeId | None, NodeId | None]] = [(None, None)] * len(self.fleet)
@@ -460,11 +550,10 @@ class Simulation:
         self.job_traces: list[JobTrace] = []
 
         self.trace = trace
-        self.pose_trace: list[list[tuple[float, float]]] = []
-        self.occupancy_trace: list[list[tuple[int, int]]] = []
-        # The last trace rows: unchanged entries are shared with the next row.
-        self._pose_row: list[tuple[float, float]] = [(math.nan, math.nan)] * len(self.fleet)
-        self._occupancy_row: list[tuple[int, int]] = [(-1, -1)] * len(self.fleet)
+        # Per tick, each vehicle's (x, y) and its (node, edge end) as node
+        # indices ``ix * ny + iy``.
+        self.pose_trace = TraceView(len(self.fleet))
+        self.occupancy_trace = TraceView(len(self.fleet))
 
     # -- callbacks ----------------------------------------------------
 
@@ -596,7 +685,8 @@ class Simulation:
 
         ``wake`` is read as the loop reaches each vehicle, so one that a
         release earlier in the loop woke is stepped on this tick.  The wake
-        tick from ``step`` is lowered to the tick of a pending leg.
+        tick from ``step`` (a moving vehicle's next hop event) is lowered
+        to the tick of a pending leg.
         """
         stepped = self._stepped = []
         for i, sv in enumerate(self.fleet):
@@ -636,7 +726,7 @@ class Simulation:
                     job_id=job_id,
                     outbound=tuple(agent.trail),
                     retraced=tuple(agent.retraced),
-                    final_pose=(agent.x, agent.y),
+                    final_pose=agent.motion.at(now),
                     home_position=(home_xy.x, home_xy.y),
                     complete_tick=now,
                 )
@@ -651,9 +741,11 @@ class Simulation:
 
         A vehicle stays on the segment from its node to its edge end while
         that pair holds, since a spin-up never reverses the wheels, and
-        only a stepped vehicle's pair can change.  The tick fixes the sweep
-        index: up from 0 on even sweeps, back down on odd ones, so each end
-        index is read twice in a row.
+        only a stepped vehicle's pair can change: at a drive's start and
+        at its arrival.  The echo reads the positions at ``now`` of only
+        the vehicles the index names.  The tick fixes the sweep index: up
+        from 0 on even sweeps, back down on odd ones, so each end index is
+        read twice in a row.
         """
         fleet = self.fleet
         index = self._hop_index
@@ -675,7 +767,7 @@ class Simulation:
         direction = -1 if sweep % 2 else 1
         idx = self._sweep_len - 1 - step if sweep % 2 else step
         angle = idx * self.sensor_cfg.step_deg
-        dist = index.echo(idx, angle)
+        dist = index.echo(idx, angle, lambda i: fleet[i].agent.motion.at(now))
         self._sweep_samples.append((angle, dist))
         if dist is None:
             line = self._quiet_lines[idx]
@@ -692,37 +784,37 @@ class Simulation:
             self._sweep_samples = []
 
     def _telemetry_phase(self, now: int) -> None:
+        """Send each vehicle's telemetry on the interval.  A resting
+        vehicle's frame stays the same until its next event, so its bytes
+        are kept and sent again."""
         if now % self.scenario.sim.telemetry_interval != 0:
             return
         for sv in self.fleet:
-            self.medium.send(sv.radio, encode(sv.agent.telemetry()), now)
+            agent = sv.agent
+            motion = agent.motion
+            kept = sv.rest_frame
+            if kept is not None and kept[0] is motion:
+                frame = kept[1]
+            else:
+                frame = encode(agent.telemetry(now))
+                sv.rest_frame = (motion, frame) if isinstance(motion, Rest) else None
+            self.medium.send(sv.radio, frame, now)
 
-    def _trace_phase(self) -> None:
-        """Append this tick's rows; a vehicle that did not move keeps its tuples.
-
-        Only a stepped vehicle can have moved.  A pose is kept only while its
-        floats are the very objects of the last row (``is``, so even the sign
-        of a zero cannot differ); an occupancy entry while the radar phase
-        found the vehicle's (node, edge end) unchanged.
-        """
-        poses = self._pose_row.copy()
-        occupancy = self._occupancy_row.copy()
+    def _trace_phase(self, now: int) -> None:
+        """Log what changed this tick: only a stepped vehicle's motion can
+        have, and only a vehicle the radar phase re-placed its hop."""
         fleet = self.fleet
+        poses = self.pose_trace
+        occupancy = self.occupancy_trace
         for i in self._stepped:
-            agent = fleet[i].agent
-            x, y = agent.x, agent.y
-            pose = poses[i]
-            if pose[0] is not x or pose[1] is not y:
-                poses[i] = (x, y)
+            poses.log(i, now, fleet[i].agent.motion)
         ny = self.grid.ny
         keys = self._hop_keys
         for i in self._rehopped:
             src, dst = keys[i]
-            occupancy[i] = (src.ix * ny + src.iy, dst.ix * ny + dst.iy)
-        self.pose_trace.append(poses)
-        self.occupancy_trace.append(occupancy)
-        self._pose_row = poses
-        self._occupancy_row = occupancy
+            occupancy.log(i, now, _Held((src.ix * ny + src.iy, dst.ix * ny + dst.iy)))
+        poses.extend_to(now + 1)
+        occupancy.extend_to(now + 1)
 
     def tick(self) -> None:
         now = self.tick_count
@@ -732,7 +824,7 @@ class Simulation:
         self._radar_phase(now)
         self._telemetry_phase(now)
         if self.trace:
-            self._trace_phase()
+            self._trace_phase(now)
         self.tick_count += 1
 
     @property

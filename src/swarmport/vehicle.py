@@ -12,9 +12,14 @@ wheel speed after n ticks of motion depends only on the vehicle's
 parameters and the timestep.  An agent is built for one grid and one
 timestep.  Its wheel state is the last `_spin_row`, read from a spin-up
 table built once per parameters and timestep; a spin-up that outruns a
-capped table goes on by the same step from the agent's last row.  Each
-hop's heading, direction and target are worked out once when the hop
-starts.
+capped table goes on by the same step from the agent's last row.
+
+A vehicle is stepped only at its hop events: a hop's start, its turn's
+end (where the departure gate is asked) and its arrival.  At each, the
+turn or drive ahead is worked out whole, tick by tick as the wheel loop
+runs it (a `HopRun`, kept in a bounded cache per settled table), and the
+agent's `motion` (a `Rest`, `Turn` or `Drive`) gives its position,
+heading and speed at any tick until the next event.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from itertools import chain, islice, repeat
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import IllegalTransition, TimestepTooLarge
 from .grid import GridMap, NodeId
@@ -47,10 +53,6 @@ _LEGAL = {
 
 ACTIVATE_RETRY_TICKS = 20
 
-_REST = "rest"
-_TURN = "turn"
-_DRIVE = "drive"
-
 # A hop's heading in degrees and unit direction, by its (dx, dy) in nodes.
 _HOPS = {
     (1, 0): (0.0, 1.0, 0.0),
@@ -62,6 +64,8 @@ _HOPS = {
 # Rows kept per spin-up table; a spin-up that has not settled by then
 # continues on the live loop.
 SPIN_TABLE_CAP = 10_000
+# Turn and drive runs kept from settled tables, shared by every agent.
+HOP_CACHE_SIZE = 4096
 # The `_spin_row` of wheels at rest, from which every spin-up starts.
 _AT_REST = (0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -139,9 +143,13 @@ def _spin_row(params: VehicleParams, dt_s: float, row: tuple[float, ...]) -> tup
     return omega, yaw_deg, r * omega * dt_s, pid.integral, pid.prev_error
 
 
-class SpinTable(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class SpinTable:
     """The rows of one spin-up from rest: ``rows[n]`` is `_spin_row` after
-    n + 1 ticks.  If ``settled``, every later tick repeats the last row."""
+    n + 1 ticks.  If ``settled``, every later tick repeats the last row.
+
+    Compared and hashed by identity, so it keys the hop cache cheaply.
+    """
 
     rows: tuple[tuple[float, ...], ...]
     settled: bool
@@ -167,6 +175,159 @@ def spin_table(params: VehicleParams, dt_s: float) -> SpinTable:
     return SpinTable(tuple(rows), False)
 
 
+class HopRun(NamedTuple):
+    """A turn or a drive as its ticks run it, from its first tick.
+
+    ``values[k]`` is the heading (turn) or the coordinate along the drive
+    axis (drive) after tick k, for every tick before the one that ends the
+    turn or arrives, which is tick ``len(values)``.  ``rows[k]`` is the
+    `_spin_row` of tick k, the ending tick's included.
+    """
+
+    values: tuple[float, ...]
+    rows: tuple[tuple[float, ...], ...]
+
+
+def _turn_run(rows: Iterator[tuple[float, ...]], heading: float, sign: int, remaining: float) -> HopRun:
+    """Turn ``remaining`` degrees from ``heading`` in direction ``sign``: each
+    tick yaws its row's yaw_deg, taken modulo 360, and the tick whose yaw
+    reaches what is left ends the turn."""
+    values, used = [], []
+    while True:
+        row = next(rows)
+        used.append(row)
+        yaw_deg = row[1]
+        if yaw_deg >= remaining:
+            return HopRun(tuple(values), tuple(used))
+        remaining -= yaw_deg
+        heading = (heading + sign * yaw_deg) % 360.0
+        values.append(heading)
+
+
+def _drive_run(rows: Iterator[tuple[float, ...]], c: float, u: float, target: float, window: float) -> HopRun:
+    """Drive from ``c`` along unit ``u`` toward ``target``: each tick adds
+    ``u`` times its row's step_len, in sequence, and the first tick that
+    leaves at most ``window`` to go arrives.  The distance left is measured
+    along the drive axis, so a step that overshoots the node still arrives."""
+    values, used = [], []
+    while True:
+        row = next(rows)
+        used.append(row)
+        c += u * row[2]
+        if (target - c) * u <= window:
+            return HopRun(tuple(values), tuple(used))
+        values.append(c)
+
+
+@lru_cache(maxsize=HOP_CACHE_SIZE)
+def _cached_run(run: Callable[..., HopRun], table: SpinTable, n: int, *hop: float) -> HopRun:
+    """``run`` of one hop from spin count ``n`` of a settled table, which
+    repeats its last row after its end."""
+    rows = table.rows
+    return run(chain(islice(rows, n, None), repeat(rows[-1])), *hop)
+
+
+def _speed(radius_m: float, row: tuple[float, ...]) -> float:
+    """Forward speed while driving: the mean of the two wheels' rim speeds."""
+    omega = row[0]
+    return radius_m * (omega + omega) / 2.0
+
+
+class Motion:
+    """What a vehicle does from one of its events to the next, read by
+    tick.  This base stands at ``xy`` facing ``heading``."""
+
+    __slots__ = ("xy", "heading")
+
+    def __init__(self, xy: tuple[float, float], heading: float) -> None:
+        self.xy = xy
+        self.heading = heading
+
+    def at(self, t: int) -> tuple[float, float]:
+        """The position after the step at tick ``t``."""
+        return self.xy
+
+    def span(self, a: int, b: int) -> list[tuple[float, float]]:
+        """The positions of ticks ``a`` to ``b - 1``."""
+        return [self.xy] * (b - a)
+
+    def heading_at(self, t: int) -> float:
+        return self.heading
+
+    def speed_at(self, t: int) -> float:
+        return 0.0
+
+
+class Rest(Motion):
+    """At rest at ``xy`` facing ``heading``, with the wheels braked."""
+
+    __slots__ = ()
+
+
+class _Hop(Motion):
+    """A turn or drive that runs ``run`` from tick ``t0`` and ends at its
+    event, tick ``end``; at ``xy`` facing ``heading`` before ``t0``."""
+
+    __slots__ = ("t0", "run", "end")
+
+    def __init__(self, xy: tuple[float, float], heading: float, t0: int, run: HopRun) -> None:
+        super().__init__(xy, heading)
+        self.t0 = t0
+        self.run = run
+        self.end = t0 + len(run.values)
+
+
+class Turn(_Hop):
+    """Turning in place at ``xy``, facing ``run.values[t - t0]`` from ``t0``.
+    The wheels counter-rotate, so the speed is 0."""
+
+    __slots__ = ()
+
+    def heading_at(self, t: int) -> float:
+        k = t - self.t0
+        return self.heading if k < 0 else self.run.values[k]
+
+
+class Drive(_Hop):
+    """Driving along ``axis`` (0 for x, 1 for y): from ``t0`` at
+    ``run.values[t - t0]`` on that axis and ``cross`` on the other, with
+    the speed of ``run.rows[t - t0]`` (``speed0`` before ``t0``)."""
+
+    __slots__ = ("axis", "cross", "radius_m", "speed0")
+
+    def __init__(self, xy: tuple[float, float], heading: float, t0: int, run: HopRun, axis: int,
+                 radius_m: float, speed0: float) -> None:
+        super().__init__(xy, heading, t0, run)
+        self.axis = axis
+        # The other axis adds 0.0 * step_len each tick, which turns a -0.0
+        # into 0.0 on the first tick and changes nothing after it.
+        self.cross = xy[1 - axis] + 0.0
+        self.radius_m = radius_m
+        self.speed0 = speed0
+
+    def at(self, t: int) -> tuple[float, float]:
+        k = t - self.t0
+        if k < 0:
+            return self.xy
+        c = self.run.values[k]
+        return (c, self.cross) if self.axis == 0 else (self.cross, c)
+
+    def span(self, a: int, b: int) -> list[tuple[float, float]]:
+        t0 = self.t0
+        out = [self.xy] * max(0, min(b, t0) - a)
+        coords = self.run.values[max(a, t0) - t0 : b - t0]
+        cross = self.cross
+        if self.axis == 0:
+            out += [(c, cross) for c in coords]
+        else:
+            out += [(cross, c) for c in coords]
+        return out
+
+    def speed_at(self, t: int) -> float:
+        k = t - self.t0
+        return self.speed0 if k < 0 else _speed(self.radius_m, self.run.rows[k])
+
+
 class Pose(NamedTuple):
     x: float
     y: float
@@ -174,13 +335,16 @@ class Pose(NamedTuple):
 
 
 class VehicleAgent:
-    """Waypoint-following cargo vehicle on ``grid``, stepped by the sim
-    loop every ``dt_s``.
+    """Waypoint-following cargo vehicle on ``grid`` at timestep ``dt_s``.
 
     Motion obeys the timed route windows: each hop has a scheduled
     departure tick and the agent never leaves a node early unless the
     ``departure_gate`` callback grants an earlier slot by returning None;
     a refusal returns the tick until which it stands.
+
+    ``motion`` holds what the vehicle does from its last event to its next
+    (a `Rest`, `Turn` or `Drive`), so its pose and speed at any tick in
+    between are reads, not steps.
 
     Raises TimestepTooLarge if the spin-up of ``params`` at ``dt_s`` is
     unstable or reverses the wheels (see `spin_table`).
@@ -198,7 +362,7 @@ class VehicleAgent:
         self.params = params or VehicleParams()
         self._grid = grid
         self._dt_s = dt_s
-        self._rows, self._settled = spin_table(self.params, dt_s)
+        self._table = spin_table(self.params, dt_s)
         self.state = IDLE
         self.home_node = home_node
         self.current_node = home_node
@@ -207,21 +371,21 @@ class VehicleAgent:
         self.trail: list[NodeId] = []
         # The nodes driven by the last retrace, from the drop-off on.
         self.retraced: list[NodeId] = []
-        # Position in metres as plain floats: the engine's per-tick phases
-        # read these instead of building a `pose`.
-        self.x, self.y = grid.node_to_position(home_node)
+        # Position and heading at the last event, where the vehicle stands
+        # on its current node.
+        x, y = grid.node_to_position(home_node)
+        self._xy = (x, y)
         self._heading = 0.0
-        # Ticks of motion since the last halt, which index `_rows`, and the
-        # wheel loop's row on the last of them (see `_spin`).
+        # Ticks of motion since the last halt, which index the spin-up
+        # table, and the wheel loop's row on the last of them.
         self._spins = 0
         self._row = _AT_REST
-        self._phase = _REST
-        self._turn_sign = 0
-        self._turn_remaining = 0.0
-        # The hop being faced or driven: its heading, then its unit
-        # direction, target (x, y) and arrival window, set by `_start_hop`.
+        self.motion: Motion = Rest(self._xy, self._heading)
+        # The hop being faced or driven: its heading and unit direction,
+        # then the target (x, y) the drive snaps onto when it arrives.
         self._hop_heading = 0.0
-        self._hop_drive = (0.0, 0.0, 0.0, 0.0, 0.0)
+        self._hop_unit = (0.0, 0.0)
+        self._target = self._xy
         self._route: list[NodeId] | None = None
         self._departures: list[int] = []
         self._hop = 0
@@ -303,85 +467,107 @@ class VehicleAgent:
 
     def edge_in_progress(self) -> tuple[NodeId, NodeId] | None:
         """The (from, to) edge currently being driven, if mid-hop."""
-        if self._route is None or self._phase != _DRIVE:
+        if self._route is None or not isinstance(self.motion, Drive):
             return None
         return self._route[self._hop], self._route[self._hop + 1]
 
     # -- dynamics ----------------------------------------------------
 
-    @property
-    def pose(self) -> Pose:
-        return Pose(self.x, self.y, self._heading)
+    def pose(self, now: int) -> Pose:
+        """Where the vehicle is and faces after its step at tick ``now``."""
+        motion = self.motion
+        x, y = motion.at(now)
+        return Pose(x, y, motion.heading_at(now))
 
-    @property
-    def speed_m_s(self) -> float:
-        """Forward speed: the mean of the two wheels' rim speeds, which
-        cancel while the vehicle turns in place and are 0 at rest."""
-        if self._phase != _DRIVE:
-            return 0.0
-        omega = self._row[0]
-        return self.params.wheel_radius_m * (omega + omega) / 2.0
+    def speed_m_s(self, now: int) -> float:
+        """Forward speed after the step at tick ``now``: the mean of the two
+        wheels' rim speeds, which cancel while the vehicle turns in place
+        and are 0 at rest."""
+        return self.motion.speed_at(now)
 
-    def telemetry(self) -> Message:
+    def telemetry(self, now: int) -> Message:
+        motion = self.motion
+        x, y = motion.at(now)
         return Message(
             MessageKind.TELEMETRY,
             self.vehicle_id,
-            x_mm=int(round(self.x * 1000.0)),
-            y_mm=int(round(self.y * 1000.0)),
-            speed_mm_s=int(round(self.speed_m_s * 1000.0)),
-            heading_cdeg=int(round(self._heading * 100.0)) % 36000,
+            x_mm=int(round(x * 1000.0)),
+            y_mm=int(round(y * 1000.0)),
+            speed_mm_s=int(round(motion.speed_at(now) * 1000.0)),
+            heading_cdeg=int(round(motion.heading_at(now) * 100.0)) % 36000,
         )
 
     def _halt(self) -> None:
         self._row = _AT_REST
         self._spins = 0
-        self._phase = _REST
+        if not isinstance(self.motion, Rest):
+            self.motion = Rest(self._xy, self._heading)
 
-    def _spin(self) -> tuple[float, ...]:
-        """One tick of the wheel loop toward cruise; returns its `_spin_row`.
+    def _live(self, row: tuple[float, ...]) -> Iterator[tuple[float, ...]]:
+        """The wheel loop run on from ``row``, one `_spin_row` a tick."""
+        while True:
+            row = _spin_row(self.params, self._dt_s, row)
+            yield row
 
-        The n-th tick after a halt reads row n - 1 of the spin-up table.
-        Past a table that ends short of a fixed point, the same step runs
-        on from the last row, and obeys the same rule: a tick that would
-        reverse the wheels raises TimestepTooLarge naming the timestep,
-        and the vehicle does not move on that tick.
+    def _hop_run(self, run: Callable[..., HopRun], *hop: float) -> HopRun:
+        """``run`` of the hop ahead, from the agent's spin state.
+
+        The n-th tick after a halt reads row n - 1 of the spin-up table.  A
+        settled table repeats its last row after that, so its runs are kept
+        in a cache of HOP_CACHE_SIZE keyed by the spin count, clamped to
+        the table's length.  Past a table that ends short of a fixed point,
+        the same step runs on from its last row, and obeys the same rule: a
+        tick that would reverse the wheels raises TimestepTooLarge naming
+        the timestep, here when the hop is set up, before it moves.
         """
+        table = self._table
+        rows = table.rows
         n = self._spins
-        if n < len(self._rows):
-            self._spins = n + 1
-            self._row = self._rows[n]
-        elif not self._settled:
-            self._row = _spin_row(self.params, self._dt_s, self._row)
-        return self._row
+        if table.settled:
+            return _cached_run(run, table, min(n, len(rows)), *hop)
+        last = rows[-1] if n < len(rows) else self._row
+        return run(chain(islice(rows, n, None), self._live(last)), *hop)
 
-    def _start_hop(self, now: int) -> float | None:
-        """Face the next waypoint, setting phase to turn or drive.
+    def _finish_run(self) -> None:
+        """Spend the spin rows of the turn or drive that ends this tick."""
+        rows = self.motion.run.rows
+        self._spins += len(rows)
+        self._row = rows[-1]
 
-        Sets the hop's heading, direction, target and arrival window, which
-        the turn and drive branches of `step` read.  A hop that needs no
-        turn may have to wait first: returns `_hold`'s answer for it, and
-        None for a turn.
+    def _start_hop(self, now: int, t0: int) -> float | None:
+        """Face the next waypoint: a turn or a drive from tick ``t0``.
+
+        A hop that needs no turn may have to wait first: returns `_hold`'s
+        answer for it, and None when the turn or drive is set up.
         """
         assert self._route is not None
         node = self.current_node
         nxt = self._route[self._hop + 1]
         heading, ux, uy = _HOPS[nxt[0] - node[0], nxt[1] - node[1]]
-        grid = self._grid
-        tx, ty = grid.node_to_position(nxt)
         self._hop_heading = heading
-        self._hop_drive = (ux, uy, tx, ty, grid.spacing_m / 10.0)
+        self._hop_unit = (ux, uy)
         diff = (heading - self._heading) % 360.0
         if diff == 0.0:
-            self._phase = _DRIVE
-            return self._hold(now)
-        self._phase = _TURN
-        if diff <= 180.0:
-            self._turn_sign = 1
-            self._turn_remaining = diff
-        else:
-            self._turn_sign = -1
-            self._turn_remaining = 360.0 - diff
+            wait = self._hold(now)
+            if wait is None:
+                self._drive(t0)
+            return wait
+        sign, remaining = (1, diff) if diff <= 180.0 else (-1, 360.0 - diff)
+        run = self._hop_run(_turn_run, self._heading, sign, remaining)
+        self.motion = Turn(self._xy, self._heading, t0, run)
         return None
+
+    def _drive(self, t0: int) -> None:
+        """Drive the hop to the next waypoint from tick ``t0``."""
+        assert self._route is not None
+        ux, uy = self._hop_unit
+        axis = 0 if ux else 1
+        grid = self._grid
+        x, y = grid.node_to_position(self._route[self._hop + 1])
+        self._target = (x, y)
+        run = self._hop_run(_drive_run, self._xy[axis], ux or uy, self._target[axis], grid.spacing_m / 10.0)
+        r = self.params.wheel_radius_m
+        self.motion = Drive(self._xy, self._heading, t0, run, axis, r, _speed(r, self._row))
 
     def _hold(self, now: int) -> float | None:
         """None if the vehicle may leave for the next node at ``now``.
@@ -402,20 +588,23 @@ class VehicleAgent:
         return min(scheduled, until)
 
     def step(self, now: int) -> float:
-        """Advance tick ``now``: housekeeping, then turn / wait / drive.
+        """Advance to tick ``now``: housekeeping, then the hop event due.
 
-        The step that reaches a leg's last node ends the leg: a reposition
-        presses the load switch, a transit starts UNLOADING and a retrace
-        ends in IDLE.
+        The vehicle's motion changes only at hop events: a hop's start, its
+        turn's end (where the departure gate is asked) and its arrival.
+        A step between two events changes nothing.  The step that reaches a
+        leg's last node ends the leg: a reposition presses the load switch,
+        a transit starts UNLOADING and a retrace ends in IDLE.
 
-        Returns the next tick at which a step can change anything: ``now + 1``
-        while the vehicle turns or drives and on the step that ends a leg;
-        while it rests, the scheduled departure, or earlier the tick until
-        which the departure gate's refusal stands; the next ACTIVATE retry
-        while it awaits a route and INF_TICK while it is parked with no
-        route.  A release of holds and the cargo calls (``on_destination``,
-        ``unload``, ``begin_reposition``, ``press_load_switch``) can make it
-        due earlier; their caller tracks that.
+        Returns the next tick at which a step can change anything: the end
+        of the turn or the arrival while the vehicle turns or drives;
+        ``now + 1`` on the step that ends a leg; while it rests, the
+        scheduled departure, or earlier the tick until which the departure
+        gate's refusal stands; the next ACTIVATE retry while it awaits a
+        route and INF_TICK while it is parked with no route.  A release of
+        holds and the cargo calls (``on_destination``, ``unload``,
+        ``begin_reposition``, ``press_load_switch``) can make it due
+        earlier; their caller tracks that.
         """
         if self.state == LOADED:
             self._transition(AWAITING_ROUTE)
@@ -428,35 +617,28 @@ class VehicleAgent:
                 return self._last_activate + ACTIVATE_RETRY_TICKS
             return INF_TICK
 
-        if self._phase == _REST:
+        if isinstance(self.motion, Rest):
             # At a node: face the next one, or wait there for the departure window.
-            wait = self._start_hop(now)
+            wait = self._start_hop(now, now)
             if wait is not None:
                 return wait
+        motion = self.motion
+        assert isinstance(motion, _Hop)
+        if now < motion.end:
+            return motion.end
+        if isinstance(motion, Turn):
+            return self._end_turn(now)
+        return self._arrive(now)
 
-        if self._phase == _TURN:
-            yaw_deg = self._spin()[1]
-            if yaw_deg >= self._turn_remaining:
-                self._heading = self._hop_heading
-                wait = self._hold(now)
-                if wait is not None:
-                    return wait
-                self._phase = _DRIVE
-            else:
-                self._turn_remaining -= yaw_deg
-                self._heading = (self._heading + self._turn_sign * yaw_deg) % 360.0
-            return now + 1
-
-        # Drive straight toward the next waypoint.
-        step_len = self._spin()[2]
-        ux, uy, tx, ty, window = self._hop_drive
-        self.x += ux * step_len
-        self.y += uy * step_len
-        # Measured along the drive axis, so a step that overshoots the node
-        # still arrives.
-        if (tx - self.x) * ux + (ty - self.y) * uy <= window:
-            return self._arrive(now)
-        return now + 1
+    def _end_turn(self, now: int) -> float:
+        """Snap onto the hop's heading, then wait or drive from the next tick."""
+        self._finish_run()
+        self._heading = self._hop_heading
+        wait = self._hold(now)
+        if wait is not None:
+            return wait
+        self._drive(now + 1)
+        return self.motion.end
 
     def _arrive(self, now: int) -> float:
         """Snap onto the hop's target node; end the leg there or start the next hop.
@@ -464,8 +646,9 @@ class VehicleAgent:
         Returns the tick the vehicle is next due, as ``step`` does.
         """
         assert self._route is not None
+        self._finish_run()
         node = self._route[self._hop + 1]
-        self.x, self.y = self._hop_drive[2:4]
+        self._xy = self._target
         self.current_node = node
         self._hop += 1
         if self.state == RETRACING:
@@ -482,5 +665,5 @@ class VehicleAgent:
             else:
                 self._transition(IDLE)
             return now + 1
-        wait = self._start_hop(now)
-        return now + 1 if wait is None else wait
+        wait = self._start_hop(now, now + 1)
+        return self.motion.end if wait is None else wait

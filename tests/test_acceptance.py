@@ -248,7 +248,7 @@ def test_c4_pid_settles_fast_and_cruise_speed_holds():
     for tick in range(2000):
         agent.step(tick + 1)
         if tick * 0.01 >= settle_s and agent.busy:
-            speeds.append(agent.speed_m_s)
+            speeds.append(agent.speed_m_s(tick + 1))
         if not agent.busy:
             break
     assert speeds

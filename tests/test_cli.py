@@ -74,6 +74,18 @@ def test_plan_unreachable_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("algo", ["dijkstra", "astar", "bellman-ford", "floyd-warshall"])
+@pytest.mark.parametrize("ends", [("4,4", "0,0"), ("0,0", "4,4")])
+def test_plan_blocked_endpoint_exits_two_with_one_message(algo, ends, scenario_file, capsys):
+    """Node (4, 4) is blocked in the default scenario: every algorithm names
+    the blocked endpoint, as a source and as a destination."""
+    src, dst = ends
+    code = main(["plan", "--scenario", scenario_file, "--algo", algo, "--from", src, "--to", dst])
+    assert code == EXIT_NO_PATH
+    src_node, dst_node = (tuple(int(v) for v in end.split(",")) for end in ends)
+    assert capsys.readouterr().err == f"no path: endpoint blocked: {src_node} -> {dst_node}\n"
+
+
+@pytest.mark.parametrize("algo", ["dijkstra", "astar", "bellman-ford", "floyd-warshall"])
 @pytest.mark.parametrize("ends", [("99,99", "0,0"), ("0,0", "99,99")])
 def test_plan_endpoint_outside_grid_exits_one(algo, ends, scenario_file, capsys):
     src, dst = ends

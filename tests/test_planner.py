@@ -20,7 +20,7 @@ from swarmport.planner import (
     ReservationTable,
     TimedPath,
     TimedStep,
-    _check_endpoints,
+    check_endpoints,
     _collapse,
     astar,
     bellman_ford,
@@ -93,7 +93,7 @@ def reference_plan_space_time(
 ) -> TimedPath:
     """The space-time search with its own forward, backward and walk passes,
     kept verbatim as the oracle for `plan_space_time`."""
-    _check_endpoints(grid, src, dst)
+    check_endpoints(grid, src, dst)
     h = ticks_per_hop
     if h <= 0:
         raise BadInterval(f"ticks_per_hop must be positive, got {h}")

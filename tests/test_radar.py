@@ -218,7 +218,7 @@ def test_hop_index_echo_equals_reference_at_every_sweep_index(case):
     c, bodies, before, moments = case
     radii = [radius for radius, _, _ in bodies]
     where = [a for _, a, _ in bodies]
-    index = HopIndex(c, where, radii)
+    index = HopIndex(c, radii)
     for i, (_, a, b) in enumerate(before):
         index.place(i, a, b)
     for i, (_, a, b) in enumerate(bodies):
@@ -229,7 +229,7 @@ def test_hop_index_echo_equals_reference_at_every_sweep_index(case):
         for k in range(c.sweep_len):
             angle = k * c.step_deg
             # repr pins every bit, the sign of a zero included, and None.
-            assert repr(index.echo(k, angle)) == repr(reference_echo_distance(discs, c, angle))
+            assert repr(index.echo(k, angle, where.__getitem__)) == repr(reference_echo_distance(discs, c, angle))
 
 
 @st.composite
@@ -263,12 +263,12 @@ def test_hop_index_keeps_grazing_rays(case):
     """The rays that graze a disc read as hits or misses by rounding alone;
     REACH_MARGIN_DEG and REACH_MARGIN_M keep them all in the index."""
     c, radius, center, k = case
-    index = HopIndex(c, [center], [radius])
+    index = HopIndex(c, [radius])
     index.place(0, center, center)
     discs = [Disc(center, radius)]
     for j in {max(k - 1, 0), k, min(k + 1, c.sweep_len - 1)}:
         angle = j * c.step_deg
-        assert repr(index.echo(j, angle)) == repr(reference_echo_distance(discs, c, angle))
+        assert repr(index.echo(j, angle, [center].__getitem__)) == repr(reference_echo_distance(discs, c, angle))
 
 
 def test_hop_index_marks_only_the_reachable_arc():
@@ -277,7 +277,7 @@ def test_hop_index_marks_only_the_reachable_arc():
     that by the hop's arc; a disc out of range or over the origin covers
     none or all."""
     c = cfg(max_range_m=4.0)
-    index = HopIndex(c, [Position(3.0, 1.0)] * 3, [0.2, 0.2, 0.2])
+    index = HopIndex(c, [0.2, 0.2, 0.2])
     arc = math.degrees(math.asin(0.2 / 2.0))  # 5.74 degrees
     index.place(0, Position(3.0, 1.0), Position(3.0, 1.0))
     assert [k for k, m in enumerate(index.masks) if m] == list(range(0, 6)) + list(range(355, 360))

@@ -1,5 +1,6 @@
 """Scenario schema, tick loop wiring, determinism, artifacts, analytics."""
 
+import copy
 import functools
 import json
 import math
@@ -439,16 +440,17 @@ def test_fast_vehicles_complete_the_default_jobs():
 
 def checked_ticks(sim, agents):
     """Tick ``sim`` until it is done, checking after each tick its trace rows
-    against the agents and its echo, read from the sample the radar phase
-    appended, against the reference echo over discs rebuilt from `pose`.
-    Yields the agents' poses after each tick."""
+    against the agents' poses read at that tick and its echo, read from the
+    sample the radar phase appended, against the reference echo over discs
+    rebuilt from those poses.  Yields the agents' positions after each tick."""
     ny = sim.grid.ny
     while not sim.all_done:
         assert sim.tick_count < sim.scenario.sim.max_ticks
         # The sweep's sample list; a sweep that ends this tick keeps it in its scan.
         samples = sim._sweep_samples
+        now = sim.tick_count
         sim.tick()
-        poses = [(a.pose.x, a.pose.y) for a in agents]
+        poses = [a.pose(now)[:2] for a in agents]
         # repr tells -0.0 from 0.0, which == does not
         assert repr(sim.pose_trace[-1]) == repr(poses)
         occupancy = []
@@ -471,7 +473,7 @@ def test_radar_and_trace_see_every_move():
     sim = Simulation(crossing_scenario(3), trace=True)
     agents = [sim.vehicles[vid].agent for vid in sorted(sim.vehicles)]
     echoed = moved = still = parked = 0
-    previous = [(a.pose.x, a.pose.y) for a in agents]
+    previous = [a.pose(0)[:2] for a in agents]
     was_busy = [a.busy for a in agents]
     for poses in checked_ticks(sim, agents):
         echoed += sim.frame_lines[-1].split(",")[1] != "0.\n"
@@ -490,6 +492,56 @@ def test_radar_and_trace_see_every_move():
     assert len(sim.frame_lines) == sim.tick_count
     assert moved and still and parked  # both the refresh and the reuse were exercised
     assert echoed  # some rays hit a vehicle
+
+
+def test_trace_views_read_as_the_rows_of_a_trace_built_every_tick():
+    """`pose_trace` and `occupancy_trace` keep a change log per vehicle and
+    build rows on demand.  Read every way a list of rows is read, they must
+    equal a trace built here with one row per tick from the agents."""
+    sim = Simulation(crossing_scenario(3), trace=True)
+    agents = [sim.vehicles[vid].agent for vid in sorted(sim.vehicles)]
+    ny = sim.grid.ny
+    poses, occupancy, parked = [], [], []
+    was_busy = [True] * len(agents)
+    while not sim.all_done:
+        now = sim.tick_count
+        sim.tick()
+        poses.append([a.pose(now)[:2] for a in agents])
+        row = []
+        for a in agents:
+            edge = a.edge_in_progress()
+            dst = edge[1] if edge is not None else a.current_node
+            row.append((a.current_node.ix * ny + a.current_node.iy, dst.ix * ny + dst.iy))
+        occupancy.append(row)
+        parked.append([not (a.busy or busy) for a, busy in zip(agents, was_busy)])
+        was_busy = [a.busy for a in agents]
+    for view, eager in ((sim.pose_trace, poses), (sim.occupancy_trace, occupancy)):
+        n = len(eager)
+        assert len(view) == n == sim.tick_count
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(view) == repr(eager)
+        assert [repr(view[t]) for t in range(n)] == [repr(row) for row in eager]
+        assert [repr(view[t - n]) for t in range(n)] == [repr(row) for row in eager]
+        assert [repr(row) for row in view] == [repr(row) for row in eager]
+        assert view == eager and eager == view and not view != eager
+        assert view != eager[:-1] and view != eager[:-1] + [[None] * len(agents)]
+        for t in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[t]
+        copied = copy.deepcopy(view)
+        assert type(copied) is list and all(type(row) is list for row in copied)
+        assert repr(copied) == repr(eager)
+        copied[n // 2][0] = copied[n // 2][1]
+        assert view[n // 2] == eager[n // 2]
+    # A vehicle parked over two ticks keeps one pose tuple, read by index or by iteration.
+    rows = list(sim.pose_trace)
+    shared = 0
+    for t in range(1, len(rows)):
+        for i, still in enumerate(parked[t]):
+            if still:
+                assert rows[t][i] is rows[t - 1][i] and sim.pose_trace[t][i] is sim.pose_trace[t - 1][i]
+                shared += 1
+    assert shared
 
 
 def test_a_spin_up_that_reverses_the_wheels_is_rejected_by_name():

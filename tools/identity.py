@@ -11,6 +11,10 @@ the hub's telemetry log, the radar frame lines, the sweep count, the
 kept scans (number, direction and samples) and the capture.  A change
 that means to alter any of these records the table again and says why.
 
+Each engine case runs a second time with the trace off, and that run's
+capture, frame lines, job traces, telemetry log, totals and scans must
+equal the traced run's: the trace only watches.
+
 The engine cases cover what the golden hashes and the benchmark digests
 leave out: 30 crossing fleets, every depot layout, the default scenario at two
 loss rates, two latencies and three radio seeds, a crossing fleet at
@@ -160,15 +164,12 @@ def _hash_rows(h, rows, typecode: str) -> None:
         h.update(array(typecode, chain.from_iterable(chain.from_iterable(chunk))).tobytes())
 
 
-def run_digest(scenario) -> str:
-    sim = Simulation(scenario, trace=True, capture=True)
-    sim.run_loop()
-    h = hashlib.sha256()
-    _hash_rows(h, sim.pose_trace, "d")
-    _hash_rows(h, sim.occupancy_trace, "q")
-    for tick, channel, frame in sim.medium.capture:
-        h.update(tick.to_bytes(8, "big") + bytes([channel]) + len(frame).to_bytes(2, "big") + frame)
-    h.update("".join(sim.frame_lines).encode())
+def _outputs(sim) -> list[bytes]:
+    """What a run produced besides its traces, as the digest reads it."""
+    capture = b"".join(
+        tick.to_bytes(8, "big") + bytes([channel]) + len(frame).to_bytes(2, "big") + frame
+        for tick, channel, frame in sim.medium.capture
+    )
     jobs = [
         [t.vehicle_id, t.job_id, [list(n) for n in t.outbound], [list(n) for n in t.retraced],
          list(t.final_pose), list(t.home_position), t.complete_tick]
@@ -177,8 +178,23 @@ def run_digest(scenario) -> str:
     log = [[getattr(rec, f) for f in LOG_FIELDS] for rec in sim.hub.log]
     totals = [sim.tick_count, sim.completed_jobs, sim.total_jobs, sim.last_complete_tick, sim.sweep_count]
     scans = [[n, scan.direction, scan.samples] for n, scan in sim.renders]
-    h.update(json.dumps([jobs, log, totals, scans]).encode())
-    return h.hexdigest()
+    return [capture, "".join(sim.frame_lines).encode(), json.dumps([jobs, log, totals, scans]).encode()]
+
+
+def run_digest(scenario) -> tuple[str, bool]:
+    """The digest of a traced run of ``scenario``, and whether a run with
+    the trace off produced the same outputs besides the traces."""
+    sim = Simulation(scenario, trace=True, capture=True)
+    sim.run_loop()
+    h = hashlib.sha256()
+    _hash_rows(h, sim.pose_trace, "d")
+    _hash_rows(h, sim.occupancy_trace, "q")
+    outputs = _outputs(sim)
+    for part in outputs:
+        h.update(part)
+    untraced = Simulation(scenario, capture=True)
+    untraced.run_loop()
+    return h.hexdigest(), _outputs(untraced) == outputs
 
 
 def scan_digest(scenario) -> str:
@@ -200,8 +216,16 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--record", action="store_true", help="rewrite the checked-in table")
     args = parser.parse_args(argv)
 
-    table = {name: run_digest(build()) for name, build in cases().items()}
+    table, untraced_differs = {}, []
+    for name, build in cases().items():
+        table[name], same = run_digest(build())
+        if not same:
+            untraced_differs.append(name)
     table.update((name, scan_digest(build())) for name, build in scan_cases().items())
+    for name in untraced_differs:
+        print(f"identity: {name}: the run with the trace off differs from the traced run", file=sys.stderr)
+    if args.record and untraced_differs:
+        return 1
     if args.record:
         TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="ascii")
         print(f"identity: wrote {len(table)} digests to {TABLE.relative_to(ROOT)}")
@@ -211,8 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     bad = [name for name in bad if table.get(name) != expected.get(name)]
     for name in bad:
         print(f"identity: {name}: got {table.get(name)}, expected {expected.get(name)}", file=sys.stderr)
-    print(f"identity: {len(table) - len(bad)} of {len(table)} cases match")
-    return 1 if bad else 0
+    print(f"identity: {len(table) - len(bad)} of {len(table)} cases match; "
+          f"{len(untraced_differs)} differ with the trace off")
+    return 1 if bad or untraced_differs else 0
 
 
 if __name__ == "__main__":
