@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyLog, IoFailure, ScenarioInvalid, UnknownVehicle
 from .grid import GridMap, NodeId
@@ -31,8 +32,7 @@ class Job:
             raise ValueError(f"job {self.job_id}: pickup equals destination")
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
+class TelemetryRecord(NamedTuple):
     tick: int
     vehicle_id: int
     x_m: float
@@ -78,9 +78,10 @@ class Hub:
         # the whole grid, and the hop counts that stop at park spots.
         self._from_pickup: dict[NodeId, tuple[dict[NodeId, int], dict[NodeId, int]]] = {}
         self.outbox: list[Message] = []
-        # Without an inbound frame, dispatch has nothing new to do before
-        # this tick: the next job release, the earliest order retry, or at
-        # once after a vehicle is freed.
+        # Without an inbound ACTIVATE or ACK, dispatch has nothing new to do
+        # before this tick: the next job release, the earliest order retry,
+        # or at once after a vehicle is freed.  Telemetry changes nothing
+        # dispatch reads.
         self.wake_tick: float = math.inf
 
     def register_vehicle(self, vehicle_id: int, home_node: NodeId) -> None:
@@ -132,9 +133,10 @@ class Hub:
         distance is the home's.
 
         Between calls, the result can change only when a job is released,
-        a vehicle is freed, an order's retry falls due or a frame comes in;
-        ``wake_tick`` is the first tick at which one of the first three is
-        due.
+        a vehicle is freed, an order's retry falls due or an ACTIVATE or ACK
+        comes in; ``wake_tick`` is the first tick at which one of the first
+        three is due.  Before it, a call after only `ingest_telemetry`
+        returns ``[]`` and changes nothing.
         """
         assigned: list[tuple[int, Job]] = []
         wake = math.inf
@@ -212,15 +214,7 @@ def ingest_telemetry(hub: Hub, message: Message, tick: int, state: str) -> Telem
     dist = math.hypot(x, y)
     angle = 0.0 if dist == 0.0 else math.degrees(math.atan2(y, x)) % 360.0
     rec = TelemetryRecord(
-        tick=tick,
-        vehicle_id=message.vehicle_id,
-        x_m=x,
-        y_m=y,
-        heading_deg=message.heading_cdeg / 100.0,
-        speed_m_s=message.speed_mm_s / 1000.0,
-        dist_from_origin_m=dist,
-        angle_from_origin_deg=angle,
-        state=state,
+        tick, message.vehicle_id, x, y, message.heading_cdeg / 100.0, message.speed_mm_s / 1000.0, dist, angle, state
     )
     hub.log.append(rec)
     return rec

@@ -45,7 +45,15 @@ class MessageKind(IntEnum):
     ACK = 0x04
 
 
-@dataclass
+# The kind byte's members, looked up without the enum's constructor.
+_KINDS = {int(kind): kind for kind in MessageKind}
+# Big-endian u16 fields: a node's (ix, iy), a telemetry payload, the CRC.
+_NODE = struct.Struct(">HH")
+_TELEMETRY = struct.Struct(">HHHH")
+_CRC = struct.Struct(">H")
+
+
+@dataclass(slots=True)
 class Message:
     kind: MessageKind
     vehicle_id: int
@@ -72,11 +80,9 @@ def _payload_bytes(message: Message) -> bytes:
     if message.kind == MessageKind.ASSIGN_DESTINATION:
         if message.dest is None:
             raise PayloadTooLarge("ASSIGN_DESTINATION requires a destination node")
-        return struct.pack(">HH", message.dest[0], message.dest[1])
+        return _NODE.pack(message.dest[0], message.dest[1])
     if message.kind == MessageKind.TELEMETRY:
-        return struct.pack(
-            ">HHHH", message.x_mm, message.y_mm, message.speed_mm_s, message.heading_cdeg
-        )
+        return _TELEMETRY.pack(message.x_mm, message.y_mm, message.speed_mm_s, message.heading_cdeg)
     return b""
 
 
@@ -104,45 +110,39 @@ def encode(message: Message) -> bytes:
         raise PayloadTooLarge(
             f"{message.kind.name} field vehicle_id = {message.vehicle_id!r} does not fit in 8 bits"
         ) from None
-    return bytes([SYNC]) + body + struct.pack(">H", crc16_ccitt_false(body))
+    return bytes([SYNC]) + body + _CRC.pack(crc16_ccitt_false(body))
 
 
 def decode(data: bytes) -> Message:
     """Inverse of encode; names the first failing check."""
-    if len(data) < 1 or data[0] != SYNC:
+    size = len(data)
+    if size < 1 or data[0] != SYNC:
         raise BadSync("missing 0x7E sync byte")
-    if len(data) < 2:
+    if size < 2:
         raise BadVersion("missing version byte")
     if data[1] != VERSION:
         raise BadVersion(f"unsupported version byte 0x{data[1]:02x}, expected 0x{VERSION:02x}")
-    if len(data) < 7:
-        raise BadLength(f"frame too short: {len(data)} bytes")
+    if size < 7:
+        raise BadLength(f"frame too short: {size} bytes")
     length = data[4]
-    if length > MAX_PAYLOAD or len(data) != 7 + length:
-        raise BadLength(f"length byte {length} inconsistent with {len(data)}-byte frame")
-    body = data[1:-2]
-    (crc,) = struct.unpack(">H", data[-2:])
-    if crc != crc16_ccitt_false(body):
+    if length > MAX_PAYLOAD or size != 7 + length:
+        raise BadLength(f"length byte {length} inconsistent with {size}-byte frame")
+    if _CRC.unpack_from(data, size - 2)[0] != crc16_ccitt_false(data[1:-2]):
         raise CrcMismatch("checksum does not match frame body")
-    kind_byte, vehicle_id = data[2], data[3]
-    try:
-        kind = MessageKind(kind_byte)
-    except ValueError:
-        raise UnknownKind(f"unknown message kind 0x{kind_byte:02x}") from None
-    payload = data[5:-2]
-    if kind == MessageKind.ASSIGN_DESTINATION:
-        if length != 4:
-            raise BadLength(f"ASSIGN_DESTINATION payload must be 4 bytes, got {length}")
-        ix, iy = struct.unpack(">HH", payload)
-        return Message(kind, vehicle_id, dest=NodeId(ix, iy))
-    if kind == MessageKind.TELEMETRY:
+    kind = _KINDS.get(data[2])
+    if kind is None:
+        raise UnknownKind(f"unknown message kind 0x{data[2]:02x}")
+    if kind is MessageKind.TELEMETRY:
         if length != 8:
             raise BadLength(f"TELEMETRY payload must be 8 bytes, got {length}")
-        x_mm, y_mm, speed, heading = struct.unpack(">HHHH", payload)
-        return Message(kind, vehicle_id, x_mm=x_mm, y_mm=y_mm, speed_mm_s=speed, heading_cdeg=heading)
+        return Message(kind, data[3], None, *_TELEMETRY.unpack_from(data, 5))
+    if kind is MessageKind.ASSIGN_DESTINATION:
+        if length != 4:
+            raise BadLength(f"ASSIGN_DESTINATION payload must be 4 bytes, got {length}")
+        return Message(kind, data[3], NodeId(*_NODE.unpack_from(data, 5)))
     if length != 0:
         raise BadLength(f"{kind.name} payload must be empty, got {length} bytes")
-    return Message(kind, vehicle_id)
+    return Message(kind, data[3])
 
 
 @dataclass
@@ -171,7 +171,8 @@ class Medium:
         self.loss_probability = loss_probability
         self.latency_ticks = latency_ticks
         self._rng = random.Random(seed)
-        self._radios: list[Radio] = []
+        # The attached radios of each channel, in attach order.
+        self._peers: dict[Channel, list[Radio]] = {}
         # A lower bound on the earliest due tick in any inbox; exact again
         # once ``_stale`` is cleared by recomputing it.
         self._next_due = math.inf
@@ -179,7 +180,7 @@ class Medium:
         self.capture: list[tuple[int, int, bytes]] | None = [] if capture else None
 
     def attach(self, radio: Radio) -> Radio:
-        self._radios.append(radio)
+        self._peers.setdefault(radio.channel, []).append(radio)
         return radio
 
     def send(self, sender: Radio, frame: bytes, current_tick: int) -> None:
@@ -190,8 +191,8 @@ class Medium:
         if self.loss_probability > 0.0 and self._rng.random() < self.loss_probability:
             return
         due = current_tick + self.latency_ticks
-        for radio in self._radios:
-            if radio.channel == channel and radio is not sender:
+        for radio in self._peers.get(channel, ()):
+            if radio is not sender:
                 radio.inbox.append((due, frame))
                 if due < self._next_due:
                     self._next_due = due
@@ -200,7 +201,10 @@ class Medium:
     def next_due(self) -> float:
         """The earliest tick at which some inbox holds a due frame; inf if none."""
         if self._stale:
-            self._next_due = min((entry[0] for radio in self._radios for entry in radio.inbox), default=math.inf)
+            self._next_due = min(
+                (entry[0] for radios in self._peers.values() for radio in radios for entry in radio.inbox),
+                default=math.inf,
+            )
             self._stale = False
         return self._next_due
 

@@ -471,6 +471,9 @@ class _SimVehicle:
     # The telemetry frame of the vehicle's current `Rest`, sent again
     # until its next event.
     rest_frame: tuple[Rest, bytes] | None = None
+    # The last frame the hub radio decoded, and its message: a kept rest
+    # frame arrives as the same bytes object and is decoded once.
+    heard: tuple[bytes, Message] | None = None
 
 
 @dataclass(frozen=True)
@@ -522,7 +525,9 @@ class Simulation:
         # The vehicles in ascending id: the order of every per-vehicle phase.
         self.fleet: list[_SimVehicle] = list(self.vehicles.values())
         # The fleet positions of the vehicles stepped this tick.
-        self._stepped: list[int] = []
+        self._stepped: Sequence[int] = ()
+        # The earliest ``wake`` in the fleet: before it no vehicle is due.
+        self._next_wake: float = 0
         for job in scenario.jobs:
             self.hub.add_job(job)
 
@@ -582,6 +587,7 @@ class Simulation:
         self.table.release_vehicle(vid)
         for other in self.fleet:
             other.wake = now
+        self._next_wake = now
         try:
             tp = plan()
             commit(self.table, vid, tp)
@@ -628,6 +634,7 @@ class Simulation:
         so a load switch pressed here is stamped ``now - 1``."""
         agent = sv.agent
         sv.wake = now
+        self._next_wake = min(self._next_wake, now)
         if agent.busy or sv.pending is not None:
             agent.queue_ack()
         elif agent.state in (LOADED, AWAITING_ROUTE) and dest != agent.current_node:
@@ -643,10 +650,16 @@ class Simulation:
     # -- tick phases ----------------------------------------------------
 
     def _deliver(self, now: int) -> list[Message]:
-        if now < self.medium.next_due:
+        """Act on the orders due at the vehicles; return the frames due at
+        the hub, decoded.  A frame that is the bytes object the hub radio
+        decoded last reuses its message."""
+        medium = self.medium
+        if now < medium.next_due:
             return []
         for sv in self.fleet:
-            for frame in self.medium.poll(sv.radio, now):
+            if not sv.radio.inbox:
+                continue
+            for frame in medium.poll(sv.radio, now):
                 try:
                     msg = decode(frame)
                 except DecodeError:
@@ -655,26 +668,43 @@ class Simulation:
                     self._handle_assign(sv, NodeId(msg.dest[0], msg.dest[1]), now)
         inbound: list[Message] = []
         for sv in self.fleet:
-            for frame in self.medium.poll(sv.hub_radio, now):
-                try:
-                    msg = decode(frame)
-                except DecodeError:
-                    continue
-                if msg.kind in (MessageKind.ACTIVATE, MessageKind.TELEMETRY, MessageKind.ACK):
+            if not sv.hub_radio.inbox:
+                continue
+            for frame in medium.poll(sv.hub_radio, now):
+                heard = sv.heard
+                if heard is not None and heard[0] is frame:
+                    msg = heard[1]
+                else:
+                    try:
+                        msg = decode(frame)
+                    except DecodeError:
+                        continue
+                    sv.heard = (frame, msg)
+                if msg.kind is not MessageKind.ASSIGN_DESTINATION:
                     inbound.append(msg)
         return inbound
 
     def _hub_phase(self, inbound: list[Message], now: int) -> None:
+        """Hand the inbound frames to the hub, then dispatch, unless only
+        telemetry came in before ``hub.wake_tick``: telemetry changes
+        nothing dispatch reads, so dispatch would return ``[]`` and send
+        nothing."""
         hub = self.hub
         if not inbound and now < hub.wake_tick:
             return
+        telemetry_only = True
         for msg in inbound:
-            if msg.kind == MessageKind.ACTIVATE:
-                hub.on_activate(msg.vehicle_id, now)
-            elif msg.kind == MessageKind.ACK:
-                hub.on_ack(msg.vehicle_id)
-            else:
+            kind = msg.kind
+            if kind is MessageKind.TELEMETRY:
                 ingest_telemetry(hub, msg, now, self.vehicles[msg.vehicle_id].agent.state)
+            elif kind is MessageKind.ACTIVATE:
+                hub.on_activate(msg.vehicle_id, now)
+                telemetry_only = False
+            else:
+                hub.on_ack(msg.vehicle_id)
+                telemetry_only = False
+        if telemetry_only and now < hub.wake_tick:
+            return
         hub.dispatch(now)
         for msg in hub.outbox:
             self.medium.send(self.vehicles[msg.vehicle_id].hub_radio, encode(msg), now)
@@ -686,8 +716,12 @@ class Simulation:
         ``wake`` is read as the loop reaches each vehicle, so one that a
         release earlier in the loop woke is stepped on this tick.  The wake
         tick from ``step`` (a moving vehicle's next hop event) is lowered
-        to the tick of a pending leg.
+        to the tick of a pending leg.  Before ``_next_wake`` no vehicle is
+        due, and none is stepped.
         """
+        if now < self._next_wake:
+            self._stepped = ()
+            return
         stepped = self._stepped = []
         for i, sv in enumerate(self.fleet):
             if now < sv.wake:
@@ -707,6 +741,7 @@ class Simulation:
                 for msg in agent.outbox:
                     self.medium.send(sv.radio, encode(msg), now)
                 agent.outbox.clear()
+        self._next_wake = min((sv.wake for sv in self.fleet), default=math.inf)
 
     def _post_step(self, sv: _SimVehicle, before: str, now: int) -> None:
         """Act on a cargo state change of this tick's step, from ``before``:

@@ -302,6 +302,62 @@ def test_wake_tick_is_the_next_release_retry_or_freed_vehicle():
     assert hub.wake_tick == 110
 
 
+def hub_state(hub):
+    orders = {vid: (o.kind, o.dest, o.last_send, o.acked) for vid, o in hub.orders.items()}
+    jobs = {vid: info.job for vid, info in hub.vehicles.items()}
+    return list(hub.outbox), orders, dict(hub.assignments), jobs, hub.wake_tick
+
+
+@st.composite
+def hub_histories(draw):
+    """1-4 vehicles and 1-5 jobs on the 9 x 9 grid, and a history of steps:
+    ticks forward, an ACK, ACTIVATE or job completion from a vehicle, or nothing."""
+    nodes = [NodeId(ix, iy) for ix in range(9) for iy in range(9)]
+    homes = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4, unique=True))
+    jobs = []
+    for job_id in range(draw(st.integers(1, 5))):
+        pickup, dest = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+        jobs.append(Job(job_id, pickup, dest, draw(st.integers(0, 60))))
+    event = st.sampled_from(["ack", "activate", "complete", "none"])
+    steps = draw(st.lists(st.tuples(st.integers(0, 30), event, st.integers(0, len(homes) - 1)), max_size=25))
+    probes = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3))
+    return homes, jobs, steps, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(hub_histories())
+def test_only_telemetry_before_wake_tick_leaves_dispatch_nothing_to_do(history):
+    """After dispatch(t), a dispatch at any t' with t < t' < wake_tick, with
+    only telemetry ingested in between, assigns nothing and changes neither
+    the outbox, the orders, the assignments nor the wake tick.  The engine
+    skips such a dispatch."""
+    homes, jobs, steps, probes = history
+    hub = make_hub(tuple(enumerate(homes)))
+    for job in jobs:
+        hub.add_job(job)
+    t = 0
+    for dt, event, vid in steps:
+        t += dt
+        if event == "ack":
+            hub.on_ack(vid)
+        elif event == "activate":
+            hub.on_activate(vid, t)
+        elif event == "complete" and hub.vehicles[vid].job is not None:
+            hub.on_job_complete(vid)
+        hub.dispatch(t)
+        hub.outbox.clear()
+        span = min(hub.wake_tick, t + 200) - t - 1
+        for share in probes:
+            later = t + 1 + int(share * span)
+            if later >= hub.wake_tick:
+                continue
+            before = hub_state(hub)
+            ingest_telemetry(hub, telemetry_msg(vid, 0.5, 0.25), later - 1, "IDLE")
+            ingest_telemetry(hub, telemetry_msg(vid, 0.75, 0.25), later, "IDLE")
+            assert hub.dispatch(later) == []
+            assert hub_state(hub) == before
+
+
 def test_activate_issues_cargo_destination():
     hub = make_hub()
     hub.add_job(Job(0, NodeId(1, 0), NodeId(5, 0)))

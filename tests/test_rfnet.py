@@ -297,6 +297,44 @@ def test_sender_does_not_hear_itself_and_draws_as_before():
     assert skipping._rng.random() == plain._rng.random()
 
 
+class JournalInbox(list):
+    """An inbox that notes which radio each frame reached, in order."""
+
+    def __init__(self, journal, name):
+        super().__init__()
+        self.journal, self.name = journal, name
+
+    def append(self, entry):
+        self.journal.append((self.name, entry))
+        super().append(entry)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=10),
+    st.lists(st.tuples(st.integers(-1, 9), st.integers(0, 3)), max_size=20),
+)
+def test_send_reaches_what_a_scan_of_every_radio_reaches(channels, sends):
+    """The medium reaches the same radios, in the same order, as a scan of
+    every attached radio that skips other channels and the sender.  A
+    sender index past the attached radios is an unattached radio, whose
+    channel is drawn with it."""
+    medium = Medium(latency_ticks=2)
+    journal = []
+    radios = []
+    for name, channel in enumerate(channels):
+        radio = medium.attach(Radio(Channel(channel)))
+        radio.inbox = JournalInbox(journal, name)
+        radios.append(radio)
+    for tick, (who, channel) in enumerate(sends):
+        sender = radios[who] if 0 <= who < len(radios) else Radio(Channel(channel))
+        journal.clear()
+        medium.send(sender, bytes([tick]), tick)
+        scan = [name for name, radio in enumerate(radios) if radio.channel == sender.channel and radio is not sender]
+        assert journal == [(name, (tick + 2, bytes([tick]))) for name in scan]
+        assert medium.next_due == min((e[0] for r in radios for e in r.inbox), default=math.inf)
+
+
 def test_poll_returns_frames_in_send_order():
     medium = Medium()
     radio = medium.attach(Radio(Channel(0)))
@@ -386,3 +424,104 @@ def test_write_capture_format(tmp_path):
 def test_write_capture_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         write_capture([(0, 0, b"")], tmp_path / "no" / "dir" / "x.bin")
+
+
+# ------------------------------------------------- decode against a reference
+
+
+KIND_NAMES = {0x01: "ACTIVATE", 0x02: "ASSIGN_DESTINATION", 0x03: "TELEMETRY", 0x04: "ACK"}
+PAYLOAD_SIZES = {0x02: 4, 0x03: 8}
+
+
+def reference_decode(data):
+    """The frame layout read byte by byte: sync 0x7E, version 0x01, kind,
+    vehicle id, payload length (at most 26), the payload, and a big-endian
+    CRC-16/CCITT-FALSE over version to payload.  Returns (kind name,
+    vehicle id, payload as u16 words) or raises the first failing check."""
+    if len(data) < 1 or data[0] != 0x7E:
+        raise BadSync("missing 0x7E sync byte")
+    if len(data) < 2:
+        raise BadVersion("missing version byte")
+    if data[1] != 0x01:
+        raise BadVersion(f"unsupported version byte 0x{data[1]:02x}, expected 0x01")
+    if len(data) < 7:
+        raise BadLength(f"frame too short: {len(data)} bytes")
+    length = data[4]
+    if length > 26 or len(data) != 7 + length:
+        raise BadLength(f"length byte {length} inconsistent with {len(data)}-byte frame")
+    if data[-2] << 8 | data[-1] != bitwise_crc16_ccitt_false(data[1:-2]):
+        raise CrcMismatch("checksum does not match frame body")
+    kind = data[2]
+    if kind not in KIND_NAMES:
+        raise UnknownKind(f"unknown message kind 0x{kind:02x}")
+    name = KIND_NAMES[kind]
+    size = PAYLOAD_SIZES.get(kind, 0)
+    if length != size:
+        if size:
+            raise BadLength(f"{name} payload must be {size} bytes, got {length}")
+        raise BadLength(f"{name} payload must be empty, got {length} bytes")
+    words = [data[5 + i] << 8 | data[6 + i] for i in range(0, length, 2)]
+    return name, data[3], words
+
+
+def reference_frame(kind, vid, payload):
+    body = bytes([0x01, kind, vid, len(payload)]) + payload
+    crc = bitwise_crc16_ccitt_false(body)
+    return bytes([0x7E]) + body + bytes([crc >> 8, crc & 0xFF])
+
+
+def assert_decodes_like_reference(data):
+    try:
+        want = reference_decode(data)
+    except DecodeError as exc:
+        with pytest.raises(type(exc)) as got:
+            decode(data)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    msg = decode(data)
+    name, vid, words = want
+    assert (msg.kind.name, msg.vehicle_id) == (name, vid)
+    assert msg.dest == (tuple(words) if name == "ASSIGN_DESTINATION" else None)
+    fields = [msg.x_mm, msg.y_mm, msg.speed_mm_s, msg.heading_cdeg]
+    assert fields == (words if name == "TELEMETRY" else [0, 0, 0, 0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=40), st.binary(max_size=38).map(lambda b: bytes([SYNC, VERSION]) + b)))
+def test_decode_of_random_bytes_matches_reference(data):
+    assert_decodes_like_reference(data)
+
+
+@st.composite
+def altered_frames(draw):
+    """A well-framed frame of any kind byte, with its kind's payload size
+    or another, then with one byte replaced, bytes cut or bytes inserted,
+    its CRC recomputed or not."""
+    kind = draw(st.sampled_from([0x01, 0x02, 0x03, 0x04, 0x00, 0x05, 0xFF]))
+    size = draw(st.sampled_from([PAYLOAD_SIZES.get(kind, 0)]) | st.integers(0, 28))
+    frame = bytearray(reference_frame(kind, draw(st.integers(0, 255)), draw(st.binary(min_size=size, max_size=size))))
+    change = draw(st.sampled_from(["byte", "cut", "insert"]))
+    if change == "byte":
+        frame[draw(st.integers(0, len(frame) - 1))] = draw(st.integers(0, 255))
+    elif change == "cut":
+        frame = frame[: draw(st.integers(0, len(frame)))]
+    else:
+        at = draw(st.integers(0, len(frame)))
+        frame[at:at] = draw(st.binary(min_size=1, max_size=30))
+    if draw(st.booleans()) and len(frame) >= 3:
+        crc = bitwise_crc16_ccitt_false(frame[1:-2])
+        frame[-2:] = bytes([crc >> 8, crc & 0xFF])
+    return bytes(frame)
+
+
+@settings(max_examples=500, deadline=None)
+@given(altered_frames())
+def test_decode_of_altered_frames_matches_reference(data):
+    assert_decodes_like_reference(data)
+
+
+def test_decode_of_well_framed_frames_matches_reference():
+    for kind in range(6):
+        for size in (0, 4, 8, 26, 27):
+            assert_decodes_like_reference(reference_frame(kind, 7, bytes(range(1, size + 1))))

@@ -15,7 +15,7 @@ from swarmport.grid import GridMap, NodeId, Position
 from swarmport.hub import Job, metrics
 from swarmport.planner import INF_TICK
 from swarmport.radar import Disc, SweepConfig
-from swarmport.rfnet import encode
+from swarmport.rfnet import MessageKind, decode, encode
 from swarmport.sim import (
     NOPATH_RETRY_TICKS,
     RENDER_EVERY_SWEEPS,
@@ -673,6 +673,24 @@ def test_sleeping_gate_matches_asking_every_tick():
         assert engine_early == reference_early
         early_total += engine_early
     assert early_total > 0
+
+
+def test_a_resting_vehicles_repeated_frame_is_decoded_once(monkeypatch):
+    """A resting vehicle sends one bytes object until its next event, and
+    the hub reuses the message it decoded from it: no telemetry frame is
+    decoded twice, so fewer are decoded than the hub logs."""
+    decoded = []
+
+    def counting(frame):
+        decoded.append(frame)  # held, so no id is reused
+        return decode(frame)
+
+    monkeypatch.setattr(swarmport.sim, "decode", counting)
+    sim = Simulation(crossing_scenario(2))
+    sim.run_loop()
+    telemetry = [frame for frame in decoded if frame[2] == MessageKind.TELEMETRY]
+    assert len({id(frame) for frame in telemetry}) == len(telemetry)
+    assert len(telemetry) < len(sim.hub.log) / 2
 
 
 def test_refused_retrace_is_retried_on_the_one_timer():
