@@ -12,8 +12,10 @@ import binascii
 import math
 import random
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -148,7 +150,8 @@ def decode(data: bytes) -> Message:
 @dataclass
 class Radio:
     channel: Channel
-    # (due tick, frame) in send order, which `Medium.poll` keeps by a stable sort.
+    # (due tick, frame) in send order, which is due order: the latency is
+    # constant and the radio receives at non-decreasing ticks.
     inbox: list[tuple[int, bytes]] = field(default_factory=list)
 
 
@@ -159,7 +162,8 @@ class Medium:
     latency is a constant tick delay, so a fixed seed replays identically.
     ``next_due`` is the earliest due tick of any frame still in an inbox, so
     a caller can skip polling on ticks when nothing is due.  Frames enter
-    inboxes only through ``send``.
+    inboxes only through ``send``, which callers make at non-decreasing
+    ticks, so each inbox is in due order and its due frames are a prefix.
     """
 
     def __init__(self, loss_probability: float = 0.0, latency_ticks: int = 0, seed: int = 0,
@@ -202,23 +206,22 @@ class Medium:
         """The earliest tick at which some inbox holds a due frame; inf if none."""
         if self._stale:
             self._next_due = min(
-                (entry[0] for radios in self._peers.values() for radio in radios for entry in radio.inbox),
+                (radio.inbox[0][0] for radios in self._peers.values() for radio in radios if radio.inbox),
                 default=math.inf,
             )
             self._stale = False
         return self._next_due
 
     def poll(self, radio: Radio, current_tick: int) -> list[bytes]:
-        """Frames due by now on the radio's channel, by due tick, then in send order."""
-        if not radio.inbox:
+        """Frames due by now on the radio's channel, in send order: the
+        inbox's due prefix."""
+        inbox = radio.inbox
+        n = bisect_right(inbox, current_tick, key=itemgetter(0))
+        if not n:
             return []
-        ready = [entry for entry in radio.inbox if entry[0] <= current_tick]
-        if not ready:
-            return []
-        radio.inbox = [entry for entry in radio.inbox if entry[0] > current_tick]
+        radio.inbox = inbox[n:]
         self._stale = True
-        ready.sort(key=lambda e: e[0])
-        return [frame for _, frame in ready]
+        return [frame for _, frame in inbox[:n]]
 
 
 def write_capture(records: list[tuple[int, int, bytes]], out_path) -> None:

@@ -19,9 +19,9 @@ import os
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import repeat
-from typing import Any, Callable, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Any, NamedTuple, get_args, get_origin, get_type_hints
 
 from .errors import (
     DecodeError,
@@ -45,7 +45,6 @@ from .hub import (
 from .planner import (
     INF_TICK,
     ReservationTable,
-    TimedPath,
     astar,
     commit,
     plan_space_time,
@@ -462,18 +461,18 @@ class _SimVehicle:
     radio: Radio
     # The hub's radio on this vehicle's channel.
     hub_radio: Radio
-    # The leg to plan at ``retry_at``, called with that tick: a retry
-    # after NoPath, or the retrace once the unload dwell is over.
-    pending: Callable[[int], None] | None = None
-    retry_at: int = 0
+    # The node of the order being served: a retry plans to it again.
+    dest: NodeId | None = None
+    # The tick at which to plan the leg the cargo state names (a retry
+    # after NoPath, or the retrace once the unload dwell is over);
+    # INF_TICK when no leg is pending.
+    retry_at: float = INF_TICK
     # The first tick at which stepping the vehicle can change anything.
     wake: float = 0
     # The telemetry frame of the vehicle's current `Rest`, sent again
-    # until its next event.
-    rest_frame: tuple[Rest, bytes] | None = None
-    # The last frame the hub radio decoded, and its message: a kept rest
-    # frame arrives as the same bytes object and is decoded once.
-    heard: tuple[bytes, Message] | None = None
+    # until its next event, and the message it encodes, which the hub
+    # reuses when that bytes object arrives.
+    rest_frame: tuple[Rest, bytes, Message] | None = None
 
 
 @dataclass(frozen=True)
@@ -573,86 +572,75 @@ class Simulation:
 
     # -- planning helpers ---------------------------------------------
 
-    def _plan_leg(
-        self, sv: _SimVehicle, now: int, pending: Callable[[int], None], plan: Callable[[], TimedPath]
-    ) -> TimedPath | None:
-        """Release, plan and commit one leg.
+    def _plan_leg(self, sv: _SimVehicle, now: int) -> None:
+        """Release, plan and commit the leg the cargo state names, then start it.
 
+        UNLOADING retraces the trail home; LOADED or AWAITING_ROUTE drives
+        the cargo to ``sv.dest``; IDLE repositions empty to ``sv.dest``.
         The release may open any vehicle's departure gate, so every vehicle
         is woken.  On NoPath nothing was committed: the vehicle reparks
-        where it stands and ``pending`` is retried after NOPATH_RETRY_TICKS;
-        the caller gets None.
+        where it stands, a cargo leg ACKs its order, and the leg is planned
+        again NOPATH_RETRY_TICKS later.
         """
-        vid = sv.agent.vehicle_id
+        agent = sv.agent
+        vid = agent.vehicle_id
+        state = agent.state
         self.table.release_vehicle(vid)
         for other in self.fleet:
             other.wake = now
         self._next_wake = now
         try:
-            tp = plan()
+            if state == UNLOADING:
+                sequence = agent.trail[::-1]
+                horizon = 10 * (self.grid.nx - 1 + self.grid.ny - 1) + len(sequence)
+                tp = schedule_along(self.table, sequence, now, self.ticks_per_hop, horizon)
+            else:
+                tp = plan_space_time(
+                    self.grid, self.table, agent.current_node, sv.dest, now, self.ticks_per_hop, self.park_spots
+                )
             commit(self.table, vid, tp)
         except NoPath:
-            self.table.reserve(vid, sv.agent.current_node, now, INF_TICK)
-            sv.pending = pending
+            self.table.reserve(vid, agent.current_node, now, INF_TICK)
             sv.retry_at = now + NOPATH_RETRY_TICKS
-            return None
-        sv.pending = None
-        return tp
-
-    def _plan_to(self, sv: _SimVehicle, dest: NodeId, now: int) -> TimedPath:
-        src = sv.agent.current_node
-        return plan_space_time(self.grid, self.table, src, dest, now, self.ticks_per_hop, self.park_spots)
-
-    def _plan_reposition(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
-        tp = self._plan_leg(sv, now, partial(self._plan_reposition, sv, dest), lambda: self._plan_to(sv, dest, now))
-        if tp is not None:
-            sv.agent.begin_reposition(tp)
-
-    def _plan_cargo(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
-        tp = self._plan_leg(sv, now, partial(self._plan_cargo, sv, dest), lambda: self._plan_to(sv, dest, now))
-        if tp is None:
-            sv.agent.queue_ack()
-        else:
-            sv.agent.on_destination(tp)
-
-    def _start_retrace(self, sv: _SimVehicle, now: int) -> None:
-        agent = sv.agent
-        sequence = agent.trail[::-1]
-        horizon = 10 * (self.grid.nx - 1 + self.grid.ny - 1) + len(sequence)
-        tp = self._plan_leg(
-            sv,
-            now,
-            partial(self._start_retrace, sv),
-            lambda: schedule_along(self.table, sequence, now, self.ticks_per_hop, horizon),
-        )
-        if tp is not None:
+            if state in (LOADED, AWAITING_ROUTE):
+                agent.queue_ack()
+            return
+        sv.retry_at = INF_TICK
+        if state == UNLOADING:
             agent.unload(tp)
+        elif state == IDLE:
+            agent.begin_reposition(tp)
+        else:
+            agent.on_destination(tp)
 
     def _handle_assign(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
         """Act on an order.  Every branch queues an ACK, which the vehicle
         sends when it steps, so it is woken; it has not stepped this tick,
-        so a load switch pressed here is stamped ``now - 1``."""
+        so a load switch pressed here is stamped ``now - 1``.  A vehicle
+        that is busy or has a leg pending keeps the order it serves."""
         agent = sv.agent
         sv.wake = now
         self._next_wake = min(self._next_wake, now)
-        if agent.busy or sv.pending is not None:
+        if agent.busy or sv.retry_at != INF_TICK:
             agent.queue_ack()
-        elif agent.state in (LOADED, AWAITING_ROUTE) and dest != agent.current_node:
-            self._plan_cargo(sv, dest, now)
+            return
+        sv.dest = dest
+        if agent.state in (LOADED, AWAITING_ROUTE) and dest != agent.current_node:
+            self._plan_leg(sv, now)
         else:
             agent.queue_ack()
             if agent.state == IDLE:
                 if dest == agent.current_node:
                     agent.press_load_switch(now - 1)
                 else:
-                    self._plan_reposition(sv, dest, now)
+                    self._plan_leg(sv, now)
 
     # -- tick phases ----------------------------------------------------
 
     def _deliver(self, now: int) -> list[Message]:
         """Act on the orders due at the vehicles; return the frames due at
-        the hub, decoded.  A frame that is the bytes object the hub radio
-        decoded last reuses its message."""
+        the hub, decoded.  A frame that is its vehicle's kept rest frame
+        reuses the message that frame encodes."""
         medium = self.medium
         if now < medium.next_due:
             return []
@@ -671,15 +659,14 @@ class Simulation:
             if not sv.hub_radio.inbox:
                 continue
             for frame in medium.poll(sv.hub_radio, now):
-                heard = sv.heard
-                if heard is not None and heard[0] is frame:
-                    msg = heard[1]
+                kept = sv.rest_frame
+                if kept is not None and kept[1] is frame:
+                    msg = kept[2]
                 else:
                     try:
                         msg = decode(frame)
                     except DecodeError:
                         continue
-                    sv.heard = (frame, msg)
                 if msg.kind is not MessageKind.ASSIGN_DESTINATION:
                     inbound.append(msg)
         return inbound
@@ -716,8 +703,8 @@ class Simulation:
         ``wake`` is read as the loop reaches each vehicle, so one that a
         release earlier in the loop woke is stepped on this tick.  The wake
         tick from ``step`` (a moving vehicle's next hop event) is lowered
-        to the tick of a pending leg.  Before ``_next_wake`` no vehicle is
-        due, and none is stepped.
+        to ``retry_at``.  Before ``_next_wake`` no vehicle is due, and none
+        is stepped.
         """
         if now < self._next_wake:
             self._stepped = ()
@@ -728,15 +715,13 @@ class Simulation:
                 continue
             stepped.append(i)
             agent = sv.agent
-            if sv.pending is not None and now >= sv.retry_at:
-                sv.pending(now)
+            if now >= sv.retry_at:
+                self._plan_leg(sv, now)
             state = agent.state
             wake = agent.step(now)
             if agent.state != state:
                 self._post_step(sv, state, now)
-            if sv.pending is not None:
-                wake = min(wake, sv.retry_at)
-            sv.wake = wake
+            sv.wake = min(wake, sv.retry_at)
             if agent.outbox:
                 for msg in agent.outbox:
                     self.medium.send(sv.radio, encode(msg), now)
@@ -749,7 +734,6 @@ class Simulation:
         completes the job."""
         agent = sv.agent
         if agent.state == UNLOADING:
-            sv.pending = partial(self._start_retrace, sv)
             sv.retry_at = now + self.unload_ticks
         elif before == RETRACING:
             job = self.hub.vehicles[agent.vehicle_id].job
@@ -831,8 +815,9 @@ class Simulation:
             if kept is not None and kept[0] is motion:
                 frame = kept[1]
             else:
-                frame = encode(agent.telemetry(now))
-                sv.rest_frame = (motion, frame) if isinstance(motion, Rest) else None
+                msg = agent.telemetry(now)
+                frame = encode(msg)
+                sv.rest_frame = (motion, frame, msg) if isinstance(motion, Rest) else None
             self.medium.send(sv.radio, frame, now)
 
     def _trace_phase(self, now: int) -> None:
@@ -867,7 +852,7 @@ class Simulation:
         if self.completed_jobs < self.total_jobs:
             return False
         return all(
-            sv.agent.state == IDLE and not sv.agent.busy and sv.pending is None
+            sv.agent.state == IDLE and not sv.agent.busy and sv.retry_at == INF_TICK
             for sv in self.fleet
         )
 

@@ -1,6 +1,7 @@
 """Wire framing, CRC, channel assignment, and the lossy broadcast medium."""
 
 import math
+import random
 import struct
 
 import pytest
@@ -382,6 +383,45 @@ def test_lost_frames_leave_next_due_alone():
         assert medium.next_due == min((entry[0] for entry in radio.inbox), default=math.inf)
         medium.poll(radio, tick)
         assert medium.next_due == min((entry[0] for entry in radio.inbox), default=math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.integers(0, 6), st.integers(0, 3)), max_size=60),
+    st.integers(0, 4),
+    st.sampled_from([0.0, 0.3, 0.7]),
+    st.integers(0, 2**16),
+)
+def test_poll_and_next_due_match_a_filter_and_sort_reference(channels, schedule, latency, loss, seed):
+    """Sends at non-decreasing ticks from attached and unattached radios,
+    with polls between them: every poll returns what filtering the radio's
+    frames by due tick and sorting them stably by due tick returns, and
+    ``next_due`` is the earliest due tick of any frame left.  The reference
+    decides loss with its own generator, one draw per send."""
+    medium = Medium(loss_probability=loss, latency_ticks=latency, seed=seed)
+    radios = [medium.attach(Radio(Channel(channel))) for channel in channels]
+    rng = random.Random(seed)
+    inboxes = [[] for _ in radios]
+    tick = 0
+    for n, (advance, is_send, who, extra) in enumerate(schedule):
+        tick += advance
+        if is_send:
+            sender = radios[who] if who < len(radios) else Radio(Channel(extra % 3))
+            frame = n.to_bytes(2, "big")
+            medium.send(sender, frame, tick)
+            if not (loss > 0.0 and rng.random() < loss):
+                for radio, inbox in zip(radios, inboxes):
+                    if radio.channel == sender.channel and radio is not sender:
+                        inbox.append((tick + latency, frame))
+        else:
+            i = who % len(radios)
+            at = tick + extra
+            ready = sorted((entry for entry in inboxes[i] if entry[0] <= at), key=lambda entry: entry[0])
+            inboxes[i] = [entry for entry in inboxes[i] if entry[0] > at]
+            assert medium.poll(radios[i], at) == [frame for _, frame in ready]
+        assert medium.next_due == min((entry[0] for inbox in inboxes for entry in inbox), default=math.inf)
+    assert [radio.inbox for radio in radios] == inboxes
 
 
 def test_loss_pattern_replays_with_same_seed():

@@ -34,7 +34,7 @@ from swarmport.sim import (
     scenario_to_dict,
     validate_scenario,
 )
-from swarmport.vehicle import RETRACING, UNLOADING, VehicleParams, spin_table
+from swarmport.vehicle import IDLE, LOADED, RETRACING, TRANSIT, UNLOADING, VehicleParams, spin_table
 
 
 def replace_scenario(base, **kw):
@@ -629,8 +629,8 @@ def counted_run(scenario, every_tick):
         sim._stepped = list(range(len(sim.fleet)))
         for sv in sim.fleet:
             agent = sv.agent
-            if sv.pending is not None and now >= sv.retry_at:
-                sv.pending(now)
+            if now >= sv.retry_at:
+                sim._plan_leg(sv, now)
             state = agent.state
             agent.step(now)
             if agent.state != state:
@@ -677,7 +677,7 @@ def test_sleeping_gate_matches_asking_every_tick():
 
 def test_a_resting_vehicles_repeated_frame_is_decoded_once(monkeypatch):
     """A resting vehicle sends one bytes object until its next event, and
-    the hub reuses the message it decoded from it: no telemetry frame is
+    the hub reuses the message that frame encodes: no telemetry frame is
     decoded twice, so fewer are decoded than the hub logs."""
     decoded = []
 
@@ -693,25 +693,54 @@ def test_a_resting_vehicles_repeated_frame_is_decoded_once(monkeypatch):
     assert len(telemetry) < len(sim.hub.log) / 2
 
 
-def test_refused_retrace_is_retried_on_the_one_timer():
-    """A retrace refused after the unload dwell is retried every
-    NOPATH_RETRY_TICKS on the same pending slot, and starts at the first
-    retry after its home is freed."""
-    sim = Simulation(default_scenario())
+@pytest.mark.parametrize(
+    "leg, start_state, started, leg_state",
+    [
+        ("reposition", IDLE, 201, IDLE),
+        ("cargo", LOADED, 1_174, TRANSIT),
+        ("retrace", UNLOADING, 2_923, RETRACING),
+    ],
+    ids=["reposition", "cargo", "retrace"],
+)
+def test_refused_leg_is_retried_on_the_one_timer(leg, start_state, started, leg_state):
+    """A leg refused after NoPath is planned again every NOPATH_RETRY_TICKS
+    on the one timer, ``retry_at``, while the cargo state holds, and starts
+    at the first retry after the foreign hold is released: a reposition
+    refused at its pickup, a cargo leg refused at its drop-off (each
+    refused try ACKs the order) and a retrace refused at home after the
+    unload dwell."""
+    sim = Simulation(default_scenario(), capture=True)
     sv = sim.vehicles[0]
-    while sv.agent.state != UNLOADING:
+    while sv.agent.state != start_state:
         sim.tick()
-    unloading = sim.tick_count - 1
-    dwell_end = unloading + sim.unload_ticks
-    sim.table.reserve(99, sv.agent.home_node, unloading, INF_TICK)
-    while sim.tick_count < dwell_end + 3 * NOPATH_RETRY_TICKS + 7:
+    job = sim.scenario.jobs[0]
+    held = {"reposition": job.pickup_node, "cargo": job.destination_node, "retrace": sv.agent.home_node}[leg]
+    sim.table.reserve(99, held, sim.tick_count, INF_TICK)
+    tries = []
+    plan_leg = sim._plan_leg
+
+    def recorded(v, now):
+        if v is sv:
+            tries.append((now, v.agent.state))
+        plan_leg(v, now)
+
+    sim._plan_leg = recorded
+    while not tries:
         sim.tick()
-        assert sv.agent.state == UNLOADING
+    first, state = tries[0]
+    while sim.tick_count < first + 3 * NOPATH_RETRY_TICKS + 7:
+        sim.tick()
+        assert sv.agent.state == state and not sv.agent.busy
     sim.table.release_vehicle(99)
-    while sv.agent.state == UNLOADING:
+    while not sv.agent.busy:
         sim.tick()
-    assert sv.agent.state == RETRACING
-    assert sim.tick_count - 1 == dwell_end + 4 * NOPATH_RETRY_TICKS == 2_923
+    assert tries == [(first + k * NOPATH_RETRY_TICKS, state) for k in range(5)]
+    assert sim.tick_count - 1 == first + 4 * NOPATH_RETRY_TICKS == started
+    assert sv.agent.state == leg_state
+    if leg == "cargo":
+        capture = sim.medium.capture
+        acks = {tick for tick, channel, frame in capture if channel == 0 and decode(frame).kind == MessageKind.ACK}
+        assert {tick for tick, _ in tries[:4]} <= acks
     sim.run_loop()
     assert sim.completed_jobs == sim.total_jobs == 2
 
