@@ -31,15 +31,23 @@ EXIT_NO_PATH = 2
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read and parse a scenario file; each command validates it once."""
+    """Read and parse a scenario file; each command validates it once.
+
+    A document nested past the interpreter's recursion limit is rejected
+    whole, whether reading it or naming one of its values overflows.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        return parse_scenario(data)
     except OSError as exc:
         raise IoFailure(f"cannot read scenario {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioInvalid(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioInvalid(f"{path}: invalid JSON: {exc}") from exc
-    return parse_scenario(data)
+    except RecursionError as exc:
+        raise ScenarioInvalid(f"{path}: nested too deeply") from exc
 
 
 def _parse_node(text: str) -> NodeId:

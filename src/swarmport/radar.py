@@ -6,20 +6,23 @@ cluster into target estimates, stream as terse serial lines, and render
 to deterministic SVG frames.  Every echo is read through a `HopIndex`,
 which tests at each sweep index only the bodies whose segment the beam
 can reach: the engine's moving vehicles on their current hops, and in
-`sweep` still discs, each placed at its centre.
+`sweep` still discs, each placed at its centre.  What a sweep index fixes
+(its angle, its ray's direction cosines, its serial line with no echo)
+is worked out once per `SweepConfig` in its `sweep_table`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import AngleOutOfRange, IoFailure, NonPositiveSpeed
 from .grid import Position
 
 # Slack on each side of a body's reach in `HopIndex`, for the rounding in
-# `disc_echo`: a ray that misses a disc's edge or the range limit by a few
+# `HopIndex.echo`: a ray that misses a disc's edge or the range limit by a few
 # ulps can still read as a hit.  The ray's cos/sin bound that excess near
 # 1e-5 degrees; the grazing-ray test in tests/test_radar.py fails with
 # either margin at 0 and has passed with the angle's down to 1e-8.
@@ -68,39 +71,28 @@ class TargetEstimate:
     sample_count: int
 
 
-def disc_echo(cfg: SweepConfig, angle_deg: float, x: float, y: float, radius_m: float) -> float | None:
-    """Where the beam at ``angle_deg`` first meets the disc centred at (x, y), or None.
+class SweepTable(NamedTuple):
+    """Per sweep index k: its angle ``k * step_deg``; the (cos, sin) of its
+    ray, the beam when the half-width is 0; its serial line's head
+    ``"<angle>,"``; the line and the ``(angle, None)`` sample of a step
+    that returned no echo."""
 
-    The minimum over the cone is reached on the ray aimed closest to the
-    disc's bearing, so the beam is evaluated by clamping the query angle
-    toward the bearing instead of sampling the cone.  A hit beyond max
-    range is None; a disc over the origin echoes 0.
-    """
-    if radius_m <= 0:
-        return None
-    origin = cfg.origin
-    fx, fy = x - origin.x, y - origin.y
-    dist_sq = fx * fx + fy * fy
-    r_sq = radius_m * radius_m
-    if dist_sq <= r_sq:
-        hit = 0.0  # the origin is inside the disc
-    else:
-        half = cfg.beam_halfwidth_deg
-        if half:
-            offset = (math.degrees(math.atan2(fy, fx)) - angle_deg + 180.0) % 360.0 - 180.0
-            beam = angle_deg + max(-half, min(half, offset))
-        else:
-            # With a zero half-width the clamp gives -half for every offset.
-            beam = angle_deg + -half
-        a = math.radians(beam)
-        b = math.cos(a) * fx + math.sin(a) * fy
-        discriminant = b * b - (dist_sq - r_sq)
-        if discriminant < 0:
-            return None
-        hit = b - math.sqrt(discriminant)
-        if not hit >= 0:
-            return None
-    return hit if hit <= cfg.max_range_m else None
+    angles: tuple[float, ...]
+    rays: tuple[tuple[float, float], ...]
+    heads: tuple[str, ...]
+    quiet_lines: tuple[str, ...]
+    quiet_samples: tuple[tuple[float, None], ...]
+
+
+@cache
+def sweep_table(cfg: SweepConfig) -> SweepTable:
+    """The sweep indices' table, built once per sensor configuration."""
+    angles = tuple(k * cfg.step_deg for k in range(cfg.sweep_len))
+    rays = tuple((math.cos(math.radians(a)), math.sin(math.radians(a))) for a in angles)
+    heads = tuple(f"{int(round(a)) % 360}," for a in angles)
+    return SweepTable(
+        angles, rays, heads, tuple(head + "0.\n" for head in heads), tuple((a, None) for a in angles)
+    )
 
 
 def _index_spans(lo_deg: float, width_deg: float, step_deg: float, n: int) -> tuple[tuple[int, int], ...]:
@@ -133,15 +125,16 @@ class HopIndex:
     index; one whose disc stays beyond max range, or has no positive
     radius, sets none.
 
-    `echo` evaluates `disc_echo` only for the bodies the index's mask names,
-    each where its ``position`` reads it then, so it returns the nearest
-    hit over every body's disc.
+    `echo` evaluates the echo formula only for the bodies the index's mask
+    names, each where its ``position`` reads it then, so it returns the
+    nearest hit over every body's disc.
     """
 
     def __init__(self, cfg: SweepConfig, radii: Sequence[float]) -> None:
         self.cfg = cfg
         self.radii = radii
         self.masks = [0] * cfg.sweep_len
+        self._table = sweep_table(cfg)
         self._spans: list[tuple[tuple[int, int], ...]] = [()] * len(radii)
 
     def place(self, i: int, a: Position, b: Position) -> None:
@@ -175,18 +168,48 @@ class HopIndex:
         widen = math.degrees(math.asin(radius_m / nearest)) + cfg.beam_halfwidth_deg + REACH_MARGIN_DEG
         return _index_spans(start + min(0.0, turn) - widen, abs(turn) + 2.0 * widen, cfg.step_deg, n)
 
-    def echo(self, k: int, angle_deg: float, position: Callable[[int], tuple[float, float]]) -> float | None:
-        """The echo at sweep index ``k``, whose angle is ``angle_deg``, with
-        body i at ``position(i)``."""
+    def echo(self, k: int, position: Callable[[int], tuple[float, float]]) -> float | None:
+        """The nearest echo at sweep index ``k`` over the bodies its mask
+        names, with body i at ``position(i)``; None when none is hit.
+
+        The minimum over the beam's cone is reached on the ray aimed closest
+        to the body's bearing, so the beam is the index's angle clamped
+        toward that bearing, with a zero half-width the index's own ray from
+        the sweep table.  A hit beyond max range is no echo; a disc over
+        the origin echoes 0.
+        """
         mask = self.masks[k]
+        cfg = self.cfg
+        ox, oy = cfg.origin
+        half = cfg.beam_halfwidth_deg
+        angle = self._table.angles[k]
+        ray = self._table.rays[k]
         best: float | None = None
         while mask:
             low = mask & -mask
             mask ^= low
             i = low.bit_length() - 1
             x, y = position(i)
-            hit = disc_echo(self.cfg, angle_deg, x, y, self.radii[i])
-            if hit is not None and (best is None or hit < best):
+            fx, fy = x - ox, y - oy
+            dist_sq = fx * fx + fy * fy
+            r_sq = self.radii[i] * self.radii[i]
+            if dist_sq <= r_sq:
+                hit = 0.0  # the origin is inside the disc
+            else:
+                if half:
+                    offset = (math.degrees(math.atan2(fy, fx)) - angle + 180.0) % 360.0 - 180.0
+                    a = math.radians(angle + max(-half, min(half, offset)))
+                    cos, sin = math.cos(a), math.sin(a)
+                else:
+                    cos, sin = ray
+                b = cos * fx + sin * fy
+                discriminant = b * b - (dist_sq - r_sq)
+                if discriminant < 0:
+                    continue
+                hit = b - math.sqrt(discriminant)
+                if not hit >= 0:
+                    continue
+            if hit <= cfg.max_range_m and (best is None or hit < best):
                 best = hit
         return best
 
@@ -211,10 +234,8 @@ def sweep(cfg: SweepConfig, discs: Sequence[Disc]) -> Scan:
     index = HopIndex(cfg, [disc.radius_m for disc in discs])
     for i, centre in enumerate(centres):
         index.place(i, centre, centre)
-    samples = []
-    for k in range(cfg.sweep_len):
-        angle = k * cfg.step_deg
-        samples.append((angle, index.echo(k, angle, centres.__getitem__)))
+    angles = sweep_table(cfg).angles
+    samples = [(angle, index.echo(k, centres.__getitem__)) for k, angle in enumerate(angles)]
     return Scan(cfg.origin, samples, 1)
 
 

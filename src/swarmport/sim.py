@@ -1,14 +1,17 @@
 """Fixed-timestep simulation engine, scenario config, and run artifacts.
 
 One tick advances the world in a fixed phase order: RF delivery, hub
-work, vehicle steps in ascending id, one radar step, telemetry emission,
-the optional trace.  Everything downstream of the scenario (plus its
-seed) is deterministic, so two runs produce byte-identical outputs.
+work, vehicle steps in ascending id, the re-placing of vehicles whose
+hop changed, one radar step, telemetry emission, the optional trace.
+Everything downstream of the scenario (plus its seed) is deterministic,
+so two runs produce byte-identical outputs.
 
 A vehicle is stepped only when it is due, which while it moves is at its
 hop events.  Between them, the radar, the telemetry and the trace read
-its position from its `motion` at the tick.  The trace is a change log
-per vehicle, read as one row per tick (`TraceView`).
+its position from its `motion` at the tick.  A tick on which no frame,
+hub event, vehicle or telemetry is due is quiet: only the radar runs.
+The trace is a change log per vehicle, read as one row per tick
+(`TraceView`), so a quiet tick adds nothing to it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import math
 import os
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from itertools import repeat
@@ -50,7 +53,7 @@ from .planner import (
     plan_space_time,
     schedule_along,
 )
-from .radar import HopIndex, Scan, SweepConfig, encode_frame, render_frame
+from .radar import HopIndex, Scan, SweepConfig, render_frame, sweep_table
 from .rfnet import (
     CHANNEL_COUNT,
     Channel,
@@ -396,15 +399,16 @@ class TraceView(Sequence):
 
     Vehicle i's log holds an entry from each tick at which its value
     changed; ``entry.at(t)`` is its value at tick t and ``entry.span(a, b)``
-    the values of ticks a to b - 1.  Rows are built on demand: an index
-    builds one, iteration builds TRACE_CHUNK at a time.  ``==``, ``repr``
-    and ``copy.deepcopy`` see the list of rows.
+    the values of ticks a to b - 1.  The trace covers the ticks 0 to
+    ``ticks() - 1``, so a tick that changes nothing needs no call.  Rows
+    are built on demand: an index builds one, iteration builds TRACE_CHUNK
+    at a time.  ``==``, ``repr`` and ``copy.deepcopy`` see the list of rows.
     """
 
-    def __init__(self, vehicles: int) -> None:
+    def __init__(self, vehicles: int, ticks: Callable[[], int]) -> None:
         self._ticks: list[list[int]] = [[] for _ in range(vehicles)]
         self._entries: list[list[Any]] = [[] for _ in range(vehicles)]
-        self._len = 0
+        self._covered = ticks
 
     def log(self, i: int, tick: int, entry: Any) -> None:
         """Vehicle i holds ``entry`` from ``tick`` on, unless it already does."""
@@ -413,16 +417,13 @@ class TraceView(Sequence):
             entries.append(entry)
             self._ticks[i].append(tick)
 
-    def extend_to(self, ticks: int) -> None:
-        """The trace now covers ticks 0 to ``ticks - 1``."""
-        self._len = ticks
-
     def __len__(self) -> int:
-        return self._len
+        return self._covered()
 
     def __getitem__(self, index: int) -> list:
-        t = index + self._len if index < 0 else index
-        if not 0 <= t < self._len:
+        n = len(self)
+        t = index + n if index < 0 else index
+        if not 0 <= t < n:
             raise IndexError("trace index out of range")
         return [entries[bisect_right(ticks, t) - 1].at(t) for ticks, entries in zip(self._ticks, self._entries)]
 
@@ -438,8 +439,9 @@ class TraceView(Sequence):
         return out
 
     def __iter__(self) -> Iterator[list]:
-        for a in range(0, self._len, TRACE_CHUNK):
-            b = min(a + TRACE_CHUNK, self._len)
+        n = len(self)
+        for a in range(0, n, TRACE_CHUNK):
+            b = min(a + TRACE_CHUNK, n)
             columns = [self._column(i, a, b) for i in range(len(self._entries))]
             yield from map(list, zip(*columns) if columns else repeat((), b - a))
 
@@ -540,8 +542,7 @@ class Simulation:
         self._hop_keys: list[tuple[NodeId | None, NodeId | None]] = [(None, None)] * len(self.fleet)
         self._rehopped: list[int] = []
         self._sweep_len = self.sensor_cfg.sweep_len
-        # The frame line of a sweep index that returned no echo.
-        self._quiet_lines: list[str | None] = [None] * self._sweep_len
+        self._sweep_table = sweep_table(self.sensor_cfg)
         self._sweep_samples: list[tuple[float, float | None]] = []
         self.sweep_count = 0
         self.frame_lines: list[str] = []
@@ -553,11 +554,16 @@ class Simulation:
         self.last_complete_tick = 0
         self.job_traces: list[JobTrace] = []
 
+        self._telemetry_interval = scenario.sim.telemetry_interval
         self.trace = trace
         # Per tick, each vehicle's (x, y) and its (node, edge end) as node
         # indices ``ix * ny + iy``.
-        self.pose_trace = TraceView(len(self.fleet))
-        self.occupancy_trace = TraceView(len(self.fleet))
+        self.pose_trace = TraceView(len(self.fleet), self._traced_ticks)
+        self.occupancy_trace = TraceView(len(self.fleet), self._traced_ticks)
+
+    def _traced_ticks(self) -> int:
+        """The ticks the trace covers: every tick run, when it is on."""
+        return self.tick_count if self.trace else 0
 
     # -- callbacks ----------------------------------------------------
 
@@ -755,16 +761,13 @@ class Simulation:
             self.completed_jobs += 1
             self.last_complete_tick = now
 
-    def _radar_phase(self, now: int) -> None:
-        """Re-place the vehicles whose hop changed, then echo at one sweep index.
+    def _rehop_phase(self) -> None:
+        """Re-place in the radar index the stepped vehicles whose hop changed.
 
         A vehicle stays on the segment from its node to its edge end while
         that pair holds, since a spin-up never reverses the wheels, and
         only a stepped vehicle's pair can change: at a drive's start and
-        at its arrival.  The echo reads the positions at ``now`` of only
-        the vehicles the index names.  The tick fixes the sweep index: up
-        from 0 on even sweeps, back down on odd ones, so each end index is
-        read twice in a row.
+        at its arrival.
         """
         fleet = self.fleet
         index = self._hop_index
@@ -782,21 +785,33 @@ class Simulation:
                 rehopped.append(i)
                 index.place(i, node_to_position(src), node_to_position(dst))
 
-        sweep, step = divmod(now, self._sweep_len)
-        direction = -1 if sweep % 2 else 1
-        idx = self._sweep_len - 1 - step if sweep % 2 else step
-        angle = idx * self.sensor_cfg.step_deg
-        dist = index.echo(idx, angle, lambda i: fleet[i].agent.motion.at(now))
-        self._sweep_samples.append((angle, dist))
+    def _radar_phase(self, now: int) -> None:
+        """Echo at the tick's sweep index: up from 0 on even sweeps, back
+        down on odd ones, so each end index is read twice in a row.
+
+        The echo reads the positions at ``now`` of only the vehicles the
+        index's mask names; with none named, the step appends the index's
+        quiet sample and line from the sweep table.  A hit's line is the
+        index's head and the echo in whole millimetres, as `encode_frame`
+        writes it.
+        """
+        n = self._sweep_len
+        sweep, step = divmod(now, n)
+        idx = n - 1 - step if sweep % 2 else step
+        table = self._sweep_table
+        mask = self._hop_index.masks[idx]
+        dist = None
+        if mask:
+            fleet = self.fleet
+            dist = self._hop_index.echo(idx, lambda i: fleet[i].agent.motion.at(now))
         if dist is None:
-            line = self._quiet_lines[idx]
-            if line is None:
-                line = self._quiet_lines[idx] = encode_frame(angle, None)
+            self._sweep_samples.append(table.quiet_samples[idx])
+            self.frame_lines.append(table.quiet_lines[idx])
         else:
-            line = encode_frame(angle, dist)
-        self.frame_lines.append(line)
-        if step == self._sweep_len - 1:
-            scan = Scan(self.sensor_cfg.origin, self._sweep_samples, direction)
+            self._sweep_samples.append((table.angles[idx], dist))
+            self.frame_lines.append(f"{table.heads[idx]}{int(round(dist * 1000.0))}.\n")
+        if step == n - 1:
+            scan = Scan(self.sensor_cfg.origin, self._sweep_samples, -1 if sweep % 2 else 1)
             self.sweep_count = sweep + 1
             if self.sweep_count == 1 or self.sweep_count % RENDER_EVERY_SWEEPS == 0:
                 self.renders.append((self.sweep_count, scan))
@@ -806,7 +821,7 @@ class Simulation:
         """Send each vehicle's telemetry on the interval.  A resting
         vehicle's frame stays the same until its next event, so its bytes
         are kept and sent again."""
-        if now % self.scenario.sim.telemetry_interval != 0:
+        if now % self._telemetry_interval != 0:
             return
         for sv in self.fleet:
             agent = sv.agent
@@ -822,7 +837,7 @@ class Simulation:
 
     def _trace_phase(self, now: int) -> None:
         """Log what changed this tick: only a stepped vehicle's motion can
-        have, and only a vehicle the radar phase re-placed its hop."""
+        have, and only a vehicle `_rehop_phase` re-placed its hop."""
         fleet = self.fleet
         poses = self.pose_trace
         occupancy = self.occupancy_trace
@@ -833,19 +848,31 @@ class Simulation:
         for i in self._rehopped:
             src, dst = keys[i]
             occupancy.log(i, now, _Held((src.ix * ny + src.iy, dst.ix * ny + dst.iy)))
-        poses.extend_to(now + 1)
-        occupancy.extend_to(now + 1)
 
     def tick(self) -> None:
+        """Advance one timestep.  A tick before the next due frame, the
+        hub's wake tick and the fleet's next wake that is no telemetry tick
+        is quiet: every phase but the radar would return at once, stepping
+        no vehicle and logging nothing, so only the radar runs."""
         now = self.tick_count
+        if (
+            now < self._next_wake
+            and now < self.hub.wake_tick
+            and now < self.medium.next_due
+            and now % self._telemetry_interval
+        ):
+            self._radar_phase(now)
+            self.tick_count = now + 1
+            return
         inbound = self._deliver(now)
         self._hub_phase(inbound, now)
         self._vehicle_phase(now)
+        self._rehop_phase()
         self._radar_phase(now)
         self._telemetry_phase(now)
         if self.trace:
             self._trace_phase(now)
-        self.tick_count += 1
+        self.tick_count = now + 1
 
     @property
     def all_done(self) -> bool:

@@ -214,6 +214,24 @@ def test_invalid_json_exits_one(tmp_path, capsys):
     assert code == EXIT_ERROR
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b'{"sim": {"dt_s": "\xff\xfe"}}', "not UTF-8 text"),
+        (b'{"terrain": ' + b"[" * 5000 + b"]" * 5000 + b"}", "nested too deeply"),
+    ],
+    ids=["non_utf8", "nested_5000"],
+)
+def test_unreadable_document_exits_one_naming_the_file(content, reason, tmp_path, capsys):
+    path = tmp_path / "odd.json"
+    path.write_bytes(content)
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith(f"error: {path}: {reason}")
+    assert "Traceback" not in err
+
+
 def test_invalid_scenario_exits_one(tmp_path, capsys):
     data = scenario_to_dict(default_scenario())
     data["sim"]["dt_s"] = 99.0

@@ -17,6 +17,7 @@ from swarmport.radar import (
     polar_to_cartesian,
     render_frame,
     sweep,
+    sweep_table,
     time_of_flight,
 )
 
@@ -229,7 +230,7 @@ def test_hop_index_echo_equals_reference_at_every_sweep_index(case):
         for k in range(c.sweep_len):
             angle = k * c.step_deg
             # repr pins every bit, the sign of a zero included, and None.
-            assert repr(index.echo(k, angle, where.__getitem__)) == repr(reference_echo_distance(discs, c, angle))
+            assert repr(index.echo(k, where.__getitem__)) == repr(reference_echo_distance(discs, c, angle))
 
 
 @st.composite
@@ -268,7 +269,7 @@ def test_hop_index_keeps_grazing_rays(case):
     discs = [Disc(center, radius)]
     for j in {max(k - 1, 0), k, min(k + 1, c.sweep_len - 1)}:
         angle = j * c.step_deg
-        assert repr(index.echo(j, angle, [center].__getitem__)) == repr(reference_echo_distance(discs, c, angle))
+        assert repr(index.echo(j, [center].__getitem__)) == repr(reference_echo_distance(discs, c, angle))
 
 
 def test_hop_index_marks_only_the_reachable_arc():
@@ -434,6 +435,44 @@ def test_encode_frame_format():
     assert encode_frame(124.0, 1.2355) == "124,1236.\n"
     # 359.5 and above rounds to 360, which is the bearing 0
     assert encode_frame(359.6, None) == "0,0.\n"
+
+
+@pytest.mark.parametrize("step_deg", [0.5, 0.7, 1.0, 7.0, 15.0])
+def test_sweep_table_lines_equal_encode_frame(step_deg):
+    """The engine streams a quiet step's line from the table and a hit's as
+    the index's head and the echo in whole millimetres: both must be the
+    line `encode_frame` writes, at every index."""
+    c = cfg(step_deg=step_deg)
+    table = sweep_table(c)
+    assert len(table.angles) == c.sweep_len
+    for k, angle in enumerate(table.angles):
+        assert angle == k * step_deg
+        assert table.quiet_samples[k] == (angle, None)
+        assert table.quiet_lines[k] == encode_frame(angle, None)
+        for dist in (0.0, 0.0004, 0.0005, 0.4, 1.2345, 1.2355, 3.9995, 4.0):
+            assert f"{table.heads[k]}{int(round(dist * 1000.0))}.\n" == encode_frame(angle, dist)
+    if step_deg == 0.5:
+        assert table.angles[719] == 359.5 and table.quiet_lines[719] == "0,0.\n"
+
+
+@pytest.mark.parametrize("half", [0.0, 4.0])
+@pytest.mark.parametrize("step_deg", [0.5, 0.7, 1.0, 7.0, 15.0])
+def test_table_read_echo_equals_reference(step_deg, half):
+    """With a zero half-width the echo reads each index's ray from the
+    sweep table, with a wider beam it works the beam out per body: both
+    equal the reference echo at every index."""
+    c = cfg(step_deg=step_deg, beam_halfwidth_deg=half)
+    discs = [
+        Disc(Position(2.2, 1.3), 0.15),
+        Disc(Position(0.1, 2.9), 0.3),
+        Disc(Position(-1.5, -0.4), 0.2),
+        Disc(Position(1.0, 0.35), 0.1),
+    ]
+    samples = sweep(c, discs).samples
+    for k, (angle, dist) in enumerate(samples):
+        assert angle == sweep_table(c).angles[k]
+        assert repr(dist) == repr(reference_echo_distance(discs, c, angle))
+    assert any(dist is not None for _, dist in samples)
 
 
 def test_encode_frame_angle_bounds():

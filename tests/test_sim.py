@@ -7,6 +7,7 @@ import math
 
 import pytest
 from echo_reference import reference_echo_distance
+from hypothesis import given, settings, strategies as st
 from test_acceptance import crossing_scenario
 
 import swarmport.sim
@@ -673,6 +674,65 @@ def test_sleeping_gate_matches_asking_every_tick():
         assert engine_early == reference_early
         early_total += engine_early
     assert early_total > 0
+
+
+def every_phase_tick(sim):
+    """A tick with no quiet path: every phase runs on every tick.  The trace
+    covers every tick run, so it needs no call of its own."""
+    now = sim.tick_count
+    inbound = sim._deliver(now)
+    sim._hub_phase(inbound, now)
+    sim._vehicle_phase(now)
+    sim._rehop_phase()
+    sim._radar_phase(now)
+    sim._telemetry_phase(now)
+    if sim.trace:
+        sim._trace_phase(now)
+    sim.tick_count += 1
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 19),
+    loss=st.sampled_from([0.0, 0.3]),
+    latency=st.sampled_from([0, 1, 7]),
+    interval=st.sampled_from([1, 3, 10, 100]),
+)
+def test_quiet_ticks_change_nothing(seed, loss, latency, interval):
+    """A quiet tick runs only the radar.  Every output of `run_loop` must
+    equal that of a loop whose tick runs every phase, and unless every
+    tick sends telemetry, some ticks of the run must have been quiet."""
+    base = crossing_scenario(seed)
+    scenario = replace_scenario(
+        base,
+        medium=MediumConfig(loss, latency, seed),
+        sim=replace_scenario(base.sim, telemetry_interval=interval),
+    )
+    engine = Simulation(scenario, trace=True, capture=True)
+    deliver = engine._deliver
+    delivered = []
+
+    def counted(now):
+        delivered.append(now)
+        return deliver(now)
+
+    engine._deliver = counted
+    engine.run_loop()
+    reference = Simulation(scenario, trace=True, capture=True)
+    while reference.tick_count < scenario.sim.max_ticks:
+        every_phase_tick(reference)
+        if reference.all_done:
+            break
+    assert engine.tick_count == reference.tick_count
+    assert engine.frame_lines == reference.frame_lines
+    assert repr(engine.renders) == repr(reference.renders)
+    assert repr(engine.pose_trace) == repr(reference.pose_trace)
+    assert engine.occupancy_trace == reference.occupancy_trace
+    assert engine.job_traces == reference.job_traces
+    assert engine.hub.log == reference.hub.log
+    assert engine.medium.capture == reference.medium.capture
+    # A quiet tick skips delivery, so it is not counted.
+    assert (len(delivered) < engine.tick_count) == (interval > 1)
 
 
 def test_a_resting_vehicles_repeated_frame_is_decoded_once(monkeypatch):
