@@ -74,9 +74,11 @@ class Hub:
         self.assignments: dict[int, int] = {}
         self.orders: dict[int, _Order] = {}
         self.log: list[TelemetryRecord] = []
-        # Per pickup node, built when dispatch first meets it: hop counts over
-        # the whole grid, and the hop counts that stop at park spots.
-        self._from_pickup: dict[NodeId, tuple[dict[NodeId, int], dict[NodeId, int]]] = {}
+        # Hop counts that stop at park spots, per root (pickups and
+        # drop-offs), and over the whole grid, per home; each built on
+        # first use.
+        self._stop_tables: dict[NodeId, dict[NodeId, int]] = {}
+        self._home_tables: dict[NodeId, dict[NodeId, int]] = {}
         self.outbox: list[Message] = []
         # Without an inbound ACTIVATE or ACK, dispatch has nothing new to do
         # before this tick: the next job release, the earliest order retry,
@@ -100,25 +102,30 @@ class Hub:
         order.last_send = tick
         self.wake_tick = min(self.wake_tick, tick + ORDER_RETRY_TICKS)
 
-    def _tables(self, job: Job) -> tuple[dict[NodeId, int], dict[NodeId, int]]:
-        """The pickup's two BFS tables; raises for a job nobody can ever serve.
+    def stop_table(self, root: NodeId) -> dict[NodeId, int]:
+        """``hop_distances(grid, root, park_spots)``, built on first use.
+
+        Dispatch vets jobs with a pickup's table, and `plan_space_time`
+        takes a leg's destination's table for its bound.
+        """
+        table = self._stop_tables.get(root)
+        if table is None:
+            table = self._stop_tables[root] = hop_distances(self.grid, root, self.park_spots)
+        return table
+
+    def _reach(self, job: Job) -> dict[NodeId, int]:
+        """The pickup's stop-at-park-spots table; raises for a job nobody can ever serve.
 
         On an undirected grid the leg home -> pickup (or pickup -> drop-off)
         exists without crossing another park spot exactly when home (or the
-        drop-off) is in the stop-at-park-spots table, which is the bound
-        `plan_space_time` routes the leg with.  The checks read only fixed
-        tables and homes: they raise the first time dispatch meets the job, or never.
+        drop-off) is in this table, from which `plan_space_time` bounds the
+        leg.  The checks read only fixed tables and homes: they raise the
+        first time dispatch meets the job, or never.
         """
         pickup = job.pickup_node
-        tables = self._from_pickup.get(pickup)
-        if tables is None:
-            tables = self._from_pickup[pickup] = (
-                hop_distances(self.grid, pickup),
-                hop_distances(self.grid, pickup, self.park_spots),
-            )
-        reach = tables[1]
+        reach = self.stop_table(pickup)
         if job.destination_node in reach and any(info.home in reach for info in self.vehicles.values()):
-            return tables
+            return reach
         where = f"jobs: job {job.job_id} (pickup {tuple(pickup)}, destination {tuple(job.destination_node)})"
         if job.destination_node not in reach:
             raise ScenarioInvalid(f"{where}: no route to the destination avoids the other parking spots")
@@ -130,7 +137,8 @@ class Hub:
         A job goes to the free vehicle nearest its pickup by hops, lowest id
         on ties, among those whose home reaches the pickup without crossing
         another park spot.  A free vehicle is parked at its home, so the
-        distance is the home's.
+        distance is the home's, read from the home's table over the whole
+        grid: on an undirected grid it is the pickup's distance to the home.
 
         Between calls, the result can change only when a job is released,
         a vehicle is freed, an order's retry falls due or an ACTIVATE or ACK
@@ -146,11 +154,14 @@ class Hub:
             if job.release_tick > current_tick:
                 wake = job.release_tick  # the jobs are in release order
                 break
-            hops, reach = self._tables(job)
+            reach = self._reach(job)
             best: tuple[int, int] | None = None
             for vid, info in self.vehicles.items():
                 if info.job is None and info.home in reach:
-                    d = hops[info.home]
+                    hops = self._home_tables.get(info.home)
+                    if hops is None:
+                        hops = self._home_tables[info.home] = hop_distances(self.grid, info.home)
+                    d = hops[job.pickup_node]
                     if best is None or (d, vid) < best:
                         best = (d, vid)
             if best is None:

@@ -5,16 +5,16 @@ planner returns the same node sequence: among equal-hop routes, prefer
 the one whose direction sequence comes first in East, North, West, South
 order.  On top of that sit space-time reservations (half-open tick
 intervals per node) and a cooperative planner that threads a route
-through the reservations of other vehicles, waiting where needed.
+through the reservations of other vehicles, waiting where needed: a
+search over each node's free intervals of hop slots.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import BadInterval, GridTooLarge, NoPath
 from .grid import GridMap, NodeId
@@ -79,15 +79,47 @@ def hop_distances(grid: GridMap, root: NodeId, stops: frozenset[NodeId] = frozen
         return {}
     adjacency = grid.adjacency
     dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        for nb in adjacency[cur]:
-            if nb not in dist:
-                dist[nb] = d
-                if nb not in stops:
-                    queue.append(nb)
+    frontier = [root]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for cur in frontier:
+            for nb in adjacency[cur]:
+                if nb not in dist:
+                    dist[nb] = d
+                    if nb not in stops:
+                        reached.append(nb)
+        frontier = reached
+    return dist
+
+
+def _expand_stop(
+    grid: GridMap, hops: dict[NodeId, int], stops: frozenset[NodeId], node: NodeId
+) -> dict[NodeId, float]:
+    """``hops``, the `hop_distances` from some root with ``stops``, as they
+    read with ``node`` expanded too.
+
+    Returns a copy; when ``node`` is a reached stop, a breadth-first pass
+    from it lowers every distance that a route through it shortens.  A
+    node whose distance stays was expanded already, unless it is a stop.
+    """
+    dist: dict[NodeId, float] = dict(hops)
+    if node not in stops or node not in dist:
+        return dist
+    adjacency = grid.adjacency
+    frontier = [node]
+    d = dist[node]
+    while frontier:
+        d += 1
+        lowered = []
+        for cur in frontier:
+            for nb in adjacency[cur]:
+                if d < dist.get(nb, INF_TICK):
+                    dist[nb] = d
+                    if nb not in stops:
+                        lowered.append(nb)
+        frontier = lowered
     return dist
 
 
@@ -246,6 +278,33 @@ class ReservationTable:
                 return False
         return True
 
+    def free_runs(self, node: NodeId, t0: int, h: int) -> list[tuple[int, float]]:
+        """The maximal runs ``[a, b)`` of slots free on ``node``, in order.
+
+        Slot ``k`` is the ticks ``[t0 + k*h, t0 + (k+1)*h)``; the last run
+        ends at INF_TICK unless a hold never ends.
+        """
+        holds = self._holds.get(node)
+        if not holds:
+            return [(0, INF_TICK)]
+        spans = []
+        for start, end, _ in holds:
+            # The slots from the one holding ``start`` to the last before ``end``.
+            stop = end if end == INF_TICK else -((t0 - end) // h)
+            if stop > 0:
+                spans.append((max(0, (start - t0) // h), stop))
+        spans.sort()
+        out: list[tuple[int, float]] = []
+        a = 0
+        for lo, stop in spans:
+            if lo > a:
+                out.append((a, lo))
+            if stop > a:
+                a = stop
+        if a != INF_TICK:
+            out.append((a, INF_TICK))
+        return out
+
     def release_vehicle(self, vehicle_id: int) -> None:
         for node in self._held.pop(vehicle_id, ()):
             kept = [h for h in self._holds[node] if h[2] != vehicle_id]
@@ -259,101 +318,111 @@ class ReservationTable:
 
 
 def _earliest_schedule(
-    free: Callable[[_S, int], bool],
+    runs: Callable[[_S], list[tuple[int, float]]],
     moves: Callable[[_S], Iterable[_S]],
-    parks: Callable[[int], bool],
-    to_dst: Callable[[_S], int],
+    to_dst: Callable[[_S], float],
     src: _S,
     dst: _S,
     max_slots: int,
 ) -> list[_S] | None:
     """Earliest conflict-free schedule from ``src`` to ``dst`` over abstract states.
 
-    ``free(s, k)`` says state ``s`` is free during slot ``k``, ``moves(s)``
-    gives the states one hop from ``s`` in canonical order and ``parks(k)``
-    says ``dst`` stays free from slot ``k`` on.  Each slot the search waits
-    in place or makes one move.  Returns the state at every slot boundary,
-    or None when no schedule arrives within ``max_slots``.  A search that
-    starts at ``dst`` must park at once.
+    ``runs(s)`` gives the maximal runs ``[a, b)`` of slots during which
+    state ``s`` is free, in order (``b`` is INF_TICK for a run that never
+    ends), ``moves(s)`` gives the states one hop from ``s`` in canonical
+    order and ``to_dst(s)`` a consistent lower bound on the moves from
+    ``s`` to ``dst``.  Each slot the search waits in place or makes one
+    move, and both states of a move must be free during its slot.  Returns
+    the state at every slot boundary, arriving in ``dst``'s open-ended run
+    (the vehicle parks there), or None when no schedule arrives within
+    ``max_slots``.  A search that starts at ``dst`` must park at once.
 
-    ``to_dst(s)`` must be a lower bound on the moves from ``s`` to ``dst``.
-    A forward pass with bound ``B`` keeps a state at slot ``k`` only when
-    ``k + to_dst(s) <= B`` (the A* bound of Hart, Nilsson & Raphael 1968);
-    a pass that does not arrive is repeated with a larger bound, as in
-    Korf's iterative deepening (1985).  Every state of a schedule that
-    arrives by slot ``A`` has ``to_dst(s) <= A - k``, so a pass whose bound
-    reaches the earliest arrival keeps all of them: the arrival slot, the
-    feasible sets and the canonical walk, hence the schedule, are those of
-    the unpruned search.
+    The earliest arrival comes from an A* search (Hart, Nilsson & Raphael
+    1968) over safe intervals (SIPP: Phillips & Likhachev 2011): a state
+    reached inside one of its free runs stays reachable, by waiting, to the
+    run's end, so the search keeps the earliest arrival per (state, run).
+    It stops at the first pop of ``dst``'s open-ended run; f ties go to the
+    later arrival.  The schedule is then the greedy walk that takes, at
+    each slot, the first move in canonical order, else the wait, from which
+    ``dst`` can still be reached at that arrival: a depth-first search
+    bounded by the arrival, which memoizes the dead (state, slot) pairs.
     """
+    known: dict[_S, list[tuple[int, float]]] = {}
+
+    def free_runs(s: _S) -> list[tuple[int, float]]:
+        found = known.get(s)
+        if found is None:
+            found = known[s] = runs(s)
+        return found
+
+    first = free_runs(src)
     if src == dst:
-        return [src] if parks(0) else None
-    # Arriving at slot A needs dst free during slot A - 1 and from A on,
-    # that is parks(A - 1); parks is monotone, so bisect its first slot.
-    if max_slots < 1 or not parks(max_slots - 1):
+        return [src] if first and first[0] == (0, INF_TICK) else None
+    # Parking needs dst's open-ended run [p, INF) from the slot of the
+    # arriving move on: the arrival is past p, and past src's bound.
+    parked = free_runs(dst)
+    if not first or first[0][0] > 0 or not parked or parked[-1][1] != INF_TICK:
         return None
-    lo, hi = 0, max_slots - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if parks(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    base = max(to_dst(src), lo + 1)
-    if base > max_slots:
+    if max(parked[-1][0] + 1, to_dst(src)) > max_slots:
         return None
-    bound, slack = base, 0
-    while True:
-        # live[k]: states at slot boundary k that are free during slot k.
-        live: list[set[_S]] = []
-        arrival_slot = None
-        frontier = {src}
-        for k in range(bound):
-            here = {s for s in frontier if free(s, k)}
-            live.append(here)
-            budget = bound - k - 1
-            frontier = set()
-            for s in here:
-                if to_dst(s) <= budget:
-                    frontier.add(s)
-                for m in moves(s):
-                    if m not in frontier and to_dst(m) <= budget and free(m, k):
-                        frontier.add(m)
-            if dst in frontier and parks(k + 1):
-                arrival_slot = k + 1
-                break
-            if not frontier:
-                break
-        if arrival_slot is not None:
+
+    # (f, -arrival, state, run start, run end); the arrival is a slot
+    # boundary.  The bound is consistent, so the first pop of a (state,
+    # run) holds its earliest arrival, and a later pop is stale.
+    heap: list[tuple[float, int, _S, int, float]] = [(to_dst(src), 0, src, 0, first[0][1])]
+    best = {(src, 0): 0}
+    arrival = None
+    while heap:
+        _, neg_g, s, a, b = heapq.heappop(heap)
+        g = -neg_g
+        if best[s, a] < g:
+            continue
+        if s == dst and b == INF_TICK:
+            arrival = g
             break
-        if bound == max_slots:
-            return None
-        slack = 4 * slack + 3
-        bound = min(base + slack, max_slots)
+        for m in moves(s):
+            hm = to_dst(m)
+            if g + 1 + hm > max_slots:
+                continue
+            for a2, b2 in free_runs(m):
+                # Leave during slot k, free on both states, and arrive at k + 1.
+                k = g if g > a2 else a2
+                if k >= b or k + 1 + hm > max_slots:
+                    break
+                if k + 1 < b2 and k + 1 < best.get((m, a2), INF_TICK):
+                    best[m, a2] = k + 1
+                    heapq.heappush(heap, (k + 1 + hm, -k - 1, m, a2, b2))
+    if arrival is None:
+        return None
 
-    # Backward feasibility, then a forward walk preferring moves in
-    # canonical order so ties resolve like the plain planners.  Every state
-    # kept at a slot boundary was free during the slot before it, so a move
-    # into one of them needs no second check.
-    feasible: list[set[_S]] = [set() for _ in range(arrival_slot + 1)]
-    feasible[arrival_slot] = {dst}
-    for k in range(arrival_slot - 1, -1, -1):
-        nxt = feasible[k + 1]
-        feasible[k] = {s for s in live[k] if s in nxt or any(m in nxt for m in moves(s))}
+    def free(s: _S, k: int) -> bool:
+        for a, b in free_runs(s):
+            if k < b:
+                return a <= k
+        return False
 
+    def steps(s: _S, k: int) -> Iterator[_S]:
+        budget = arrival - k - 1
+        for m in (*moves(s), s):
+            if to_dst(m) <= budget and free(m, k):
+                yield m
+
+    # The state at each boundary k < arrival is free during slot k.
     boundary = [src]
-    cur = src
-    for k in range(arrival_slot):
-        nxt = feasible[k + 1]
-        step = cur
-        for m in moves(cur):
-            if m in nxt:
-                step = m
+    tries = [steps(src, 0)]
+    dead: set[tuple[_S, int]] = set()
+    while len(boundary) <= arrival:
+        k = len(boundary) - 1
+        for m in tries[-1]:
+            if (m, k + 1) not in dead and (k + 1 == arrival or free(m, k + 1)):
+                boundary.append(m)
+                tries.append(steps(m, k + 1))
                 break
-        if step == cur and cur not in nxt:
-            raise NoPath("internal: walk lost feasibility")  # pragma: no cover
-        boundary.append(step)
-        cur = step
+        else:
+            dead.add((boundary.pop(), k))
+            tries.pop()
+            if not boundary:
+                raise NoPath("internal: no schedule at the arrival")  # pragma: no cover
     return boundary
 
 
@@ -365,6 +434,7 @@ def plan_space_time(
     start_tick: int,
     ticks_per_hop: int,
     stops: frozenset[NodeId] = frozenset(),
+    dst_hops: dict[NodeId, int] | None = None,
 ) -> TimedPath:
     """Earliest-arrival route through existing reservations.
 
@@ -376,23 +446,27 @@ def plan_space_time(
     astar route with zero waits.
 
     Nodes in ``stops`` other than ``src`` and ``dst`` are impassable: the
-    bound is `hop_distances` with those stops, which reaches them without
-    expanding them, and infinite on them, so no pass ever enters one.
+    bound is `hop_distances` from ``dst`` with those stops, which reaches
+    them without expanding them, and infinite on them, so the search never
+    enters one.  The bound is derived from ``dst_hops``, which must be
+    ``hop_distances(grid, dst, stops)`` when given (a caller planning many
+    legs to ``dst`` keeps it; it is not changed), by `_expand_stop` at
+    ``src``.
     """
     check_endpoints(grid, src, dst)
     h = ticks_per_hop
     if h <= 0:
         raise BadInterval(f"ticks_per_hop must be positive, got {h}")
     t0 = start_tick
-    avoid = stops - {src, dst}
-    to_dst = hop_distances(grid, dst, avoid)
-    to_dst.update(dict.fromkeys(avoid, INF_TICK))
+    if dst_hops is None:
+        dst_hops = hop_distances(grid, dst, stops)
+    to_dst = _expand_stop(grid, dst_hops, stops, src)
+    to_dst.update(dict.fromkeys(stops - {src, dst}, INF_TICK))
     boundary = None
     if src in to_dst:
         boundary = _earliest_schedule(
-            lambda node, k: table.is_free(node, t0 + k * h, t0 + (k + 1) * h),
+            lambda node: table.free_runs(node, t0, h),
             grid.adjacency.__getitem__,
-            lambda k: table.is_free(dst, t0 + k * h, INF_TICK),
             to_dst.__getitem__,
             src,
             dst,
@@ -422,9 +496,8 @@ def schedule_along(
     last = len(sequence) - 1
     successors = [(i + 1,) for i in range(last)] + [()]
     boundary = _earliest_schedule(
-        lambda i, k: table.is_free(sequence[i], t0 + k * h, t0 + (k + 1) * h),
+        lambda i: table.free_runs(sequence[i], t0, h),
         successors.__getitem__,
-        lambda k: table.is_free(sequence[last], t0 + k * h, INF_TICK),
         lambda i: last - i,
         0,
         last,

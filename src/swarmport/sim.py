@@ -506,7 +506,8 @@ class Simulation:
         # Nodes where some vehicle may park open-ended (homes, pickups,
         # drop-offs).  Legs never route through them, so no trail can be
         # blocked forever by a parked vehicle: `plan_space_time` takes them
-        # as stops, and the hub vets every job by the same rule.
+        # as stops, with the hub's stop table of the leg's destination, and
+        # the hub vets every job by the same rule.
         self.park_spots: frozenset[NodeId] = frozenset(
             [v.home_node for v in scenario.vehicles]
             + [j.pickup_node for j in scenario.jobs]
@@ -602,7 +603,8 @@ class Simulation:
                 tp = schedule_along(self.table, sequence, now, self.ticks_per_hop, horizon)
             else:
                 tp = plan_space_time(
-                    self.grid, self.table, agent.current_node, sv.dest, now, self.ticks_per_hop, self.park_spots
+                    self.grid, self.table, agent.current_node, sv.dest, now, self.ticks_per_hop, self.park_spots,
+                    self.hub.stop_table(sv.dest),
                 )
             commit(self.table, vid, tp)
         except NoPath:

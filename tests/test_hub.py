@@ -2,10 +2,11 @@
 
 import math
 import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swarmport.errors import EmptyLog, IoFailure, ScenarioInvalid, UnknownVehicle
@@ -236,14 +237,20 @@ def reference_job_feasible(grid, park_spots, home, job):
     return ok
 
 
-@st.composite
-def feasibility_cases(draw):
+def draw_depot(draw):
+    """A grid of 2-12 nodes a side with 3-12 park spots and up to 35% of
+    its nodes blocked, none of them a spot."""
     nx, ny = draw(st.integers(2, 12)), draw(st.integers(2, 12))
     nodes = draw(st.permutations([NodeId(ix, iy) for ix in range(nx) for iy in range(ny)]))
     n_spots = draw(st.integers(3, min(12, len(nodes))))
     spots, rest = nodes[:n_spots], nodes[n_spots:]
     n_blocked = draw(st.integers(0, min(len(rest), int(0.35 * len(nodes)))))
-    grid = build_grid(nx - 1.0, ny - 1.0, 1.0, rest[:n_blocked])
+    return build_grid(nx - 1.0, ny - 1.0, 1.0, rest[:n_blocked]), spots
+
+
+@st.composite
+def feasibility_cases(draw):
+    grid, spots = draw_depot(draw)
     homes = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=4, unique=True))
     pickup = draw(st.sampled_from(spots))
     dest = draw(st.sampled_from([s for s in spots if s != pickup]))
@@ -263,6 +270,76 @@ def test_dispatch_feasibility_matches_reference(case):
         else:
             with pytest.raises(ScenarioInvalid, match=r"^jobs: job 0 "):
                 hub.dispatch(0)
+
+
+def local_hops(grid, root, walls=frozenset()):
+    """Breadth-first hop counts from ``root`` over the unblocked nodes
+    outside ``walls``, worked out from offsets and bounds."""
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for dx, dy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+            nb = NodeId(cur.ix + dx, cur.iy + dy)
+            if (
+                0 <= nb.ix < grid.nx
+                and 0 <= nb.iy < grid.ny
+                and nb not in grid.blocked
+                and nb not in walls
+                and nb not in dist
+            ):
+                dist[nb] = dist[cur] + 1
+                queue.append(nb)
+    return dist
+
+
+@st.composite
+def depots(draw):
+    """A depot with up to six vehicles on distinct homes and up to six
+    jobs, all released at tick 0, that some home can serve."""
+    grid, spots = draw_depot(draw)
+    homes = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=6, unique=True))
+    park_spots = frozenset(spots)
+    jobs = []
+    for job_id in range(draw(st.integers(1, 6))):
+        pickup = draw(st.sampled_from(spots))
+        dest = draw(st.sampled_from([s for s in spots if s != pickup]))
+        servable = dest in local_hops(grid, pickup, park_spots - {pickup, dest}) and any(
+            pickup in local_hops(grid, home, park_spots - {home, pickup}) for home in homes
+        )
+        if servable:
+            jobs.append(Job(job_id, pickup, dest))
+    assume(jobs)
+    return grid, park_spots, homes, jobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(depots())
+def test_dispatch_picks_the_nearest_free_home_by_hops_from_the_pickup(case):
+    """Each job, in order, goes to the free vehicle whose home is nearest
+    its pickup by a breadth-first search from the pickup, lowest id on
+    ties, among the homes that reach the pickup without crossing another
+    park spot; a job no free vehicle may serve stays queued."""
+    grid, park_spots, homes, jobs = case
+    hub = Hub(grid, park_spots)
+    for vid, home in enumerate(homes):
+        hub.register_vehicle(vid, home)
+    for job in jobs:
+        hub.add_job(job)
+    free = set(range(len(homes)))
+    expected = []
+    for job in jobs:
+        from_pickup = local_hops(grid, job.pickup_node)
+        eligible = [
+            (from_pickup[homes[vid]], vid)
+            for vid in free
+            if job.pickup_node in local_hops(grid, homes[vid], park_spots - {homes[vid], job.pickup_node})
+        ]
+        if eligible:
+            vid = min(eligible)[1]
+            free.discard(vid)
+            expected.append((vid, job))
+    assert hub.dispatch(0) == expected
 
 
 def test_unacked_order_retransmits_every_20_ticks():

@@ -5,12 +5,12 @@ import os
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import swarmport
 from swarmport.errors import BadInterval, GridTooLarge, NoPath
@@ -22,6 +22,7 @@ from swarmport.planner import (
     TimedStep,
     check_endpoints,
     _collapse,
+    _expand_stop,
     astar,
     bellman_ford,
     commit,
@@ -321,6 +322,35 @@ def test_hop_distances_match_reference(data):
     root = data.draw(st.sampled_from(nodes))
     stops = frozenset(data.draw(st.lists(st.sampled_from(nodes), max_size=len(nodes) // 4, unique=True)))
     assert hop_distances(grid, root, stops) == reference_hop_distances(grid, root, stops)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_expanding_a_stop_matches_the_reference_without_it(data):
+    """`plan_space_time`'s bound, derived from the destination's table with
+    every stop, equals the hop counts with ``src`` and ``dst`` not stops:
+    ``src`` a stop, not a stop, or unreachable."""
+    nx, ny = data.draw(st.integers(2, 10)), data.draw(st.integers(2, 10))
+    nodes = [NodeId(ix, iy) for ix in range(nx) for iy in range(ny)]
+    blocked = data.draw(st.lists(st.sampled_from(nodes), max_size=len(nodes) // 3, unique=True))
+    grid = build_grid(float(nx - 1), float(ny - 1), 1.0, blocked=blocked)
+    free = [n for n in nodes if not grid.is_blocked(n)]
+    assume(free)
+    dst, src = data.draw(st.sampled_from(free)), data.draw(st.sampled_from(free))
+    stops = frozenset(data.draw(st.lists(st.sampled_from(free), max_size=len(free) // 3, unique=True)))
+    stops = stops | {src} if data.draw(st.booleans()) else stops - {src}
+    got = _expand_stop(grid, hop_distances(grid, dst, stops), stops, src)
+    assert got == reference_hop_distances(grid, dst, stops - {src, dst})
+
+
+def test_expanding_an_unreachable_stop_changes_nothing():
+    # (0, 0) is walled in by blocked nodes; (4, 0) is a stop on the far side.
+    grid = build_grid(4.0, 4.0, 1.0, blocked=[NodeId(1, 0), NodeId(0, 1), NodeId(1, 1)])
+    src, dst = NodeId(0, 0), NodeId(4, 4)
+    stops = frozenset({src, NodeId(4, 0)})
+    hops = hop_distances(grid, dst, stops)
+    assert src not in hops
+    assert _expand_stop(grid, hops, stops, src) == hops == reference_hop_distances(grid, dst, stops - {src, dst})
 
 
 def test_hop_distances_reach_a_stop_without_expanding_it():
@@ -763,8 +793,8 @@ def _endless_wall(table, h):
 @pytest.mark.parametrize("h", [1, 5])
 @pytest.mark.parametrize("hold", [_late_destination, _lifting_wall, _endless_wall])
 def test_long_waits_match_reference(hold, h):
-    """Waits far past the hop distance, which take several deepening passes
-    of the bounded search, against the unpruned reference planners."""
+    """Waits far past the hop distance, where the search leaves a state's
+    free run late or never, against the per-slot reference planners."""
     grid = build_grid(14.0, 14.0, 1.0)
     table = ReservationTable()
     hold(table, h)
@@ -790,17 +820,16 @@ def test_other_component_matches_reference(h):
 
 
 class CountingTable(ReservationTable):
-    """Counts the free-window probes a search makes; the open-ended probes
-    that find where the destination stays free are not counted."""
+    """Counts, per node, the reads of its free slot runs: the one query the
+    search makes of the table."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.probes = 0
+        self.reads = Counter()
 
-    def is_free(self, node, tick_start, tick_end) -> bool:
-        if tick_end != INF_TICK:
-            self.probes += 1
-        return super().is_free(node, tick_start, tick_end)
+    def free_runs(self, node, t0, h):
+        self.reads[node] += 1
+        return super().free_runs(node, t0, h)
 
 
 def test_search_work_is_bounded_by_the_route_not_the_grid():
@@ -808,13 +837,36 @@ def test_search_work_is_bounded_by_the_route_not_the_grid():
     table = CountingTable()
     plan = plan_space_time(grid, table, NodeId(10, 20), NodeId(30, 20), 0, 10)
     assert plan.route == [NodeId(x, 20) for x in range(10, 31)]
-    assert table.probes < 1_000
+    assert len(table.reads) < 100 and max(table.reads.values()) == 1
 
+    # Held forever from slot 5: only the endpoints are read.
     table = CountingTable()
     table.reserve(9, NodeId(30, 20), 50, INF_TICK)
     with pytest.raises(NoPath, match=r"^no conflict-free route \(10, 20\) -> \(30, 20\) within horizon$"):
         plan_space_time(grid, table, NodeId(10, 20), NodeId(30, 20), 0, 10)
-    assert table.probes == 0
+    assert table.reads == {NodeId(10, 20): 1, NodeId(30, 20): 1}
+
+
+def test_a_wall_held_forever_reads_each_node_once():
+    """Holds that never end cut every route: the search gives up once the
+    reachable side is read, not at the horizon."""
+    grid = build_grid(30.0, 30.0, 1.0)
+    table = CountingTable()
+    _column_wall(table, 15, 31, INF_TICK)
+    with pytest.raises(NoPath):
+        plan_space_time(grid, table, NodeId(5, 15), NodeId(25, 15), 0, 10)
+    assert max(table.reads.values()) == 1
+    assert set(table.reads) == {NodeId(x, y) for x in range(16) for y in range(31)} | {NodeId(25, 15)}
+
+
+def test_a_destination_held_to_slot_300_reads_each_node_once():
+    grid = build_grid(30.0, 30.0, 1.0)
+    table = CountingTable()
+    table.reserve(9, NodeId(25, 15), 0, 300 * 10)
+    plan = plan_space_time(grid, table, NodeId(5, 15), NodeId(25, 15), 0, 10)
+    assert plan.steps[-1] == TimedStep(NodeId(25, 15), 3000, 3020)
+    assert plan.arrival_tick == 3010
+    assert max(table.reads.values()) == 1 and len(table.reads) <= grid.node_count
 
 
 def test_commit_with_park_holds_destination_forever():

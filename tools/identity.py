@@ -16,7 +16,8 @@ capture, frame lines, job traces, telemetry log, totals and scans must
 equal the traced run's: the trace only watches.
 
 The engine cases cover what the golden hashes and the benchmark digests
-leave out: 30 crossing fleets, every depot layout, the default scenario at two
+leave out: 30 crossing fleets, every depot layout, a 41-node depot with 16
+vehicles, whose planned waits are long, the default scenario at two
 loss rates, two latencies and three radio seeds, a crossing fleet at
 dt 0.01 with latency, a depot with a beam half-width, two fleets whose
 vehicles differ in their `VehicleParams`, and four radar cases: a depot
@@ -25,12 +26,12 @@ vehicle's home, a crossing fleet whose 7-degree sweep leaves a gap before
 360 under a 15-degree beam, and a depot whose vehicles differ in body
 radius; and a two-vehicle run at dt 0.001, whose spin-ups run past their
 capped table onto the live wheel loop, with stock vehicles and with
-vehicles that differ in their `VehicleParams`.  60 engine cases.
+vehicles that differ in their `VehicleParams`.  61 engine cases.
 
 Six more cases run `swarmport scan` (`cli.cmd_scan`) and digest its
 `scan_stream.txt` and `scan.svg`: the default scenario and the five
 sensor variants above (beam, range, origin on a home, 7-degree step,
-mixed radii).  66 cases in all.
+mixed radii).  67 cases in all.
 """
 
 from __future__ import annotations
@@ -127,6 +128,7 @@ def cases() -> dict:
         out[f"crossing-{seed}"] = lambda s=seed: scenario_from_dict(crossing_document(s))
     for layout in range(8):
         out[f"depot-{layout}"] = lambda n=layout: scenario_from_dict(depot_document(n))
+    out["depot-1-41x16"] = lambda: scenario_from_dict(depot_document(1, 41, 16))
     for loss in (0.0, 0.3):
         for latency in (0, 3):
             for seed in range(3):
