@@ -35,10 +35,6 @@ class BadInterval(SwarmportError):
 
 # -- radar --------------------------------------------------------------
 
-class NonPositiveSpeed(SwarmportError):
-    pass
-
-
 class AngleOutOfRange(SwarmportError):
     pass
 

@@ -57,10 +57,6 @@ class TimedPath:
     def route(self) -> list[NodeId]:
         return [s.node for s in self.steps]
 
-    @property
-    def arrival_tick(self) -> int:
-        return self.steps[-1].enter_tick + self.ticks_per_hop
-
 
 def check_endpoints(grid: GridMap, src: NodeId, dst: NodeId) -> None:
     grid.require(src)
@@ -272,12 +268,6 @@ class ReservationTable:
         self._held.setdefault(vehicle_id, set()).add(node)
         return None
 
-    def is_free(self, node: NodeId, tick_start: float, tick_end: float) -> bool:
-        for start, end, _ in self._holds.get(node, ()):
-            if tick_start < end and start < tick_end:
-                return False
-        return True
-
     def free_runs(self, node: NodeId, t0: int, h: int) -> list[tuple[int, float]]:
         """The maximal runs ``[a, b)`` of slots free on ``node``, in order.
 
@@ -312,9 +302,6 @@ class ReservationTable:
                 self._holds[node] = kept
             else:
                 del self._holds[node]
-
-    def snapshot(self) -> dict[NodeId, list[tuple[float, float, int]]]:
-        return {node: list(holds) for node, holds in self._holds.items()}
 
 
 def _earliest_schedule(

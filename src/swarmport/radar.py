@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import AngleOutOfRange, IoFailure, NonPositiveSpeed
+from .errors import AngleOutOfRange, IoFailure
 from .grid import Position
 
 # Slack on each side of a body's reach in `HopIndex`, for the rounding in
@@ -212,13 +212,6 @@ class HopIndex:
             if hit <= cfg.max_range_m and (best is None or hit < best):
                 best = hit
         return best
-
-
-def time_of_flight(distance_m: float, speed_of_sound_m_s: float) -> float:
-    """Out-and-back travel time of the ping."""
-    if speed_of_sound_m_s <= 0:
-        raise NonPositiveSpeed(f"speed of sound must be positive, got {speed_of_sound_m_s}")
-    return 2.0 * distance_m / speed_of_sound_m_s
 
 
 def polar_to_cartesian(origin: Position, angle_deg: float, distance_m: float) -> Position:

@@ -48,7 +48,6 @@ from .hub import (
 from .planner import (
     INF_TICK,
     ReservationTable,
-    astar,
     commit,
     plan_space_time,
     schedule_along,
@@ -81,7 +80,6 @@ UNLOAD_DWELL_S = 1.0
 NOPATH_RETRY_TICKS = 50
 RENDER_EVERY_SWEEPS = 10
 HOP_MARGIN_S = 1.0
-START_DEFICIT_S = 0.4
 # Telemetry carries positions as unsigned 16-bit millimetres.
 MAX_TERRAIN_M = 0xFFFF / 1000.0
 # Ticks of a trace expanded at a time when it is iterated.
@@ -287,6 +285,12 @@ def validate_scenario(scenario: Scenario) -> GridMap:
             raise ScenarioInvalid(
                 f"terrain.{label}: {extent} m exceeds the {MAX_TERRAIN_M} m that telemetry can encode"
             )
+    # ASSIGN_DESTINATION carries a node's indices as unsigned 16-bit fields.
+    if max(grid.nx, grid.ny) - 1 > 0xFFFF:
+        raise ScenarioInvalid(
+            f"terrain.spacing_m: {scenario.terrain.spacing_m} m makes a {grid.nx}x{grid.ny} grid, "
+            f"whose node indices exceed the {0xFFFF} that ASSIGN_DESTINATION can encode"
+        )
 
     if len(scenario.vehicles) > CHANNEL_COUNT:
         raise ScenarioInvalid(
@@ -363,7 +367,8 @@ def hop_window_ticks(scenario: Scenario) -> int:
     for v in specs:
         p = v.params
         drive = spacing / p.cruise_speed_m_s
-        worst = max(worst, _turn_time_s(180.0, p) + drive + HOP_MARGIN_S)
+        turn = math.radians(180.0) * p.track_m / (2.0 * p.cruise_speed_m_s)
+        worst = max(worst, turn + drive + HOP_MARGIN_S)
     return max(1, math.ceil(worst / scenario.sim.dt_s))
 
 
@@ -976,61 +981,3 @@ def run(scenario: Scenario, out_dir) -> SimReport:
     artifacts["summary_txt"] = "summary.txt"
     return report
 
-
-# ----------------------------------------------------------------- estimate
-
-
-def _turn_time_s(angle_deg: float, params: VehicleParams) -> float:
-    return math.radians(angle_deg) * params.track_m / (2.0 * params.cruise_speed_m_s)
-
-
-def _leg_time_s(leg: list[NodeId], heading: float, params: VehicleParams, spacing: float) -> tuple[float, float]:
-    t = START_DEFICIT_S
-    for cur, nxt in zip(leg, leg[1:]):
-        target = math.degrees(math.atan2(nxt[1] - cur[1], nxt[0] - cur[0])) % 360.0
-        diff = abs(target - heading) % 360.0
-        diff = min(diff, 360.0 - diff)
-        if diff:
-            t += _turn_time_s(diff, params)
-            heading = target
-        t += spacing / params.cruise_speed_m_s
-    return t, heading
-
-
-def analytic_makespan_ticks(scenario: Scenario) -> int:
-    """Kinematic hand estimate: drive time + turn time + start/stop slack.
-
-    Assumes uncongested canonical routes with one full job cycle per
-    assignment (out to pickup, transit to destination, retrace home).
-    """
-    if not scenario.vehicles or not scenario.jobs:
-        return 0
-    grid = build_scenario_grid(scenario)
-    finish: dict[int, float] = {v.vehicle_id: 0.0 for v in scenario.vehicles}
-    homes = {v.vehicle_id: v.home_node for v in scenario.vehicles}
-    params = {v.vehicle_id: v.params for v in scenario.vehicles}
-    spacing = scenario.terrain.spacing_m
-    for job in sorted(scenario.jobs, key=lambda j: (j.release_tick, j.job_id)):
-        vid = min(
-            finish,
-            key=lambda v: (
-                finish[v],
-                len(astar(grid, homes[v], job.pickup_node).nodes),
-                v,
-            ),
-        )
-        p = params[vid]
-        to_pickup = astar(grid, homes[vid], job.pickup_node).nodes
-        to_dest = astar(grid, job.pickup_node, job.destination_node).nodes
-        outbound = to_pickup + to_dest[1:]
-        heading = 0.0
-        total = max(finish[vid], job.release_tick * scenario.sim.dt_s)
-        t, heading = _leg_time_s(to_pickup, heading, p, spacing)
-        total += t
-        t, heading = _leg_time_s(to_dest, heading, p, spacing)
-        total += t + UNLOAD_DWELL_S
-        t, heading = _leg_time_s(list(reversed(outbound)), heading, p, spacing)
-        total += t
-        finish[vid] = total
-    latest = max(finish.values(), default=0.0)
-    return math.ceil(latest / scenario.sim.dt_s)

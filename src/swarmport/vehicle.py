@@ -328,12 +328,6 @@ class Drive(_Hop):
         return self.speed0 if k < 0 else _speed(self.radius_m, self.run.rows[k])
 
 
-class Pose(NamedTuple):
-    x: float
-    y: float
-    heading_deg: float
-
-
 class VehicleAgent:
     """Waypoint-following cargo vehicle on ``grid`` at timestep ``dt_s``.
 
@@ -472,18 +466,6 @@ class VehicleAgent:
         return self._route[self._hop], self._route[self._hop + 1]
 
     # -- dynamics ----------------------------------------------------
-
-    def pose(self, now: int) -> Pose:
-        """Where the vehicle is and faces after its step at tick ``now``."""
-        motion = self.motion
-        x, y = motion.at(now)
-        return Pose(x, y, motion.heading_at(now))
-
-    def speed_m_s(self, now: int) -> float:
-        """Forward speed after the step at tick ``now``: the mean of the two
-        wheels' rim speeds, which cancel while the vehicle turns in place
-        and are 0 at rest."""
-        return self.motion.speed_at(now)
 
     def telemetry(self, now: int) -> Message:
         motion = self.motion

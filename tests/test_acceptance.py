@@ -30,7 +30,6 @@ from swarmport.radar import (
     SweepConfig,
     detect_targets,
     sweep,
-    time_of_flight,
 )
 from swarmport.rfnet import (
     Channel,
@@ -49,8 +48,8 @@ from swarmport.sim import (
     SimConfig,
     Simulation,
     TerrainConfig,
+    UNLOAD_DWELL_S,
     VehicleSpec,
-    analytic_makespan_ticks,
     default_scenario,
     run,
 )
@@ -248,7 +247,7 @@ def test_c4_pid_settles_fast_and_cruise_speed_holds():
     for tick in range(2000):
         agent.step(tick + 1)
         if tick * 0.01 >= settle_s and agent.busy:
-            speeds.append(agent.speed_m_s(tick + 1))
+            speeds.append(agent.motion.speed_at(tick + 1))
         if not agent.busy:
             break
     assert speeds
@@ -279,6 +278,11 @@ def disc_world(seed):
         discs.append(Disc(Position(origin.x + dist * math.cos(a), origin.y + dist * math.sin(a)), radius))
         bearings.append((bearing, half_angle))
     return origin, discs
+
+
+def time_of_flight(distance_m, speed_of_sound_m_s):
+    """Out-and-back travel time of the ping."""
+    return 2.0 * distance_m / speed_of_sound_m_s
 
 
 def test_c5_radar_counts_and_centroids_on_20_seeded_worlds():
@@ -361,8 +365,78 @@ def test_c6_codec_identity_crc_vector_and_channel_isolation():
 
 
 # =====================================================================
-# Criterion 7: byte determinism and analytic makespan
+# Criterion 7: byte determinism and a hand makespan estimate
 # =====================================================================
+
+
+START_DEFICIT_S = 0.4  # spin-up and stop slack per leg
+
+
+def canonical_route(grid, src, dst):
+    """The shortest route whose direction sequence comes first in East,
+    North, West, South order: from ``src``, the first neighbour one hop
+    nearer ``dst`` on a breadth-first table of ``dst``."""
+    to_dst = {dst: 0}
+    queue = deque([dst])
+    while queue:
+        node = queue.popleft()
+        for nb in grid_neighbors(grid, node):
+            if nb not in to_dst:
+                to_dst[nb] = to_dst[node] + 1
+                queue.append(nb)
+    route = [src]
+    while route[-1] != dst:
+        remaining = to_dst[route[-1]]
+        route.append(next(nb for nb in grid_neighbors(grid, route[-1]) if to_dst.get(nb) == remaining - 1))
+    return route
+
+
+def leg_time_s(leg, heading, params, spacing):
+    """Seconds to drive ``leg`` from ``heading``, turning in place at cruise
+    rim speed, and the heading at its end."""
+    t = START_DEFICIT_S
+    for cur, nxt in zip(leg, leg[1:]):
+        target = math.degrees(math.atan2(nxt[1] - cur[1], nxt[0] - cur[0])) % 360.0
+        diff = abs(target - heading) % 360.0
+        diff = min(diff, 360.0 - diff)
+        if diff:
+            t += math.radians(diff) * params.track_m / (2.0 * params.cruise_speed_m_s)
+            heading = target
+        t += spacing / params.cruise_speed_m_s
+    return t, heading
+
+
+def estimate_makespan_ticks(scenario):
+    """Kinematic hand estimate: drive time + turn time + start/stop slack.
+
+    Assumes uncongested canonical routes with one full job cycle per
+    assignment (out to pickup, transit to destination, retrace home), each
+    job in release order going to the vehicle that is free first.
+    """
+    terrain = scenario.terrain
+    spacing = terrain.spacing_m
+    grid = build_grid(terrain.width_m, terrain.height_m, spacing, terrain.blocked)
+    finish = {v.vehicle_id: 0.0 for v in scenario.vehicles}
+    homes = {v.vehicle_id: v.home_node for v in scenario.vehicles}
+    params = {v.vehicle_id: v.params for v in scenario.vehicles}
+    for job in sorted(scenario.jobs, key=lambda j: (j.release_tick, j.job_id)):
+        vid = min(
+            finish,
+            key=lambda v: (finish[v], len(canonical_route(grid, homes[v], job.pickup_node)), v),
+        )
+        p = params[vid]
+        to_pickup = canonical_route(grid, homes[vid], job.pickup_node)
+        to_dest = canonical_route(grid, job.pickup_node, job.destination_node)
+        outbound = to_pickup + to_dest[1:]
+        total = max(finish[vid], job.release_tick * scenario.sim.dt_s)
+        leg, heading = leg_time_s(to_pickup, 0.0, p, spacing)
+        total += leg
+        leg, heading = leg_time_s(to_dest, heading, p, spacing)
+        total += leg + UNLOAD_DWELL_S
+        leg, heading = leg_time_s(outbound[::-1], heading, p, spacing)
+        total += leg
+        finish[vid] = total
+    return math.ceil(max(finish.values(), default=0.0) / scenario.sim.dt_s)
 
 
 def test_c7_default_scenario_reruns_byte_identical_and_near_estimate(tmp_path):
@@ -384,7 +458,8 @@ def test_c7_default_scenario_reruns_byte_identical_and_near_estimate(tmp_path):
 
     makespan = reports[0].makespan_ticks
     assert makespan == reports[1].makespan_ticks
-    estimate = analytic_makespan_ticks(scenario)
+    estimate = estimate_makespan_ticks(scenario)
+    assert estimate == 8095
     rel_err = abs(makespan - estimate) / estimate
     assert rel_err <= 0.20
     assert elapsed < 10.0

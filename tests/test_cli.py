@@ -279,6 +279,24 @@ def test_malformed_section_exits_one_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_node_index_beyond_destination_reach_exits_one(tmp_path, capsys):
+    """72,778 nodes across: the job's x index 69995 does not fit the 16-bit
+    ASSIGN_DESTINATION field, so the scenario is refused before tick 0."""
+    scenario = Scenario(
+        terrain=TerrainConfig(width_m=65.5, height_m=0.0009, spacing_m=0.0009),
+        vehicles=(VehicleSpec(0, NodeId(69990, 0)),),
+        jobs=(Job(0, NodeId(69995, 0), NodeId(69995, 1)),),
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(scenario_to_dict(scenario)))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: terrain.spacing_m: 0.0009 m makes a 72778x2 grid")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_walled_in_job_exits_one_naming_it(tmp_path, capsys):
     scenario = Scenario(
         terrain=TerrainConfig(blocked=(NodeId(3, 4), NodeId(5, 4), NodeId(4, 3), NodeId(4, 5))),

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from table_reference import holds_by_node, is_free
 
 import swarmport
 from swarmport.errors import BadInterval, GridTooLarge, NoPath
@@ -66,6 +67,11 @@ def bfs_cost(grid, src, dst):
     return None
 
 
+def arrival_tick(plan):
+    """The tick at which ``plan``'s last hop ends."""
+    return plan.steps[-1].enter_tick + plan.ticks_per_hop
+
+
 def random_grid(seed, block_ratio=0.2):
     rng = random.Random(seed)
     grid = build_grid(2.0, 2.0, 0.25)
@@ -101,10 +107,10 @@ def reference_plan_space_time(
     t0 = start_tick
 
     def window_free(node: NodeId, k: int) -> bool:
-        return table.is_free(node, t0 + k * h, t0 + (k + 1) * h)
+        return is_free(table, node, t0 + k * h, t0 + (k + 1) * h)
 
     if src == dst:
-        if not table.is_free(dst, t0, INF_TICK):
+        if not is_free(table, dst, t0, INF_TICK):
             raise NoPath(f"destination {tuple(dst)} reserved past arrival")
         return TimedPath([TimedStep(src, t0, t0 + h)], h)
 
@@ -121,7 +127,7 @@ def reference_plan_space_time(
                 if window_free(nb, k):
                     nxt.add(nb)
         reachable.append(nxt)
-        if dst in nxt and table.is_free(dst, t0 + (k + 1) * h, INF_TICK):
+        if dst in nxt and is_free(table, dst, t0 + (k + 1) * h, INF_TICK):
             arrival_slot = k + 1
             break
     if arrival_slot is None:
@@ -171,11 +177,11 @@ def reference_schedule_along(
     t0 = start_tick
 
     def window_free(i: int, k: int) -> bool:
-        return table.is_free(sequence[i], t0 + k * h, t0 + (k + 1) * h)
+        return is_free(table, sequence[i], t0 + k * h, t0 + (k + 1) * h)
 
     last = len(sequence) - 1
     if last == 0:
-        if not table.is_free(sequence[0], t0, INF_TICK):
+        if not is_free(table, sequence[0], t0, INF_TICK):
             raise NoPath("terminal node reserved past arrival")
         return TimedPath([TimedStep(sequence[0], t0, t0 + h)], h)
 
@@ -190,7 +196,7 @@ def reference_schedule_along(
             if i < last and window_free(i + 1, k):
                 nxt.add(i + 1)
         reachable.append(nxt)
-        if last in nxt and table.is_free(sequence[last], t0 + (k + 1) * h, INF_TICK):
+        if last in nxt and is_free(table, sequence[last], t0 + (k + 1) * h, INF_TICK):
             arrival_slot = k + 1
             break
     if arrival_slot is None:
@@ -484,7 +490,7 @@ def test_half_open_windows_touch_without_conflict():
     node = NodeId(0, 0)
     assert table.reserve(0, node, 0, 10) is None
     assert table.reserve(1, node, 10, 20) is None
-    assert not table.is_free(node, 9, 10)
+    assert not is_free(table, node, 9, 10)
     assert table.reserve(0, node, 9, 10) is None
 
 
@@ -501,8 +507,8 @@ def test_open_ended_parking():
     node = NodeId(1, 1)
     assert table.reserve(0, node, 100, INF_TICK) is None
     assert table.reserve(1, node, 10 ** 9, 10 ** 9 + 1) == INF_TICK
-    assert table.is_free(node, 0, 100)
-    assert not table.is_free(node, 50, INF_TICK)
+    assert is_free(table, node, 0, 100)
+    assert not is_free(table, node, 50, INF_TICK)
     assert table.reserve(0, node, 50, INF_TICK) is None
 
 
@@ -511,9 +517,9 @@ def test_release_vehicle_clears_only_its_holds():
     table.reserve(0, NodeId(0, 0), 0, INF_TICK)
     table.reserve(1, NodeId(1, 0), 0, INF_TICK)
     table.release_vehicle(0)
-    assert all(vid != 0 for holds in table.snapshot().values() for _, _, vid in holds)
-    assert table.is_free(NodeId(0, 0), 0, INF_TICK)
-    assert not table.is_free(NodeId(1, 0), 0, INF_TICK)
+    assert all(vid != 0 for holds in holds_by_node(table).values() for _, _, vid in holds)
+    assert is_free(table, NodeId(0, 0), 0, INF_TICK)
+    assert not is_free(table, NodeId(1, 0), 0, INF_TICK)
 
 
 table_ops = st.lists(
@@ -553,7 +559,7 @@ def test_release_vehicle_equals_filtering_every_list(ops):
                     reference[node] = kept
                 else:
                     del reference[node]
-        assert list(table.snapshot().items()) == list(reference.items())
+        assert list(holds_by_node(table).items()) == list(reference.items())
 
 
 # ------------------------------------------------------ space-time planning
@@ -564,7 +570,7 @@ def test_plan_on_empty_table_equals_static_route():
     table = ReservationTable()
     plan = plan_space_time(grid, table, NodeId(0, 0), NodeId(4, 2), 0, 10)
     assert plan.route == astar(grid, NodeId(0, 0), NodeId(4, 2)).nodes
-    assert plan.arrival_tick == 6 * 10
+    assert arrival_tick(plan) == 6 * 10
     # uniform pacing: one window per hop, no waiting anywhere
     assert plan.steps[0].enter_tick == 0
     for step, nxt in zip(plan.steps[1:], plan.steps[2:]):
@@ -577,9 +583,9 @@ def test_plan_claims_both_endpoints_of_each_hop():
     plan = plan_space_time(grid, table, NodeId(0, 0), NodeId(2, 0), 0, 10)
     commit(table, 0, plan)
     # while hopping (0,0)->(1,0) during [0,10) both nodes are held
-    assert not table.is_free(NodeId(0, 0), 0, 1)
-    assert not table.is_free(NodeId(1, 0), 0, 1)
-    assert not table.is_free(NodeId(2, 0), 19, 20)
+    assert not is_free(table, NodeId(0, 0), 0, 1)
+    assert not is_free(table, NodeId(1, 0), 0, 1)
+    assert not is_free(table, NodeId(2, 0), 19, 20)
 
 
 def test_plan_waits_out_a_transient_block():
@@ -591,8 +597,8 @@ def test_plan_waits_out_a_transient_block():
     commit(table, 0, plan)
     assert plan.route[0] == NodeId(0, 0)
     assert plan.route[-1] == NodeId(2, 0)
-    assert plan.arrival_tick > 30
-    for node, holds in table.snapshot().items():
+    assert arrival_tick(plan) > 30
+    for node, holds in holds_by_node(table).items():
         for start, end, vid in holds:
             if vid == 0:
                 assert table.reserve(0, node, start, end) is None or node == NodeId(1, 0)
@@ -635,7 +641,7 @@ def test_committed_plans_never_overlap():
     commit(table, 0, p0)
     p1 = plan_space_time(grid, table, NodeId(4, 0), NodeId(4, 4), 0, 10)
     commit(table, 1, p1)
-    for node, holds in table.snapshot().items():
+    for node, holds in holds_by_node(table).items():
         ordered = sorted(holds)
         for (s0, e0, v0), (s1, e1, v1) in zip(ordered, ordered[1:]):
             assert e0 <= s1, f"overlap at {node}: {ordered}"
@@ -650,8 +656,8 @@ def test_head_on_corridor_resolves_by_detour_or_delay():
     commit(table, 1, p1)
     assert p1.route[0] == NodeId(4, 0) and p1.route[-1] == NodeId(0, 0)
     # direct swap is impossible; the second plan must cost time or distance
-    assert p1.arrival_tick > p0.arrival_tick or len(p1.route) > len(p0.route)
-    for node, holds in table.snapshot().items():
+    assert arrival_tick(p1) > arrival_tick(p0) or len(p1.route) > len(p0.route)
+    for node, holds in holds_by_node(table).items():
         ordered = sorted(holds)
         for (s0, e0, _), (s1, e1, _) in zip(ordered, ordered[1:]):
             assert e0 <= s1
@@ -663,7 +669,7 @@ def test_schedule_along_keeps_sequence():
     seq = [NodeId(0, 0), NodeId(1, 0), NodeId(2, 0), NodeId(2, 1)]
     plan = schedule_along(table, seq, 0, 10, max_slots=50)
     assert plan.route == seq
-    assert plan.arrival_tick == 30
+    assert arrival_tick(plan) == 30
 
 
 def test_schedule_along_waits_for_clearance():
@@ -703,7 +709,7 @@ def test_schedule_along_single_node_and_self_crossing_trail():
     loop = [NodeId(0, 0), NodeId(1, 0), NodeId(1, 1), NodeId(0, 1), NodeId(0, 0), NodeId(1, 0)]
     plan = schedule_along(table, loop, 0, 10, max_slots=50)
     assert plan.route == loop
-    assert plan.arrival_tick == 50
+    assert arrival_tick(plan) == 50
     table.reserve(9, node, 100, 130)
     with pytest.raises(NoPath):
         schedule_along(table, [node], 20, 10, max_slots=5)
@@ -865,7 +871,7 @@ def test_a_destination_held_to_slot_300_reads_each_node_once():
     table.reserve(9, NodeId(25, 15), 0, 300 * 10)
     plan = plan_space_time(grid, table, NodeId(5, 15), NodeId(25, 15), 0, 10)
     assert plan.steps[-1] == TimedStep(NodeId(25, 15), 3000, 3020)
-    assert plan.arrival_tick == 3010
+    assert arrival_tick(plan) == 3010
     assert max(table.reads.values()) == 1 and len(table.reads) <= grid.node_count
 
 
@@ -874,4 +880,4 @@ def test_commit_with_park_holds_destination_forever():
     table = ReservationTable()
     plan = plan_space_time(grid, table, NodeId(0, 0), NodeId(2, 0), 0, 10)
     commit(table, 0, plan)
-    assert not table.is_free(NodeId(2, 0), 10 ** 12, INF_TICK)
+    assert not is_free(table, NodeId(2, 0), 10 ** 12, INF_TICK)

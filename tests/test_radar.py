@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmport.errors import AngleOutOfRange, IoFailure, NonPositiveSpeed
+from swarmport.errors import AngleOutOfRange, IoFailure
 from swarmport.grid import Position
 from echo_reference import reference_echo_distance
 from swarmport.radar import (
@@ -18,7 +18,6 @@ from swarmport.radar import (
     render_frame,
     sweep,
     sweep_table,
-    time_of_flight,
 )
 
 CENTER = Position(1.0, 1.0)
@@ -302,33 +301,6 @@ def test_config_validation():
         cfg(beam_halfwidth_deg=-1.0)
     with pytest.raises(ValueError):
         cfg(max_range_m=0.0)
-
-
-# ------------------------------------------------------------ time of flight
-
-
-def test_time_of_flight_examples():
-    assert time_of_flight(1.0, 343.0) == pytest.approx(5.8309e-3, rel=1e-4)
-    assert time_of_flight(4.0, 343.0) == pytest.approx(23.324e-3, rel=1e-4)
-
-
-def test_time_of_flight_inverts():
-    for d in (0.001, 0.3333, 2.71, 4.0):
-        t = time_of_flight(d, 343.0)
-        assert abs(343.0 * t / 2.0 - d) <= 1e-9 * d
-
-
-def test_time_of_flight_rejects_bad_speed():
-    with pytest.raises(NonPositiveSpeed):
-        time_of_flight(1.0, 0.0)
-    with pytest.raises(NonPositiveSpeed):
-        time_of_flight(1.0, -10.0)
-
-
-@given(st.floats(1e-6, 4.0))
-def test_time_of_flight_inverse_property(d):
-    t = time_of_flight(d, 343.0)
-    assert abs(343.0 * t / 2.0 - d) <= 1e-9 * d
 
 
 # ----------------------------------------------------------------- polar

@@ -1,4 +1,4 @@
-"""Scenario schema, tick loop wiring, determinism, artifacts, analytics."""
+"""Scenario schema, tick loop wiring, determinism, artifacts."""
 
 import copy
 import functools
@@ -8,6 +8,7 @@ import math
 import pytest
 from echo_reference import reference_echo_distance
 from hypothesis import given, settings, strategies as st
+from table_reference import holds_by_node
 from test_acceptance import crossing_scenario
 
 import swarmport.sim
@@ -26,7 +27,6 @@ from swarmport.sim import (
     Simulation,
     TerrainConfig,
     VehicleSpec,
-    analytic_makespan_ticks,
     build_scenario_grid,
     default_scenario,
     hop_window_ticks,
@@ -150,6 +150,28 @@ def test_terrain_beyond_telemetry_reach_rejected(label):
     )
     with pytest.raises(ScenarioInvalid, match=f"terrain.{label}"):
         validate_scenario(scenario)
+
+
+@pytest.mark.parametrize("label", ["width_m", "height_m"])
+def test_node_index_beyond_destination_reach_rejected(label):
+    """ASSIGN_DESTINATION carries each node index in 16 bits: at 2^-10 m
+    spacing, 64 m makes index 65536, one past what fits, while 64 m less one
+    spacing still fits."""
+    spacing = 2.0 ** -10
+    for extent, fits in ((64.0 - spacing, True), (64.0, False)):
+        extents = {"width_m": spacing, "height_m": spacing, label: extent}
+        scenario = replace_scenario(
+            default_scenario(),
+            terrain=TerrainConfig(spacing_m=spacing, **extents),
+            vehicles=(VehicleSpec(0, NodeId(0, 0)),),
+            jobs=(),
+        )
+        if fits:
+            grid = validate_scenario(scenario)
+            assert max(grid.nx, grid.ny) - 1 == 0xFFFF
+        else:
+            with pytest.raises(ScenarioInvalid, match=r"^terrain\.spacing_m: "):
+                validate_scenario(scenario)
 
 
 def test_loss_probability_must_leave_headroom():
@@ -451,7 +473,7 @@ def checked_ticks(sim, agents):
         samples = sim._sweep_samples
         now = sim.tick_count
         sim.tick()
-        poses = [a.pose(now)[:2] for a in agents]
+        poses = [a.motion.at(now) for a in agents]
         # repr tells -0.0 from 0.0, which == does not
         assert repr(sim.pose_trace[-1]) == repr(poses)
         occupancy = []
@@ -470,11 +492,11 @@ def test_radar_and_trace_see_every_move():
     """The engine re-places a vehicle in its radar index only when its hop
     changes, and re-reads a trace entry only when the vehicle stepped:
     after every tick the trace and the tick's echo must still match the
-    positions and an echo over a world rebuilt from `pose`."""
+    positions and an echo over a world rebuilt from `motion`."""
     sim = Simulation(crossing_scenario(3), trace=True)
     agents = [sim.vehicles[vid].agent for vid in sorted(sim.vehicles)]
     echoed = moved = still = parked = 0
-    previous = [a.pose(0)[:2] for a in agents]
+    previous = [a.motion.at(0) for a in agents]
     was_busy = [a.busy for a in agents]
     for poses in checked_ticks(sim, agents):
         echoed += sim.frame_lines[-1].split(",")[1] != "0.\n"
@@ -507,7 +529,7 @@ def test_trace_views_read_as_the_rows_of_a_trace_built_every_tick():
     while not sim.all_done:
         now = sim.tick_count
         sim.tick()
-        poses.append([a.pose(now)[:2] for a in agents])
+        poses.append([a.motion.at(now) for a in agents])
         row = []
         for a in agents:
             edge = a.edge_in_progress()
@@ -591,7 +613,7 @@ def counted_run(scenario, every_tick):
     """Run ``scenario`` with the trace and capture on and count vehicle steps
     and early departure grants that only a release can explain: a gate
     refused while another vehicle's hold on the node lasted past now
-    (computed here from the table's snapshot), then granted for the same
+    (computed here from the table's holds), then granted for the same
     node and slot before that hold's end.
 
     With ``every_tick`` the engine's vehicle phase is replaced by a loop
@@ -611,7 +633,7 @@ def counted_run(scenario, every_tick):
             if last is not None and last[:2] == (node, scheduled) and now < last[2]:
                 early += 1
             return None
-        holds = table.snapshot()[node]
+        holds = holds_by_node(table)[node]
         assert until == max(
             end for start, end, vid in holds if vid != agent.vehicle_id and now < end and start < scheduled
         )
@@ -813,7 +835,7 @@ def test_refused_leg_is_retried_on_the_one_timer(leg, start_state, started, leg_
 )
 def test_table_keeps_no_dead_weight_without_gc(monkeypatch, scenario):
     """The reservation table never drops a hold that has ended.  That is
-    safe because no reserve or is_free query starts before the current
+    safe because no reserve or free_runs query starts before the current
     tick, and cheap because a vehicle's holds are released before each of
     its legs: after every tick a vehicle holds at most two holds per step
     of its last committed plan (the plan's own holds, plus at most one
@@ -821,29 +843,29 @@ def test_table_keeps_no_dead_weight_without_gc(monkeypatch, scenario):
     sim = Simulation(scenario)
     table = sim.table
     steps = {vid: 1 for vid in sim.vehicles}  # the home hold parks like a one-step plan
-    queries = 0
+    reserves = reads = 0
     changed = False
-    reserve, is_free, commit = table.reserve, table.is_free, swarmport.sim.commit
+    reserve, free_runs, commit = table.reserve, table.free_runs, swarmport.sim.commit
 
     def checked_reserve(vehicle_id, node, tick_start, tick_end):
-        nonlocal queries, changed
+        nonlocal reserves, changed
         assert tick_start >= sim.tick_count
-        queries += 1
+        reserves += 1
         changed = True
         return reserve(vehicle_id, node, tick_start, tick_end)
 
-    def checked_is_free(node, tick_start, tick_end):
-        nonlocal queries
-        assert tick_start >= sim.tick_count
-        queries += 1
-        return is_free(node, tick_start, tick_end)
+    def checked_free_runs(node, t0, h):
+        nonlocal reads
+        assert t0 >= sim.tick_count
+        reads += 1
+        return free_runs(node, t0, h)
 
     def recording_commit(table, vehicle_id, plan):
         commit(table, vehicle_id, plan)
         steps[vehicle_id] = len(plan.steps)
 
     monkeypatch.setattr(table, "reserve", checked_reserve)
-    monkeypatch.setattr(table, "is_free", checked_is_free)
+    monkeypatch.setattr(table, "free_runs", checked_free_runs)
     monkeypatch.setattr(swarmport.sim, "commit", recording_commit)
     worst = 0.0
     while sim.tick_count < sim.scenario.sim.max_ticks and not sim.all_done:
@@ -852,14 +874,14 @@ def test_table_keeps_no_dead_weight_without_gc(monkeypatch, scenario):
             continue  # only a reserve adds holds or commits a plan
         changed = False
         held = {vid: 0 for vid in sim.vehicles}
-        for holds in table.snapshot().values():
+        for holds in holds_by_node(table).values():
             for _, _, vid in holds:
                 held[vid] += 1
         for vid, count in held.items():
             assert count <= 2 * steps[vid], (sim.tick_count, vid, count, steps[vid])
             worst = max(worst, count / (2 * steps[vid]))
     assert sim.completed_jobs == sim.total_jobs
-    assert queries > 0
+    assert reserves > 0 and reads > 0
     assert worst > 0.5  # early departures did add holds past the plan's own
 
 
@@ -968,17 +990,3 @@ def test_report_metrics_match_log(tmp_path):
     assert got.total_distance_m == pytest.approx(want[0].total_distance_m)
     assert got.job_completion_ticks == want[0].job_completion_ticks
 
-
-# -------------------------------------------------------------- analytics
-
-
-def test_analytic_makespan_zero_without_jobs():
-    assert analytic_makespan_ticks(replace_scenario(default_scenario(), jobs=())) == 0
-
-
-def test_analytic_makespan_tracks_simulation():
-    scenario = default_scenario()
-    sim = Simulation(scenario)
-    sim.run_loop()
-    estimate = analytic_makespan_ticks(scenario)
-    assert abs(sim.last_complete_tick - estimate) / estimate <= 0.20

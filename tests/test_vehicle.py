@@ -2,6 +2,7 @@
 and the spin-up tables against an agent that runs the loop on every tick."""
 
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +22,6 @@ from swarmport.vehicle import (
     UNLOADING,
     SPIN_TABLE_CAP,
     PidState,
-    Pose,
     Rest,
     VehicleAgent,
     VehicleParams,
@@ -33,6 +33,19 @@ from swarmport.vehicle import (
 
 DT = 0.01
 GRID = build_grid(2.0, 2.0, 0.25)
+
+
+class Pose(NamedTuple):
+    x: float
+    y: float
+    heading_deg: float
+
+
+def pose(agent, now):
+    """Where ``agent`` is and faces after its step at tick ``now``, read
+    from its motion."""
+    motion = agent.motion
+    return Pose(*motion.at(now), motion.heading_at(now))
 
 
 def make_path(nodes, depart_at=0, hop=1):
@@ -277,7 +290,7 @@ def test_straight_hop_lands_exactly_on_node():
     loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
     ticks = drive_until(agent, lambda a, now: not a.busy)
-    assert agent.pose(ticks) == (0.25, 0.0, 0.0)
+    assert pose(agent, ticks) == (0.25, 0.0, 0.0)
     assert agent.current_node == NodeId(1, 0)
     assert agent.state == UNLOADING
     # one hop from rest: spin-up plus 0.25 m at 0.1 m/s
@@ -293,11 +306,11 @@ def test_fast_hop_that_steps_over_the_arrival_window_lands_on_node():
     longest = 0.0
     for now in range(2, 202):
         agent.step(now)
-        longest = max(longest, agent.speed_m_s(now) * 0.05)
+        longest = max(longest, agent.motion.speed_at(now) * 0.05)
         if not agent.busy:
             break
     assert longest > GRID.spacing_m / 5
-    assert agent.pose(now) == (1.0, 0.0, 0.0)
+    assert pose(agent, now) == (1.0, 0.0, 0.0)
     assert agent.state == UNLOADING
 
 
@@ -309,7 +322,7 @@ def test_cruise_speed_during_drive():
     for now in range(2, 2502):
         agent.step(now)
         if now >= 200:  # past spin-up
-            speeds.append(agent.speed_m_s(now))
+            speeds.append(agent.motion.speed_at(now))
         if not agent.busy:
             break
     cruising = [s for s in speeds if s > 0.0]
@@ -321,12 +334,12 @@ def test_turn_in_place_snaps_heading():
     agent = make_agent()
     loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(0, 1)]))
-    ticks_turning = drive_until(agent, lambda a, now: a.pose(now).heading_deg == 90.0)
+    ticks_turning = drive_until(agent, lambda a, now: pose(a, now).heading_deg == 90.0)
     # quarter turn: accelerate, then yaw rate = 2*r*omega/track
     assert 2.0 <= ticks_turning * DT <= 3.5
-    assert agent.pose(ticks_turning)[:2] == (0.0, 0.0)  # turned in place
+    assert pose(agent, ticks_turning)[:2] == (0.0, 0.0)  # turned in place
     end = drive_until(agent, lambda a, now: not a.busy, start=ticks_turning + 1)
-    assert agent.pose(end) == (0.0, 0.25, 90.0)
+    assert pose(agent, end) == (0.0, 0.25, 90.0)
 
 
 def test_turn_prefers_counter_clockwise_on_180():
@@ -336,10 +349,10 @@ def test_turn_prefers_counter_clockwise_on_180():
     seen = set()
     for now in range(2, 5002):
         agent.step(now)
-        seen.add(round(agent.pose(now).heading_deg // 90))
+        seen.add(round(pose(agent, now).heading_deg // 90))
         if not agent.busy:
             break
-    assert agent.pose(now).heading_deg == 180.0
+    assert pose(agent, now).heading_deg == 180.0
     assert 1 in seen  # passed through the 90-180 quadrant, not 270
 
 
@@ -350,7 +363,7 @@ def test_turn_clockwise_when_shorter():
     headings = []
     for now in range(2, 5002):
         agent.step(now)
-        headings.append(agent.pose(now).heading_deg)
+        headings.append(pose(agent, now).heading_deg)
         if not agent.busy:
             break
     assert headings[-1] == 270.0
@@ -363,9 +376,9 @@ def test_scheduled_departure_holds_vehicle():
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
     for now in range(2, 100):
         agent.step(now)
-        assert agent.pose(now).x == 0.0
-        assert agent.speed_m_s(now) == 0.0
-    assert drive_until(agent, lambda a, now: a.pose(now).x > 0.0, start=100, limit=50) == 100
+        assert pose(agent, now).x == 0.0
+        assert agent.motion.speed_at(now) == 0.0
+    assert drive_until(agent, lambda a, now: pose(a, now).x > 0.0, start=100, limit=50) == 100
 
 
 def test_departure_gate_grants_early_start():
@@ -379,7 +392,7 @@ def test_departure_gate_grants_early_start():
     agent.departure_gate = gate
     loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=10_000))
-    assert drive_until(agent, lambda a, now: a.pose(now).x > 0.0, limit=50) == 2
+    assert drive_until(agent, lambda a, now: pose(a, now).x > 0.0, limit=50) == 2
     assert calls[0] == (NodeId(1, 0), 2, 10_000)
 
 
@@ -402,7 +415,7 @@ def test_transit_unload_retrace_cycle():
     assert agent.state == RETRACING
     idle = drive_until(agent, lambda a, now: a.state == IDLE, start=unloading + 1)
     assert agent.current_node == NodeId(0, 0)
-    assert agent.pose(idle) == (0.0, 0.0, 180.0)
+    assert pose(agent, idle) == (0.0, 0.0, 180.0)
 
 
 # ------------------------------------------------------------------- trail
@@ -488,7 +501,7 @@ def test_step_returns_scheduled_departure_while_resting():
     assert agent.step(57) == 100  # a refused gate does not move the scheduled tick
     assert refusals == [2, 57]
     assert agent.step(100) > 101  # the arrival
-    assert agent.pose(100).x > 0.0
+    assert pose(agent, 100).x > 0.0
 
 
 @pytest.mark.parametrize("until, wake", [(57, 57), (150, 100)])
@@ -498,8 +511,8 @@ def test_refused_gate_wakes_at_its_until_or_the_departure(until, wake):
     loaded_and_awaiting(agent)
     agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
     assert agent.step(2) == wake
-    assert agent.pose(2).x == 0.0
-    assert agent.speed_m_s(2) == 0.0
+    assert pose(agent, 2).x == 0.0
+    assert agent.motion.speed_at(2) == 0.0
 
 
 def test_step_that_comes_to_rest_returns_scheduled_departure():
@@ -515,7 +528,7 @@ def test_step_that_comes_to_rest_returns_scheduled_departure():
     def until_quiet(now):
         """Step at each tick returned from ``now`` until a step leaves the vehicle at rest."""
         while True:
-            before = (agent.pose(now - 1).heading_deg, agent.current_node)
+            before = (pose(agent, now - 1).heading_deg, agent.current_node)
             wake = agent.step(now)
             if isinstance(agent.motion, Rest):
                 return now, wake, before
@@ -523,7 +536,7 @@ def test_step_that_comes_to_rest_returns_scheduled_departure():
 
     now, wake, before = until_quiet(2)
     assert wake == 500
-    assert before[0] < agent.pose(now).heading_deg == 90.0  # this step ended the turn
+    assert before[0] < pose(agent, now).heading_deg == 90.0  # this step ended the turn
     now, wake, before = until_quiet(500)
     assert wake == 900 and now < 900
     assert (before[1], agent.current_node) == (north[0], north[1])  # this step arrived
@@ -715,8 +728,8 @@ def drive_both(agent, ref, dt_s, now, limit):
         if ref_wake != now + 1:
             assert agent_wake == ref_wake
         # repr tells -0.0 from 0.0, which == does not
-        assert repr(agent.pose(now)) == repr(Pose(ref.x, ref.y, ref.heading))
-        assert repr(agent.speed_m_s(now)) == repr(ref.speed_m_s)
+        assert repr(pose(agent, now)) == repr(Pose(ref.x, ref.y, ref.heading))
+        assert repr(agent.motion.speed_at(now)) == repr(ref.speed_m_s)
         if not agent.busy:
             assert ref.route is None
             return agent_wake
@@ -869,7 +882,7 @@ def test_a_live_loop_that_reverses_the_wheels_raises_before_it_moves(monkeypatch
         with pytest.raises(TimestepTooLarge, match="dt 0.05 reverses the wheels"):
             agent.step(0)
         assert live  # the capped table ran out before the reversing row
-        assert isinstance(agent.motion, Rest) and agent.pose(0) == (0.0, 0.0, 0.0)
+        assert isinstance(agent.motion, Rest) and pose(agent, 0) == (0.0, 0.0, 0.0)
         for now in range(100):
             ref.step(GRID, 0.05, now)
             if ref.omega < 0:
