@@ -53,6 +53,8 @@ _KINDS = {int(kind): kind for kind in MessageKind}
 _NODE = struct.Struct(">HH")
 _TELEMETRY = struct.Struct(">HHHH")
 _CRC = struct.Struct(">H")
+# The header after the sync byte: version, kind, vehicle id, payload length.
+_HEADER = struct.Struct(">BBBB")
 
 
 @dataclass(slots=True)
@@ -107,8 +109,8 @@ def encode(message: Message) -> bytes:
     if len(payload) > MAX_PAYLOAD:
         raise PayloadTooLarge(f"payload {len(payload)} bytes exceeds {MAX_PAYLOAD}")
     try:
-        body = bytes([VERSION, message.kind, message.vehicle_id, len(payload)]) + payload
-    except ValueError:
+        body = _HEADER.pack(VERSION, message.kind, message.vehicle_id, len(payload)) + payload
+    except struct.error:
         raise PayloadTooLarge(
             f"{message.kind.name} field vehicle_id = {message.vehicle_id!r} does not fit in 8 bits"
         ) from None
@@ -214,8 +216,13 @@ class Medium:
 
     def poll(self, radio: Radio, current_tick: int) -> list[bytes]:
         """Frames due by now on the radio's channel, in send order: the
-        inbox's due prefix."""
+        inbox's due prefix, which is the whole inbox when its last frame
+        is due."""
         inbox = radio.inbox
+        if inbox and inbox[-1][0] <= current_tick:
+            radio.inbox = []
+            self._stale = True
+            return [frame for _, frame in inbox]
         n = bisect_right(inbox, current_tick, key=itemgetter(0))
         if not n:
             return []

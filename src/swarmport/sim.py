@@ -8,10 +8,15 @@ so two runs produce byte-identical outputs.
 
 A vehicle is stepped only when it is due, which while it moves is at its
 hop events.  Between them, the radar, the telemetry and the trace read
-its position from its `motion` at the tick.  A tick on which no frame,
-hub event, vehicle or telemetry is due is quiet: only the radar runs.
-The trace is a change log per vehicle, read as one row per tick
-(`TraceView`), so a quiet tick adds nothing to it.
+its position from its `motion` at the tick.  A tick runs only the phases
+that are due, and one before `_quiet_until` is quiet: only the radar
+runs.  That bound is the least of the ticks at which a frame is due, the
+hub wakes, a vehicle is due and telemetry is sent.  Only a tick changes
+them, and a quiet tick none, so the bound is recomputed after each tick
+that is not quiet.  The trace is a change log per vehicle, read as one
+row per tick (`TraceView`), so a quiet tick adds nothing to it.  The hub
+reuses the message of any telemetry frame the engine encoded when that
+bytes object arrives, so a frame costs one encode and no decode.
 """
 
 from __future__ import annotations
@@ -476,10 +481,11 @@ class _SimVehicle:
     retry_at: float = INF_TICK
     # The first tick at which stepping the vehicle can change anything.
     wake: float = 0
-    # The telemetry frame of the vehicle's current `Rest`, sent again
-    # until its next event, and the message it encodes, which the hub
-    # reuses when that bytes object arrives.
-    rest_frame: tuple[Rest, bytes, Message] | None = None
+    # The vehicle's last telemetry: the `Rest` it was sent in (None if it
+    # was moving), whose frame is sent again while that `Rest` lasts, the
+    # frame, and the message it encodes, which the hub reuses when that
+    # bytes object arrives.
+    last_telemetry: tuple[Rest | None, bytes, Message] | None = None
 
 
 @dataclass(frozen=True)
@@ -561,6 +567,10 @@ class Simulation:
         self.job_traces: list[JobTrace] = []
 
         self._telemetry_interval = scenario.sim.telemetry_interval
+        # The next tick on the telemetry interval.
+        self._next_telemetry = 0
+        # Before this tick only the radar has work to do (see `tick`).
+        self._quiet_until: float = 0
         self.trace = trace
         # Per tick, each vehicle's (x, y) and its (node, edge end) as node
         # indices ``ix * ny + iy``.
@@ -652,11 +662,10 @@ class Simulation:
 
     def _deliver(self, now: int) -> list[Message]:
         """Act on the orders due at the vehicles; return the frames due at
-        the hub, decoded.  A frame that is its vehicle's kept rest frame
-        reuses the message that frame encodes."""
+        the hub, decoded.  A frame that is its vehicle's last telemetry
+        frame reuses the message that frame encodes; any other, such as
+        an older frame overtaken by a newer send, is decoded."""
         medium = self.medium
-        if now < medium.next_due:
-            return []
         for sv in self.fleet:
             if not sv.radio.inbox:
                 continue
@@ -672,7 +681,7 @@ class Simulation:
             if not sv.hub_radio.inbox:
                 continue
             for frame in medium.poll(sv.hub_radio, now):
-                kept = sv.rest_frame
+                kept = sv.last_telemetry
                 if kept is not None and kept[1] is frame:
                     msg = kept[2]
                 else:
@@ -686,12 +695,10 @@ class Simulation:
 
     def _hub_phase(self, inbound: list[Message], now: int) -> None:
         """Hand the inbound frames to the hub, then dispatch, unless only
-        telemetry came in before ``hub.wake_tick``: telemetry changes
-        nothing dispatch reads, so dispatch would return ``[]`` and send
-        nothing."""
+        telemetry (or nothing) came in before ``hub.wake_tick``: telemetry
+        changes nothing dispatch reads, so dispatch would return ``[]``
+        and send nothing."""
         hub = self.hub
-        if not inbound and now < hub.wake_tick:
-            return
         telemetry_only = True
         for msg in inbound:
             kind = msg.kind
@@ -716,12 +723,9 @@ class Simulation:
         ``wake`` is read as the loop reaches each vehicle, so one that a
         release earlier in the loop woke is stepped on this tick.  The wake
         tick from ``step`` (a moving vehicle's next hop event) is lowered
-        to ``retry_at``.  Before ``_next_wake`` no vehicle is due, and none
-        is stepped.
+        to ``retry_at``.  ``_next_wake`` is the least ``wake`` of the
+        fleet: before it no vehicle is due, and the tick does not call this.
         """
-        if now < self._next_wake:
-            self._stepped = ()
-            return
         stepped = self._stepped = []
         for i, sv in enumerate(self.fleet):
             if now < sv.wake:
@@ -827,19 +831,21 @@ class Simulation:
     def _telemetry_phase(self, now: int) -> None:
         """Send each vehicle's telemetry on the interval.  A resting
         vehicle's frame stays the same until its next event, so its bytes
-        are kept and sent again."""
-        if now % self._telemetry_interval != 0:
+        are kept and sent again; every frame is kept with its message for
+        the hub."""
+        if now < self._next_telemetry:
             return
+        self._next_telemetry = now + self._telemetry_interval
         for sv in self.fleet:
             agent = sv.agent
             motion = agent.motion
-            kept = sv.rest_frame
+            kept = sv.last_telemetry
             if kept is not None and kept[0] is motion:
                 frame = kept[1]
             else:
                 msg = agent.telemetry(now)
                 frame = encode(msg)
-                sv.rest_frame = (motion, frame, msg) if isinstance(motion, Rest) else None
+                sv.last_telemetry = (motion if isinstance(motion, Rest) else None, frame, msg)
             self.medium.send(sv.radio, frame, now)
 
     def _trace_phase(self, now: int) -> None:
@@ -857,29 +863,35 @@ class Simulation:
             occupancy.log(i, now, _Held((src.ix * ny + src.iy, dst.ix * ny + dst.iy)))
 
     def tick(self) -> None:
-        """Advance one timestep.  A tick before the next due frame, the
-        hub's wake tick and the fleet's next wake that is no telemetry tick
-        is quiet: every phase but the radar would return at once, stepping
-        no vehicle and logging nothing, so only the radar runs."""
+        """Advance one timestep, running only the phases that are due.
+
+        A tick before ``_quiet_until`` runs only the radar.  Any other runs
+        delivery and the hub when a frame is due or the hub wakes; the
+        vehicles, their re-placing and the trace when one is due, tested
+        after delivery, which may wake one; the radar; and the telemetry
+        phase, which sends on its interval.  Only a tick changes what
+        ``_quiet_until`` reads, and a quiet tick none of it, so it is
+        recomputed at the end of each tick that is not quiet.
+        """
         now = self.tick_count
-        if (
-            now < self._next_wake
-            and now < self.hub.wake_tick
-            and now < self.medium.next_due
-            and now % self._telemetry_interval
-        ):
+        if now < self._quiet_until:
             self._radar_phase(now)
             self.tick_count = now + 1
             return
-        inbound = self._deliver(now)
-        self._hub_phase(inbound, now)
-        self._vehicle_phase(now)
-        self._rehop_phase()
+        medium = self.medium
+        hub = self.hub
+        if now >= medium.next_due or now >= hub.wake_tick:
+            self._hub_phase(self._deliver(now), now)
+        stepping = now >= self._next_wake
+        if stepping:
+            self._vehicle_phase(now)
+            self._rehop_phase()
         self._radar_phase(now)
         self._telemetry_phase(now)
-        if self.trace:
+        if stepping and self.trace:
             self._trace_phase(now)
         self.tick_count = now + 1
+        self._quiet_until = min(medium.next_due, hub.wake_tick, self._next_wake, self._next_telemetry)
 
     @property
     def all_done(self) -> bool:

@@ -713,33 +713,9 @@ def every_phase_tick(sim):
     sim.tick_count += 1
 
 
-@settings(max_examples=12, deadline=None)
-@given(
-    seed=st.integers(0, 19),
-    loss=st.sampled_from([0.0, 0.3]),
-    latency=st.sampled_from([0, 1, 7]),
-    interval=st.sampled_from([1, 3, 10, 100]),
-)
-def test_quiet_ticks_change_nothing(seed, loss, latency, interval):
-    """A quiet tick runs only the radar.  Every output of `run_loop` must
-    equal that of a loop whose tick runs every phase, and unless every
-    tick sends telemetry, some ticks of the run must have been quiet."""
-    base = crossing_scenario(seed)
-    scenario = replace_scenario(
-        base,
-        medium=MediumConfig(loss, latency, seed),
-        sim=replace_scenario(base.sim, telemetry_interval=interval),
-    )
-    engine = Simulation(scenario, trace=True, capture=True)
-    deliver = engine._deliver
-    delivered = []
-
-    def counted(now):
-        delivered.append(now)
-        return deliver(now)
-
-    engine._deliver = counted
-    engine.run_loop()
+def assert_matches_every_phase_run(engine, scenario):
+    """Every output of ``engine``'s finished run equals that of a traced,
+    captured run of ``scenario`` by `every_phase_tick`."""
     reference = Simulation(scenario, trace=True, capture=True)
     while reference.tick_count < scenario.sim.max_ticks:
         every_phase_tick(reference)
@@ -753,14 +729,58 @@ def test_quiet_ticks_change_nothing(seed, loss, latency, interval):
     assert engine.job_traces == reference.job_traces
     assert engine.hub.log == reference.hub.log
     assert engine.medium.capture == reference.medium.capture
-    # A quiet tick skips delivery, so it is not counted.
-    assert (len(delivered) < engine.tick_count) == (interval > 1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 19),
+    loss=st.sampled_from([0.0, 0.3]),
+    latency=st.sampled_from([0, 1, 7]),
+    interval=st.sampled_from([1, 3, 10, 100]),
+)
+def test_quiet_ticks_change_nothing(seed, loss, latency, interval):
+    """A tick runs only its due phases, and a quiet tick only the radar.
+    Every output of `run_loop` must equal that of a loop whose tick runs
+    every phase; delivery must come only when a frame is due or the hub
+    wakes, the vehicle phase only when a vehicle is due, and unless every
+    tick sends telemetry, some ticks of the run must skip delivery."""
+    base = crossing_scenario(seed)
+    scenario = replace_scenario(
+        base,
+        medium=MediumConfig(loss, latency, seed),
+        sim=replace_scenario(base.sim, telemetry_interval=interval),
+    )
+    engine = Simulation(scenario, trace=True, capture=True)
+    deliver = engine._deliver
+    vehicle_phase = engine._vehicle_phase
+    delivered = []
+    stepped = []
+
+    def counted(now):
+        delivered.append(now >= engine.medium.next_due or now >= engine.hub.wake_tick)
+        return deliver(now)
+
+    def counted_steps(now):
+        stepped.append(now >= engine._next_wake)
+        vehicle_phase(now)
+
+    engine._deliver = counted
+    engine._vehicle_phase = counted_steps
+    engine.run_loop()
+    assert_matches_every_phase_run(engine, scenario)
+    assert all(delivered) and all(stepped) and stepped
+    if interval > 1:
+        assert len(delivered) < engine.tick_count
 
 
 def test_a_resting_vehicles_repeated_frame_is_decoded_once(monkeypatch):
     """A resting vehicle sends one bytes object until its next event, and
-    the hub reuses the message that frame encodes: no telemetry frame is
-    decoded twice, so fewer are decoded than the hub logs."""
+    the hub reuses the message of the vehicle's last telemetry frame when
+    that bytes object arrives.  At latency 0 each frame arrives before the
+    next is sent, so no telemetry frame is decoded.  At latency 13 and
+    interval 10 a moving vehicle's frame arrives after a newer one was
+    sent and is decoded, yet no frame is decoded twice, and the outputs
+    equal those of a loop whose tick runs every phase."""
     decoded = []
 
     def counting(frame):
@@ -770,9 +790,20 @@ def test_a_resting_vehicles_repeated_frame_is_decoded_once(monkeypatch):
     monkeypatch.setattr(swarmport.sim, "decode", counting)
     sim = Simulation(crossing_scenario(2))
     sim.run_loop()
+    assert sim.hub.log and not [frame for frame in decoded if frame[2] == MessageKind.TELEMETRY]
+
+    base = crossing_scenario(2)
+    scenario = replace_scenario(
+        base, medium=MediumConfig(0.0, 13, 2), sim=replace_scenario(base.sim, telemetry_interval=10)
+    )
+    decoded.clear()
+    engine = Simulation(scenario, trace=True, capture=True)
+    engine.run_loop()
     telemetry = [frame for frame in decoded if frame[2] == MessageKind.TELEMETRY]
+    assert telemetry
     assert len({id(frame) for frame in telemetry}) == len(telemetry)
-    assert len(telemetry) < len(sim.hub.log) / 2
+    assert len(telemetry) < len(engine.hub.log) / 2
+    assert_matches_every_phase_run(engine, scenario)
 
 
 @pytest.mark.parametrize(

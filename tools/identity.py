@@ -13,7 +13,11 @@ that means to alter any of these records the table again and says why.
 
 Each engine case runs a second time with the trace off, and that run's
 capture, frame lines, job traces, telemetry log, totals and scans must
-equal the traced run's: the trace only watches.
+equal the traced run's: the trace only watches.  It runs a third time,
+traced, by a tick that runs every phase on every tick (`every_phase_tick`,
+a copy kept here), and that run's digest must equal the engine's: the
+engine's tick runs only the phases that are due, and skipping the others
+changes nothing.
 
 The engine cases cover what the golden hashes and the benchmark digests
 leave out: 30 crossing fleets, every depot layout, a 41-node depot with 16
@@ -183,20 +187,45 @@ def _outputs(sim) -> list[bytes]:
     return [capture, "".join(sim.frame_lines).encode(), json.dumps([jobs, log, totals, scans]).encode()]
 
 
-def run_digest(scenario) -> tuple[str, bool]:
-    """The digest of a traced run of ``scenario``, and whether a run with
-    the trace off produced the same outputs besides the traces."""
-    sim = Simulation(scenario, trace=True, capture=True)
-    sim.run_loop()
+def every_phase_tick(sim) -> None:
+    """A tick with no quiet path: every phase runs on every tick.  The trace
+    covers every tick run, so it needs no call of its own."""
+    now = sim.tick_count
+    inbound = sim._deliver(now)
+    sim._hub_phase(inbound, now)
+    sim._vehicle_phase(now)
+    sim._rehop_phase()
+    sim._radar_phase(now)
+    sim._telemetry_phase(now)
+    if sim.trace:
+        sim._trace_phase(now)
+    sim.tick_count += 1
+
+
+def _digest(sim) -> str:
     h = hashlib.sha256()
     _hash_rows(h, sim.pose_trace, "d")
     _hash_rows(h, sim.occupancy_trace, "q")
-    outputs = _outputs(sim)
-    for part in outputs:
+    for part in _outputs(sim):
         h.update(part)
+    return h.hexdigest()
+
+
+def run_digest(scenario) -> tuple[str, bool, bool]:
+    """The digest of a traced run of ``scenario``; whether a run with the
+    trace off produced the same outputs besides the traces; and whether a
+    traced run by `every_phase_tick` has the same digest."""
+    sim = Simulation(scenario, trace=True, capture=True)
+    sim.run_loop()
+    digest = _digest(sim)
     untraced = Simulation(scenario, capture=True)
     untraced.run_loop()
-    return h.hexdigest(), _outputs(untraced) == outputs
+    reference = Simulation(scenario, trace=True, capture=True)
+    while reference.tick_count < scenario.sim.max_ticks:
+        every_phase_tick(reference)
+        if reference.all_done:
+            break
+    return digest, _outputs(untraced) == _outputs(sim), _digest(reference) == digest
 
 
 def scan_digest(scenario) -> str:
@@ -218,15 +247,19 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--record", action="store_true", help="rewrite the checked-in table")
     args = parser.parse_args(argv)
 
-    table, untraced_differs = {}, []
+    table, untraced_differs, every_phase_differs = {}, [], []
     for name, build in cases().items():
-        table[name], same = run_digest(build())
-        if not same:
+        table[name], untraced_same, every_phase_same = run_digest(build())
+        if not untraced_same:
             untraced_differs.append(name)
+        if not every_phase_same:
+            every_phase_differs.append(name)
     table.update((name, scan_digest(build())) for name, build in scan_cases().items())
     for name in untraced_differs:
         print(f"identity: {name}: the run with the trace off differs from the traced run", file=sys.stderr)
-    if args.record and untraced_differs:
+    for name in every_phase_differs:
+        print(f"identity: {name}: the run with every phase on every tick differs", file=sys.stderr)
+    if args.record and (untraced_differs or every_phase_differs):
         return 1
     if args.record:
         TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="ascii")
@@ -238,8 +271,9 @@ def main(argv: list[str] | None = None) -> int:
     for name in bad:
         print(f"identity: {name}: got {table.get(name)}, expected {expected.get(name)}", file=sys.stderr)
     print(f"identity: {len(table) - len(bad)} of {len(table)} cases match; "
-          f"{len(untraced_differs)} differ with the trace off")
-    return 1 if bad or untraced_differs else 0
+          f"{len(untraced_differs)} differ with the trace off, "
+          f"{len(every_phase_differs)} with every phase on every tick")
+    return 1 if bad or untraced_differs or every_phase_differs else 0
 
 
 if __name__ == "__main__":
