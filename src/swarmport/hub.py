@@ -46,7 +46,6 @@ class TelemetryRecord(NamedTuple):
 
 @dataclass
 class _Order:
-    kind: str
     dest: NodeId
     last_send: int
     acked: bool = False
@@ -131,7 +130,7 @@ class Hub:
             raise ScenarioInvalid(f"{where}: no route to the destination avoids the other parking spots")
         raise ScenarioInvalid(f"{where}: no vehicle home reaches the pickup without crossing a parking spot")
 
-    def dispatch(self, current_tick: int) -> list[tuple[int, Job]]:
+    def dispatch(self, current_tick: int) -> None:
         """Assign released jobs to free vehicles; retransmit stale orders.
 
         A job goes to the free vehicle nearest its pickup by hops, lowest id
@@ -144,9 +143,8 @@ class Hub:
         a vehicle is freed, an order's retry falls due or an ACTIVATE or ACK
         comes in; ``wake_tick`` is the first tick at which one of the first
         three is due.  Before it, a call after only `ingest_telemetry`
-        returns ``[]`` and changes nothing.
+        changes nothing.
         """
-        assigned: list[tuple[int, Job]] = []
         wake = math.inf
         for job in self.jobs:
             if job.job_id in self.assignments:
@@ -170,10 +168,9 @@ class Hub:
             info = self.vehicles[vid]
             info.job = job
             self.assignments[job.job_id] = vid
-            order = _Order("reposition", job.pickup_node, current_tick)
+            order = _Order(job.pickup_node, current_tick)
             self.orders[vid] = order
             self._send_order(vid, order, current_tick)
-            assigned.append((vid, job))
         for vid, order in self.orders.items():
             if order.acked:
                 continue
@@ -181,18 +178,19 @@ class Hub:
                 self._send_order(vid, order, current_tick)
             wake = min(wake, order.last_send + ORDER_RETRY_TICKS)
         self.wake_tick = wake
-        return assigned
 
     def on_activate(self, vehicle_id: int, current_tick: int) -> None:
-        """Loaded vehicle announced itself; issue the cargo destination."""
+        """Loaded vehicle announced itself; issue the cargo destination.
+        The cargo order is the one to the drop-off, never the pickup."""
         info = self.vehicles.get(vehicle_id)
         if info is None:
             raise UnknownVehicle(f"ACTIVATE from unregistered vehicle {vehicle_id}")
         if info.job is None:
             return
+        dest = info.job.destination_node
         order = self.orders.get(vehicle_id)
-        if order is None or order.kind != "cargo":
-            order = _Order("cargo", info.job.destination_node, current_tick)
+        if order is None or order.dest != dest:
+            order = _Order(dest, current_tick)
             self.orders[vehicle_id] = order
             self._send_order(vehicle_id, order, current_tick)
         else:

@@ -43,8 +43,10 @@ class SweepConfig:
     max_range_m: float = 4.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.step_deg <= 15:
-            raise ValueError(f"step_deg must be in (0, 15], got {self.step_deg}")
+        # The floor bounds the per-index tables an engine builds: 36,000
+        # indices take about 12 MB.
+        if not 0.01 <= self.step_deg <= 15:
+            raise ValueError(f"step_deg must be in [0.01, 15], got {self.step_deg}")
         if not 0 <= self.beam_halfwidth_deg <= 15:
             raise ValueError(f"beam_halfwidth_deg must be in [0, 15], got {self.beam_halfwidth_deg}")
         if self.max_range_m <= 0:

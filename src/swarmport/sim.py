@@ -556,7 +556,6 @@ class Simulation:
         self._sweep_len = self.sensor_cfg.sweep_len
         self._sweep_table = sweep_table(self.sensor_cfg)
         self._sweep_samples: list[tuple[float, float | None]] = []
-        self.sweep_count = 0
         self.frame_lines: list[str] = []
         self.renders: list[tuple[int, Scan]] = []
 
@@ -576,6 +575,11 @@ class Simulation:
         # indices ``ix * ny + iy``.
         self.pose_trace = TraceView(len(self.fleet), self._traced_ticks)
         self.occupancy_trace = TraceView(len(self.fleet), self._traced_ticks)
+
+    @property
+    def sweep_count(self) -> int:
+        """The sweeps completed: the radar reads one index a tick."""
+        return self.tick_count // self._sweep_len
 
     def _traced_ticks(self) -> int:
         """The ticks the trace covers: every tick run, when it is on."""
@@ -601,8 +605,8 @@ class Simulation:
         the cargo to ``sv.dest``; IDLE repositions empty to ``sv.dest``.
         The release may open any vehicle's departure gate, so every vehicle
         is woken.  On NoPath nothing was committed: the vehicle reparks
-        where it stands, a cargo leg ACKs its order, and the leg is planned
-        again NOPATH_RETRY_TICKS later.
+        where it stands and the leg is planned again NOPATH_RETRY_TICKS
+        later.  A cargo leg ACKs its order either way.
         """
         agent = sv.agent
         vid = agent.vehicle_id
@@ -625,16 +629,11 @@ class Simulation:
         except NoPath:
             self.table.reserve(vid, agent.current_node, now, INF_TICK)
             sv.retry_at = now + NOPATH_RETRY_TICKS
-            if state in (LOADED, AWAITING_ROUTE):
-                agent.queue_ack()
-            return
-        sv.retry_at = INF_TICK
-        if state == UNLOADING:
-            agent.unload(tp)
-        elif state == IDLE:
-            agent.begin_reposition(tp)
         else:
-            agent.on_destination(tp)
+            sv.retry_at = INF_TICK
+            agent.start_leg(tp)
+        if state in (LOADED, AWAITING_ROUTE):
+            agent.queue_ack()
 
     def _handle_assign(self, sv: _SimVehicle, dest: NodeId, now: int) -> None:
         """Act on an order.  Every branch queues an ACK, which the vehicle
@@ -696,7 +695,7 @@ class Simulation:
     def _hub_phase(self, inbound: list[Message], now: int) -> None:
         """Hand the inbound frames to the hub, then dispatch, unless only
         telemetry (or nothing) came in before ``hub.wake_tick``: telemetry
-        changes nothing dispatch reads, so dispatch would return ``[]``
+        changes nothing dispatch reads, so dispatch would change nothing
         and send nothing."""
         hub = self.hub
         telemetry_only = True
@@ -823,9 +822,9 @@ class Simulation:
             self.frame_lines.append(f"{table.heads[idx]}{int(round(dist * 1000.0))}.\n")
         if step == n - 1:
             scan = Scan(self.sensor_cfg.origin, self._sweep_samples, -1 if sweep % 2 else 1)
-            self.sweep_count = sweep + 1
-            if self.sweep_count == 1 or self.sweep_count % RENDER_EVERY_SWEEPS == 0:
-                self.renders.append((self.sweep_count, scan))
+            count = sweep + 1
+            if count == 1 or count % RENDER_EVERY_SWEEPS == 0:
+                self.renders.append((count, scan))
             self._sweep_samples = []
 
     def _telemetry_phase(self, now: int) -> None:

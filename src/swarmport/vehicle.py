@@ -42,14 +42,8 @@ TRANSIT = "TRANSIT"
 UNLOADING = "UNLOADING"
 RETRACING = "RETRACING"
 
-_LEGAL = {
-    IDLE: {LOADED},
-    LOADED: {AWAITING_ROUTE, TRANSIT},
-    AWAITING_ROUTE: {TRANSIT},
-    TRANSIT: {UNLOADING},
-    UNLOADING: {RETRACING},
-    RETRACING: {IDLE},
-}
+# The state a leg is driven in, by the cargo state that starts it.
+_LEG_STATE = {IDLE: IDLE, LOADED: TRANSIT, AWAITING_ROUTE: TRANSIT, UNLOADING: RETRACING}
 
 ACTIVATE_RETRY_TICKS = 20
 
@@ -389,11 +383,6 @@ class VehicleAgent:
 
     # -- state machine ----------------------------------------------
 
-    def _transition(self, new_state: str) -> None:
-        if new_state not in _LEGAL[self.state]:
-            raise IllegalTransition(f"vehicle {self.vehicle_id}: {self.state} -> {new_state}")
-        self.state = new_state
-
     def press_load_switch(self, tick: int) -> None:
         """Load placed on the platform; announce readiness to the hub.
 
@@ -402,39 +391,23 @@ class VehicleAgent:
         """
         if self.state != IDLE:
             raise IllegalTransition(f"load switch pressed while {self.state}")
-        self._transition(LOADED)
+        self.state = LOADED
         self.outbox.append(Message(MessageKind.ACTIVATE, self.vehicle_id))
         self._last_activate = tick
-
-    def on_destination(self, timed_path: TimedPath) -> None:
-        """Cargo destination received; start the transit leg and ACK."""
-        if self.state not in (LOADED, AWAITING_ROUTE):
-            raise IllegalTransition(f"destination received while {self.state}")
-        self._begin_route(timed_path, TRANSIT)
-        self.queue_ack()
-
-    def unload(self, timed_path: TimedPath) -> None:
-        """Cargo dropped; retrace the recorded trail back to the terminal."""
-        if self.state != UNLOADING:
-            raise IllegalTransition(f"unload while {self.state}")
-        self._begin_route(timed_path, RETRACING)
-
-    def begin_reposition(self, timed_path: TimedPath) -> None:
-        """Drive empty to a pickup terminal; cargo state stays IDLE."""
-        if self.state != IDLE:
-            raise IllegalTransition(f"reposition while {self.state}")
-        self._begin_route(timed_path, IDLE)
 
     def queue_ack(self) -> None:
         self.outbox.append(Message(MessageKind.ACK, self.vehicle_id))
 
-    # -- route bookkeeping ------------------------------------------
+    def start_leg(self, timed_path: TimedPath) -> None:
+        """Start driving the leg the cargo state names: a reposition while
+        IDLE, the transit while LOADED or AWAITING_ROUTE, the retrace while
+        UNLOADING.
 
-    def _begin_route(self, timed_path: TimedPath, state: str) -> None:
-        """Check the route, then enter ``state`` and start driving it.
-
-        A refused route raises ValueError and leaves the vehicle as it was.
+        Raises IllegalTransition while a leg is being driven.  A refused
+        route raises ValueError and leaves the vehicle as it was.
         """
+        if self._route is not None:
+            raise IllegalTransition(f"vehicle {self.vehicle_id}: leg started while driving one ({self.state})")
         route = timed_path.route
         if route[0] != self.current_node:
             raise ValueError(f"route starts at {route[0]}, vehicle at {self.current_node}")
@@ -443,8 +416,7 @@ class VehicleAgent:
         for a, b in zip(route, route[1:]):
             if (b[0] - a[0], b[1] - a[1]) not in _HOPS:
                 raise ValueError(f"hop {tuple(a)} -> {tuple(b)} is not to a 4-neighbour node")
-        if state != self.state:
-            self._transition(state)
+        self.state = _LEG_STATE[self.state]
         if self.state == RETRACING:
             self.retraced = [self.current_node]
         elif not self.trail:
@@ -453,6 +425,8 @@ class VehicleAgent:
         self._departures = [s.exit_tick for s in timed_path.steps[:-1]]
         self._hop = 0
         self._halt()
+
+    # -- route bookkeeping ------------------------------------------
 
     @property
     def busy(self) -> bool:
@@ -584,12 +558,11 @@ class VehicleAgent:
         scheduled departure, or earlier the tick until which the departure
         gate's refusal stands; the next ACTIVATE retry while it awaits a
         route and INF_TICK while it is parked with no route.  A release of
-        holds and the cargo calls (``on_destination``, ``unload``,
-        ``begin_reposition``, ``press_load_switch``) can make it due
+        holds, ``start_leg`` and ``press_load_switch`` can make it due
         earlier; their caller tracks that.
         """
         if self.state == LOADED:
-            self._transition(AWAITING_ROUTE)
+            self.state = AWAITING_ROUTE
         if self.state == AWAITING_ROUTE and now - self._last_activate >= ACTIVATE_RETRY_TICKS:
             self.outbox.append(Message(MessageKind.ACTIVATE, self.vehicle_id))
             self._last_activate = now
@@ -643,9 +616,9 @@ class VehicleAgent:
             if self.state == IDLE:
                 self.press_load_switch(now)  # a reposition reached its pickup
             elif self.state == TRANSIT:
-                self._transition(UNLOADING)
+                self.state = UNLOADING
             else:
-                self._transition(IDLE)
+                self.state = IDLE
             return now + 1
         wait = self._start_hop(now, now + 1)
         return self.motion.end if wait is None else wait

@@ -242,7 +242,7 @@ def test_c4_pid_settles_fast_and_cruise_speed_holds():
     agent.step(0)
     nodes = [NodeId(i, 0) for i in range(5)]
     steps = [TimedStep(nodes[0], 0, 0)] + [TimedStep(n, 0, 0) for n in nodes[1:]]
-    agent.on_destination(TimedPath(steps, 1))
+    agent.start_leg(TimedPath(steps, 1))
     speeds = []
     for tick in range(2000):
         agent.step(tick + 1)

@@ -256,6 +256,21 @@ def test_reversing_spin_up_exits_one_naming_the_vehicle(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_sweep_step_below_its_floor_exits_one(tmp_path, capsys):
+    """A step under 0.01 degrees is refused before the engine builds its
+    per-index sweep tables."""
+    data = scenario_to_dict(default_scenario())
+    data["sensor"]["step_deg"] = 0.009
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(data))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: sensor.step_deg must be in [0.01, 15], got 0.009")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_finite_number_exits_one(tmp_path, capsys):
     data = scenario_to_dict(default_scenario())
     data["sim"]["dt_s"] = float("nan")

@@ -110,8 +110,8 @@ def test_ingest_records_the_state_it_is_given():
 def test_single_idle_vehicle_gets_the_job():
     hub = make_hub()
     hub.add_job(Job(0, NodeId(1, 0), NodeId(5, 0)))
-    assigned = hub.dispatch(0)
-    assert [(vid, job.job_id) for vid, job in assigned] == [(0, 0)]
+    hub.dispatch(0)
+    assert hub.assignments == {0: 0}
     # order went out on the vehicle's channel
     assert len(hub.outbox) == 1
     msg = hub.outbox[0]
@@ -128,7 +128,8 @@ def test_walled_in_vehicle_is_never_dispatched():
     hub.register_vehicle(0, NodeId(0, 0))
     hub.register_vehicle(1, NodeId(8, 8))
     hub.add_job(Job(0, NodeId(2, 0), NodeId(5, 0)))
-    assert [vid for vid, _ in hub.dispatch(0)] == [1]
+    hub.dispatch(0)
+    assert hub.assignments == {0: 1}
 
 
 def test_detour_counts_hops_not_straight_line_distance():
@@ -139,20 +140,22 @@ def test_detour_counts_hops_not_straight_line_distance():
     hub.register_vehicle(0, NodeId(2, 0))
     hub.register_vehicle(1, NodeId(8, 0))
     hub.add_job(Job(0, NodeId(4, 0), NodeId(6, 6)))
-    assert [vid for vid, _ in hub.dispatch(0)] == [1]
+    hub.dispatch(0)
+    assert hub.assignments == {0: 1}
 
 
 def test_nearest_idle_vehicle_wins():
     hub = make_hub(vehicles=((0, NodeId(6, 0)), (1, NodeId(2, 0))))
     hub.add_job(Job(0, NodeId(0, 0), NodeId(8, 8)))
-    assigned = hub.dispatch(0)
-    assert assigned[0][0] == 1
+    hub.dispatch(0)
+    assert hub.assignments == {0: 1}
 
 
 def test_dispatch_tie_breaks_to_lower_id():
     hub = make_hub(vehicles=((3, NodeId(0, 2)), (1, NodeId(2, 0))))
     hub.add_job(Job(0, NodeId(0, 0), NodeId(8, 8)))
-    assert hub.dispatch(0)[0][0] == 1
+    hub.dispatch(0)
+    assert hub.assignments == {0: 1}
 
 
 def test_no_idle_vehicles_leaves_job_queued():
@@ -160,9 +163,8 @@ def test_no_idle_vehicles_leaves_job_queued():
     hub.add_job(Job(0, NodeId(1, 0), NodeId(5, 0)))
     hub.dispatch(0)
     hub.add_job(Job(1, NodeId(2, 0), NodeId(5, 5)))
-    assigned = hub.dispatch(1)
-    assert assigned == []
-    assert 1 not in hub.assignments
+    hub.dispatch(1)
+    assert hub.assignments == {0: 0}
     # only the retransmit-eligible first order may be on the wire
     assert all(m.dest != NodeId(2, 0) for m in hub.outbox)
 
@@ -170,8 +172,10 @@ def test_no_idle_vehicles_leaves_job_queued():
 def test_job_not_dispatched_before_release_tick():
     hub = make_hub()
     hub.add_job(Job(0, NodeId(1, 0), NodeId(5, 0), release_tick=100))
-    assert hub.dispatch(99) == []
-    assert hub.dispatch(100) != []
+    hub.dispatch(99)
+    assert hub.assignments == {}
+    hub.dispatch(100)
+    assert hub.assignments == {0: 0}
 
 
 def test_nearer_vehicle_loses_when_its_leg_crosses_a_park_spot():
@@ -188,8 +192,9 @@ def test_nearer_vehicle_loses_when_its_leg_crosses_a_park_spot():
             hub.register_vehicle(vid, home)
         for job in jobs:
             hub.add_job(job)
-        winners.append([vid for vid, _ in hub.dispatch(0)])
-    assert winners == [[1], [0]]
+        hub.dispatch(0)
+        winners.append(hub.assignments)
+    assert winners == [{0: 1}, {0: 0}]
 
 
 def test_job_nobody_can_serve_raises_when_first_considered():
@@ -201,7 +206,8 @@ def test_job_nobody_can_serve_raises_when_first_considered():
     hub.register_vehicle(0, NodeId(8, 8))
     for job in jobs:
         hub.add_job(job)
-    assert [j.job_id for _, j in hub.dispatch(9)] == [1]
+    hub.dispatch(9)
+    assert hub.assignments == {1: 0}
     with pytest.raises(ScenarioInvalid, match=r"^jobs: job 0 \(pickup \(0, 0\), destination \(5, 5\)\)"):
         hub.dispatch(10)
 
@@ -266,7 +272,8 @@ def test_dispatch_feasibility_matches_reference(case):
         hub.register_vehicle(0, home)
         hub.add_job(job)
         if reference_job_feasible(grid, spots, home, job):
-            assert hub.dispatch(0) == [(0, job)]
+            hub.dispatch(0)
+            assert hub.assignments == {0: 0}
         else:
             with pytest.raises(ScenarioInvalid, match=r"^jobs: job 0 "):
                 hub.dispatch(0)
@@ -327,7 +334,7 @@ def test_dispatch_picks_the_nearest_free_home_by_hops_from_the_pickup(case):
     for job in jobs:
         hub.add_job(job)
     free = set(range(len(homes)))
-    expected = []
+    expected = {}
     for job in jobs:
         from_pickup = local_hops(grid, job.pickup_node)
         eligible = [
@@ -338,8 +345,9 @@ def test_dispatch_picks_the_nearest_free_home_by_hops_from_the_pickup(case):
         if eligible:
             vid = min(eligible)[1]
             free.discard(vid)
-            expected.append((vid, job))
-    assert hub.dispatch(0) == expected
+            expected[job.job_id] = vid
+    hub.dispatch(0)
+    assert hub.assignments == expected
 
 
 def test_unacked_order_retransmits_every_20_ticks():
@@ -375,12 +383,13 @@ def test_wake_tick_is_the_next_release_retry_or_freed_vehicle():
     hub.on_ack(0)
     hub.on_job_complete(0)
     assert hub.wake_tick < 0
-    assert hub.dispatch(90) == [(0, hub.jobs[1])]
+    hub.dispatch(90)
+    assert hub.assignments == {0: 0, 1: 0}
     assert hub.wake_tick == 110
 
 
 def hub_state(hub):
-    orders = {vid: (o.kind, o.dest, o.last_send, o.acked) for vid, o in hub.orders.items()}
+    orders = {vid: (o.dest, o.last_send, o.acked) for vid, o in hub.orders.items()}
     jobs = {vid: info.job for vid, info in hub.vehicles.items()}
     return list(hub.outbox), orders, dict(hub.assignments), jobs, hub.wake_tick
 
@@ -431,7 +440,7 @@ def test_only_telemetry_before_wake_tick_leaves_dispatch_nothing_to_do(history):
             before = hub_state(hub)
             ingest_telemetry(hub, telemetry_msg(vid, 0.5, 0.25), later - 1, "IDLE")
             ingest_telemetry(hub, telemetry_msg(vid, 0.75, 0.25), later, "IDLE")
-            assert hub.dispatch(later) == []
+            hub.dispatch(later)
             assert hub_state(hub) == before
 
 
@@ -468,15 +477,16 @@ def test_job_complete_frees_the_vehicle():
     hub.on_activate(0, 10)
     hub.on_job_complete(0)
     hub.add_job(Job(1, NodeId(2, 0), NodeId(6, 0)))
-    assert hub.dispatch(501)[0] == (0, hub.jobs[1])
+    hub.dispatch(501)
+    assert hub.assignments == {0: 0, 1: 0}
 
 
 def test_one_active_job_per_vehicle():
     hub = make_hub()
     hub.add_job(Job(0, NodeId(1, 0), NodeId(5, 0)))
     hub.add_job(Job(1, NodeId(2, 0), NodeId(6, 0)))
-    assigned = hub.dispatch(0)
-    assert len(assigned) == 1
+    hub.dispatch(0)
+    assert hub.assignments == {0: 0}
 
 
 # --------------------------------------------------------------------- csv

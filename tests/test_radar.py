@@ -295,6 +295,9 @@ def test_hop_index_marks_only_the_reachable_arc():
 def test_config_validation():
     with pytest.raises(ValueError):
         cfg(step_deg=0.0)
+    with pytest.raises(ValueError, match=r"^step_deg "):
+        cfg(step_deg=0.0099)
+    assert cfg(step_deg=0.01).sweep_len == 36_000
     with pytest.raises(ValueError):
         cfg(step_deg=20.0)
     with pytest.raises(ValueError):

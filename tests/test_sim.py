@@ -35,7 +35,7 @@ from swarmport.sim import (
     scenario_to_dict,
     validate_scenario,
 )
-from swarmport.vehicle import IDLE, LOADED, RETRACING, TRANSIT, UNLOADING, VehicleParams, spin_table
+from swarmport.vehicle import AWAITING_ROUTE, IDLE, LOADED, RETRACING, TRANSIT, UNLOADING, VehicleParams, spin_table
 
 
 def replace_scenario(base, **kw):
@@ -287,6 +287,8 @@ def edited_default(path, value=None):
             edited_default(("vehicles", 0, "params"), {"wheelbase_m": 0.36}),
             "vehicles[0].params: unknown field(s) wheelbase_m",
         ),
+        # A millionth of a degree would need 360,000,000 sweep indices.
+        (edited_default(("sensor", "step_deg"), 1e-6), "sensor.step_deg"),
     ],
 )
 def test_malformed_document_names_the_field(data, field):
@@ -856,6 +858,33 @@ def test_refused_leg_is_retried_on_the_one_timer(leg, start_state, started, leg_
         assert {tick for tick, _ in tries[:4]} <= acks
     sim.run_loop()
     assert sim.completed_jobs == sim.total_jobs == 2
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["planned", "nopath"])
+@pytest.mark.parametrize(
+    "state, leg_state, acks",
+    [(IDLE, IDLE, 0), (LOADED, TRANSIT, 1), (AWAITING_ROUTE, TRANSIT, 1), (UNLOADING, RETRACING, 0)],
+)
+def test_plan_leg_acks_a_cargo_order_once(state, leg_state, acks, blocked):
+    """One `_plan_leg` on a LOADED or AWAITING_ROUTE vehicle queues exactly
+    one ACK, whether it starts the transit or meets NoPath; a reposition
+    or a retrace queues none."""
+    sim = Simulation(default_scenario())
+    sv = sim.vehicles[0]
+    agent = sv.agent
+    while agent.state != state:
+        sim.tick()
+    job = sim.scenario.jobs[0]
+    sv.dest = job.pickup_node if state == IDLE else job.destination_node
+    now = sim.tick_count
+    if blocked:
+        sim.table.reserve(99, agent.home_node if state == UNLOADING else sv.dest, now, INF_TICK)
+    assert agent.outbox == []
+    sim._plan_leg(sv, now)
+    assert [m.kind for m in agent.outbox] == [MessageKind.ACK] * acks
+    assert agent.state == (state if blocked else leg_state)
+    assert agent.busy is not blocked
+    assert sv.retry_at == (now + NOPATH_RETRY_TICKS if blocked else INF_TICK)
 
 
 @pytest.mark.parametrize(

@@ -172,36 +172,69 @@ def test_load_switch_twice_is_illegal():
         agent.press_load_switch(1)
 
 
-def test_destination_while_idle_is_illegal():
-    agent = make_agent()
-    with pytest.raises(IllegalTransition):
-        agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
-
-
-def test_unload_outside_unloading_is_illegal():
-    agent = make_agent()
-    with pytest.raises(IllegalTransition):
-        agent.unload(make_path([NodeId(0, 0)]))
-
-
-def test_reposition_requires_idle():
-    agent = make_agent()
+def bring_to(agent, state):
+    """Bring a fresh agent at (0, 0) to the cargo ``state``, an UNLOADING
+    one by a transit to (1, 0); return the first tick it may depart."""
+    if state == IDLE:
+        return 0
     agent.press_load_switch(0)
+    if state == LOADED:
+        return 0
+    agent.step(1)
+    if state == AWAITING_ROUTE:
+        return 2
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)]))
+    return drive_until(agent, lambda a, now: a.state == UNLOADING) + 1
+
+
+@pytest.mark.parametrize("state, leg_state", [
+    (IDLE, IDLE),
+    (LOADED, TRANSIT),
+    (AWAITING_ROUTE, TRANSIT),
+    (UNLOADING, RETRACING),
+])
+def test_start_leg_enters_the_state_its_cargo_state_names(state, leg_state):
+    """A reposition stays IDLE, a loaded vehicle starts its transit and an
+    unloading one its retrace; starting the leg queues no frame."""
+    agent = make_agent()
+    depart_at = bring_to(agent, state)
+    assert agent.state == state and not agent.busy
+    outbox = list(agent.outbox)
+    here = agent.current_node
+    agent.start_leg(make_path([here, NodeId(here.ix, 1)], depart_at=depart_at))
+    assert agent.state == leg_state and agent.busy
+    assert agent.outbox == outbox
+
+
+@pytest.mark.parametrize("state", [IDLE, TRANSIT, RETRACING], ids=["reposition", "transit", "retrace"])
+def test_starting_a_leg_while_one_is_driven_is_illegal(state):
+    """Mid-leg, any new leg is refused and the vehicle keeps its state,
+    route, trail and outbox."""
+    agent = make_agent()
+    cargo = {IDLE: IDLE, TRANSIT: AWAITING_ROUTE, RETRACING: UNLOADING}[state]
+    depart_at = bring_to(agent, cargo)
+    here = agent.current_node
+    agent.start_leg(make_path([here, NodeId(here.ix, 1), NodeId(here.ix, 2)], depart_at=depart_at))
+    drive_until(agent, lambda a, now: a.edge_in_progress() is not None, start=depart_at)
+    before = (agent.state, agent._route, list(agent.trail), list(agent.retraced), list(agent.outbox))
+    assert before[0] == state
+    node = agent.current_node
     with pytest.raises(IllegalTransition):
-        agent.begin_reposition(make_path([NodeId(0, 0), NodeId(1, 0)]))
+        agent.start_leg(make_path([node, NodeId(node.ix + 1, node.iy)]))
+    assert (agent.state, agent._route, agent.trail, agent.retraced, agent.outbox) == before
 
 
 def test_route_must_start_at_current_node():
     agent = make_agent()
     loaded_and_awaiting(agent)
     with pytest.raises(ValueError):
-        agent.on_destination(make_path([NodeId(1, 0), NodeId(2, 0)]))
+        agent.start_leg(make_path([NodeId(1, 0), NodeId(2, 0)]))
 
 
 def test_route_must_have_a_hop():
     agent = make_agent()
     with pytest.raises(ValueError):
-        agent.begin_reposition(make_path([NodeId(0, 0)]))
+        agent.start_leg(make_path([NodeId(0, 0)]))
 
 
 @pytest.mark.parametrize("route", [
@@ -216,10 +249,10 @@ def test_refused_destination_leaves_the_vehicle_awaiting_its_route(route):
     loaded_and_awaiting(agent)
     outbox = list(agent.outbox)
     with pytest.raises(ValueError):
-        agent.on_destination(make_path(route))
+        agent.start_leg(make_path(route))
     assert agent.state == AWAITING_ROUTE
     assert not agent.busy and agent.trail == [] and agent.outbox == outbox
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)]))
     drive_until(agent, lambda a, now: a.state == UNLOADING)
     assert agent.trail == [NodeId(0, 0), NodeId(1, 0)]
 
@@ -232,13 +265,13 @@ def test_refused_destination_leaves_the_vehicle_awaiting_its_route(route):
 def test_refused_retrace_leaves_the_vehicle_unloading(route):
     agent = make_agent()
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)]))
     unloading = drive_until(agent, lambda a, now: a.state == UNLOADING)
     with pytest.raises(ValueError):
-        agent.unload(make_path(route, depart_at=unloading + 1))
+        agent.start_leg(make_path(route, depart_at=unloading + 1))
     assert agent.state == UNLOADING
     assert not agent.busy and agent.retraced == []
-    agent.unload(make_path([NodeId(1, 0), NodeId(0, 0)], depart_at=unloading + 1))
+    agent.start_leg(make_path([NodeId(1, 0), NodeId(0, 0)], depart_at=unloading + 1))
     drive_until(agent, lambda a, now: a.state == IDLE, start=unloading + 1)
     assert agent.retraced == [NodeId(1, 0), NodeId(0, 0)]
 
@@ -253,13 +286,13 @@ def test_route_with_a_hop_that_is_not_one_node_is_refused_by_name(route, hop):
     through an unreserved node: both are refused before the vehicle moves."""
     agent = make_agent()
     with pytest.raises(ValueError, match=hop):
-        agent.begin_reposition(make_path(route))
+        agent.start_leg(make_path(route))
     assert agent.state == IDLE and not agent.busy and agent.trail == []
 
 
 def test_reposition_presses_the_load_switch_on_its_arriving_step():
     agent = make_agent()
-    agent.begin_reposition(make_path([NodeId(0, 0), NodeId(1, 0)]))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)]))
     for now in range(2, 502):
         wake = agent.step(now)
         if not agent.busy:
@@ -288,7 +321,7 @@ def test_activate_retries_while_awaiting_route():
 def test_straight_hop_lands_exactly_on_node():
     agent = make_agent()
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)]))
     ticks = drive_until(agent, lambda a, now: not a.busy)
     assert pose(agent, ticks) == (0.25, 0.0, 0.0)
     assert agent.current_node == NodeId(1, 0)
@@ -302,7 +335,7 @@ def test_fast_hop_that_steps_over_the_arrival_window_lands_on_node():
     the distance left is measured along the drive axis."""
     agent = make_agent(params=VehicleParams(wheel_radius_m=0.3, cruise_speed_m_s=1.5), dt_s=0.05)
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(i, 0) for i in range(5)]))
+    agent.start_leg(make_path([NodeId(i, 0) for i in range(5)]))
     longest = 0.0
     for now in range(2, 202):
         agent.step(now)
@@ -317,7 +350,7 @@ def test_fast_hop_that_steps_over_the_arrival_window_lands_on_node():
 def test_cruise_speed_during_drive():
     agent = make_agent()
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(i, 0) for i in range(5)]))
+    agent.start_leg(make_path([NodeId(i, 0) for i in range(5)]))
     speeds = []
     for now in range(2, 2502):
         agent.step(now)
@@ -333,7 +366,7 @@ def test_cruise_speed_during_drive():
 def test_turn_in_place_snaps_heading():
     agent = make_agent()
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(0, 1)]))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(0, 1)]))
     ticks_turning = drive_until(agent, lambda a, now: pose(a, now).heading_deg == 90.0)
     # quarter turn: accelerate, then yaw rate = 2*r*omega/track
     assert 2.0 <= ticks_turning * DT <= 3.5
@@ -345,7 +378,7 @@ def test_turn_in_place_snaps_heading():
 def test_turn_prefers_counter_clockwise_on_180():
     agent = make_agent(NodeId(1, 0))
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(1, 0), NodeId(0, 0)]))
+    agent.start_leg(make_path([NodeId(1, 0), NodeId(0, 0)]))
     seen = set()
     for now in range(2, 5002):
         agent.step(now)
@@ -359,7 +392,7 @@ def test_turn_prefers_counter_clockwise_on_180():
 def test_turn_clockwise_when_shorter():
     agent = make_agent(NodeId(0, 1))
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 1), NodeId(0, 0)]))
+    agent.start_leg(make_path([NodeId(0, 1), NodeId(0, 0)]))
     headings = []
     for now in range(2, 5002):
         agent.step(now)
@@ -373,7 +406,7 @@ def test_turn_clockwise_when_shorter():
 def test_scheduled_departure_holds_vehicle():
     agent = make_agent()
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
     for now in range(2, 100):
         agent.step(now)
         assert pose(agent, now).x == 0.0
@@ -391,7 +424,7 @@ def test_departure_gate_grants_early_start():
 
     agent.departure_gate = gate
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=10_000))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=10_000))
     assert drive_until(agent, lambda a, now: pose(a, now).x > 0.0, limit=50) == 2
     assert calls[0] == (NodeId(1, 0), 2, 10_000)
 
@@ -402,16 +435,15 @@ def test_transit_unload_retrace_cycle():
     loaded_and_awaiting(agent)
     assert agent.state == AWAITING_ROUTE
 
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0), NodeId(2, 0)]))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0), NodeId(2, 0)]))
     assert agent.state == TRANSIT
-    assert [m.kind for m in agent.outbox][-1] == MessageKind.ACK
 
     unloading = drive_until(agent, lambda a, now: a.state == UNLOADING)
     assert agent.current_node == NodeId(2, 0)
 
     back = agent.trail[::-1]
     assert back == [NodeId(2, 0), NodeId(1, 0), NodeId(0, 0)]
-    agent.unload(make_path(back))
+    agent.start_leg(make_path(back))
     assert agent.state == RETRACING
     idle = drive_until(agent, lambda a, now: a.state == IDLE, start=unloading + 1)
     assert agent.current_node == NodeId(0, 0)
@@ -423,10 +455,10 @@ def test_transit_unload_retrace_cycle():
 
 def test_trail_records_pickup_once_across_reposition_and_transit():
     agent = make_agent()
-    agent.begin_reposition(make_path([NodeId(0, 0), NodeId(1, 0)]))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)]))
     tick = drive_until(agent, lambda a, now: not a.busy)
     agent.step(tick + 1)
-    agent.on_destination(make_path([NodeId(1, 0), NodeId(1, 1), NodeId(2, 1)], depart_at=tick + 2))
+    agent.start_leg(make_path([NodeId(1, 0), NodeId(1, 1), NodeId(2, 1)], depart_at=tick + 2))
     drive_until(agent, lambda a, now: a.state == UNLOADING, start=tick + 2)
     assert agent.trail == [NodeId(0, 0), NodeId(1, 0), NodeId(1, 1), NodeId(2, 1)]
 
@@ -434,7 +466,7 @@ def test_trail_records_pickup_once_across_reposition_and_transit():
 def test_trail_from_a_pickup_at_home_starts_with_home_once():
     agent = make_agent()
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]))
     drive_until(agent, lambda a, now: a.state == UNLOADING)
     assert agent.trail == [NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]
 
@@ -442,10 +474,10 @@ def test_trail_from_a_pickup_at_home_starts_with_home_once():
 def test_retrace_records_retraced_and_leaves_trail():
     agent = make_agent()
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0), NodeId(1, 1)]))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0), NodeId(1, 1)]))
     unloading = drive_until(agent, lambda a, now: a.state == UNLOADING)
     outbound = list(agent.trail)
-    agent.unload(make_path(outbound[::-1], depart_at=unloading + 1))
+    agent.start_leg(make_path(outbound[::-1], depart_at=unloading + 1))
     assert agent.retraced == [NodeId(1, 1)]
     drive_until(agent, lambda a, now: a.state == IDLE, start=unloading + 1)
     assert agent.retraced == [NodeId(1, 1), NodeId(1, 0), NodeId(0, 0)]
@@ -456,7 +488,7 @@ def test_edge_in_progress_only_while_driving():
     agent = make_agent()
     assert agent.edge_in_progress() is None
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)]))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)]))
     agent.step(2)
     assert agent.edge_in_progress() == (NodeId(0, 0), NodeId(1, 0))
 
@@ -470,7 +502,7 @@ def test_step_returns_the_next_hop_event_while_moving():
     changes nothing and returns the same tick."""
     agent = make_agent()
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(0, 1), NodeId(1, 1)]))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(0, 1), NodeId(1, 1)]))
     events = []
     now = 2
     while agent.busy:
@@ -496,7 +528,7 @@ def test_step_returns_scheduled_departure_while_resting():
 
     agent.departure_gate = gate
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
     assert agent.step(2) == 100
     assert agent.step(57) == 100  # a refused gate does not move the scheduled tick
     assert refusals == [2, 57]
@@ -509,7 +541,7 @@ def test_refused_gate_wakes_at_its_until_or_the_departure(until, wake):
     agent = make_agent()
     agent.departure_gate = lambda a, nxt, now, scheduled: until
     loaded_and_awaiting(agent)
-    agent.on_destination(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
+    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)], depart_at=100))
     assert agent.step(2) == wake
     assert pose(agent, 2).x == 0.0
     assert agent.motion.speed_at(2) == 0.0
@@ -522,7 +554,7 @@ def test_step_that_comes_to_rest_returns_scheduled_departure():
     agent.departure_gate = lambda a, nxt, now, scheduled: math.inf
     loaded_and_awaiting(agent)
     north = [NodeId(0, 0), NodeId(0, 1), NodeId(0, 2)]
-    agent.on_destination(TimedPath([TimedStep(north[0], 0, 500), TimedStep(north[1], 490, 900),
+    agent.start_leg(TimedPath([TimedStep(north[0], 0, 500), TimedStep(north[1], 490, 900),
                                                TimedStep(north[2], 890, 900)], 10))
 
     def until_quiet(now):
@@ -796,7 +828,7 @@ def test_agent_moves_exactly_like_the_reference(route, departures, params, dt_s,
     departures = sorted(departures)[: len(route) - 1]
     steps = [TimedStep(node, 0, t) for node, t in zip(route, departures)] + [TimedStep(route[-1], 0, 0)]
     path = TimedPath(steps, 1)
-    agent.begin_reposition(path)
+    agent.start_leg(path)
     ref.begin(path)
     drive_both(agent, ref, dt_s, 0, 20_000)
 
@@ -856,7 +888,7 @@ def test_spin_up_without_a_fixed_point_continues_like_the_reference(monkeypatch)
     live = count_live_spins(monkeypatch)
     route = [home, NodeId(1, 0), home, NodeId(1, 0)]  # a 180 degree turn at each inner node
     path = make_path(route)
-    agent.begin_reposition(path)
+    agent.start_leg(path)
     ref.begin(path)
     end = drive_both(agent, ref, 0.001, 0, 3 * SPIN_TABLE_CAP)
     assert not agent.busy and agent.current_node == route[-1]
@@ -877,7 +909,7 @@ def test_a_live_loop_that_reverses_the_wheels_raises_before_it_moves(monkeypatch
         agent, ref = pair(home, params, 0.05)
         live = count_live_spins(monkeypatch)
         path = make_path([home, NodeId(1, 0), NodeId(2, 0), NodeId(3, 0)])
-        agent.begin_reposition(path)
+        agent.start_leg(path)
         ref.begin(path)
         with pytest.raises(TimestepTooLarge, match="dt 0.05 reverses the wheels"):
             agent.step(0)
