@@ -76,6 +76,11 @@ class GridMap:
             for (ix, iy), node in nodes.items()
         }
 
+    @cached_property
+    def hop_tables(self) -> dict[tuple[NodeId, frozenset[NodeId]], dict[NodeId, int]]:
+        """The `planner.hop_distances` tables of this grid by (root, stops), kept like ``adjacency``."""
+        return {}
+
     def node_to_position(self, node: NodeId) -> Position:
         self.require(node)
         return Position(node[0] * self.spacing_m, node[1] * self.spacing_m)

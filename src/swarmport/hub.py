@@ -73,11 +73,6 @@ class Hub:
         self.assignments: dict[int, int] = {}
         self.orders: dict[int, _Order] = {}
         self.log: list[TelemetryRecord] = []
-        # Hop counts that stop at park spots, per root (pickups and
-        # drop-offs), and over the whole grid, per home; each built on
-        # first use.
-        self._stop_tables: dict[NodeId, dict[NodeId, int]] = {}
-        self._home_tables: dict[NodeId, dict[NodeId, int]] = {}
         self.outbox: list[Message] = []
         # Without an inbound ACTIVATE or ACK, dispatch has nothing new to do
         # before this tick: the next job release, the earliest order retry,
@@ -101,19 +96,8 @@ class Hub:
         order.last_send = tick
         self.wake_tick = min(self.wake_tick, tick + ORDER_RETRY_TICKS)
 
-    def stop_table(self, root: NodeId) -> dict[NodeId, int]:
-        """``hop_distances(grid, root, park_spots)``, built on first use.
-
-        Dispatch vets jobs with a pickup's table, and `plan_space_time`
-        takes a leg's destination's table for its bound.
-        """
-        table = self._stop_tables.get(root)
-        if table is None:
-            table = self._stop_tables[root] = hop_distances(self.grid, root, self.park_spots)
-        return table
-
     def _reach(self, job: Job) -> dict[NodeId, int]:
-        """The pickup's stop-at-park-spots table; raises for a job nobody can ever serve.
+        """The pickup's `hop_distances` with park spots as stops; raises for a job nobody can ever serve.
 
         On an undirected grid the leg home -> pickup (or pickup -> drop-off)
         exists without crossing another park spot exactly when home (or the
@@ -122,7 +106,7 @@ class Hub:
         first time dispatch meets the job, or never.
         """
         pickup = job.pickup_node
-        reach = self.stop_table(pickup)
+        reach = hop_distances(self.grid, pickup, self.park_spots)
         if job.destination_node in reach and any(info.home in reach for info in self.vehicles.values()):
             return reach
         where = f"jobs: job {job.job_id} (pickup {tuple(pickup)}, destination {tuple(job.destination_node)})"
@@ -156,10 +140,7 @@ class Hub:
             best: tuple[int, int] | None = None
             for vid, info in self.vehicles.items():
                 if info.job is None and info.home in reach:
-                    hops = self._home_tables.get(info.home)
-                    if hops is None:
-                        hops = self._home_tables[info.home] = hop_distances(self.grid, info.home)
-                    d = hops[job.pickup_node]
+                    d = hop_distances(self.grid, info.home)[job.pickup_node]
                     if best is None or (d, vid) < best:
                         best = (d, vid)
             if best is None:

@@ -69,12 +69,18 @@ def hop_distances(grid: GridMap, root: NodeId, stops: frozenset[NodeId] = frozen
     """Breadth-first hop counts from ``root`` to every reachable node.
 
     Nodes in ``stops`` other than ``root`` are reached but not expanded.
+    Each table is built once per grid and kept in ``grid.hop_tables``, so
+    every caller shares it and must not change it.
     """
+    dist = grid.hop_tables.get((root, stops))
+    if dist is not None:
+        return dist
     grid.require(root)
+    dist = grid.hop_tables[root, stops] = {}
     if root in grid.blocked:
-        return {}
+        return dist
     adjacency = grid.adjacency
-    dist = {root: 0}
+    dist[root] = 0
     frontier = [root]
     d = 0
     while frontier:
@@ -413,6 +419,12 @@ def _earliest_schedule(
     return boundary
 
 
+def plan_horizon(grid: GridMap) -> int:
+    """The hop windows a plan on ``grid`` may take: ten times the hops
+    corner to corner."""
+    return 10 * (grid.nx - 1 + grid.ny - 1)
+
+
 def plan_space_time(
     grid: GridMap,
     table: ReservationTable,
@@ -421,7 +433,6 @@ def plan_space_time(
     start_tick: int,
     ticks_per_hop: int,
     stops: frozenset[NodeId] = frozenset(),
-    dst_hops: dict[NodeId, int] | None = None,
 ) -> TimedPath:
     """Earliest-arrival route through existing reservations.
 
@@ -433,21 +444,18 @@ def plan_space_time(
     astar route with zero waits.
 
     Nodes in ``stops`` other than ``src`` and ``dst`` are impassable: the
-    bound is `hop_distances` from ``dst`` with those stops, which reaches
-    them without expanding them, and infinite on them, so the search never
-    enters one.  The bound is derived from ``dst_hops``, which must be
-    ``hop_distances(grid, dst, stops)`` when given (a caller planning many
-    legs to ``dst`` keeps it; it is not changed), by `_expand_stop` at
-    ``src``.
+    bound is `hop_distances(grid, dst, stops)`, which reaches them without
+    expanding them, with ``src`` expanded by `_expand_stop`, and infinite
+    on them, so the search never enters one.  The grid keeps that table
+    for every leg to ``dst``.  A schedule takes at most `plan_horizon` hop
+    windows.
     """
     check_endpoints(grid, src, dst)
     h = ticks_per_hop
     if h <= 0:
         raise BadInterval(f"ticks_per_hop must be positive, got {h}")
     t0 = start_tick
-    if dst_hops is None:
-        dst_hops = hop_distances(grid, dst, stops)
-    to_dst = _expand_stop(grid, dst_hops, stops, src)
+    to_dst = _expand_stop(grid, hop_distances(grid, dst, stops), stops, src)
     to_dst.update(dict.fromkeys(stops - {src, dst}, INF_TICK))
     boundary = None
     if src in to_dst:
@@ -457,7 +465,7 @@ def plan_space_time(
             to_dst.__getitem__,
             src,
             dst,
-            10 * (grid.nx - 1 + grid.ny - 1),
+            plan_horizon(grid),
         )
     if boundary is None:
         raise NoPath(f"no conflict-free route {tuple(src)} -> {tuple(dst)} within horizon")

@@ -54,6 +54,7 @@ from .planner import (
     INF_TICK,
     ReservationTable,
     commit,
+    plan_horizon,
     plan_space_time,
     schedule_along,
 )
@@ -296,6 +297,13 @@ def validate_scenario(scenario: Scenario) -> GridMap:
             f"terrain.spacing_m: {scenario.terrain.spacing_m} m makes a {grid.nx}x{grid.ny} grid, "
             f"whose node indices exceed the {0xFFFF} that ASSIGN_DESTINATION can encode"
         )
+    # The engine's first dispatch builds the grid's adjacency, some 400 B a
+    # node: a million nodes is about 400 MB.
+    if grid.node_count > 1_000_000:
+        raise ScenarioInvalid(
+            f"terrain.spacing_m: {scenario.terrain.spacing_m} m makes a {grid.nx}x{grid.ny} grid, "
+            f"whose {grid.node_count} nodes exceed the 1000000 the engine plans over"
+        )
 
     if len(scenario.vehicles) > CHANNEL_COUNT:
         raise ScenarioInvalid(
@@ -352,15 +360,21 @@ def validate_scenario(scenario: Scenario) -> GridMap:
         raise ScenarioInvalid("sim.max_ticks: must be >= 1")
     if c.telemetry_interval < 1:
         raise ScenarioInvalid("sim.telemetry_interval: must be >= 1")
-    # Each distinct parameter set spins up once at dt_s, as its vehicles will.
+    # Each distinct parameter set spins up once at dt_s, as its vehicles
+    # will; telemetry carries the drive speed as unsigned 16-bit mm/s.
     spun: set[VehicleParams] = set()
     for i, v in enumerate(scenario.vehicles):
         if v.params not in spun:
             spun.add(v.params)
             try:
-                spin_table(v.params, c.dt_s)
+                peak = spin_table(v.params, c.dt_s).peak_speed_m_s
             except TimestepTooLarge as exc:
                 raise ScenarioInvalid(f"vehicles[{i}]: {exc}") from exc
+            if round(peak * 1000.0) > 0xFFFF:
+                raise ScenarioInvalid(
+                    f"vehicles[{i}]: peak drive speed {peak} m/s exceeds the {0xFFFF / 1000.0} m/s "
+                    "that telemetry can encode"
+                )
     return grid
 
 
@@ -517,8 +531,8 @@ class Simulation:
         # Nodes where some vehicle may park open-ended (homes, pickups,
         # drop-offs).  Legs never route through them, so no trail can be
         # blocked forever by a parked vehicle: `plan_space_time` takes them
-        # as stops, with the hub's stop table of the leg's destination, and
-        # the hub vets every job by the same rule.
+        # as stops, and the hub vets every job by the same rule, both from
+        # the `hop_distances` tables that ``grid`` keeps.
         self.park_spots: frozenset[NodeId] = frozenset(
             [v.home_node for v in scenario.vehicles]
             + [j.pickup_node for j in scenario.jobs]
@@ -618,12 +632,11 @@ class Simulation:
         try:
             if state == UNLOADING:
                 sequence = agent.trail[::-1]
-                horizon = 10 * (self.grid.nx - 1 + self.grid.ny - 1) + len(sequence)
+                horizon = plan_horizon(self.grid) + len(sequence)
                 tp = schedule_along(self.table, sequence, now, self.ticks_per_hop, horizon)
             else:
                 tp = plan_space_time(
-                    self.grid, self.table, agent.current_node, sv.dest, now, self.ticks_per_hop, self.park_spots,
-                    self.hub.stop_table(sv.dest),
+                    self.grid, self.table, agent.current_node, sv.dest, now, self.ticks_per_hop, self.park_spots
                 )
             commit(self.table, vid, tp)
         except NoPath:
@@ -944,11 +957,10 @@ def run(scenario: Scenario, out_dir) -> SimReport:
     per_vehicle: dict[int, VehicleMetrics] = {}
     if sim.hub.log:
         per_vehicle = metrics(sim.hub.log)
-    makespan = sim.last_complete_tick if sim.completed_jobs else 0
     report = SimReport(
         completed_jobs=sim.completed_jobs,
         total_jobs=sim.total_jobs,
-        makespan_ticks=makespan,
+        makespan_ticks=sim.last_complete_tick,
         ticks_run=sim.tick_count,
         per_vehicle=per_vehicle,
         artifacts=artifacts,

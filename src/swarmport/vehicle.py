@@ -141,12 +141,15 @@ def _spin_row(params: VehicleParams, dt_s: float, row: tuple[float, ...]) -> tup
 class SpinTable:
     """The rows of one spin-up from rest: ``rows[n]`` is `_spin_row` after
     n + 1 ticks.  If ``settled``, every later tick repeats the last row.
+    No drive on the table, in the rows or past them, is faster than
+    ``peak_speed_m_s``.
 
     Compared and hashed by identity, so it keys the hop cache cheaply.
     """
 
     rows: tuple[tuple[float, ...], ...]
     settled: bool
+    peak_speed_m_s: float
 
 
 # Sized to the vehicle cap, so agents read back every table validation built.
@@ -160,13 +163,21 @@ def spin_table(params: VehicleParams, dt_s: float) -> SpinTable:
     """
     row = _spin_row(params, dt_s, _AT_REST)
     rows = [row]
+    settled = False
     while len(rows) < SPIN_TABLE_CAP:
         nxt = _spin_row(params, dt_s, row)
         if nxt[0] == row[0] and nxt[3] == row[3]:
-            return SpinTable(tuple(rows), True)
+            settled = True
+            break
         rows.append(nxt)
         row = nxt
-    return SpinTable(tuple(rows), False)
+    peak = max(omega for omega, *_ in rows)
+    if not settled:
+        # With dt <= tau / 2 each tick's omega lies between the last one
+        # and gain * u, so past the rows it never exceeds both the rows'
+        # peak and gain * output_limit.
+        peak = max(peak, params.motor_gain * PidState.output_limit)
+    return SpinTable(tuple(rows), settled, _speed(params.wheel_radius_m, peak))
 
 
 class HopRun(NamedTuple):
@@ -221,9 +232,8 @@ def _cached_run(run: Callable[..., HopRun], table: SpinTable, n: int, *hop: floa
     return run(chain(islice(rows, n, None), repeat(rows[-1])), *hop)
 
 
-def _speed(radius_m: float, row: tuple[float, ...]) -> float:
+def _speed(radius_m: float, omega: float) -> float:
     """Forward speed while driving: the mean of the two wheels' rim speeds."""
-    omega = row[0]
     return radius_m * (omega + omega) / 2.0
 
 
@@ -319,7 +329,7 @@ class Drive(_Hop):
 
     def speed_at(self, t: int) -> float:
         k = t - self.t0
-        return self.speed0 if k < 0 else _speed(self.radius_m, self.run.rows[k])
+        return self.speed0 if k < 0 else _speed(self.radius_m, self.run.rows[k][0])
 
 
 class VehicleAgent:
@@ -523,7 +533,7 @@ class VehicleAgent:
         self._target = (x, y)
         run = self._hop_run(_drive_run, self._xy[axis], ux or uy, self._target[axis], grid.spacing_m / 10.0)
         r = self.params.wheel_radius_m
-        self.motion = Drive(self._xy, self._heading, t0, run, axis, r, _speed(r, self._row))
+        self.motion = Drive(self._xy, self._heading, t0, run, axis, r, _speed(r, self._row[0]))
 
     def _hold(self, now: int) -> float | None:
         """None if the vehicle may leave for the next node at ``now``.

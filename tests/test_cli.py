@@ -312,6 +312,40 @@ def test_node_index_beyond_destination_reach_exits_one(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_grid_past_a_million_nodes_exits_one(tmp_path, capsys):
+    """2 m at 2 mm spacing is 1001 x 1001 nodes.  With no jobs the run
+    would end at once, so the refusal comes from validation alone."""
+    data = scenario_to_dict(default_scenario())
+    data["terrain"]["spacing_m"] = 0.002
+    data["jobs"] = []
+    path = tmp_path / "fine_grid.json"
+    path.write_text(json.dumps(data))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: terrain.spacing_m: 0.002 m makes a 1001x1001 grid")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_vehicle_faster_than_telemetry_can_encode_exits_one(tmp_path, capsys):
+    """Refused before tick 0, naming the vehicle, rather than failing to
+    encode its speed mid-run."""
+    data = scenario_to_dict(default_scenario())
+    data["terrain"].update(width_m=60.0, height_m=60.0, spacing_m=7.5)
+    for v in data["vehicles"]:
+        v["params"] = {"wheel_radius_m": 1.0, "motor_gain": 20.0, "cruise_speed_m_s": 100.0}
+    data["sim"]["telemetry_interval"] = 1
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(data))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: vehicles[0]: peak drive speed ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_walled_in_job_exits_one_naming_it(tmp_path, capsys):
     scenario = Scenario(
         terrain=TerrainConfig(blocked=(NodeId(3, 4), NodeId(5, 4), NodeId(4, 3), NodeId(4, 5))),

@@ -327,7 +327,10 @@ def test_hop_distances_match_reference(data):
     grid = build_grid(float(nx - 1), float(ny - 1), 1.0, blocked=blocked)
     root = data.draw(st.sampled_from(nodes))
     stops = frozenset(data.draw(st.lists(st.sampled_from(nodes), max_size=len(nodes) // 4, unique=True)))
-    assert hop_distances(grid, root, stops) == reference_hop_distances(grid, root, stops)
+    table = hop_distances(grid, root, stops)
+    # The grid keeps the table: a second call returns the same one.
+    assert hop_distances(grid, root, stops) is table
+    assert table == reference_hop_distances(grid, root, stops)
 
 
 @given(st.data())

@@ -174,6 +174,48 @@ def test_node_index_beyond_destination_reach_rejected(label):
                 validate_scenario(scenario)
 
 
+def test_grid_beyond_a_million_nodes_rejected():
+    """1001 x 1001 nodes is refused before anything builds the grid's
+    adjacency; 1000 x 1000 still validates."""
+    for spacing, fits in ((2.0 / 999, True), (0.002, False)):
+        data = scenario_to_dict(default_scenario())
+        data["terrain"]["spacing_m"] = spacing
+        data["jobs"] = []
+        if fits:
+            grid = validate_scenario(scenario_from_dict(data))
+            assert grid.node_count == 1_000_000
+            assert "adjacency" not in vars(grid)
+        else:
+            with pytest.raises(ScenarioInvalid, match=r"^terrain\.spacing_m: 0\.002 m makes a 1001x1001 grid"):
+                scenario_from_dict(data)
+
+
+def fast_vehicle_document(**params):
+    """The default scenario on a 60 m terrain at 7.5 m spacing, both
+    vehicles on ``params``, with telemetry every tick."""
+    data = scenario_to_dict(default_scenario())
+    data["terrain"].update(width_m=60.0, height_m=60.0, spacing_m=7.5)
+    for v in data["vehicles"]:
+        v["params"] = dict(params)
+    data["sim"]["telemetry_interval"] = 1
+    return data
+
+
+def test_vehicle_faster_than_telemetry_can_encode_rejected():
+    """The spin-up settles at 100 m/s, beyond the 65.535 m/s of the 16-bit
+    speed field, which the run would first overflow at tick 21."""
+    data = fast_vehicle_document(wheel_radius_m=1.0, motor_gain=20.0, cruise_speed_m_s=100.0)
+    with pytest.raises(ScenarioInvalid, match=r"^vehicles\[0\]: peak drive speed "):
+        scenario_from_dict(data)
+
+
+def test_vehicle_just_under_the_telemetry_speed_limit_validates():
+    params = VehicleParams(wheel_radius_m=1.0, motor_gain=13.1, cruise_speed_m_s=65.5)
+    assert 65.4 < spin_table(params, 0.01).peak_speed_m_s <= 65.535
+    data = fast_vehicle_document(wheel_radius_m=1.0, motor_gain=13.1, cruise_speed_m_s=65.5)
+    validate_scenario(scenario_from_dict(data))
+
+
 def test_loss_probability_must_leave_headroom():
     scenario = replace_scenario(default_scenario(), medium=MediumConfig(loss_probability=1.0))
     with pytest.raises(ScenarioInvalid):
@@ -1009,6 +1051,22 @@ def test_one_adjacency_table_is_built_in_the_run_and_serves_all_of_it(monkeypatc
     sim.run_loop()
     assert sim.completed_jobs == sim.total_jobs == 8
     assert len(builds) == 1 and builds[0] is sim.grid
+
+
+def test_the_grid_keeps_each_hop_table_the_run_needs_and_no_other():
+    """Dispatch vets each pickup and ranks the free homes, and each leg is
+    bounded by its destination's table: the grid holds those tables, keyed
+    by (root, stops), and the hub none."""
+    scenario = default_scenario()
+    sim = Simulation(scenario)
+    sim.run_loop()
+    assert sim.completed_jobs == sim.total_jobs == 2
+    spots = sim.park_spots
+    expected = {(node, spots) for job in scenario.jobs for node in (job.pickup_node, job.destination_node)}
+    # At the first release both vehicles are free and reach the pickup.
+    expected |= {(v.home_node, frozenset()) for v in scenario.vehicles}
+    assert set(sim.grid.hop_tables) == expected
+    assert not [name for name in vars(sim.hub) if "table" in name]
 
 
 def test_job_queue_drains_released_jobs():

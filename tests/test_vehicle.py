@@ -850,6 +850,23 @@ def test_spin_table_refuses_a_spin_up_that_reverses_the_wheels():
         spin_table(params, 0.05)
 
 
+def test_peak_speed_bounds_every_drive_row_in_the_table_and_past_it():
+    """A settled table peaks at its fastest row.  Past a table that never
+    settles, motor_gain * output_limit bounds the live loop, and so the
+    peak."""
+    settled = spin_table(VehicleParams(), 0.01)
+    assert settled.settled
+    assert settled.peak_speed_m_s == max(0.05 * row[0] for row in settled.rows)
+    params = VehicleParams(wheel_radius_m=1.0, motor_gain=20.0, cruise_speed_m_s=60.0)
+    capped = spin_table(params, 0.01)
+    assert not capped.settled and len(capped.rows) == SPIN_TABLE_CAP
+    assert capped.peak_speed_m_s == 20.0 * PidState.output_limit * 1.0
+    row = capped.rows[-1]
+    for _ in range(2_000):
+        row = _spin_row(params, 0.01, row)
+        assert row[0] * 1.0 <= capped.peak_speed_m_s
+
+
 def test_each_table_row_is_the_spin_row_of_the_row_before():
     """The table starts from rest and steps by `_spin_row`, whose wheel
     speed and controller state are those of a loop that runs `pid_update`
