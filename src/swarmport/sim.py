@@ -10,8 +10,10 @@ A vehicle is stepped only when it is due, which while it moves is at its
 hop events.  Between them, the radar, the telemetry and the trace read
 its position from its `motion` at the tick.  A tick runs only the phases
 that are due, and one before `_quiet_until` is quiet: only the radar
-runs.  That bound is the least of the ticks at which a frame is due, the
-hub wakes, a vehicle is due and telemetry is sent.  Only a tick changes
+runs, which keeps only its hits, so a tick whose sweep index names no
+vehicle makes one mask test; the scan stream and the scans are built
+when read.  That bound is the least of the ticks at which a frame is due,
+the hub wakes, a vehicle is due and telemetry is sent.  Only a tick changes
 them, and a quiet tick none, so the bound is recomputed after each tick
 that is not quiet.  The trace is a change log per vehicle, read as one
 row per tick (`TraceView`), so a quiet tick adds nothing to it.  The hub
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
@@ -569,9 +571,11 @@ class Simulation:
         self._rehopped: list[int] = []
         self._sweep_len = self.sensor_cfg.sweep_len
         self._sweep_table = sweep_table(self.sensor_cfg)
-        self._sweep_samples: list[tuple[float, float | None]] = []
-        self.frame_lines: list[str] = []
-        self.renders: list[tuple[int, Scan]] = []
+        # The radar's hits in tick order, as (tick, echo distance); every
+        # other tick streams its quiet line (see `frame_lines`).
+        self._hits: list[tuple[int, float]] = []
+        self._frame_lines: list[str] = []
+        self._renders: list[tuple[int, Scan]] = []
 
         self.tick_count = 0
         self.completed_jobs = 0
@@ -594,6 +598,49 @@ class Simulation:
     def sweep_count(self) -> int:
         """The sweeps completed: the radar reads one index a tick."""
         return self.tick_count // self._sweep_len
+
+    @property
+    def frame_lines(self) -> list[str]:
+        """The scan stream: one serial line per tick run, built when read."""
+        lines = self._frame_lines
+        heads = self._sweep_table.heads
+        lines += self._radar_view(
+            len(lines),
+            self.tick_count,
+            self._sweep_table.quiet_lines,
+            lambda k, d: f"{heads[k]}{int(round(d * 1000.0))}.\n",
+        )
+        return lines
+
+    @property
+    def renders(self) -> list[tuple[int, Scan]]:
+        """The completed sweeps that are rendered, the first and every
+        RENDER_EVERY_SWEEPS-th, by their count from 1, built when read."""
+        renders = self._renders
+        n = self._sweep_len
+        angles = self._sweep_table.angles
+        for count in range(renders[-1][0] + 1 if renders else 1, self.sweep_count + 1):
+            if count == 1 or count % RENDER_EVERY_SWEEPS == 0:
+                samples = self._radar_view(
+                    (count - 1) * n, count * n, self._sweep_table.quiet_samples, lambda k, d: (angles[k], d)
+                )
+                renders.append((count, Scan(self.sensor_cfg.origin, samples, 1 if count % 2 else -1)))
+        return renders
+
+    def _radar_view(self, start: int, stop: int, quiet: Sequence[Any], hit: Callable[[int, float], Any]) -> list:
+        """Per tick in ``[start, stop)``: ``hit(index, distance)`` where the
+        radar's echo hit, else the tick's entry of ``quiet``, a sweep-table
+        column in tick order."""
+        period = len(quiet)
+        out = list(quiet[start % period : start % period + stop - start])
+        while len(out) < stop - start:
+            out += quiet[: stop - start - len(out)]
+        order = self._sweep_table.order
+        hits = self._hits
+        for j in range(bisect_left(hits, (start,)), bisect_left(hits, (stop,))):
+            t, dist = hits[j]
+            out[t - start] = hit(order[t % period], dist)
+        return out
 
     def _traced_ticks(self) -> int:
         """The ticks the trace covers: every tick run, when it is on."""
@@ -809,36 +856,20 @@ class Simulation:
                 index.place(i, node_to_position(src), node_to_position(dst))
 
     def _radar_phase(self, now: int) -> None:
-        """Echo at the tick's sweep index: up from 0 on even sweeps, back
-        down on odd ones, so each end index is read twice in a row.
+        """Echo at the tick's sweep index, read from the sweep table's
+        ``order``: up from 0 on even sweeps, back down on odd ones.
 
-        The echo reads the positions at ``now`` of only the vehicles the
-        index's mask names; with none named, the step appends the index's
-        quiet sample and line from the sweep table.  A hit's line is the
-        index's head and the echo in whole millimetres, as `encode_frame`
-        writes it.
+        The echo runs only when the index's mask names a vehicle, over the
+        positions at ``now`` of those it names, and only a hit is kept,
+        with its tick: a tick with none streams its index's quiet line.
         """
-        n = self._sweep_len
-        sweep, step = divmod(now, n)
-        idx = n - 1 - step if sweep % 2 else step
-        table = self._sweep_table
-        mask = self._hop_index.masks[idx]
-        dist = None
-        if mask:
+        order = self._sweep_table.order
+        idx = order[now % len(order)]
+        if self._hop_index.masks[idx]:
             fleet = self.fleet
             dist = self._hop_index.echo(idx, lambda i: fleet[i].agent.motion.at(now))
-        if dist is None:
-            self._sweep_samples.append(table.quiet_samples[idx])
-            self.frame_lines.append(table.quiet_lines[idx])
-        else:
-            self._sweep_samples.append((table.angles[idx], dist))
-            self.frame_lines.append(f"{table.heads[idx]}{int(round(dist * 1000.0))}.\n")
-        if step == n - 1:
-            scan = Scan(self.sensor_cfg.origin, self._sweep_samples, -1 if sweep % 2 else 1)
-            count = sweep + 1
-            if count == 1 or count % RENDER_EVERY_SWEEPS == 0:
-                self.renders.append((count, scan))
-            self._sweep_samples = []
+            if dist is not None:
+                self._hits.append((now, dist))
 
     def _telemetry_phase(self, now: int) -> None:
         """Send each vehicle's telemetry on the interval.  A resting
@@ -877,13 +908,16 @@ class Simulation:
     def tick(self) -> None:
         """Advance one timestep, running only the phases that are due.
 
-        A tick before ``_quiet_until`` runs only the radar.  Any other runs
-        delivery and the hub when a frame is due or the hub wakes; the
-        vehicles, their re-placing and the trace when one is due, tested
-        after delivery, which may wake one; the radar; and the telemetry
-        phase, which sends on its interval.  Only a tick changes what
-        ``_quiet_until`` reads, and a quiet tick none of it, so it is
-        recomputed at the end of each tick that is not quiet.
+        A tick before ``_quiet_until`` runs only the radar: one mask test,
+        storing nothing, when the tick's sweep index names no vehicle.  Any
+        other runs delivery and the hub when a frame is due or the hub
+        wakes; the vehicles, their re-placing and the trace when one is
+        due, tested after delivery, which may wake one; the radar; and the
+        telemetry phase, which sends on its interval.  Only a tick changes
+        what ``_quiet_until`` reads, and a quiet tick none of it, so it is
+        recomputed at the end of each tick that is not quiet.  The scan
+        stream and the scans are built when read (`frame_lines`,
+        `renders`).
         """
         now = self.tick_count
         if now < self._quiet_until:

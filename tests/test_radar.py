@@ -416,18 +416,25 @@ def test_encode_frame_format():
 def test_sweep_table_lines_equal_encode_frame(step_deg):
     """The engine streams a quiet step's line from the table and a hit's as
     the index's head and the echo in whole millimetres: both must be the
-    line `encode_frame` writes, at every index."""
+    line `encode_frame` writes, at every index.  The servo reads the
+    indices up, then down, each end index twice in a row, and the quiet
+    columns follow that tick order."""
     c = cfg(step_deg=step_deg)
+    n = c.sweep_len
     table = sweep_table(c)
-    assert len(table.angles) == c.sweep_len
+    assert len(table.angles) == n
+    assert table.order == tuple(range(n)) + tuple(range(n - 1, -1, -1))
+    assert table.order[n - 1] == table.order[n] == n - 1 and table.order[-1] == table.order[0] == 0
     for k, angle in enumerate(table.angles):
         assert angle == k * step_deg
-        assert table.quiet_samples[k] == (angle, None)
-        assert table.quiet_lines[k] == encode_frame(angle, None)
         for dist in (0.0, 0.0004, 0.0005, 0.4, 1.2345, 1.2355, 3.9995, 4.0):
             assert f"{table.heads[k]}{int(round(dist * 1000.0))}.\n" == encode_frame(angle, dist)
+    assert len(table.quiet_lines) == len(table.quiet_samples) == 2 * n
+    for t, k in enumerate(table.order):
+        assert table.quiet_samples[t] == (table.angles[k], None)
+        assert table.quiet_lines[t] == encode_frame(table.angles[k], None)
     if step_deg == 0.5:
-        assert table.angles[719] == 359.5 and table.quiet_lines[719] == "0,0.\n"
+        assert table.angles[719] == 359.5 and table.quiet_lines[719] == table.quiet_lines[720] == "0,0.\n"
 
 
 @pytest.mark.parametrize("half", [0.0, 4.0])

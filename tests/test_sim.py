@@ -16,7 +16,7 @@ from swarmport.errors import ScenarioInvalid
 from swarmport.grid import GridMap, NodeId, Position
 from swarmport.hub import Job, metrics
 from swarmport.planner import INF_TICK
-from swarmport.radar import Disc, SweepConfig
+from swarmport.radar import Disc, SweepConfig, sweep_table
 from swarmport.rfnet import MessageKind, decode, encode
 from swarmport.sim import (
     NOPATH_RETRY_TICKS,
@@ -405,6 +405,55 @@ def test_sweep_direction_alternates_with_boundary_repeat(step_deg, sweep_len):
     assert [(n, scan.direction, len(scan.samples)) for n, scan in sim.renders] == kept
 
 
+def read_every_tick(scenario):
+    """A run of ``scenario`` that reads `frame_lines` and `renders` after
+    every tick, as the views they are: the same list objects each read."""
+    sim = Simulation(scenario)
+    while sim.tick_count < scenario.sim.max_ticks:
+        sim.tick()
+        lines, renders = sim.frame_lines, sim.renders
+        assert lines is sim.frame_lines and renders is sim.renders
+        assert len(lines) == sim.tick_count
+        if sim.all_done:
+            break
+    return sim
+
+
+@pytest.mark.parametrize(
+    "sensor, sweep_len", [(SweepConfig(), 360), (SweepConfig(step_deg=7.0, beam_halfwidth_deg=15.0), 51)]
+)
+def test_radar_views_read_every_tick_equal_one_read_at_the_end(sensor, sweep_len):
+    """The scan stream and the scans are built from the kept hits when read:
+    reading them after every tick must give exactly what one read after
+    the run gives.  A 7 degree step makes a 51-index sweep that stops
+    short of 360 degrees."""
+    assert sensor.sweep_len == sweep_len
+    scenario = replace_scenario(crossing_scenario(3), sensor=sensor)
+    stepped = read_every_tick(scenario)
+    once = Simulation(scenario)
+    once.run_loop()
+    assert stepped.tick_count == once.tick_count
+    assert stepped.frame_lines == once.frame_lines
+    assert repr(stepped.renders) == repr(once.renders)
+    assert len(once.renders) > 1 and any(not line.endswith(",0.\n") for line in once.frame_lines)
+
+
+def test_radar_views_of_a_run_cut_mid_sweep():
+    """A run that ``max_ticks`` stops mid-sweep streams one line per tick
+    run and renders only the completed sweeps; reading again adds nothing."""
+    scenario = replace_scenario(crossing_scenario(3), sim=SimConfig(dt_s=0.01, max_ticks=10 * 360 + 170))
+    sim = Simulation(scenario)
+    sim.run_loop()
+    assert not sim.all_done and sim.tick_count == 10 * 360 + 170
+    lines, renders = sim.frame_lines, sim.renders
+    assert len(lines) == sim.tick_count
+    assert [(n, scan.direction, len(scan.samples)) for n, scan in renders] == [(1, 1, 360), (10, -1, 360)]
+    assert sim.frame_lines is lines and len(lines) == sim.tick_count
+    assert sim.renders is renders and len(renders) == 2
+    stepped = read_every_tick(scenario)
+    assert stepped.frame_lines == lines and repr(stepped.renders) == repr(renders)
+
+
 def test_telemetry_sampled_on_interval():
     scenario = replace_scenario(
         quick_scenario(), sim=SimConfig(dt_s=0.05, max_ticks=1000, telemetry_interval=7)
@@ -508,15 +557,20 @@ def test_fast_vehicles_complete_the_default_jobs():
 def checked_ticks(sim, agents):
     """Tick ``sim`` until it is done, checking after each tick its trace rows
     against the agents' poses read at that tick and its echo, read from the
-    sample the radar phase appended, against the reference echo over discs
-    rebuilt from those poses.  Yields the agents' positions after each tick."""
+    hit the radar phase kept for the tick or, with none kept, None, against
+    the reference echo over discs rebuilt from those poses.  Yields the
+    agents' positions after each tick."""
     ny = sim.grid.ny
+    table = sweep_table(sim.sensor_cfg)
     while not sim.all_done:
         assert sim.tick_count < sim.scenario.sim.max_ticks
-        # The sweep's sample list; a sweep that ends this tick keeps it in its scan.
-        samples = sim._sweep_samples
         now = sim.tick_count
+        hits = len(sim._hits)
         sim.tick()
+        kept = sim._hits[hits:]
+        assert [t for t, _ in kept] in ([], [now])
+        dist = kept[0][1] if kept else None
+        angle = table.angles[table.order[now % len(table.order)]]
         poses = [a.motion.at(now) for a in agents]
         # repr tells -0.0 from 0.0, which == does not
         assert repr(sim.pose_trace[-1]) == repr(poses)
@@ -527,7 +581,6 @@ def checked_ticks(sim, agents):
             occupancy.append((a.current_node.ix * ny + a.current_node.iy, dst.ix * ny + dst.iy))
         assert sim.occupancy_trace[-1] == occupancy
         discs = [Disc(Position(x, y), a.params.body_radius_m) for (x, y), a in zip(poses, agents)]
-        angle, dist = samples[-1]
         assert repr(dist) == repr(reference_echo_distance(discs, sim.sensor_cfg, angle))
         yield poses
 

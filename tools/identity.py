@@ -13,11 +13,13 @@ that means to alter any of these records the table again and says why.
 
 Each engine case runs a second time with the trace off, and that run's
 capture, frame lines, job traces, telemetry log, totals and scans must
-equal the traced run's: the trace only watches.  It runs a third time,
-traced, by a tick that runs every phase on every tick (`every_phase_tick`,
-a copy kept here), and that run's digest must equal the engine's: the
-engine's tick runs only the phases that are due, and skipping the others
-changes nothing.
+equal the traced run's: the trace only watches.  That run also reads its
+frame lines and scans at the end of every sweep, so the engine's views,
+built when read, are checked read piecewise against the traced run's,
+read once.  It runs a third time, traced, by a tick that runs every
+phase on every tick (`every_phase_tick`, a copy kept here), and that
+run's digest must equal the engine's: the engine's tick runs only the
+phases that are due, and skipping the others changes nothing.
 
 The engine cases cover what the golden hashes and the benchmark digests
 leave out: 30 crossing fleets, every depot layout, a 41-node depot with 16
@@ -187,6 +189,18 @@ def _outputs(sim) -> list[bytes]:
     return [capture, "".join(sim.frame_lines).encode(), json.dumps([jobs, log, totals, scans]).encode()]
 
 
+def run_reading_sweeps(sim) -> None:
+    """`Simulation.run_loop`, reading the frame lines and the scans at the
+    end of every sweep."""
+    n = sim.sensor_cfg.sweep_len
+    while sim.tick_count < sim.scenario.sim.max_ticks:
+        sim.tick()
+        if sim.tick_count % n == 0:
+            sim.frame_lines, sim.renders
+        if sim.all_done:
+            break
+
+
 def every_phase_tick(sim) -> None:
     """A tick with no quiet path: every phase runs on every tick.  The trace
     covers every tick run, so it needs no call of its own."""
@@ -213,13 +227,14 @@ def _digest(sim) -> str:
 
 def run_digest(scenario) -> tuple[str, bool, bool]:
     """The digest of a traced run of ``scenario``; whether a run with the
-    trace off produced the same outputs besides the traces; and whether a
-    traced run by `every_phase_tick` has the same digest."""
+    trace off, read at every sweep end, produced the same outputs besides
+    the traces; and whether a traced run by `every_phase_tick` has the
+    same digest."""
     sim = Simulation(scenario, trace=True, capture=True)
     sim.run_loop()
     digest = _digest(sim)
     untraced = Simulation(scenario, capture=True)
-    untraced.run_loop()
+    run_reading_sweeps(untraced)
     reference = Simulation(scenario, trace=True, capture=True)
     while reference.tick_count < scenario.sim.max_ticks:
         every_phase_tick(reference)
