@@ -34,18 +34,22 @@ def load_scenario(path: str) -> Scenario:
     """Read and parse a scenario file; each command validates it once.
 
     A document nested past the interpreter's recursion limit is rejected
-    whole, whether reading it or naming one of its values overflows.
+    whole, whether reading it or naming one of its values overflows.  So
+    is one holding an integer longer than the interpreter converts.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ScenarioInvalid(f"{path}: invalid JSON: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                raise ScenarioInvalid(f"{path}: not UTF-8 text: {exc}") from exc
+            except ValueError as exc:
+                raise ScenarioInvalid(f"{path}: unreadable number: {exc}") from exc
         return parse_scenario(data)
     except OSError as exc:
         raise IoFailure(f"cannot read scenario {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ScenarioInvalid(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioInvalid(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ScenarioInvalid(f"{path}: nested too deeply") from exc
 

@@ -7,10 +7,10 @@ to deterministic SVG frames.  Every echo is read through a `HopIndex`,
 which tests at each sweep index only the bodies whose segment the beam
 can reach: the engine's moving vehicles on their current hops, and in
 `sweep` still discs, each placed at its centre.  What a sweep index fixes
-(its angle, its ray's direction cosines, its serial line's head) is
-worked out once per `SweepConfig` in its `sweep_table`, with the index
-the servo reads at each tick of an up-and-back pair of sweeps and that
-tick's line and sample with no echo.
+(its angle and its ray's direction cosines) is worked out once per
+`SweepConfig` in its `sweep_table`, with the index the servo reads at
+each tick of an up-and-back pair of sweeps and that tick's line and
+sample with no echo.
 """
 
 from __future__ import annotations
@@ -76,16 +76,15 @@ class TargetEstimate:
 
 
 class SweepTable(NamedTuple):
-    """Per sweep index k: its angle ``k * step_deg``; the (cos, sin) of its
-    ray, the beam when the half-width is 0; its serial line's head
-    ``"<angle>,"``.  Per tick t of one up-and-back pair of sweeps: the
-    index ``order[t]`` the servo reads, up from 0 and back down, so each
-    end index is read twice in a row; the line and the ``(angle, None)``
-    sample of that step when it returns no echo."""
+    """Per sweep index k: its angle ``k * step_deg`` and the (cos, sin) of
+    its ray, the beam when the half-width is 0.  Per tick t of one
+    up-and-back pair of sweeps: the index ``order[t]`` the servo reads, up
+    from 0 and back down, so each end index is read twice in a row; the
+    line and the ``(angle, None)`` sample of that step when it returns no
+    echo."""
 
     angles: tuple[float, ...]
     rays: tuple[tuple[float, float], ...]
-    heads: tuple[str, ...]
     order: tuple[int, ...]
     quiet_lines: tuple[str, ...]
     quiet_samples: tuple[tuple[float, None], ...]
@@ -96,13 +95,12 @@ def sweep_table(cfg: SweepConfig) -> SweepTable:
     """The sweep indices' table, built once per sensor configuration."""
     angles = tuple(k * cfg.step_deg for k in range(cfg.sweep_len))
     rays = tuple((math.cos(math.radians(a)), math.sin(math.radians(a))) for a in angles)
-    heads = tuple(f"{int(round(a)) % 360}," for a in angles)
     # Each tick-order column is its per-index column, up and then back
     # down, so both halves share the same objects.
     up = tuple(range(cfg.sweep_len))
-    lines = tuple(head + "0.\n" for head in heads)
+    lines = tuple(encode_frame(a, None) for a in angles)
     samples = tuple((a, None) for a in angles)
-    return SweepTable(angles, rays, heads, up + up[::-1], lines + lines[::-1], samples + samples[::-1])
+    return SweepTable(angles, rays, up + up[::-1], lines + lines[::-1], samples + samples[::-1])
 
 
 def _index_spans(lo_deg: float, width_deg: float, step_deg: float, n: int) -> tuple[tuple[int, int], ...]:

@@ -1,8 +1,10 @@
 """Fixed-timestep simulation engine, scenario config, and run artifacts.
 
-One tick advances the world in a fixed phase order: RF delivery, hub
-work, vehicle steps in ascending id, the re-placing of vehicles whose
-hop changed, one radar step, telemetry emission, the optional trace.
+One tick advances the world in a fixed phase order: RF delivery and hub
+work, the vehicles in ascending id, one radar step, telemetry emission.
+A vehicle's step alone changes its motion and its hop, so the vehicle
+phase acts on both as it steps each one: it re-places a vehicle whose hop
+changed in the radar index and, with the trace on, logs the change.
 Everything downstream of the scenario (plus its seed) is deterministic,
 so two runs produce byte-identical outputs.
 
@@ -60,7 +62,7 @@ from .planner import (
     plan_space_time,
     schedule_along,
 )
-from .radar import HopIndex, Scan, SweepConfig, render_frame, sweep_table
+from .radar import HopIndex, Scan, SweepConfig, encode_frame, render_frame, sweep_table
 from .rfnet import (
     CHANNEL_COUNT,
     Channel,
@@ -360,6 +362,11 @@ def validate_scenario(scenario: Scenario) -> GridMap:
         )
     if c.max_ticks < 1:
         raise ScenarioInvalid("sim.max_ticks: must be >= 1")
+    # The capture stamps each frame with its tick as an unsigned 32-bit field.
+    if c.max_ticks > 2**32:
+        raise ScenarioInvalid(
+            f"sim.max_ticks: {c.max_ticks} exceeds the {2**32} ticks that the capture's u32 tick field can encode"
+        )
     if c.telemetry_interval < 1:
         raise ScenarioInvalid("sim.telemetry_interval: must be >= 1")
     # Each distinct parameter set spins up once at dt_s, as its vehicles
@@ -497,6 +504,9 @@ class _SimVehicle:
     retry_at: float = INF_TICK
     # The first tick at which stepping the vehicle can change anything.
     wake: float = 0
+    # The (node, edge end) of the hop it is on, where the radar index
+    # placed it; none before its first step.
+    hop: tuple[NodeId | None, NodeId | None] = (None, None)
     # The vehicle's last telemetry: the `Rest` it was sent in (None if it
     # was moving), whose frame is sent again while that `Rest` lasts, the
     # frame, and the message it encodes, which the hub reuses when that
@@ -553,8 +563,6 @@ class Simulation:
             self.vehicles[vcfg.vehicle_id] = _SimVehicle(agent=agent, radio=radio, hub_radio=hub_radio)
         # The vehicles in ascending id: the order of every per-vehicle phase.
         self.fleet: list[_SimVehicle] = list(self.vehicles.values())
-        # The fleet positions of the vehicles stepped this tick.
-        self._stepped: Sequence[int] = ()
         # The earliest ``wake`` in the fleet: before it no vehicle is due.
         self._next_wake: float = 0
         for job in scenario.jobs:
@@ -563,12 +571,8 @@ class Simulation:
         self.sensor_cfg = scenario.sensor
         # Which vehicles each sweep index can echo from, by the hop each is
         # on.  Tick 0 places every vehicle: all step then, as ``wake`` starts
-        # at 0, and none has its (node, edge end) pair in ``_hop_keys`` yet.
+        # at 0, and none has a ``hop`` yet.
         self._hop_index = HopIndex(self.sensor_cfg, [sv.agent.params.body_radius_m for sv in self.fleet])
-        # Per vehicle, the (node, edge end) of its hop, and the fleet
-        # positions whose pair changed this tick.
-        self._hop_keys: list[tuple[NodeId | None, NodeId | None]] = [(None, None)] * len(self.fleet)
-        self._rehopped: list[int] = []
         self._sweep_len = self.sensor_cfg.sweep_len
         self._sweep_table = sweep_table(self.sensor_cfg)
         # The radar's hits in tick order, as (tick, echo distance); every
@@ -603,12 +607,9 @@ class Simulation:
     def frame_lines(self) -> list[str]:
         """The scan stream: one serial line per tick run, built when read."""
         lines = self._frame_lines
-        heads = self._sweep_table.heads
+        angles = self._sweep_table.angles
         lines += self._radar_view(
-            len(lines),
-            self.tick_count,
-            self._sweep_table.quiet_lines,
-            lambda k, d: f"{heads[k]}{int(round(d * 1000.0))}.\n",
+            len(lines), self.tick_count, self._sweep_table.quiet_lines, lambda k, d: encode_frame(angles[k], d)
         )
         return lines
 
@@ -780,29 +781,52 @@ class Simulation:
         """Step the vehicles that are due, in fleet order.
 
         ``wake`` is read as the loop reaches each vehicle, so one that a
-        release earlier in the loop woke is stepped on this tick.  The wake
-        tick from ``step`` (a moving vehicle's next hop event) is lowered
-        to ``retry_at``.  ``_next_wake`` is the least ``wake`` of the
-        fleet: before it no vehicle is due, and the tick does not call this.
+        release earlier in the loop woke is stepped on this tick.
+        ``_next_wake`` is the least ``wake`` of the fleet: before it no
+        vehicle is due, and the tick does not call this.
         """
-        stepped = self._stepped = []
         for i, sv in enumerate(self.fleet):
-            if now < sv.wake:
-                continue
-            stepped.append(i)
-            agent = sv.agent
-            if now >= sv.retry_at:
-                self._plan_leg(sv, now)
-            state = agent.state
-            wake = agent.step(now)
-            if agent.state != state:
-                self._post_step(sv, state, now)
-            sv.wake = min(wake, sv.retry_at)
-            if agent.outbox:
-                for msg in agent.outbox:
-                    self.medium.send(sv.radio, encode(msg), now)
-                agent.outbox.clear()
+            if now >= sv.wake:
+                self._step_vehicle(i, sv, now)
         self._next_wake = min((sv.wake for sv in self.fleet), default=math.inf)
+
+    def _step_vehicle(self, i: int, sv: _SimVehicle, now: int) -> None:
+        """Plan fleet vehicle i's leg if one is due, step it and act on
+        what the step changed.  The wake tick from ``step`` (a moving
+        vehicle's next hop event) is lowered to ``retry_at``.
+
+        A vehicle stays on the segment from its node to its edge end while
+        that pair, its ``hop``, holds, since a spin-up never reverses the
+        wheels.  Only its own step changes its motion and its hop, so here
+        a changed hop is re-placed in the radar index and, with the trace
+        on, both are logged.
+        """
+        agent = sv.agent
+        if now >= sv.retry_at:
+            self._plan_leg(sv, now)
+        state = agent.state
+        wake = agent.step(now)
+        if agent.state != state:
+            self._post_step(sv, state, now)
+        sv.wake = min(wake, sv.retry_at)
+        if agent.outbox:
+            for msg in agent.outbox:
+                self.medium.send(sv.radio, encode(msg), now)
+            agent.outbox.clear()
+        edge = agent.edge_in_progress()
+        src = agent.current_node
+        dst = edge[1] if edge is not None else src
+        hop = sv.hop
+        rehop = hop[0] is not src or hop[1] is not dst
+        if rehop:
+            sv.hop = (src, dst)
+            node_to_position = self.grid.node_to_position
+            self._hop_index.place(i, node_to_position(src), node_to_position(dst))
+        if self.trace:
+            self.pose_trace.log(i, now, agent.motion)
+            if rehop:
+                ny = self.grid.ny
+                self.occupancy_trace.log(i, now, _Held((src.ix * ny + src.iy, dst.ix * ny + dst.iy)))
 
     def _post_step(self, sv: _SimVehicle, before: str, now: int) -> None:
         """Act on a cargo state change of this tick's step, from ``before``:
@@ -830,30 +854,6 @@ class Simulation:
             agent.trail.clear()
             self.completed_jobs += 1
             self.last_complete_tick = now
-
-    def _rehop_phase(self) -> None:
-        """Re-place in the radar index the stepped vehicles whose hop changed.
-
-        A vehicle stays on the segment from its node to its edge end while
-        that pair holds, since a spin-up never reverses the wheels, and
-        only a stepped vehicle's pair can change: at a drive's start and
-        at its arrival.
-        """
-        fleet = self.fleet
-        index = self._hop_index
-        keys = self._hop_keys
-        node_to_position = self.grid.node_to_position
-        rehopped = self._rehopped = []
-        for i in self._stepped:
-            agent = fleet[i].agent
-            edge = agent.edge_in_progress()
-            src = agent.current_node
-            dst = edge[1] if edge is not None else src
-            key = keys[i]
-            if key[0] is not src or key[1] is not dst:
-                keys[i] = (src, dst)
-                rehopped.append(i)
-                index.place(i, node_to_position(src), node_to_position(dst))
 
     def _radar_phase(self, now: int) -> None:
         """Echo at the tick's sweep index, read from the sweep table's
@@ -891,29 +891,15 @@ class Simulation:
                 sv.last_telemetry = (motion if isinstance(motion, Rest) else None, frame, msg)
             self.medium.send(sv.radio, frame, now)
 
-    def _trace_phase(self, now: int) -> None:
-        """Log what changed this tick: only a stepped vehicle's motion can
-        have, and only a vehicle `_rehop_phase` re-placed its hop."""
-        fleet = self.fleet
-        poses = self.pose_trace
-        occupancy = self.occupancy_trace
-        for i in self._stepped:
-            poses.log(i, now, fleet[i].agent.motion)
-        ny = self.grid.ny
-        keys = self._hop_keys
-        for i in self._rehopped:
-            src, dst = keys[i]
-            occupancy.log(i, now, _Held((src.ix * ny + src.iy, dst.ix * ny + dst.iy)))
-
     def tick(self) -> None:
         """Advance one timestep, running only the phases that are due.
 
         A tick before ``_quiet_until`` runs only the radar: one mask test,
         storing nothing, when the tick's sweep index names no vehicle.  Any
         other runs delivery and the hub when a frame is due or the hub
-        wakes; the vehicles, their re-placing and the trace when one is
-        due, tested after delivery, which may wake one; the radar; and the
-        telemetry phase, which sends on its interval.  Only a tick changes
+        wakes; the vehicles when one is due, tested after delivery, which
+        may wake one; the radar; and the telemetry phase, which sends on
+        its interval.  Only a tick changes
         what ``_quiet_until`` reads, and a quiet tick none of it, so it is
         recomputed at the end of each tick that is not quiet.  The scan
         stream and the scans are built when read (`frame_lines`,
@@ -928,14 +914,10 @@ class Simulation:
         hub = self.hub
         if now >= medium.next_due or now >= hub.wake_tick:
             self._hub_phase(self._deliver(now), now)
-        stepping = now >= self._next_wake
-        if stepping:
+        if now >= self._next_wake:
             self._vehicle_phase(now)
-            self._rehop_phase()
         self._radar_phase(now)
         self._telemetry_phase(now)
-        if stepping and self.trace:
-            self._trace_phase(now)
         self.tick_count = now + 1
         self._quiet_until = min(medium.next_due, hub.wake_tick, self._next_wake, self._next_telemetry)
 

@@ -232,6 +232,21 @@ def test_unreadable_document_exits_one_naming_the_file(content, reason, tmp_path
     assert "Traceback" not in err
 
 
+def test_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
+    """A 5,000-digit latency is past the digit limit that recent
+    interpreters set on reading an integer, and negative on any other:
+    either way the run exits 1 with an error line."""
+    text = json.dumps(scenario_to_dict(default_scenario()))
+    text = text.replace('"latency_ticks": 0', '"latency_ticks": -' + "9" * 5000)
+    path = tmp_path / "huge_int.json"
+    path.write_text(text)
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_invalid_scenario_exits_one(tmp_path, capsys):
     data = scenario_to_dict(default_scenario())
     data["sim"]["dt_s"] = 99.0

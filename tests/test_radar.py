@@ -1,5 +1,6 @@
 """Rotating rangefinder: echo geometry, sweeps, clustering, serial frames."""
 
+import dataclasses
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from swarmport.radar import (
     sweep,
     sweep_table,
 )
+from swarmport.sim import Simulation, default_scenario
 
 CENTER = Position(1.0, 1.0)
 
@@ -414,11 +416,11 @@ def test_encode_frame_format():
 
 @pytest.mark.parametrize("step_deg", [0.5, 0.7, 1.0, 7.0, 15.0])
 def test_sweep_table_lines_equal_encode_frame(step_deg):
-    """The engine streams a quiet step's line from the table and a hit's as
-    the index's head and the echo in whole millimetres: both must be the
-    line `encode_frame` writes, at every index.  The servo reads the
-    indices up, then down, each end index twice in a row, and the quiet
-    columns follow that tick order."""
+    """The engine streams a quiet step's line from the table and builds a
+    hit's in `frame_lines`: both must be the line `encode_frame` writes for
+    the tick's index, at every index.  The servo reads the indices up, then
+    down, each end index twice in a row, and the quiet columns follow that
+    tick order."""
     c = cfg(step_deg=step_deg)
     n = c.sweep_len
     table = sweep_table(c)
@@ -427,8 +429,15 @@ def test_sweep_table_lines_equal_encode_frame(step_deg):
     assert table.order[n - 1] == table.order[n] == n - 1 and table.order[-1] == table.order[0] == 0
     for k, angle in enumerate(table.angles):
         assert angle == k * step_deg
-        for dist in (0.0, 0.0004, 0.0005, 0.4, 1.2345, 1.2355, 3.9995, 4.0):
-            assert f"{table.heads[k]}{int(round(dist * 1000.0))}.\n" == encode_frame(angle, dist)
+    # Every tick of one up-and-back pair hits at each distance in turn.
+    sim = Simulation(dataclasses.replace(default_scenario(), sensor=c))
+    dists = (0.0, 0.0004, 0.0005, 0.4, 1.2345, 1.2355, 3.9995, 4.0)
+    sim._hits = [(t, dist) for j, dist in enumerate(dists) for t in range(2 * n * j, 2 * n * (j + 1))]
+    sim.tick_count = len(sim._hits)
+    lines = sim.frame_lines
+    assert len(lines) == len(sim._hits)
+    for (t, dist), line in zip(sim._hits, lines):
+        assert line == encode_frame(table.angles[table.order[t % (2 * n)]], dist)
     assert len(table.quiet_lines) == len(table.quiet_samples) == 2 * n
     for t, k in enumerate(table.order):
         assert table.quiet_samples[t] == (table.angles[k], None)

@@ -17,7 +17,7 @@ from swarmport.grid import GridMap, NodeId, Position
 from swarmport.hub import Job, metrics
 from swarmport.planner import INF_TICK
 from swarmport.radar import Disc, SweepConfig, sweep_table
-from swarmport.rfnet import MessageKind, decode, encode
+from swarmport.rfnet import MessageKind, decode
 from swarmport.sim import (
     NOPATH_RETRY_TICKS,
     RENDER_EVERY_SWEEPS,
@@ -214,6 +214,18 @@ def test_vehicle_just_under_the_telemetry_speed_limit_validates():
     assert 65.4 < spin_table(params, 0.01).peak_speed_m_s <= 65.535
     data = fast_vehicle_document(wheel_radius_m=1.0, motor_gain=13.1, cruise_speed_m_s=65.5)
     validate_scenario(scenario_from_dict(data))
+
+
+def test_max_ticks_beyond_the_capture_tick_field_rejected():
+    """The capture stamps a frame with its tick as a u32: 2**32 ticks end at
+    the last tick that fits, one more would not."""
+    for max_ticks, fits in ((2**32, True), (2**32 + 1, False)):
+        scenario = replace_scenario(default_scenario(), sim=SimConfig(max_ticks=max_ticks))
+        if fits:
+            validate_scenario(scenario)
+        else:
+            with pytest.raises(ScenarioInvalid, match=r"^sim\.max_ticks: 4294967297 exceeds .* u32 tick field"):
+                validate_scenario(scenario)
 
 
 def test_loss_probability_must_leave_headroom():
@@ -714,9 +726,10 @@ def counted_run(scenario, every_tick):
     node and slot before that hold's end.
 
     With ``every_tick`` the engine's vehicle phase is replaced by a loop
-    that steps every vehicle on every tick and ignores the tick that
-    ``step`` returns, as the engine did before vehicles slept; its gate
-    asks the reservation table on every call, as the engine's does."""
+    that steps every vehicle on every tick through the engine's own
+    per-vehicle code and ignores the wake tick that sets, as the engine
+    did before vehicles slept; its gate asks the reservation table on
+    every call, as the engine's does."""
     sim = Simulation(scenario, trace=True, capture=True)
     table = sim.table
     refused: dict[int, tuple] = {}
@@ -746,18 +759,8 @@ def counted_run(scenario, every_tick):
         return counted
 
     def step_every_vehicle(now):
-        sim._stepped = list(range(len(sim.fleet)))
-        for sv in sim.fleet:
-            agent = sv.agent
-            if now >= sv.retry_at:
-                sim._plan_leg(sv, now)
-            state = agent.state
-            agent.step(now)
-            if agent.state != state:
-                sim._post_step(sv, state, now)
-            for msg in agent.outbox:
-                sim.medium.send(sv.radio, encode(msg), now)
-            agent.outbox.clear()
+        for i, sv in enumerate(sim.fleet):
+            sim._step_vehicle(i, sv, now)
 
     for sv in sim.fleet:
         sv.agent.departure_gate = gate
@@ -795,6 +798,44 @@ def test_sleeping_gate_matches_asking_every_tick():
     assert early_total > 0
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [crossing_scenario(3), replace_scenario(default_scenario(), medium=MediumConfig(loss_probability=0.3))],
+    ids=["crossing_3", "default_lossy"],
+)
+def test_a_vehicle_is_re_placed_once_per_hop_change(scenario):
+    """The radar index re-places a vehicle when its step changes its
+    (node, edge end) pair, and at no other step: once per entry of the
+    occupancy trace's change log, each a new pair."""
+    sim = Simulation(scenario, trace=True)
+    place = sim._hop_index.place
+    places = steps = 0
+
+    def counted_place(i, a, b):
+        nonlocal places
+        places += 1
+        place(i, a, b)
+
+    def counting(step):
+        def counted(now):
+            nonlocal steps
+            steps += 1
+            return step(now)
+
+        return counted
+
+    sim._hop_index.place = counted_place
+    for sv in sim.fleet:
+        sv.agent.step = counting(sv.agent.step)
+    sim.run_loop()
+    assert sim.completed_jobs == sim.total_jobs
+    logs = sim.occupancy_trace._entries
+    assert places == sum(len(log) for log in logs)
+    for log in logs:
+        assert all(a.value != b.value for a, b in zip(log, log[1:]))
+    assert places < steps
+
+
 def every_phase_tick(sim):
     """A tick with no quiet path: every phase runs on every tick.  The trace
     covers every tick run, so it needs no call of its own."""
@@ -802,11 +843,8 @@ def every_phase_tick(sim):
     inbound = sim._deliver(now)
     sim._hub_phase(inbound, now)
     sim._vehicle_phase(now)
-    sim._rehop_phase()
     sim._radar_phase(now)
     sim._telemetry_phase(now)
-    if sim.trace:
-        sim._trace_phase(now)
     sim.tick_count += 1
 
 

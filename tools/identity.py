@@ -208,11 +208,8 @@ def every_phase_tick(sim) -> None:
     inbound = sim._deliver(now)
     sim._hub_phase(inbound, now)
     sim._vehicle_phase(now)
-    sim._rehop_phase()
     sim._radar_phase(now)
     sim._telemetry_phase(now)
-    if sim.trace:
-        sim._trace_phase(now)
     sim.tick_count += 1
 
 
