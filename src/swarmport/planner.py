@@ -267,9 +267,12 @@ class ReservationTable:
         if not tick_start < tick_end:
             raise BadInterval(f"empty interval [{tick_start}, {tick_end})")
         holds = self._holds.setdefault(node, [])
-        ends = [end for start, end, vid in holds if vid != vehicle_id and tick_start < end and start < tick_end]
-        if ends:
-            return max(ends)
+        latest = None
+        for start, end, vid in holds:
+            if vid != vehicle_id and tick_start < end and start < tick_end and (latest is None or end > latest):
+                latest = end
+        if latest is not None:
+            return latest
         holds.append((tick_start, tick_end, vehicle_id))
         self._held.setdefault(vehicle_id, set()).add(node)
         return None

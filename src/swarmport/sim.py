@@ -434,8 +434,9 @@ class TraceView(Sequence):
     changed; ``entry.at(t)`` is its value at tick t and ``entry.span(a, b)``
     the values of ticks a to b - 1.  The trace covers the ticks 0 to
     ``ticks() - 1``, so a tick that changes nothing needs no call.  Rows
-    are built on demand: an index builds one, iteration builds TRACE_CHUNK
-    at a time.  ``==``, ``repr`` and ``copy.deepcopy`` see the list of rows.
+    are built on demand: an index builds one, a slice the columns over its
+    range, iteration TRACE_CHUNK at a time.  ``==``, ``repr`` and
+    ``copy.deepcopy`` see the list of rows.
     """
 
     def __init__(self, vehicles: int, ticks: Callable[[], int]) -> None:
@@ -453,8 +454,15 @@ class TraceView(Sequence):
     def __len__(self) -> int:
         return self._covered()
 
-    def __getitem__(self, index: int) -> list:
+    def __getitem__(self, index: int | slice) -> list:
         n = len(self)
+        if isinstance(index, slice):
+            span = range(*index.indices(n))
+            if not span:
+                return []
+            a, b = sorted((span[0], span[-1]))
+            columns = [self._column(i, a, b + 1) for i in range(len(self._entries))]
+            return [[column[t - a] for column in columns] for t in span]
         t = index + n if index < 0 else index
         if not 0 <= t < n:
             raise IndexError("trace index out of range")
@@ -785,10 +793,17 @@ class Simulation:
         ``_next_wake`` is the least ``wake`` of the fleet: before it no
         vehicle is due, and the tick does not call this.
         """
-        for i, sv in enumerate(self.fleet):
+        fleet = self.fleet
+        for i, sv in enumerate(fleet):
             if now >= sv.wake:
                 self._step_vehicle(i, sv, now)
-        self._next_wake = min((sv.wake for sv in self.fleet), default=math.inf)
+        # A separate pass: a release late in the loop lowers the wakes of
+        # vehicles it has already passed.
+        next_wake = math.inf
+        for sv in fleet:
+            if sv.wake < next_wake:
+                next_wake = sv.wake
+        self._next_wake = next_wake
 
     def _step_vehicle(self, i: int, sv: _SimVehicle, now: int) -> None:
         """Plan fleet vehicle i's leg if one is due, step it and act on
@@ -798,8 +813,9 @@ class Simulation:
         A vehicle stays on the segment from its node to its edge end while
         that pair, its ``hop``, holds, since a spin-up never reverses the
         wheels.  Only its own step changes its motion and its hop, so here
-        a changed hop is re-placed in the radar index and, with the trace
-        on, both are logged.
+        a changed hop is re-placed in the radar index, from the positions
+        the agent holds for both ends, and, with the trace on, both are
+        logged.
         """
         agent = sv.agent
         if now >= sv.retry_at:
@@ -820,8 +836,7 @@ class Simulation:
         rehop = hop[0] is not src or hop[1] is not dst
         if rehop:
             sv.hop = (src, dst)
-            node_to_position = self.grid.node_to_position
-            self._hop_index.place(i, node_to_position(src), node_to_position(dst))
+            self._hop_index.place(i, agent.xy, agent.target)
         if self.trace:
             self.pose_trace.log(i, now, agent.motion)
             if rehop:

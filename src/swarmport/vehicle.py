@@ -369,21 +369,24 @@ class VehicleAgent:
         self.trail: list[NodeId] = []
         # The nodes driven by the last retrace, from the drop-off on.
         self.retraced: list[NodeId] = []
-        # Position and heading at the last event, where the vehicle stands
-        # on its current node.
+        # Position and heading at the last event: ``xy`` is where the
+        # vehicle stands on its current node, the floats of
+        # `GridMap.node_to_position`.
         x, y = grid.node_to_position(home_node)
-        self._xy = (x, y)
+        self.xy = (x, y)
         self._heading = 0.0
         # Ticks of motion since the last halt, which index the spin-up
         # table, and the wheel loop's row on the last of them.
         self._spins = 0
         self._row = _AT_REST
-        self.motion: Motion = Rest(self._xy, self._heading)
+        self.motion: Motion = Rest(self.xy, self._heading)
         # The hop being faced or driven: its heading and unit direction,
-        # then the target (x, y) the drive snaps onto when it arrives.
+        # then the ``target`` (x, y) the drive snaps onto when it arrives,
+        # the edge end's `GridMap.node_to_position`; ``xy`` itself while
+        # the vehicle is not driving.
         self._hop_heading = 0.0
         self._hop_unit = (0.0, 0.0)
-        self._target = self._xy
+        self.target = self.xy
         self._route: list[NodeId] | None = None
         self._departures: list[int] = []
         self._hop = 0
@@ -467,7 +470,7 @@ class VehicleAgent:
         self._row = _AT_REST
         self._spins = 0
         if not isinstance(self.motion, Rest):
-            self.motion = Rest(self._xy, self._heading)
+            self.motion = Rest(self.xy, self._heading)
 
     def _live(self, row: tuple[float, ...]) -> Iterator[tuple[float, ...]]:
         """The wheel loop run on from ``row``, one `_spin_row` a tick."""
@@ -520,7 +523,7 @@ class VehicleAgent:
             return wait
         sign, remaining = (1, diff) if diff <= 180.0 else (-1, 360.0 - diff)
         run = self._hop_run(_turn_run, self._heading, sign, remaining)
-        self.motion = Turn(self._xy, self._heading, t0, run)
+        self.motion = Turn(self.xy, self._heading, t0, run)
         return None
 
     def _drive(self, t0: int) -> None:
@@ -530,10 +533,10 @@ class VehicleAgent:
         axis = 0 if ux else 1
         grid = self._grid
         x, y = grid.node_to_position(self._route[self._hop + 1])
-        self._target = (x, y)
-        run = self._hop_run(_drive_run, self._xy[axis], ux or uy, self._target[axis], grid.spacing_m / 10.0)
+        self.target = (x, y)
+        run = self._hop_run(_drive_run, self.xy[axis], ux or uy, self.target[axis], grid.spacing_m / 10.0)
         r = self.params.wheel_radius_m
-        self.motion = Drive(self._xy, self._heading, t0, run, axis, r, _speed(r, self._row[0]))
+        self.motion = Drive(self.xy, self._heading, t0, run, axis, r, _speed(r, self._row[0]))
 
     def _hold(self, now: int) -> float | None:
         """None if the vehicle may leave for the next node at ``now``.
@@ -613,7 +616,7 @@ class VehicleAgent:
         assert self._route is not None
         self._finish_run()
         node = self._route[self._hop + 1]
-        self._xy = self._target
+        self.xy = self.target
         self.current_node = node
         self._hop += 1
         if self.state == RETRACING:

@@ -52,6 +52,13 @@ def test_node_out_of_range():
         grid.node_to_position(NodeId(0, -1))
 
 
+@pytest.mark.parametrize("node", [NodeId(9, 4), NodeId(4, 9), NodeId(-1, 4), NodeId(4, -1)], ids=["E", "N", "W", "S"])
+def test_node_to_position_rejects_a_node_beyond_each_edge(node):
+    grid = build_grid(2.0, 2.0, 0.25)
+    with pytest.raises(NodeOutOfRange, match=rf"^node \({node.ix}, {node.iy}\) outside 9x9 grid$"):
+        grid.node_to_position(node)
+
+
 def test_neighbor_order_east_north_west_south():
     grid = build_grid(2.0, 2.0, 0.25)
     assert grid.adjacency[NodeId(4, 4)] == (

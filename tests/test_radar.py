@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swarmport.errors import AngleOutOfRange, IoFailure
 from swarmport.grid import Position
@@ -292,6 +292,75 @@ def test_hop_index_marks_only_the_reachable_arc():
     assert all(m & 4 for m in index.masks)
     index.place(0, Position(1.0, 3.0), Position(1.0, 3.0))  # moved: its old arc is cleared
     assert [k for k, m in enumerate(index.masks) if m & 1] == list(range(85, 96))
+
+
+@st.composite
+def placements(draw):
+    """A sweep config, bodies of drawn radii (some of none), and a sequence
+    of `place` calls, each putting one body on a parked or unit-hop segment:
+    from a lattice node, due east of the sensor so that its arc crosses
+    the 0/360 seam, with its disc over the sensor, or beyond max range.
+    A call may put a body back on its last segment, or on another from its
+    start.  Each end is a `Position` or a plain (x, y) tuple."""
+    c = SweepConfig(
+        origin=Position(draw(coordinate), draw(coordinate)),
+        step_deg=draw(st.one_of(st.floats(0.5, 15.0), st.sampled_from([1.0, 7.0]))),
+        beam_halfwidth_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 15.0))),
+        max_range_m=draw(st.floats(0.1, 6.0)),
+    )
+    spacing = draw(st.floats(0.05, 1.0))
+    radii = draw(st.lists(st.one_of(st.floats(0.01, 1.0), st.just(0.0)), min_size=1, max_size=3))
+    ox, oy = c.origin
+    calls, last = [], {}
+    for _ in range(draw(st.integers(1, 10))):
+        i = draw(st.integers(0, len(radii) - 1))
+        radius = radii[i]
+        again = draw(st.sampled_from(["segment", "start", "no"])) if i in last else "no"
+        if again == "segment":
+            a, b = last[i]
+        elif again == "start":
+            a = last[i][0]
+        else:
+            kind = draw(st.sampled_from(["lattice", "seam", "over_origin", "beyond_range"]))
+            if kind == "lattice":
+                a = (draw(st.integers(-8, 8)) * spacing, draw(st.integers(-8, 8)) * spacing)
+            elif kind == "seam":
+                a = (ox + draw(st.floats(radius + 0.01, c.max_range_m + radius)), oy + draw(st.floats(-spacing, spacing)))
+            elif kind == "over_origin":
+                a = (ox + draw(st.floats(-0.9, 0.9)) * radius, oy + draw(st.floats(-0.9, 0.9)) * radius)
+            else:
+                bearing = math.radians(draw(st.floats(0.0, 360.0)))
+                dist = c.max_range_m + radius + draw(st.floats(0.01, 2.0)) + spacing
+                a = (ox + dist * math.cos(bearing), oy + dist * math.sin(bearing))
+        if again != "segment":
+            dx, dy = draw(st.sampled_from(HOPS))
+            b = (a[0] + dx * spacing, a[1] + dy * spacing)
+        last[i] = (a, b)
+        a, b = (Position(*end) if draw(st.booleans()) else tuple(end) for end in (a, b))
+        calls.append((i, a, b))
+    return c, radii, calls
+
+
+@settings(max_examples=500, deadline=None)
+@given(placements())
+# Parked across the seam, then a hop south: the arc's wrapped part stays.
+@example((SweepConfig(origin=Position(0.0, 0.0)), [0.2],
+          [(0, (2.0, -0.01), (2.0, -0.01)), (0, Position(2.0, -0.01), Position(2.0, -0.26))]))
+def test_a_re_placed_index_equals_one_placed_once(case):
+    """`place` clears a body's old arc, skips the mask update when the arc
+    is unchanged and takes a parked segment's short path: after any
+    sequence of calls, the masks must equal those of a fresh index given
+    only each body's last segment, as `Position` ends."""
+    c, radii, calls = case
+    index = HopIndex(c, radii)
+    last = {}
+    for i, a, b in calls:
+        index.place(i, a, b)
+        last[i] = (a, b)
+    fresh = HopIndex(c, radii)
+    for i, (a, b) in last.items():
+        fresh.place(i, Position(*a), Position(*b))
+    assert index.masks == fresh.masks
 
 
 def test_config_validation():

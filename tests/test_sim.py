@@ -4,6 +4,8 @@ import copy
 import functools
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from echo_reference import reference_echo_distance
@@ -36,6 +38,9 @@ from swarmport.sim import (
     validate_scenario,
 )
 from swarmport.vehicle import AWAITING_ROUTE, IDLE, LOADED, RETRACING, TRANSIT, UNLOADING, VehicleParams, spin_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import depot_document  # noqa: E402
 
 
 def replace_scenario(base, **kw):
@@ -676,6 +681,26 @@ def test_trace_views_read_as_the_rows_of_a_trace_built_every_tick():
     assert shared
 
 
+def test_trace_views_slice_as_their_lists_of_rows():
+    """A slice of `pose_trace` or `occupancy_trace` is the same slice of its
+    list of rows: positive, negative, stepped, reversed and empty."""
+    sim = Simulation(crossing_scenario(3), trace=True)
+    sim.run_loop()
+    n = sim.tick_count
+    slices = [
+        slice(2, 4), slice(None), slice(0, n), slice(n // 3, n // 2), slice(n - 5, n + 5),
+        slice(-7, -2), slice(-3, None), slice(None, -n // 2), slice(-n - 5, 3),
+        slice(1, n, 97), slice(None, None, 4096), slice(-300, -1, 7),
+        slice(None, None, -1), slice(-1, 0, -13), slice(n - 3, 4, -2), slice(5, None, -1),
+        slice(4, 4), slice(9, 2), slice(-2, -5), slice(n, n + 5), slice(2, 5, -1),
+    ]
+    for view in (sim.pose_trace, sim.occupancy_trace):
+        rows = list(view)
+        for s in slices:
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(view[s]) == repr(rows[s]), s
+
+
 def test_a_spin_up_that_reverses_the_wheels_is_rejected_by_name():
     """With the motor plant at or near its stability limit (dt = tau / 2)
     and a high gain, the spin-up overshoots until the wheels turn backwards.
@@ -834,6 +859,72 @@ def test_a_vehicle_is_re_placed_once_per_hop_change(scenario):
     for log in logs:
         assert all(a.value != b.value for a, b in zip(log, log[1:]))
     assert places < steps
+
+
+def test_next_wake_is_the_least_wake_of_the_fleet_after_every_tick():
+    """`_vehicle_phase` takes the least wake in a pass after its stepping
+    loop, since a `_plan_leg` late in that loop wakes every vehicle, those
+    it has already stepped too.  After every tick of a depot run and a
+    lossy default run, `_next_wake` must be that least wake, and the runs
+    must hold such late plans."""
+    late = 0
+    lossy = replace_scenario(default_scenario(), medium=MediumConfig(loss_probability=0.3))
+    for scenario in (scenario_from_dict(depot_document(1)), lossy):
+        sim = Simulation(scenario)
+        step_vehicle, plan_leg = sim._step_vehicle, sim._plan_leg
+        stepped = []  # the fleet positions stepped so far this tick
+
+        def listed_step(i, sv, now):
+            stepped.append(i)
+            step_vehicle(i, sv, now)
+
+        def counted_plan(sv, now):
+            nonlocal late
+            late += len(stepped) > 1  # planned in the loop, after another vehicle's step
+            plan_leg(sv, now)
+
+        sim._step_vehicle, sim._plan_leg = listed_step, counted_plan
+        while not sim.all_done:
+            assert sim.tick_count < scenario.sim.max_ticks
+            stepped.clear()
+            sim.tick()
+            assert sim._next_wake == min(sv.wake for sv in sim.fleet)
+        assert sim.completed_jobs == sim.total_jobs
+    assert late
+
+
+@pytest.mark.parametrize(
+    "scenario", [crossing_scenario(3), scenario_from_dict(depot_document(2))], ids=["crossing_3", "depot_2"]
+)
+def test_place_is_handed_the_positions_of_the_vehicles_hop(scenario):
+    """The engine re-places a vehicle from the positions its agent holds,
+    ``xy`` and ``target``, with no grid lookup: after every step they, and
+    the ends handed to `place`, must be bit for bit `node_to_position` of
+    the vehicle's (node, edge end)."""
+    sim = Simulation(scenario, trace=True)
+    grid = sim.grid
+    place, step_vehicle = sim._hop_index.place, sim._step_vehicle
+    places = steps = 0
+
+    def hop_ends(sv):
+        return repr([tuple(grid.node_to_position(node)) for node in sv.hop])
+
+    def checked_place(i, a, b):
+        nonlocal places
+        places += 1
+        assert repr([tuple(a), tuple(b)]) == hop_ends(sim.fleet[i])
+        place(i, a, b)
+
+    def checked_step(i, sv, now):
+        nonlocal steps
+        steps += 1
+        step_vehicle(i, sv, now)
+        assert repr([tuple(sv.agent.xy), tuple(sv.agent.target)]) == hop_ends(sv)
+
+    sim._hop_index.place, sim._step_vehicle = checked_place, checked_step
+    sim.run_loop()
+    assert sim.completed_jobs == sim.total_jobs
+    assert 0 < places < steps
 
 
 def every_phase_tick(sim):

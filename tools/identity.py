@@ -16,7 +16,9 @@ capture, frame lines, job traces, telemetry log, totals and scans must
 equal the traced run's: the trace only watches.  That run also reads its
 frame lines and scans at the end of every sweep, so the engine's views,
 built when read, are checked read piecewise against the traced run's,
-read once.  It runs a third time, traced, by a tick that runs every
+read once; and there the radar index the engine keeps, re-placing a
+vehicle as its hop changes, must equal one rebuilt from every vehicle's
+hop through the grid.  It runs a third time, traced, by a tick that runs every
 phase on every tick (`every_phase_tick`, a copy kept here), and that
 run's digest must equal the engine's: the engine's tick runs only the
 phases that are due, and skipping the others changes nothing.
@@ -60,6 +62,7 @@ TABLE = Path(__file__).resolve().parent / "identity_digests.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from swarmport.cli import cmd_scan  # noqa: E402
+from swarmport.radar import HopIndex  # noqa: E402
 from swarmport.sim import (  # noqa: E402
     MediumConfig,
     Simulation,
@@ -189,16 +192,29 @@ def _outputs(sim) -> list[bytes]:
     return [capture, "".join(sim.frame_lines).encode(), json.dumps([jobs, log, totals, scans]).encode()]
 
 
-def run_reading_sweeps(sim) -> None:
+def rebuilt_masks(sim) -> list[int]:
+    """The masks of a fresh `HopIndex` with each vehicle placed on its
+    (node, edge end), at the positions the grid gives those nodes."""
+    index = HopIndex(sim.sensor_cfg, [sv.agent.params.body_radius_m for sv in sim.fleet])
+    for i, sv in enumerate(sim.fleet):
+        index.place(i, *map(sim.grid.node_to_position, sv.hop))
+    return index.masks
+
+
+def run_reading_sweeps(sim) -> bool:
     """`Simulation.run_loop`, reading the frame lines and the scans at the
-    end of every sweep."""
+    end of every sweep; returns whether the engine's radar index equalled
+    `rebuilt_masks` at each of them."""
     n = sim.sensor_cfg.sweep_len
+    kept = True
     while sim.tick_count < sim.scenario.sim.max_ticks:
         sim.tick()
         if sim.tick_count % n == 0:
             sim.frame_lines, sim.renders
+            kept = kept and sim._hop_index.masks == rebuilt_masks(sim)
         if sim.all_done:
             break
+    return kept
 
 
 def every_phase_tick(sim) -> None:
@@ -222,22 +238,23 @@ def _digest(sim) -> str:
     return h.hexdigest()
 
 
-def run_digest(scenario) -> tuple[str, bool, bool]:
+def run_digest(scenario) -> tuple[str, bool, bool, bool]:
     """The digest of a traced run of ``scenario``; whether a run with the
     trace off, read at every sweep end, produced the same outputs besides
-    the traces; and whether a traced run by `every_phase_tick` has the
-    same digest."""
+    the traces; whether a traced run by `every_phase_tick` has the same
+    digest; and whether the run with the trace off kept its radar index
+    equal to a rebuilt one at every sweep end."""
     sim = Simulation(scenario, trace=True, capture=True)
     sim.run_loop()
     digest = _digest(sim)
     untraced = Simulation(scenario, capture=True)
-    run_reading_sweeps(untraced)
+    index_same = run_reading_sweeps(untraced)
     reference = Simulation(scenario, trace=True, capture=True)
     while reference.tick_count < scenario.sim.max_ticks:
         every_phase_tick(reference)
         if reference.all_done:
             break
-    return digest, _outputs(untraced) == _outputs(sim), _digest(reference) == digest
+    return digest, _outputs(untraced) == _outputs(sim), _digest(reference) == digest, index_same
 
 
 def scan_digest(scenario) -> str:
@@ -259,19 +276,23 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--record", action="store_true", help="rewrite the checked-in table")
     args = parser.parse_args(argv)
 
-    table, untraced_differs, every_phase_differs = {}, [], []
+    table, untraced_differs, every_phase_differs, index_differs = {}, [], [], []
     for name, build in cases().items():
-        table[name], untraced_same, every_phase_same = run_digest(build())
+        table[name], untraced_same, every_phase_same, index_same = run_digest(build())
         if not untraced_same:
             untraced_differs.append(name)
         if not every_phase_same:
             every_phase_differs.append(name)
+        if not index_same:
+            index_differs.append(name)
     table.update((name, scan_digest(build())) for name, build in scan_cases().items())
     for name in untraced_differs:
         print(f"identity: {name}: the run with the trace off differs from the traced run", file=sys.stderr)
     for name in every_phase_differs:
         print(f"identity: {name}: the run with every phase on every tick differs", file=sys.stderr)
-    if args.record and (untraced_differs or every_phase_differs):
+    for name in index_differs:
+        print(f"identity: {name}: the kept radar index differs from one rebuilt at a sweep end", file=sys.stderr)
+    if args.record and (untraced_differs or every_phase_differs or index_differs):
         return 1
     if args.record:
         TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="ascii")
@@ -284,8 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"identity: {name}: got {table.get(name)}, expected {expected.get(name)}", file=sys.stderr)
     print(f"identity: {len(table) - len(bad)} of {len(table)} cases match; "
           f"{len(untraced_differs)} differ with the trace off, "
-          f"{len(every_phase_differs)} with every phase on every tick")
-    return 1 if bad or untraced_differs or every_phase_differs else 0
+          f"{len(every_phase_differs)} with every phase on every tick, "
+          f"{len(index_differs)} in the kept radar index")
+    return 1 if bad or untraced_differs or every_phase_differs or index_differs else 0
 
 
 if __name__ == "__main__":
