@@ -82,10 +82,8 @@ class GridMap:
         return {}
 
     def node_to_position(self, node: NodeId) -> Position:
-        ix, iy = node
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            self.require(node)
-        return Position(ix * self.spacing_m, iy * self.spacing_m)
+        self.require(node)
+        return Position(node[0] * self.spacing_m, node[1] * self.spacing_m)
 
 
 def build_grid(

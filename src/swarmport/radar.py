@@ -149,12 +149,9 @@ class HopIndex:
         """Body i stays on the segment from ``a`` to ``b`` (a `Position` or
         an (x, y) pair each) until placed again."""
         spans = self._reach(a, b, self.radii[i])
-        old = self._spans[i]
-        if spans == old:
-            return
         masks = self.masks
         keep = ~(1 << i)
-        for lo, hi in old:
+        for lo, hi in self._spans[i]:
             masks[lo:hi] = [m & keep for m in masks[lo:hi]]
         bit = 1 << i
         for lo, hi in spans:
@@ -166,22 +163,17 @@ class HopIndex:
         cfg = self.cfg
         ox, oy = cfg.origin
         ax, ay = a[0] - ox, a[1] - oy
-        parked = a == b
-        if parked:
-            # The moving case's t is 0 here and its turn 0.0.
-            nearest = math.hypot(ax, ay)
-        else:
-            bx, by = b[0] - ox, b[1] - oy
-            dx, dy = bx - ax, by - ay
-            length_sq = dx * dx + dy * dy
-            t = 0.0 if length_sq == 0 else max(0.0, min(1.0, -(ax * dx + ay * dy) / length_sq))
-            nearest = math.hypot(ax + t * dx, ay + t * dy)
+        bx, by = b[0] - ox, b[1] - oy
+        dx, dy = bx - ax, by - ay
+        length_sq = dx * dx + dy * dy
+        t = 0.0 if length_sq == 0 else max(0.0, min(1.0, -(ax * dx + ay * dy) / length_sq))
+        nearest = math.hypot(ax + t * dx, ay + t * dy)
         if radius_m <= 0 or nearest - radius_m > cfg.max_range_m + REACH_MARGIN_M:
             return ()
         if nearest <= radius_m + REACH_MARGIN_M:
             return ((0, n),)
         start = math.degrees(math.atan2(ay, ax))
-        turn = 0.0 if parked else (math.degrees(math.atan2(by, bx)) - start + 180.0) % 360.0 - 180.0
+        turn = (math.degrees(math.atan2(by, bx)) - start + 180.0) % 360.0 - 180.0
         widen = math.degrees(math.asin(radius_m / nearest)) + cfg.beam_halfwidth_deg + REACH_MARGIN_DEG
         return _index_spans(start + min(0.0, turn) - widen, abs(turn) + 2.0 * widen, cfg.step_deg, n)
 

@@ -793,17 +793,12 @@ class Simulation:
         ``_next_wake`` is the least ``wake`` of the fleet: before it no
         vehicle is due, and the tick does not call this.
         """
-        fleet = self.fleet
-        for i, sv in enumerate(fleet):
+        for i, sv in enumerate(self.fleet):
             if now >= sv.wake:
                 self._step_vehicle(i, sv, now)
         # A separate pass: a release late in the loop lowers the wakes of
         # vehicles it has already passed.
-        next_wake = math.inf
-        for sv in fleet:
-            if sv.wake < next_wake:
-                next_wake = sv.wake
-        self._next_wake = next_wake
+        self._next_wake = min((sv.wake for sv in self.fleet), default=math.inf)
 
     def _step_vehicle(self, i: int, sv: _SimVehicle, now: int) -> None:
         """Plan fleet vehicle i's leg if one is due, step it and act on

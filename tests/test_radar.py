@@ -347,10 +347,10 @@ def placements(draw):
 @example((SweepConfig(origin=Position(0.0, 0.0)), [0.2],
           [(0, (2.0, -0.01), (2.0, -0.01)), (0, Position(2.0, -0.01), Position(2.0, -0.26))]))
 def test_a_re_placed_index_equals_one_placed_once(case):
-    """`place` clears a body's old arc, skips the mask update when the arc
-    is unchanged and takes a parked segment's short path: after any
-    sequence of calls, the masks must equal those of a fresh index given
-    only each body's last segment, as `Position` ends."""
+    """`place` clears a body's old arc before it sets the new one, for a
+    parked segment as for a moving one: after any sequence of calls, the
+    masks must equal those of a fresh index given only each body's last
+    segment, as `Position` ends."""
     c, radii, calls = case
     index = HopIndex(c, radii)
     last = {}

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import importlib.util
 import json
 import math
 import sys
@@ -39,8 +40,19 @@ from swarmport.sim import (
 )
 from swarmport.vehicle import AWAITING_ROUTE, IDLE, LOADED, RETRACING, TRANSIT, UNLOADING, VehicleParams, spin_table
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import depot_document  # noqa: E402
+
+def _benchmark_workloads():
+    """`perfbench/workloads.py`, loaded from its file under a name of its
+    own, so that the benchmark's folder stays off `sys.path`.  Its
+    dataclasses look their module up in `sys.modules`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+depot_document = _benchmark_workloads().depot_document
 
 
 def replace_scenario(base, **kw):
