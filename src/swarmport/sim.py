@@ -512,9 +512,9 @@ class _SimVehicle:
     retry_at: float = INF_TICK
     # The first tick at which stepping the vehicle can change anything.
     wake: float = 0
-    # The (node, edge end) of the hop it is on, where the radar index
-    # placed it; none before its first step.
-    hop: tuple[NodeId | None, NodeId | None] = (None, None)
+    # The agent's `hop` tuple as the radar index last placed it: a new
+    # tuple at the agent means a new pair.  None before the first step.
+    hop: tuple[NodeId, NodeId] | None = None
     # The vehicle's last telemetry: the `Rest` it was sent in (None if it
     # was moving), whose frame is sent again while that `Rest` lasts, the
     # frame, and the message it encodes, which the hub reuses when that
@@ -579,7 +579,7 @@ class Simulation:
         self.sensor_cfg = scenario.sensor
         # Which vehicles each sweep index can echo from, by the hop each is
         # on.  Tick 0 places every vehicle: all step then, as ``wake`` starts
-        # at 0, and none has a ``hop`` yet.
+        # at 0, and none has been placed yet (``sv.hop`` is None).
         self._hop_index = HopIndex(self.sensor_cfg, [sv.agent.params.body_radius_m for sv in self.fleet])
         self._sweep_len = self.sensor_cfg.sweep_len
         self._sweep_table = sweep_table(self.sensor_cfg)
@@ -684,7 +684,6 @@ class Simulation:
         self.table.release_vehicle(vid)
         for other in self.fleet:
             other.wake = now
-        self._next_wake = now
         try:
             if state == UNLOADING:
                 sequence = agent.trail[::-1]
@@ -806,11 +805,12 @@ class Simulation:
         vehicle's next hop event) is lowered to ``retry_at``.
 
         A vehicle stays on the segment from its node to its edge end while
-        that pair, its ``hop``, holds, since a spin-up never reverses the
-        wheels.  Only its own step changes its motion and its hop, so here
-        a changed hop is re-placed in the radar index, from the positions
-        the agent holds for both ends, and, with the trace on, both are
-        logged.
+        that pair, its agent's ``hop``, holds, since a spin-up never
+        reverses the wheels.  Only its own step changes its motion and its
+        hop, and the agent builds a new ``hop`` tuple only when the pair
+        changes, so here a vehicle whose ``hop`` is not the tuple last
+        placed is re-placed in the radar index, from the positions the
+        agent holds for both ends, and, with the trace on, both are logged.
         """
         agent = sv.agent
         if now >= sv.retry_at:
@@ -824,17 +824,15 @@ class Simulation:
             for msg in agent.outbox:
                 self.medium.send(sv.radio, encode(msg), now)
             agent.outbox.clear()
-        edge = agent.edge_in_progress()
-        src = agent.current_node
-        dst = edge[1] if edge is not None else src
-        hop = sv.hop
-        rehop = hop[0] is not src or hop[1] is not dst
+        hop = agent.hop
+        rehop = hop is not sv.hop
         if rehop:
-            sv.hop = (src, dst)
+            sv.hop = hop
             self._hop_index.place(i, agent.xy, agent.target)
         if self.trace:
             self.pose_trace.log(i, now, agent.motion)
             if rehop:
+                src, dst = hop
                 ny = self.grid.ny
                 self.occupancy_trace.log(i, now, _Held((src.ix * ny + src.iy, dst.ix * ny + dst.iy)))
 

@@ -19,7 +19,9 @@ end (where the departure gate is asked) and its arrival.  At each, the
 turn or drive ahead is worked out whole, tick by tick as the wheel loop
 runs it (a `HopRun`, kept in a bounded cache per settled table), and the
 agent's `motion` (a `Rest`, `Turn` or `Drive`) gives its position,
-heading and speed at any tick until the next event.
+heading and speed at any tick until the next event.  The agent alone
+states its (node, edge end) pair, as ``hop``: a tuple built only when a
+drive is set up or arrives, so a new object means a new pair.
 """
 
 from __future__ import annotations
@@ -380,16 +382,18 @@ class VehicleAgent:
         self._spins = 0
         self._row = _AT_REST
         self.motion: Motion = Rest(self.xy, self._heading)
-        # The hop being faced or driven: its heading and unit direction,
-        # then the ``target`` (x, y) the drive snaps onto when it arrives,
-        # the edge end's `GridMap.node_to_position`; ``xy`` itself while
-        # the vehicle is not driving.
-        self._hop_heading = 0.0
-        self._hop_unit = (0.0, 0.0)
+        # The (node, edge end) pair the vehicle is on: its current node and
+        # the next one while it drives, else that node twice.  A new tuple
+        # is built only when the pair changes.
+        self.hop: tuple[NodeId, NodeId] = (home_node, home_node)
+        # The (x, y) the drive snaps onto when it arrives, the edge end's
+        # `GridMap.node_to_position`; ``xy`` itself while the vehicle is
+        # not driving.
         self.target = self.xy
         self._route: list[NodeId] | None = None
         self._departures: list[int] = []
-        self._hop = 0
+        # The index of ``current_node`` in the route.
+        self._leg_pos = 0
         self._last_activate = -ACTIVATE_RETRY_TICKS
         self.outbox: list[Message] = []
         self.departure_gate: Callable[["VehicleAgent", NodeId, int, int], float | None] | None = None
@@ -436,7 +440,7 @@ class VehicleAgent:
             self.trail.append(self.current_node)
         self._route = route
         self._departures = [s.exit_tick for s in timed_path.steps[:-1]]
-        self._hop = 0
+        self._leg_pos = 0
         self._halt()
 
     # -- route bookkeeping ------------------------------------------
@@ -445,12 +449,6 @@ class VehicleAgent:
     def busy(self) -> bool:
         """A leg is being driven; the step that reaches its last node ends it."""
         return self._route is not None
-
-    def edge_in_progress(self) -> tuple[NodeId, NodeId] | None:
-        """The (from, to) edge currently being driven, if mid-hop."""
-        if self._route is None or not isinstance(self.motion, Drive):
-            return None
-        return self._route[self._hop], self._route[self._hop + 1]
 
     # -- dynamics ----------------------------------------------------
 
@@ -497,43 +495,38 @@ class VehicleAgent:
         last = rows[-1] if n < len(rows) else self._row
         return run(chain(islice(rows, n, None), self._live(last)), *hop)
 
-    def _finish_run(self) -> None:
-        """Spend the spin rows of the turn or drive that ends this tick."""
-        rows = self.motion.run.rows
-        self._spins += len(rows)
-        self._row = rows[-1]
-
     def _start_hop(self, now: int, t0: int) -> float | None:
         """Face the next waypoint: a turn or a drive from tick ``t0``.
 
         A hop that needs no turn may have to wait first: returns `_hold`'s
-        answer for it, and None when the turn or drive is set up.
+        answer for it, and None when the turn or drive is set up.  A turn
+        takes the hop's heading as it is set up, since nothing reads
+        ``_heading`` before it ends; there this is called again, finds no
+        turn left and waits or drives.
         """
         assert self._route is not None
         node = self.current_node
-        nxt = self._route[self._hop + 1]
+        nxt = self._route[self._leg_pos + 1]
         heading, ux, uy = _HOPS[nxt[0] - node[0], nxt[1] - node[1]]
-        self._hop_heading = heading
-        self._hop_unit = (ux, uy)
         diff = (heading - self._heading) % 360.0
         if diff == 0.0:
             wait = self._hold(now)
             if wait is None:
-                self._drive(t0)
+                self._drive(t0, nxt, ux, uy)
             return wait
         sign, remaining = (1, diff) if diff <= 180.0 else (-1, 360.0 - diff)
         run = self._hop_run(_turn_run, self._heading, sign, remaining)
         self.motion = Turn(self.xy, self._heading, t0, run)
+        self._heading = heading
         return None
 
-    def _drive(self, t0: int) -> None:
-        """Drive the hop to the next waypoint from tick ``t0``."""
-        assert self._route is not None
-        ux, uy = self._hop_unit
+    def _drive(self, t0: int, nxt: NodeId, ux: float, uy: float) -> None:
+        """Drive the hop to ``nxt`` along unit (``ux``, ``uy``) from tick ``t0``."""
         axis = 0 if ux else 1
         grid = self._grid
-        x, y = grid.node_to_position(self._route[self._hop + 1])
+        x, y = grid.node_to_position(nxt)
         self.target = (x, y)
+        self.hop = (self.current_node, nxt)
         run = self._hop_run(_drive_run, self.xy[axis], ux or uy, self.target[axis], grid.spacing_m / 10.0)
         r = self.params.wheel_radius_m
         self.motion = Drive(self.xy, self._heading, t0, run, axis, r, _speed(r, self._row[0]))
@@ -546,11 +539,11 @@ class VehicleAgent:
         refusal stands.
         """
         assert self._route is not None
-        scheduled = self._departures[self._hop]
+        scheduled = self._departures[self._leg_pos]
         if now >= scheduled:
             return None
         gate = self.departure_gate
-        until = INF_TICK if gate is None else gate(self, self._route[self._hop + 1], now, scheduled)
+        until = INF_TICK if gate is None else gate(self, self._route[self._leg_pos + 1], now, scheduled)
         if until is None:
             return None
         self._halt()
@@ -594,44 +587,38 @@ class VehicleAgent:
         assert isinstance(motion, _Hop)
         if now < motion.end:
             return motion.end
-        if isinstance(motion, Turn):
-            return self._end_turn(now)
-        return self._arrive(now)
+        # The turn or drive ends this tick: spend its spin rows, then wait
+        # or go on from the next tick unless an arrival ends the leg.
+        rows = motion.run.rows
+        self._spins += len(rows)
+        self._row = rows[-1]
+        if isinstance(motion, Drive) and self._arrive(now):
+            return now + 1
+        wait = self._start_hop(now, now + 1)
+        return self.motion.end if wait is None else wait
 
-    def _end_turn(self, now: int) -> float:
-        """Snap onto the hop's heading, then wait or drive from the next tick."""
-        self._finish_run()
-        self._heading = self._hop_heading
-        wait = self._hold(now)
-        if wait is not None:
-            return wait
-        self._drive(now + 1)
-        return self.motion.end
-
-    def _arrive(self, now: int) -> float:
-        """Snap onto the hop's target node; end the leg there or start the next hop.
-
-        Returns the tick the vehicle is next due, as ``step`` does.
-        """
+    def _arrive(self, now: int) -> bool:
+        """Snap onto the hop's edge end and record it in the trail (the
+        retrace's while RETRACING).  Returns whether the leg ends there,
+        and if so ends it."""
         assert self._route is not None
-        self._finish_run()
-        node = self._route[self._hop + 1]
+        node = self.hop[1]
         self.xy = self.target
         self.current_node = node
-        self._hop += 1
+        self.hop = (node, node)
+        self._leg_pos += 1
         if self.state == RETRACING:
             self.retraced.append(node)
         else:
             self.trail.append(node)
-        if self._hop == len(self._route) - 1:
-            self._route = None
-            self._halt()
-            if self.state == IDLE:
-                self.press_load_switch(now)  # a reposition reached its pickup
-            elif self.state == TRANSIT:
-                self.state = UNLOADING
-            else:
-                self.state = IDLE
-            return now + 1
-        wait = self._start_hop(now, now + 1)
-        return self.motion.end if wait is None else wait
+        if self._leg_pos < len(self._route) - 1:
+            return False
+        self._route = None
+        self._halt()
+        if self.state == IDLE:
+            self.press_load_switch(now)  # a reposition reached its pickup
+        elif self.state == TRANSIT:
+            self.state = UNLOADING
+        else:
+            self.state = IDLE
+        return True

@@ -5,14 +5,16 @@ import functools
 import importlib.util
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
 import pytest
 from echo_reference import reference_echo_distance
+from engine_reference import every_phase_run
 from hypothesis import given, settings, strategies as st
 from table_reference import holds_by_node
-from test_acceptance import crossing_scenario
+from test_acceptance import crossing_scenario, estimate_makespan_ticks
 
 import swarmport.sim
 from swarmport.errors import ScenarioInvalid
@@ -38,7 +40,17 @@ from swarmport.sim import (
     scenario_to_dict,
     validate_scenario,
 )
-from swarmport.vehicle import AWAITING_ROUTE, IDLE, LOADED, RETRACING, TRANSIT, UNLOADING, VehicleParams, spin_table
+from swarmport.vehicle import (
+    AWAITING_ROUTE,
+    IDLE,
+    LOADED,
+    RETRACING,
+    TRANSIT,
+    UNLOADING,
+    Drive,
+    VehicleParams,
+    spin_table,
+)
 
 
 def _benchmark_workloads():
@@ -53,6 +65,22 @@ def _benchmark_workloads():
 
 
 depot_document = _benchmark_workloads().depot_document
+
+
+def expected_hop(agent):
+    """The (node, edge end) pair ``agent`` is on, by a rule of these tests:
+    its current node, and the next node of its route while its motion is a
+    `Drive`, else the current node again."""
+    node = agent.current_node
+    return node, agent._route[agent._leg_pos + 1] if isinstance(agent.motion, Drive) else node
+
+
+def bounded(scenario):
+    """``scenario`` with ``max_ticks`` at 10 times its C7 makespan estimate,
+    which every run the tests make fits with room to spare, so a run left
+    stuck by a fault stops there instead of at the scenario's own bound."""
+    max_ticks = 10 * estimate_makespan_ticks(scenario)
+    return replace_scenario(scenario, sim=replace_scenario(scenario.sim, max_ticks=max_ticks))
 
 
 def replace_scenario(base, **kw):
@@ -605,9 +633,8 @@ def checked_ticks(sim, agents):
         assert repr(sim.pose_trace[-1]) == repr(poses)
         occupancy = []
         for a in agents:
-            edge = a.edge_in_progress()
-            dst = edge[1] if edge is not None else a.current_node
-            occupancy.append((a.current_node.ix * ny + a.current_node.iy, dst.ix * ny + dst.iy))
+            src, dst = expected_hop(a)
+            occupancy.append((src.ix * ny + src.iy, dst.ix * ny + dst.iy))
         assert sim.occupancy_trace[-1] == occupancy
         discs = [Disc(Position(x, y), a.params.body_radius_m) for (x, y), a in zip(poses, agents)]
         assert repr(dist) == repr(reference_echo_distance(discs, sim.sensor_cfg, angle))
@@ -658,9 +685,8 @@ def test_trace_views_read_as_the_rows_of_a_trace_built_every_tick():
         poses.append([a.motion.at(now) for a in agents])
         row = []
         for a in agents:
-            edge = a.edge_in_progress()
-            dst = edge[1] if edge is not None else a.current_node
-            row.append((a.current_node.ix * ny + a.current_node.iy, dst.ix * ny + dst.iy))
+            src, dst = expected_hop(a)
+            row.append((src.ix * ny + src.iy, dst.ix * ny + dst.iy))
         occupancy.append(row)
         parked.append([not (a.busy or busy) for a, busy in zip(agents, was_busy)])
         was_busy = [a.busy for a in agents]
@@ -766,8 +792,9 @@ def counted_run(scenario, every_tick):
     that steps every vehicle on every tick through the engine's own
     per-vehicle code and ignores the wake tick that sets, as the engine
     did before vehicles slept; its gate asks the reservation table on
-    every call, as the engine's does."""
-    sim = Simulation(scenario, trace=True, capture=True)
+    every call, as the engine's does.  Either runs under `bounded` and
+    must complete every job."""
+    sim = Simulation(bounded(scenario), trace=True, capture=True)
     table = sim.table
     refused: dict[int, tuple] = {}
     steps = early = 0
@@ -805,6 +832,7 @@ def counted_run(scenario, every_tick):
     if every_tick:
         sim._vehicle_phase = step_every_vehicle
     sim.run_loop()
+    assert sim.completed_jobs == sim.total_jobs
     return sim, steps, early
 
 
@@ -823,12 +851,9 @@ def test_sleeping_gate_matches_asking_every_tick():
         engine, engine_steps, engine_early = counted_run(scenario, every_tick=False)
         reference, reference_steps, reference_early = counted_run(scenario, every_tick=True)
         assert engine.tick_count == reference.tick_count
-        assert repr(engine.pose_trace) == repr(reference.pose_trace)
-        assert engine.occupancy_trace == reference.occupancy_trace
-        assert engine.job_traces == reference.job_traces
-        assert engine.frame_lines == reference.frame_lines
-        assert engine.medium.capture == reference.medium.capture
-        assert engine.completed_jobs == engine.total_jobs
+        assert_same_rows(
+            engine, reference, "pose_trace", "occupancy_trace", "job_traces", "frame_lines", "medium.capture"
+        )
         assert engine_steps < reference_steps
         assert engine_early == reference_early
         early_total += engine_early
@@ -881,7 +906,7 @@ def test_next_wake_is_the_least_wake_of_the_fleet_after_every_tick():
     must hold such late plans."""
     late = 0
     lossy = replace_scenario(default_scenario(), medium=MediumConfig(loss_probability=0.3))
-    for scenario in (scenario_from_dict(depot_document(1)), lossy):
+    for scenario in (bounded(scenario_from_dict(depot_document(1))), bounded(lossy)):
         sim = Simulation(scenario)
         step_vehicle, plan_leg = sim._step_vehicle, sim._plan_leg
         stepped = []  # the fleet positions stepped so far this tick
@@ -903,6 +928,38 @@ def test_next_wake_is_the_least_wake_of_the_fleet_after_every_tick():
             assert sim._next_wake == min(sv.wake for sv in sim.fleet)
         assert sim.completed_jobs == sim.total_jobs
     assert late
+
+
+@pytest.mark.parametrize(
+    "scenario", [crossing_scenario(3), scenario_from_dict(depot_document(2))], ids=["crossing_3", "depot_2"]
+)
+def test_the_agents_hop_is_a_new_tuple_on_exactly_the_steps_that_change_its_pair(scenario):
+    """The engine re-places a vehicle when its agent's ``hop`` is not the
+    tuple it last placed.  After every step ``hop`` must equal
+    `expected_hop`, and be a new object on exactly the steps where that
+    pair changed; between steps it must stay the same object."""
+    sim = Simulation(scenario)
+    step_vehicle = sim._step_vehicle
+    last = [sv.agent.hop for sv in sim.fleet]
+    steps = changes = 0
+
+    def checked_step(i, sv, now):
+        nonlocal steps, changes
+        agent = sv.agent
+        assert agent.hop is last[i]
+        before = expected_hop(agent)
+        step_vehicle(i, sv, now)
+        after = expected_hop(agent)
+        assert agent.hop == after
+        assert (agent.hop is not last[i]) == (after != before)
+        last[i] = agent.hop
+        steps += 1
+        changes += after != before
+
+    sim._step_vehicle = checked_step
+    sim.run_loop()
+    assert sim.completed_jobs == sim.total_jobs
+    assert 0 < changes < steps
 
 
 @pytest.mark.parametrize(
@@ -939,34 +996,28 @@ def test_place_is_handed_the_positions_of_the_vehicles_hop(scenario):
     assert 0 < places < steps
 
 
-def every_phase_tick(sim):
-    """A tick with no quiet path: every phase runs on every tick.  The trace
-    covers every tick run, so it needs no call of its own."""
-    now = sim.tick_count
-    inbound = sim._deliver(now)
-    sim._hub_phase(inbound, now)
-    sim._vehicle_phase(now)
-    sim._radar_phase(now)
-    sim._telemetry_phase(now)
-    sim.tick_count += 1
+def assert_same_rows(engine, reference, *outputs):
+    """Each named output of the two runs holds the same rows by `repr`,
+    which tells -0.0 from 0.0.  A failure names the output and its first
+    row that differs: asked to explain two whole runs that differ, pytest
+    diffs their reprs for minutes."""
+    for name in outputs:
+        a, b = (list(operator.attrgetter(name)(sim)) for sim in (engine, reference))
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert repr(x) == repr(y), f"{name}: row {i} differs"
+        assert len(a) == len(b), f"{name}: {len(a)} rows against {len(b)}"
 
 
 def assert_matches_every_phase_run(engine, scenario):
     """Every output of ``engine``'s finished run equals that of a traced,
-    captured run of ``scenario`` by `every_phase_tick`."""
-    reference = Simulation(scenario, trace=True, capture=True)
-    while reference.tick_count < scenario.sim.max_ticks:
-        every_phase_tick(reference)
-        if reference.all_done:
-            break
+    captured run of ``scenario`` by `every_phase_tick`, which stops one
+    tick past the engine's run if it has not ended by then."""
+    reference = every_phase_run(scenario, engine.tick_count + 1)
     assert engine.tick_count == reference.tick_count
-    assert engine.frame_lines == reference.frame_lines
-    assert repr(engine.renders) == repr(reference.renders)
-    assert repr(engine.pose_trace) == repr(reference.pose_trace)
-    assert engine.occupancy_trace == reference.occupancy_trace
-    assert engine.job_traces == reference.job_traces
-    assert engine.hub.log == reference.hub.log
-    assert engine.medium.capture == reference.medium.capture
+    assert_same_rows(
+        engine, reference,
+        "frame_lines", "renders", "pose_trace", "occupancy_trace", "job_traces", "hub.log", "medium.capture",
+    )
 
 
 @settings(max_examples=12, deadline=None)
@@ -983,10 +1034,12 @@ def test_quiet_ticks_change_nothing(seed, loss, latency, interval):
     wakes, the vehicle phase only when a vehicle is due, and unless every
     tick sends telemetry, some ticks of the run must skip delivery."""
     base = crossing_scenario(seed)
-    scenario = replace_scenario(
-        base,
-        medium=MediumConfig(loss, latency, seed),
-        sim=replace_scenario(base.sim, telemetry_interval=interval),
+    scenario = bounded(
+        replace_scenario(
+            base,
+            medium=MediumConfig(loss, latency, seed),
+            sim=replace_scenario(base.sim, telemetry_interval=interval),
+        )
     )
     engine = Simulation(scenario, trace=True, capture=True)
     deliver = engine._deliver
@@ -1005,6 +1058,7 @@ def test_quiet_ticks_change_nothing(seed, loss, latency, interval):
     engine._deliver = counted
     engine._vehicle_phase = counted_steps
     engine.run_loop()
+    assert engine.completed_jobs == engine.total_jobs
     assert_matches_every_phase_run(engine, scenario)
     assert all(delivered) and all(stepped) and stepped
     if interval > 1:

@@ -21,8 +21,10 @@ from swarmport.vehicle import (
     TRANSIT,
     UNLOADING,
     SPIN_TABLE_CAP,
+    Drive,
     PidState,
     Rest,
+    Turn,
     VehicleAgent,
     VehicleParams,
     motor_step,
@@ -215,7 +217,7 @@ def test_starting_a_leg_while_one_is_driven_is_illegal(state):
     depart_at = bring_to(agent, cargo)
     here = agent.current_node
     agent.start_leg(make_path([here, NodeId(here.ix, 1), NodeId(here.ix, 2)], depart_at=depart_at))
-    drive_until(agent, lambda a, now: a.edge_in_progress() is not None, start=depart_at)
+    drive_until(agent, lambda a, now: isinstance(a.motion, Drive), start=depart_at)
     before = (agent.state, agent._route, list(agent.trail), list(agent.retraced), list(agent.outbox))
     assert before[0] == state
     node = agent.current_node
@@ -484,13 +486,27 @@ def test_retrace_records_retraced_and_leaves_trail():
     assert agent.trail == outbound
 
 
-def test_edge_in_progress_only_while_driving():
+def test_hop_is_the_edge_while_driving_and_the_node_otherwise():
+    """``hop`` is (node, next node) while the motion is a `Drive` and
+    (node, node) at rest and while turning.  A new tuple is built only
+    when a drive is set up and when it arrives."""
+    a, b, c = NodeId(0, 0), NodeId(1, 0), NodeId(1, 1)
     agent = make_agent()
-    assert agent.edge_in_progress() is None
+    assert agent.hop == (a, a)
     loaded_and_awaiting(agent)
-    agent.start_leg(make_path([NodeId(0, 0), NodeId(1, 0)]))
-    agent.step(2)
-    assert agent.edge_in_progress() == (NodeId(0, 0), NodeId(1, 0))
+    agent.start_leg(make_path([a, b, c]))
+    hops, turned = [agent.hop], False
+
+    def seen(agent, now):
+        nonlocal turned
+        turned = turned or isinstance(agent.motion, Turn)
+        hops.append(agent.hop)
+        assert (agent.hop[0] != agent.hop[1]) == isinstance(agent.motion, Drive)
+        return not agent.busy
+
+    drive_until(agent, seen)
+    assert turned
+    assert [h for h, before in zip(hops[1:], hops) if h is not before] == [(a, b), (b, b), (b, c), (c, c)]
 
 
 # -------------------------------------------------------------- wake ticks

@@ -3,8 +3,9 @@
     python3 tools/identity.py --check    # exit 1 if any digest differs
     python3 tools/identity.py --record   # rewrite tools/identity_digests.json
 
-Run it from the root of a checkout; it imports the program from `src/`
-and the scenario generators from `perfbench/workloads.py`.  Each case
+Run it from the root of a checkout; it imports the program from `src/`,
+the scenario generators from `perfbench/workloads.py` and the every-phase
+reference run from `tests/engine_reference.py`.  Each case
 runs in the engine with the pose/occupancy trace and the radio capture
 on, and its digest covers the tick count, the job traces, both traces,
 the hub's telemetry log, the radar frame lines, the sweep count, the
@@ -17,11 +18,12 @@ equal the traced run's: the trace only watches.  That run also reads its
 frame lines and scans at the end of every sweep, so the engine's views,
 built when read, are checked read piecewise against the traced run's,
 read once; and there the radar index the engine keeps, re-placing a
-vehicle as its hop changes, must equal one rebuilt from every vehicle's
-hop through the grid.  It runs a third time, traced, by a tick that runs every
-phase on every tick (`every_phase_tick`, a copy kept here), and that
-run's digest must equal the engine's: the engine's tick runs only the
-phases that are due, and skipping the others changes nothing.
+vehicle as its hop changes, must equal one rebuilt from every agent's
+``hop`` through the grid, so a re-place the engine skipped shows.  It runs
+a third time, traced, by a tick that runs every phase on every tick
+(`every_phase_tick`), and that run's digest must equal the engine's: the
+engine's tick runs only the phases that are due, and skipping the others
+changes nothing.
 
 The engine cases cover what the golden hashes and the benchmark digests
 leave out: 30 crossing fleets, every depot layout, a 41-node depot with 16
@@ -59,8 +61,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "identity_digests.json"
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+from engine_reference import every_phase_run  # noqa: E402
 from swarmport.cli import cmd_scan  # noqa: E402
 from swarmport.radar import HopIndex  # noqa: E402
 from swarmport.sim import (  # noqa: E402
@@ -194,10 +197,10 @@ def _outputs(sim) -> list[bytes]:
 
 def rebuilt_masks(sim) -> list[int]:
     """The masks of a fresh `HopIndex` with each vehicle placed on its
-    (node, edge end), at the positions the grid gives those nodes."""
+    agent's (node, edge end), at the positions the grid gives those nodes."""
     index = HopIndex(sim.sensor_cfg, [sv.agent.params.body_radius_m for sv in sim.fleet])
     for i, sv in enumerate(sim.fleet):
-        index.place(i, *map(sim.grid.node_to_position, sv.hop))
+        index.place(i, *map(sim.grid.node_to_position, sv.agent.hop))
     return index.masks
 
 
@@ -217,18 +220,6 @@ def run_reading_sweeps(sim) -> bool:
     return kept
 
 
-def every_phase_tick(sim) -> None:
-    """A tick with no quiet path: every phase runs on every tick.  The trace
-    covers every tick run, so it needs no call of its own."""
-    now = sim.tick_count
-    inbound = sim._deliver(now)
-    sim._hub_phase(inbound, now)
-    sim._vehicle_phase(now)
-    sim._radar_phase(now)
-    sim._telemetry_phase(now)
-    sim.tick_count += 1
-
-
 def _digest(sim) -> str:
     h = hashlib.sha256()
     _hash_rows(h, sim.pose_trace, "d")
@@ -241,19 +232,15 @@ def _digest(sim) -> str:
 def run_digest(scenario) -> tuple[str, bool, bool, bool]:
     """The digest of a traced run of ``scenario``; whether a run with the
     trace off, read at every sweep end, produced the same outputs besides
-    the traces; whether a traced run by `every_phase_tick` has the same
-    digest; and whether the run with the trace off kept its radar index
+    the traces; whether a traced run by `every_phase_tick`, stopped one
+    tick past the engine's run, has the same digest; and whether the run with the trace off kept its radar index
     equal to a rebuilt one at every sweep end."""
     sim = Simulation(scenario, trace=True, capture=True)
     sim.run_loop()
     digest = _digest(sim)
     untraced = Simulation(scenario, capture=True)
     index_same = run_reading_sweeps(untraced)
-    reference = Simulation(scenario, trace=True, capture=True)
-    while reference.tick_count < scenario.sim.max_ticks:
-        every_phase_tick(reference)
-        if reference.all_done:
-            break
+    reference = every_phase_run(scenario, sim.tick_count + 1)
     return digest, _outputs(untraced) == _outputs(sim), _digest(reference) == digest, index_same
 
 
