@@ -89,10 +89,6 @@ class UnknownVehicle(SwarmportError):
     pass
 
 
-class EmptyLog(SwarmportError):
-    pass
-
-
 # -- scenario / io ------------------------------------------------------
 
 class ScenarioInvalid(SwarmportError):

@@ -1,10 +1,11 @@
 """Fixed-timestep simulation engine, scenario config, and run artifacts.
 
-One tick advances the world in a fixed phase order: RF delivery and hub
-work, the vehicles in ascending id, one radar step, telemetry emission.
-A vehicle's step alone changes its motion and its hop, so the vehicle
-phase acts on both as it steps each one: it re-places a vehicle whose hop
-changed in the radar index and, with the trace on, logs the change.
+One tick advances the world in a fixed phase order: the radio (each frame
+due goes to its receiver as it is polled, then the hub dispatches), the
+vehicles in ascending id, one radar step, telemetry emission.  A vehicle's
+step alone changes its motion and its hop, so the vehicle phase acts on
+both as it steps each one: it re-places a vehicle whose hop changed in the
+radar index and, with the trace on, logs the change.
 Everything downstream of the scenario (plus its seed) is deterministic,
 so two runs produce byte-identical outputs.
 
@@ -19,8 +20,8 @@ the hub wakes, a vehicle is due and telemetry is sent.  Only a tick changes
 them, and a quiet tick none, so the bound is recomputed after each tick
 that is not quiet.  The trace is a change log per vehicle, read as one
 row per tick (`TraceView`), so a quiet tick adds nothing to it.  The hub
-reuses the message of any telemetry frame the engine encoded when that
-bytes object arrives, so a frame costs one encode and no decode.
+reuses the message of a vehicle's last telemetry frame when that bytes
+object arrives, so such a frame costs one encode and no decode.
 """
 
 from __future__ import annotations
@@ -65,11 +66,11 @@ from .planner import (
 from .radar import HopIndex, Scan, SweepConfig, encode_frame, render_frame, sweep_table
 from .rfnet import (
     CHANNEL_COUNT,
-    Channel,
     Medium,
     Message,
     MessageKind,
     Radio,
+    assign_channel,
     decode,
     encode,
     write_capture,
@@ -563,9 +564,10 @@ class Simulation:
         self.vehicles: dict[int, _SimVehicle] = {}
         for vcfg in sorted(scenario.vehicles, key=lambda v: v.vehicle_id):
             agent = VehicleAgent(vcfg.vehicle_id, vcfg.home_node, self.grid, self.dt, vcfg.params)
-            agent.departure_gate = self._departure_gate
-            radio = self.medium.attach(Radio(Channel(vcfg.vehicle_id)))
-            hub_radio = self.medium.attach(Radio(Channel(vcfg.vehicle_id)))
+            agent.departure_gate = self.table.reserve
+            channel = assign_channel(vcfg.vehicle_id)
+            radio = self.medium.attach(Radio(channel))
+            hub_radio = self.medium.attach(Radio(channel))
             self.hub.register_vehicle(vcfg.vehicle_id, vcfg.home_node)
             self.table.reserve(vcfg.vehicle_id, vcfg.home_node, 0, INF_TICK)
             self.vehicles[vcfg.vehicle_id] = _SimVehicle(agent=agent, radio=radio, hub_radio=hub_radio)
@@ -655,17 +657,6 @@ class Simulation:
         """The ticks the trace covers: every tick run, when it is on."""
         return self.tick_count if self.trace else 0
 
-    # -- callbacks ----------------------------------------------------
-
-    def _departure_gate(self, agent: VehicleAgent, next_node: NodeId, now: int, scheduled: int) -> float | None:
-        """Grant an early departure (None) when ``[now, scheduled)`` on ``next_node`` is free.
-
-        A refusal returns the end of the blocking holds: it stands until
-        then or until some vehicle's holds are released, which wakes every
-        vehicle, so the vehicle sleeps until the first of those.
-        """
-        return self.table.reserve(agent.vehicle_id, next_node, now, scheduled)
-
     # -- planning helpers ---------------------------------------------
 
     def _plan_leg(self, sv: _SimVehicle, now: int) -> None:
@@ -727,12 +718,21 @@ class Simulation:
 
     # -- tick phases ----------------------------------------------------
 
-    def _deliver(self, now: int) -> list[Message]:
-        """Act on the orders due at the vehicles; return the frames due at
-        the hub, decoded.  A frame that is its vehicle's last telemetry
-        frame reuses the message that frame encodes; any other, such as
-        an older frame overtaken by a newer send, is decoded."""
+    def _radio_phase(self, now: int) -> None:
+        """Hand each frame due to its receiver as it is polled, then dispatch.
+
+        A vehicle acts on each order its radio polls.  The hub takes each
+        frame its radios poll, in fleet order, with the cargo state of the
+        vehicle on that channel: a hub radio hears only its vehicle, whose
+        radio hears only the hub's orders.  A frame that is the vehicle's
+        last telemetry frame reuses the message that frame encodes; any
+        other, such as an older frame overtaken by a newer send, is
+        decoded.  The hub dispatches unless only telemetry (or nothing)
+        came in before ``hub.wake_tick``: telemetry changes nothing
+        dispatch reads, so dispatch would change nothing and send nothing.
+        """
         medium = self.medium
+        hub = self.hub
         for sv in self.fleet:
             if not sv.radio.inbox:
                 continue
@@ -741,14 +741,13 @@ class Simulation:
                     msg = decode(frame)
                 except DecodeError:
                     continue
-                if msg.kind == MessageKind.ASSIGN_DESTINATION and msg.vehicle_id == sv.agent.vehicle_id:
-                    self._handle_assign(sv, NodeId(msg.dest[0], msg.dest[1]), now)
-        inbound: list[Message] = []
+                self._handle_assign(sv, msg.dest, now)
+        telemetry_only = True
         for sv in self.fleet:
             if not sv.hub_radio.inbox:
                 continue
+            kept = sv.last_telemetry
             for frame in medium.poll(sv.hub_radio, now):
-                kept = sv.last_telemetry
                 if kept is not None and kept[1] is frame:
                     msg = kept[2]
                 else:
@@ -756,32 +755,20 @@ class Simulation:
                         msg = decode(frame)
                     except DecodeError:
                         continue
-                if msg.kind is not MessageKind.ASSIGN_DESTINATION:
-                    inbound.append(msg)
-        return inbound
-
-    def _hub_phase(self, inbound: list[Message], now: int) -> None:
-        """Hand the inbound frames to the hub, then dispatch, unless only
-        telemetry (or nothing) came in before ``hub.wake_tick``: telemetry
-        changes nothing dispatch reads, so dispatch would change nothing
-        and send nothing."""
-        hub = self.hub
-        telemetry_only = True
-        for msg in inbound:
-            kind = msg.kind
-            if kind is MessageKind.TELEMETRY:
-                ingest_telemetry(hub, msg, now, self.vehicles[msg.vehicle_id].agent.state)
-            elif kind is MessageKind.ACTIVATE:
-                hub.on_activate(msg.vehicle_id, now)
-                telemetry_only = False
-            else:
-                hub.on_ack(msg.vehicle_id)
-                telemetry_only = False
+                kind = msg.kind
+                if kind is MessageKind.TELEMETRY:
+                    ingest_telemetry(hub, msg, now, sv.agent.state)
+                elif kind is MessageKind.ACTIVATE:
+                    hub.on_activate(msg.vehicle_id, now)
+                    telemetry_only = False
+                else:
+                    hub.on_ack(msg.vehicle_id)
+                    telemetry_only = False
         if telemetry_only and now < hub.wake_tick:
             return
         hub.dispatch(now)
         for msg in hub.outbox:
-            self.medium.send(self.vehicles[msg.vehicle_id].hub_radio, encode(msg), now)
+            medium.send(self.vehicles[msg.vehicle_id].hub_radio, encode(msg), now)
         hub.outbox.clear()
 
     def _vehicle_phase(self, now: int) -> None:
@@ -904,14 +891,13 @@ class Simulation:
 
         A tick before ``_quiet_until`` runs only the radar: one mask test,
         storing nothing, when the tick's sweep index names no vehicle.  Any
-        other runs delivery and the hub when a frame is due or the hub
-        wakes; the vehicles when one is due, tested after delivery, which
-        may wake one; the radar; and the telemetry phase, which sends on
-        its interval.  Only a tick changes
-        what ``_quiet_until`` reads, and a quiet tick none of it, so it is
-        recomputed at the end of each tick that is not quiet.  The scan
-        stream and the scans are built when read (`frame_lines`,
-        `renders`).
+        other runs the radio phase when a frame is due or the hub wakes;
+        the vehicles when one is due, tested after the radio phase, whose
+        orders may wake one; the radar; and the telemetry phase, which
+        sends on its interval.  Only a tick changes what ``_quiet_until``
+        reads, and a quiet tick none of it, so it is recomputed at the end
+        of each tick that is not quiet.  The scan stream and the scans are
+        built when read (`frame_lines`, `renders`).
         """
         now = self.tick_count
         if now < self._quiet_until:
@@ -921,7 +907,7 @@ class Simulation:
         medium = self.medium
         hub = self.hub
         if now >= medium.next_due or now >= hub.wake_tick:
-            self._hub_phase(self._deliver(now), now)
+            self._radio_phase(now)
         if now >= self._next_wake:
             self._vehicle_phase(now)
         self._radar_phase(now)
@@ -978,9 +964,7 @@ def run(scenario: Scenario, out_dir) -> SimReport:
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
-    per_vehicle: dict[int, VehicleMetrics] = {}
-    if sim.hub.log:
-        per_vehicle = metrics(sim.hub.log)
+    per_vehicle = metrics(sim.hub.log)
     report = SimReport(
         completed_jobs=sim.completed_jobs,
         total_jobs=sim.total_jobs,

@@ -396,7 +396,12 @@ class VehicleAgent:
         self._leg_pos = 0
         self._last_activate = -ACTIVATE_RETRY_TICKS
         self.outbox: list[Message] = []
-        self.departure_gate: Callable[["VehicleAgent", NodeId, int, int], float | None] | None = None
+        # Asked as ``gate(vehicle_id, next_node, now, scheduled)`` before an
+        # early departure: None grants ``[now, scheduled)`` on ``next_node``;
+        # a refusal returns the end of the blocking holds, and stands until
+        # then or until some vehicle's holds are released, which wakes every
+        # vehicle, so the vehicle sleeps until the first of those.
+        self.departure_gate: Callable[[int, NodeId, int, int], float | None] | None = None
 
     # -- state machine ----------------------------------------------
 
@@ -543,7 +548,7 @@ class VehicleAgent:
         if now >= scheduled:
             return None
         gate = self.departure_gate
-        until = INF_TICK if gate is None else gate(self, self._route[self._leg_pos + 1], now, scheduled)
+        until = INF_TICK if gate is None else gate(self.vehicle_id, self._route[self._leg_pos + 1], now, scheduled)
         if until is None:
             return None
         self._halt()

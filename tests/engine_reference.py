@@ -8,8 +8,7 @@ def every_phase_tick(sim):
     """A tick with no quiet path: every phase runs on every tick.  The trace
     covers every tick run, so it needs no call of its own."""
     now = sim.tick_count
-    inbound = sim._deliver(now)
-    sim._hub_phase(inbound, now)
+    sim._radio_phase(now)
     sim._vehicle_phase(now)
     sim._radar_phase(now)
     sim._telemetry_phase(now)

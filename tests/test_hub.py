@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from swarmport.errors import EmptyLog, IoFailure, ScenarioInvalid, UnknownVehicle
+from swarmport.errors import IoFailure, ScenarioInvalid, UnknownVehicle
 from swarmport.grid import NodeId, build_grid
 from swarmport.hub import (
     CSV_HEADER,
@@ -563,9 +563,8 @@ def test_completion_is_retracing_to_idle_flip():
     assert metrics(log)[0].job_completion_ticks == (4,)
 
 
-def test_metrics_requires_records():
-    with pytest.raises(EmptyLog):
-        metrics([])
+def test_empty_log_has_no_metrics():
+    assert metrics([]) == {}
 
 
 # -------------------------------------------------------------------- jobs

@@ -17,12 +17,12 @@ from table_reference import holds_by_node
 from test_acceptance import crossing_scenario, estimate_makespan_ticks
 
 import swarmport.sim
-from swarmport.errors import ScenarioInvalid
+from swarmport.errors import DecodeError, ScenarioInvalid
 from swarmport.grid import GridMap, NodeId, Position
 from swarmport.hub import Job, metrics
 from swarmport.planner import INF_TICK
 from swarmport.radar import Disc, SweepConfig, sweep_table
-from swarmport.rfnet import MessageKind, decode
+from swarmport.rfnet import MessageKind, Radio, assign_channel, decode
 from swarmport.sim import (
     NOPATH_RETRY_TICKS,
     RENDER_EVERY_SWEEPS,
@@ -799,19 +799,19 @@ def counted_run(scenario, every_tick):
     refused: dict[int, tuple] = {}
     steps = early = 0
 
-    def gate(agent, node, now, scheduled):
+    def gate(vid, node, now, scheduled):
         nonlocal early
-        until = sim._departure_gate(agent, node, now, scheduled)
+        until = table.reserve(vid, node, now, scheduled)
         if until is None:
-            last = refused.pop(agent.vehicle_id, None)
+            last = refused.pop(vid, None)
             if last is not None and last[:2] == (node, scheduled) and now < last[2]:
                 early += 1
             return None
         holds = holds_by_node(table)[node]
         assert until == max(
-            end for start, end, vid in holds if vid != agent.vehicle_id and now < end and start < scheduled
+            end for start, end, holder in holds if holder != vid and now < end and start < scheduled
         )
-        refused[agent.vehicle_id] = (node, scheduled, until)
+        refused[vid] = (node, scheduled, until)
         return until
 
     def counting(step):
@@ -1030,9 +1030,9 @@ def assert_matches_every_phase_run(engine, scenario):
 def test_quiet_ticks_change_nothing(seed, loss, latency, interval):
     """A tick runs only its due phases, and a quiet tick only the radar.
     Every output of `run_loop` must equal that of a loop whose tick runs
-    every phase; delivery must come only when a frame is due or the hub
-    wakes, the vehicle phase only when a vehicle is due, and unless every
-    tick sends telemetry, some ticks of the run must skip delivery."""
+    every phase; the radio phase must run only when a frame is due or the
+    hub wakes, the vehicle phase only when a vehicle is due, and unless
+    every tick sends telemetry, some ticks of the run must skip the radio."""
     base = crossing_scenario(seed)
     scenario = bounded(
         replace_scenario(
@@ -1042,20 +1042,20 @@ def test_quiet_ticks_change_nothing(seed, loss, latency, interval):
         )
     )
     engine = Simulation(scenario, trace=True, capture=True)
-    deliver = engine._deliver
+    radio_phase = engine._radio_phase
     vehicle_phase = engine._vehicle_phase
     delivered = []
     stepped = []
 
     def counted(now):
         delivered.append(now >= engine.medium.next_due or now >= engine.hub.wake_tick)
-        return deliver(now)
+        radio_phase(now)
 
     def counted_steps(now):
         stepped.append(now >= engine._next_wake)
         vehicle_phase(now)
 
-    engine._deliver = counted
+    engine._radio_phase = counted
     engine._vehicle_phase = counted_steps
     engine.run_loop()
     assert engine.completed_jobs == engine.total_jobs
@@ -1096,6 +1096,74 @@ def test_a_resting_vehicles_repeated_frame_is_decoded_once(monkeypatch):
     assert len({id(frame) for frame in telemetry}) == len(telemetry)
     assert len(telemetry) < len(engine.hub.log) / 2
     assert_matches_every_phase_run(engine, scenario)
+
+
+def test_every_frame_is_its_channels_vehicles():
+    """The radio phase hands a frame to the receiver on its channel without
+    reading the vehicle id it carries, which holds because a channel
+    carries only its vehicle's frames.  At latency 13 and interval 10
+    frames that a newer frame overtakes are decoded at the hub, and at 30%
+    loss some never arrive; every record the hub logs must still be the
+    telemetry its vehicle's channel carried 13 ticks before."""
+    base = crossing_scenario(2)
+    scenario = bounded(
+        replace_scenario(
+            base, medium=MediumConfig(0.3, 13, 2), sim=replace_scenario(base.sim, telemetry_interval=10)
+        )
+    )
+    sim = Simulation(scenario, capture=True)
+    sim.run_loop()
+    assert sim.completed_jobs == sim.total_jobs
+    sent = {}
+    for tick, channel, frame in sim.medium.capture:
+        msg = decode(frame)
+        assert msg.vehicle_id == channel
+        if msg.kind is MessageKind.TELEMETRY:
+            sent[tick, channel] = msg
+    assert sim.hub.log
+    for rec in sim.hub.log:
+        msg = sent[rec.tick - 13, rec.vehicle_id]
+        assert (rec.x_m, rec.y_m, rec.speed_m_s, rec.heading_deg) == (
+            msg.x_mm / 1000.0, msg.y_mm / 1000.0, msg.speed_mm_s / 1000.0, msg.heading_cdeg / 100.0
+        )
+
+
+def test_an_undecodable_frame_is_dropped_where_it_is_polled(monkeypatch):
+    """A frame that does not decode is dropped by each radio that polls it.
+    One sent on channel 0 at tick 500 reaches the vehicle's radio and the
+    hub's; the run must end as one without it, with that frame alone
+    added to the capture."""
+    garbage = b"\x7e\x01\x02"
+    failed = []
+
+    def recording(frame):
+        try:
+            return decode(frame)
+        except DecodeError:
+            failed.append(frame)
+            raise
+
+    monkeypatch.setattr(swarmport.sim, "decode", recording)
+    runs = []
+    for inject in (False, True):
+        sim = Simulation(bounded(default_scenario()), capture=True)
+        rogue = Radio(assign_channel(0))
+        while sim.tick_count < sim.scenario.sim.max_ticks:
+            if inject and sim.tick_count == 500:
+                sim.medium.send(rogue, garbage, 500)
+            sim.tick()
+            if sim.all_done:
+                break
+        assert sim.completed_jobs == sim.total_jobs
+        runs.append(sim)
+    plain, injected = runs
+    assert failed == [garbage, garbage]
+    assert injected.tick_count == plain.tick_count
+    assert injected.frame_lines == plain.frame_lines
+    assert injected.hub.log == plain.hub.log
+    assert injected.job_traces == plain.job_traces
+    injected.medium.capture.remove((500, 0, garbage))
+    assert injected.medium.capture == plain.medium.capture
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 from engine_reference import every_phase_run  # noqa: E402
 from swarmport.cli import cmd_scan  # noqa: E402
+from swarmport.hub import TelemetryRecord  # noqa: E402
 from swarmport.radar import HopIndex  # noqa: E402
 from swarmport.sim import (  # noqa: E402
     MediumConfig,
@@ -74,10 +75,6 @@ from swarmport.sim import (  # noqa: E402
 )
 from workloads import crossing_document, depot_document  # noqa: E402
 
-LOG_FIELDS = (
-    "tick", "vehicle_id", "x_m", "y_m", "heading_deg", "speed_m_s",
-    "dist_from_origin_m", "angle_from_origin_deg", "state",
-)
 TRACE_CHUNK = 4096  # trace rows hashed per buffer
 
 # The engine cases whose sensor the scan cases also sweep.
@@ -189,7 +186,7 @@ def _outputs(sim) -> list[bytes]:
          list(t.final_pose), list(t.home_position), t.complete_tick]
         for t in sim.job_traces
     ]
-    log = [[getattr(rec, f) for f in LOG_FIELDS] for rec in sim.hub.log]
+    log = [[getattr(rec, f) for f in TelemetryRecord._fields] for rec in sim.hub.log]
     totals = [sim.tick_count, sim.completed_jobs, sim.total_jobs, sim.last_complete_tick, sim.sweep_count]
     scans = [[n, scan.direction, scan.samples] for n, scan in sim.renders]
     return [capture, "".join(sim.frame_lines).encode(), json.dumps([jobs, log, totals, scans]).encode()]
